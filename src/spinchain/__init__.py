@@ -13,7 +13,6 @@ from .calibration import (
     calibrated_gate_params,
     nelder_mead,
     objective,
-    slot_unitary,
 )
 from .circuits import (
     ChainTopology,
@@ -36,6 +35,7 @@ from .dynamics import (
     evolve_lindblad,
     evolve_unitary,
     gate_fidelity,
+    slot_unitary,
 )
 from .hamiltonians import (
     DEFAULT_CNOT_COUPLING_PARAMS,
@@ -43,10 +43,6 @@ from .hamiltonians import (
     DEFAULT_SWAP_PARAMS,
     GATE_KINDS,
     GateSpec,
-    assemble_chain_hamiltonian,
-    build_cnot_terms,
-    build_rotated_cnot_terms,
-    build_swap_terms,
     cnot_gate,
     ideal_gate_matrix,
     rotated_cnot_gate,
@@ -54,9 +50,6 @@ from .hamiltonians import (
 )
 from .operators import (
     LocalOperator,
-    apply_local_left,
-    apply_local_right,
-    apply_local_to_state,
     embed,
     fidelity,
     fidelity_to_pure,
@@ -68,8 +61,6 @@ from .pulses import (
     GaussianPulse,
     PulseSchedule,
     pulse_area,
-    pulse_value,
-    rescale,
     schedule_sequence,
 )
 
@@ -95,13 +86,6 @@ __all__ = [
     "PulseSchedule",
     "TraceDriftError",
     "TransportCircuit",
-    "apply_local_left",
-    "apply_local_right",
-    "apply_local_to_state",
-    "assemble_chain_hamiltonian",
-    "build_cnot_terms",
-    "build_rotated_cnot_terms",
-    "build_swap_terms",
     "build_transport_circuit",
     "calibrate",
     "calibrated_gate_params",
@@ -122,8 +106,6 @@ __all__ = [
     "partial_trace_keep_last_two",
     "pauli",
     "pulse_area",
-    "pulse_value",
-    "rescale",
     "rotated_cnot_gate",
     "schedule_sequence",
     "slot_unitary",

@@ -5,12 +5,10 @@ The objective is the mean infidelity over the five calibration states
 evolution across one slot; the superposition state pins the relative
 phases, which population-only checks would miss.
 
-Because the terms of a gate commute, the product of per-step exponentials
-collapses analytically: the whole stepped evolution equals
-``V exp(-i sum_i S_i d_i) V^dag`` with ``S_i`` the per-channel discrete
-pulse areas on the integrator grid. The objective evaluates that closed
-form, making it exactly (not approximately) the fidelity the unitary
-stepper would produce, at a fraction of the cost.
+The objective scores :func:`spinchain.dynamics.slot_unitary`, the same
+closed-form slot unitary ``V exp(-i sum_i S_i d_i) V^dag`` that noiseless
+evolution applies, so a calibrated gate is exactly the gate the
+simulator runs.
 
 The optimum is a one-parameter family — only the pulse area is pinned
 (SWAP: pi/4 + k*pi/2; CNOT channels: area sum = 0 and difference = pi/2,
@@ -27,15 +25,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import qmc
 
-from .dynamics import DEFAULT_STEPS_PER_SLOT
+from .dynamics import slot_unitary
 from .hamiltonians import (
     DEFAULT_CNOT_COUPLING_PARAMS,
     DEFAULT_CNOT_LOCAL_PARAMS,
     DEFAULT_SWAP_PARAMS,
     GATE_KINDS,
-    gate_eigensystem,
     ideal_gate_matrix,
-    materialize_channel_pulses,
 )
 
 SUCCESS_OBJECTIVE = 1e-5
@@ -60,8 +56,6 @@ class CalibrationProblem:
     kind: str
     amplitude_bounds: tuple[float, float] = (0.0, 50.0)  # lower bound open
     width_bounds: tuple[float, float] = (1e-4, 1.0)
-    slot_duration: float = 1.0
-    n_steps: int = DEFAULT_STEPS_PER_SLOT
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
@@ -98,44 +92,10 @@ class CalibrationResult:
     n_evaluations: int
 
 
-def discrete_channel_areas(
-    pairs: tuple[tuple[float, float], ...],
-    slot_duration: float = 1.0,
-    n_steps: int = DEFAULT_STEPS_PER_SLOT,
-) -> tuple[float, ...]:
-    """Right-endpoint pulse areas on the integrator grid, one per channel.
-
-    This is the exact quantity the unitary stepper accumulates, which is
-    why calibrating against it leaves no quadrature mismatch behind.
-    """
-    dt = slot_duration / n_steps
-    ts = dt * np.arange(1, n_steps + 1)
-    inside = ts < slot_duration  # pulses are truncated to [0, slot)
-    pulses = materialize_channel_pulses(pairs, 0.0, slot_duration)
-    return tuple(float(np.sum(p.value(ts) * inside) * dt) for p in pulses)
-
-
 def analytic_channel_areas(
     pairs: tuple[tuple[float, float], ...]
 ) -> tuple[float, ...]:
     return tuple(a * math.sqrt(math.pi * w) for a, w in pairs)
-
-
-def slot_unitary(
-    kind: str,
-    params,
-    slot_duration: float = 1.0,
-    n_steps: int = DEFAULT_STEPS_PER_SLOT,
-) -> np.ndarray:
-    """The exact stepped one-slot unitary for a flat parameter vector."""
-    problem = CalibrationProblem(kind=kind, slot_duration=slot_duration, n_steps=n_steps)
-    pairs = problem.parameter_pairs(params)
-    areas = discrete_channel_areas(pairs, slot_duration, n_steps)
-    v, diags = gate_eigensystem(kind)
-    phase = np.zeros(4)
-    for s, d in zip(areas, diags):
-        phase = phase + s * d
-    return (v * np.exp(-1j * phase)) @ v.conj().T
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +104,7 @@ def _calibration_targets(kind: str) -> np.ndarray:
 
 
 def per_state_fidelities(params, problem: CalibrationProblem) -> np.ndarray:
-    u = slot_unitary(problem.kind, params, problem.slot_duration, problem.n_steps)
+    u = slot_unitary(problem.kind, problem.parameter_pairs(params))
     outs = (u @ CALIBRATION_STATES.T).T
     targets = _calibration_targets(problem.kind)
     overlaps = np.sum(targets.conj() * outs, axis=1)

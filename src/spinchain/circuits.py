@@ -297,16 +297,14 @@ def fidelity_difference_map(
     phis=None,
     gate_params=None,
     cfg: IntegratorConfig | None = None,
-    method: str = "reconstruct",
 ) -> FidelityMap:
     """F_cnot_first and F_cnot_last for every payload state on the grid.
 
     The evolution is linear in the input density matrix and the grid
-    states only vary on the payload site, so the default path evolves the
-    four basis projectors once per gate order and reconstructs every grid
+    states only vary on the payload site, so the map evolves the four
+    basis projectors once per gate order and reconstructs every grid
     point exactly from those — same numbers as evolving each point,
-    thousands of times cheaper. ``method="direct"`` runs each grid point
-    individually instead.
+    thousands of times cheaper.
     """
     if topology is None:
         topology = ChainTopology("square_2d", 4)
@@ -318,8 +316,6 @@ def fidelity_difference_map(
     phis = np.asarray(phis, dtype=float)
     if thetas.size == 0 or phis.size == 0:
         raise ValueError("theta and phi grids must be nonempty")
-    if method not in ("reconstruct", "direct"):
-        raise ValueError(f"unknown map method {method!r}")
 
     circuits = {
         order: build_transport_circuit(topology, order, gate_params=gate_params)
@@ -339,34 +335,22 @@ def fidelity_difference_map(
     )
     targets = np.einsum("ab,...b->...a", ideal_gate_matrix("cnot"), pair_in)
 
+    basis_inverse = _map_basis_matrix()
+    projectors = np.einsum("...a,...b->...ab", payload, payload.conj()).reshape(
+        theta_grid.shape + (4,)
+    )
+    coefficients = np.einsum("kv,...v->...k", basis_inverse, projectors)
     results = {}
-    if method == "direct":
-        for order, circuit in circuits.items():
-            grid = np.empty(theta_grid.shape, dtype=float)
-            for i in range(thetas.size):
-                for j in range(phis.size):
-                    grid[i, j] = transport_fidelity(
-                        circuit, payload[i, j], noise=noise, cfg=cfg
-                    )
-            results[order] = grid
-    else:
-        basis_inverse = _map_basis_matrix()
-        projectors = np.einsum(
-            "...a,...b->...ab", payload, payload.conj()
-        ).reshape(theta_grid.shape + (4,))
-        coefficients = np.einsum("kv,...v->...k", basis_inverse, projectors)
-        for order, circuit in circuits.items():
-            reduced_basis = np.stack(
-                [
-                    transport_reduced_state(circuit, b, noise=noise, cfg=cfg)
-                    for b in _MAP_BASIS
-                ]
-            )
-            reduced = np.einsum("...k,kab->...ab", coefficients, reduced_basis)
-            fid = np.einsum(
-                "...a,...ab,...b->...", targets.conj(), reduced, targets
-            )
-            results[order] = np.ascontiguousarray(fid.real)
+    for order, circuit in circuits.items():
+        reduced_basis = np.stack(
+            [
+                transport_reduced_state(circuit, b, noise=noise, cfg=cfg)
+                for b in _MAP_BASIS
+            ]
+        )
+        reduced = np.einsum("...k,kab->...ab", coefficients, reduced_basis)
+        fid = np.einsum("...a,...ab,...b->...", targets.conj(), reduced, targets)
+        results[order] = np.ascontiguousarray(fid.real)
 
     return FidelityMap(
         thetas=thetas,

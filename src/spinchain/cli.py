@@ -14,6 +14,11 @@ Settings resolve in precedence order: command-line flags, then the
 timestamps and wall time appear only there, so CSV bodies are
 byte-identical across reruns and worker counts.
 
+Noiseless runs apply one closed-form unitary per gate and slot; noisy runs
+use the factored master-equation integrator (16x16 pair propagators plus
+idle-site channels). A noisy ``trace`` steps one gate's pair propagator and
+reads every step from that one integration.
+
 Units: times in units of the base slot, pulse amplitudes in units of the
 base energy scale (with hbar = 1), pulse widths in slot-squared, and
 dephasing/damping rates in inverse slots.
@@ -49,9 +54,9 @@ from .dynamics import (
     IntegratorConfig,
     NoiseModel,
     TraceDriftError,
-    evolve_lindblad,
     evolve_unitary,
     gate_fidelity,
+    gate_superoperator,
 )
 from .hamiltonians import (
     GATE_KINDS,
@@ -101,8 +106,8 @@ CONFIG_SCHEMA = {
     "noise": {"kind", "gamma"},
     "topology": {"kind", "n", "order"},
     "sweep": {"alpha"},
-    "map": {"grid", "method"},
-    "integrator": {"dt", "method"},
+    "map": {"grid"},
+    "integrator": {"dt"},
     "calibration": {"amplitude_min", "amplitude_max", "width_min", "width_max"},
     "run": {"workers", "seed", "out", "force_large_n"},
 }
@@ -127,9 +132,7 @@ class Settings:
     orders: tuple[str, ...] = ("cnot_first", "cnot_last")
     alphas: tuple[float, ...] = ()
     grid: tuple[int, int] = (64, 64)
-    map_method: str = "reconstruct"
     dt: float | None = None
-    method: str = "factored"
     workers: int = 1
     seed: int = 0
     out: str = ""
@@ -291,12 +294,6 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
     if grid_text is not None:
         s.grid = _parse_grid(grid_text)
 
-    map_method = _lookup(cfg, "map", "method")
-    if map_method is not None:
-        if map_method not in ("reconstruct", "direct"):
-            raise ConfigError(f"unknown map method {map_method!r}")
-        s.map_method = map_method
-
     dt_text = _lookup(cfg, "integrator", "dt")
     if args.dt is not None:
         s.dt = args.dt
@@ -307,12 +304,6 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
             raise ConfigError(f"cannot parse integrator dt {dt_text!r}") from exc
     if s.dt is not None and s.dt <= 0:
         raise ConfigError("integrator dt must be positive")
-
-    method = _lookup(cfg, "integrator", "method")
-    if method is not None:
-        if method not in ("rk4", "factored"):
-            raise ConfigError(f"unknown integrator method {method!r}")
-        s.method = method
 
     workers_text = _lookup(cfg, "run", "workers")
     if args.workers is not None:
@@ -376,9 +367,7 @@ def settings_header(s: Settings) -> list[tuple[str, str]]:
         "order": ",".join(s.orders),
         "alpha": ",".join(_fmt_float(a) for a in s.alphas),
         "grid": f"{s.grid[0]}x{s.grid[1]}",
-        "map_method": s.map_method,
         "integrator_dt": "auto" if s.dt is None else _fmt_float(s.dt),
-        "integrator_method": s.method,
         "workers": str(s.workers),
         "seed": str(s.seed),
         "out": s.out,
@@ -438,15 +427,17 @@ def run_jobs(jobs, workers: int) -> list:
 # subcommand runners
 
 
+GATE_BUILDERS = {
+    "swap": swap_gate,
+    "cnot": cnot_gate,
+    "cnot_rotated": rotated_cnot_gate,
+}
+
+
 def _single_gate(s: Settings) -> GateSpec:
     if s.gate == "both":
         raise ConfigError(f"{s.command} takes a single gate kind, not 'both'")
-    builders = {
-        "swap": swap_gate,
-        "cnot": cnot_gate,
-        "cnot_rotated": rotated_cnot_gate,
-    }
-    return builders[s.gate](1, 2)
+    return GATE_BUILDERS[s.gate](1, 2)
 
 
 _KET_ZERO = np.array([1.0, 0.0], dtype=complex)
@@ -463,39 +454,37 @@ TRACE_INPUTS = (
 def run_trace(s: Settings):
     """Per-step fidelity toward the ideal gate output, plus drive values."""
     gate = _single_gate(s)
-    schedule = schedule_sequence([gate], slot_duration=1.0)
     pulses = materialize_channel_pulses(gate.params, 0.0, 1.0)
-    gamma = s.gammas[0]
-    noise = s.noise(gamma)
+    noise = s.noise(s.gammas[0])
+    cfg = IntegratorConfig(dt=s.dt)
     ideal = ideal_gate_matrix(gate.kind)
+    inputs = [np.kron(control, _KET_ZERO) for _, control in TRACE_INPUTS]
+    targets = [ideal @ psi0 for psi0 in inputs]
 
-    fidelity_columns = []
-    times = None
-    for _, control in TRACE_INPUTS:
-        psi0 = np.kron(control, _KET_ZERO)
-        target = ideal @ psi0
-        samples: list[float] = []
-        ts: list[float] = []
+    times: list[float] = []
+    fidelity_columns: list[list[float]] = [[] for _ in inputs]
+    if noise.kind == "none":
+        schedule = schedule_sequence([gate], slot_duration=1.0)
+        for psi0, target, samples in zip(inputs, targets, fidelity_columns):
+            times = []
 
-        if noise.kind == "none":
-            def observer(t, psi):
-                ts.append(t)
+            def observer(t, psi, times=times, target=target, samples=samples):
+                times.append(t)
                 samples.append(overlap_fidelity(psi, target))
 
-            evolve_unitary(psi0, schedule, IntegratorConfig(dt=s.dt), observer)
-        else:
-            # The factored integrator only reports slot boundaries, so a
-            # noisy trace always runs the stepwise reference integrator.
-            def observer(t, rho):
-                ts.append(t)
-                samples.append(fidelity_to_pure(rho, target))
+            evolve_unitary(psi0, schedule, cfg, observer)
+    else:
+        # One pair integration serves every input: each step's propagator
+        # maps all initial density matrices at once.
+        rho0 = np.stack([np.outer(p, p.conj()).reshape(-1) for p in inputs], axis=1)
 
-            rho0 = np.outer(psi0, psi0.conj())
-            evolve_lindblad(
-                rho0, schedule, noise, IntegratorConfig(dt=s.dt, method="rk4"), observer
-            )
-        fidelity_columns.append(samples)
-        times = ts
+        def observer(t, phi):
+            times.append(t)
+            rhos = phi @ rho0
+            for k, (target, samples) in enumerate(zip(targets, fidelity_columns)):
+                samples.append(fidelity_to_pure(rhos[:, k].reshape(4, 4), target))
+
+        gate_superoperator(gate, noise, cfg, observer)
 
     columns = ["t"] + [name for name, _ in TRACE_INPUTS]
     columns += [f"j_channel_{i + 1}" for i in range(len(pulses))]
@@ -510,11 +499,6 @@ def run_trace(s: Settings):
 def run_duration_sweep(s: Settings):
     """Gate fidelity for stretched gates, over gates x gammas x alphas."""
     gates = ("swap", "cnot") if s.gate == "both" else (s.gate,)
-    builders = {
-        "swap": swap_gate,
-        "cnot": cnot_gate,
-        "cnot_rotated": rotated_cnot_gate,
-    }
     psi0 = np.kron(_KET_PLUS, _KET_ZERO)
 
     cases = [
@@ -525,8 +509,8 @@ def run_duration_sweep(s: Settings):
     ]
 
     def job(kind, gamma, alpha):
-        gate = builders[kind](1, 2)
-        cfg = IntegratorConfig(dt=s.dt, method=s.method)
+        gate = GATE_BUILDERS[kind](1, 2)
+        cfg = IntegratorConfig(dt=s.dt)
         return gate_fidelity(psi0, gate, s.noise(gamma), alpha, cfg)
 
     values = run_jobs([lambda c=c: job(*c) for c in cases], s.workers)
@@ -570,7 +554,7 @@ def run_chain_sweep(s: Settings):
     ]
 
     def job(n, order, gamma):
-        cfg = IntegratorConfig(dt=s.dt, method=s.method)
+        cfg = IntegratorConfig(dt=s.dt)
         return transport_fidelity(
             circuits[(n, order)], _KET_ZERO, noise=s.noise(gamma), cfg=cfg
         )
@@ -596,14 +580,8 @@ def run_state_map(s: Settings):
 
     thetas, phis = default_map_grid(*s.grid)
     topology = ChainTopology("square_2d", 4)
-    cfg = IntegratorConfig(dt=s.dt, method=s.method)
     fmap = fidelity_difference_map(
-        topology,
-        s.noise(gamma),
-        thetas,
-        phis,
-        cfg=cfg,
-        method=s.map_method,
+        topology, s.noise(gamma), thetas, phis, cfg=IntegratorConfig(dt=s.dt)
     )
 
     columns = ["theta", "phi", "f_cnot_first", "f_cnot_last", "delta_f"]

@@ -1,26 +1,28 @@
-"""Time evolution: unitary stepping and Lindblad integration.
+"""Time evolution: closed-form unitary slots and the factored Lindblad path.
 
-Two density-matrix integrators are provided behind one entry point:
+Each gate drives its qubit pair with a Gaussian exchange pulse inside its
+own slot, and the Pauli terms of one gate commute. Both integrators use
+that structure; each piece of physics has one kernel:
 
-``rk4``
-    Classical fixed-step Runge-Kutta on the full master equation
-    ``drho/dt = -i[H(t), rho] + sum_n (L_n rho L_n^+ - {L_n^+ L_n, rho}/2)``,
-    with the right-hand side evaluated through local-operator application
-    (O(4^N * N) per evaluation; the 2^N x 2^N Hamiltonian is never formed).
-    This is the reference integrator.
+Unitary slots
+    The product of the per-step exponentials ``exp(-i H(t_m) dt)`` over a
+    slot collapses to ``V exp(-i sum_i S_i d_i) V^dag``: ``V`` is the
+    gate's common eigenbasis, ``d_i`` the eigenvalues of channel ``i`` and
+    ``S_i`` its right-endpoint pulse area on the step grid
+    (:func:`discrete_channel_areas`). :func:`slot_unitary` is that 4x4
+    matrix; calibration scores the same matrix.
 
-``factored``
-    Within one slot the generator splits into commuting pieces with
-    disjoint site support: each active pair (its drive plus its two sites'
-    dissipators) and each idle site's dissipator. The slot propagator
-    therefore factorises exactly into cached 16x16 pair propagators
-    (themselves RK4-integrated at the same step size) and closed-form
-    single-site channels on the idle sites. Results agree with ``rk4`` to
-    integrator accuracy while remaining tractable at N = 12.
+Noisy slots
+    Within one slot the Lindblad generator splits into commuting pieces
+    with disjoint site support: each active pair (its drive plus its two
+    sites' dissipators) and each idle site's dissipator. The slot
+    propagator therefore factorises exactly into 16x16 pair propagators,
+    integrated by fixed-step RK4 and cached, and closed-form single-site
+    channels on the idle sites.
 
-The pure-state path applies ``U(t, t+dt) = exp(-i H(t+dt) dt)`` per step;
-because each gate's terms commute, the step exponential is computed
-exactly in the gate's eigenbasis on its 4-dimensional pair subspace.
+Pulses are truncated to their slot. Whether a grid point carries drive is
+decided by its step index (the slot-end point never does), so results do
+not depend on how accumulated step times round near the slot edge.
 
 Trace is monitored, never renormalised: drift beyond ``TRACE_ABORT_TOL``
 raises :class:`TraceDriftError` so integrator bugs cannot hide.
@@ -29,6 +31,7 @@ raises :class:`TraceDriftError` so integrator bugs cannot hide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,14 +39,10 @@ from .hamiltonians import (
     GateSpec,
     gate_channel_blocks,
     gate_eigensystem,
-    gate_terms,
     ideal_gate_matrix,
     materialize_channel_pulses,
 )
 from .operators import (
-    LocalOperator,
-    apply_local_left,
-    apply_local_right,
     check_state,
     fidelity_to_pure,
     num_qubits,
@@ -56,7 +55,6 @@ DEFAULT_STEPS_PER_SLOT = 1000
 TRACE_ABORT_TOL = 1e-6
 
 _NOISE_KINDS = ("none", "dephasing", "amplitude_damping")
-_METHODS = ("trotter_step", "rk4", "factored")
 
 
 class TraceDriftError(RuntimeError):
@@ -93,19 +91,14 @@ NOISELESS = NoiseModel(kind="none")
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step size and method. ``dt=None`` resolves to slot_duration/1000.
-
-    ``method`` selects the density-matrix integrator (``rk4`` or
-    ``factored``); the pure-state path always uses exact per-step
-    exponentials (``trotter_step`` semantics).
-    """
+    """Step size. ``dt=None`` resolves to slot_duration/1000."""
 
     dt: float | None = None
-    method: str = "rk4"
+    # The one density-matrix integrator's name, not a setting: the
+    # benchmark's span tracer (perfbench/tracer.py) labels runs by it.
+    method: ClassVar[str] = "factored"
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown integrator method {self.method!r}")
         if self.dt is not None and not (self.dt > 0.0):
             raise ValueError("time step must be positive")
 
@@ -129,17 +122,63 @@ def _check_trace(rho: np.ndarray, where: str):
 
 
 # ---------------------------------------------------------------------------
-# Pure-state path
+# Unitary slots
+
+
+def _channel_samples(params, slot_duration: float, n_steps: int):
+    """Pulse values at the right endpoints ``m dt`` (m = 1..n_steps) of a
+    slot starting at 0, one row per channel, and ``dt``. The slot-end
+    sample is zero: pulses are truncated to ``[0, slot)``."""
+    dt = slot_duration / n_steps
+    m = np.arange(1, n_steps + 1)
+    ts, inside = dt * m, m < n_steps
+    pulses = materialize_channel_pulses(params, 0.0, slot_duration)
+    return np.array([p.value(ts) * inside for p in pulses]), dt
+
+
+def discrete_channel_areas(
+    params,
+    slot_duration: float = 1.0,
+    n_steps: int = DEFAULT_STEPS_PER_SLOT,
+) -> tuple[float, ...]:
+    """Right-endpoint pulse areas on the step grid, one per (A, W) channel:
+    exactly what a product of per-step exponentials accumulates."""
+    samples, dt = _channel_samples(params, slot_duration, n_steps)
+    return tuple(float(np.sum(row) * dt) for row in samples)
+
+
+def _eigen_unitary(kind: str, areas) -> np.ndarray:
+    """``V exp(-i sum_i S_i d_i) V^dag``; ``areas`` rows may carry a
+    trailing step axis, giving one 4x4 unitary per step."""
+    v, diags = gate_eigensystem(kind)
+    if len(areas) != len(diags):
+        raise ValueError(f"{kind} takes {len(diags)} (A, W) pair(s)")
+    phase = sum(np.multiply.outer(s, d) for s, d in zip(areas, diags))
+    return (v * np.exp(-1j * phase)[..., None, :]) @ v.conj().T
+
+
+def slot_unitary(
+    kind: str,
+    params,
+    slot_duration: float = 1.0,
+    n_steps: int = DEFAULT_STEPS_PER_SLOT,
+) -> np.ndarray:
+    """The exact stepped one-slot 4x4 unitary of a gate kind; ``params``
+    holds one (A, W) pair per channel, as in ``GateSpec``."""
+    return _eigen_unitary(kind, discrete_channel_areas(params, slot_duration, n_steps))
 
 
 def _apply_pair_matrix_to_state(
     u4: np.ndarray, qubits: tuple[int, int], psi_tensor: np.ndarray, n: int
 ) -> np.ndarray:
-    axes = (qubits[0] - 1, qubits[1] - 1)
-    t = np.moveaxis(psi_tensor, axes, (0, 1))
+    """Apply a 4x4 block on ``qubits``; axes of ``psi_tensor`` before its
+    last ``n`` are stack axes, matched by a stack of blocks."""
+    lead = psi_tensor.ndim - n
+    axes = (lead + qubits[0] - 1, lead + qubits[1] - 1)
+    t = np.moveaxis(psi_tensor, axes, (lead, lead + 1))
     shape = t.shape
-    t = u4 @ t.reshape(4, -1)
-    return np.moveaxis(t.reshape(shape), (0, 1), axes)
+    t = u4 @ t.reshape(shape[:lead] + (4, -1))
+    return np.moveaxis(t.reshape(shape), (lead, lead + 1), axes)
 
 
 def evolve_unitary(
@@ -150,10 +189,10 @@ def evolve_unitary(
 ) -> np.ndarray:
     """Propagate a pure state through a schedule without noise.
 
-    Per step the active gate contributes ``exp(-i H_gate(t + dt) dt)``,
-    evaluated exactly in the gate's common eigenbasis on its qubit pair;
-    gates sharing a slot act on disjoint pairs, so their exponentials are
-    applied in sequence without splitting error.
+    Each slot applies one closed-form 4x4 unitary per gate; gates sharing
+    a slot act on disjoint pairs, so the order does not matter. The
+    observer, when given, is called with ``(t, psi)`` at t = 0 and after
+    every step.
     """
     cfg = cfg or IntegratorConfig()
     psi = check_state(psi).copy()
@@ -163,94 +202,39 @@ def evolve_unitary(
     if schedule.num_slots == 0:
         return psi
     n_steps, dt = _resolve_steps(schedule.slot_duration, cfg)
+    tau = schedule.slot_duration
 
     tensor = psi.reshape((2,) * n)
     for k in range(schedule.num_slots):
-        start, end = schedule.slot_window(k)
-        kernels = []
+        if observer is not None:
+            # Observed steps: each gate's closed form at its cumulative
+            # areas, applied to a stack holding one register per step.
+            stack = np.broadcast_to(tensor, (n_steps,) + tensor.shape)
         for entry in schedule.slot_entries(k):
             spec: GateSpec = entry.gate
             if max(spec.qubits) > n:
                 raise ValueError("gate addresses a qubit outside the chain")
-            v, diags = gate_eigensystem(spec.kind)
-            pulses = materialize_channel_pulses(spec.params, entry.start, entry.end)
-            kernels.append((spec.qubits, v, diags, pulses, entry.end))
-        for m in range(1, n_steps + 1):
-            t_eval = start + m * dt
-            for qubits, v, diags, pulses, window_end in kernels:
-                phase = np.zeros(4)
-                for pulse, diag in zip(pulses, diags):
-                    if t_eval < window_end:
-                        phase = phase + pulse.value(t_eval) * diag
-                u4 = (v * np.exp(-1j * dt * phase)) @ v.conj().T
-                tensor = _apply_pair_matrix_to_state(u4, qubits, tensor, n)
+            u4 = slot_unitary(spec.kind, spec.params, tau, n_steps)
+            tensor = _apply_pair_matrix_to_state(u4, spec.qubits, tensor, n)
             if observer is not None:
-                observer(t_eval, np.ascontiguousarray(tensor).reshape(-1))
+                samples, grid_dt = _channel_samples(spec.params, tau, n_steps)
+                steps = _eigen_unitary(spec.kind, np.cumsum(samples, axis=1) * grid_dt)
+                stack = _apply_pair_matrix_to_state(steps, spec.qubits, stack, n)
+        if observer is not None:
+            times = schedule.slot_window(k)[0] + dt * np.arange(1, n_steps + 1)
+            for t, state in zip(times.tolist(), stack):
+                observer(t, np.ascontiguousarray(state).reshape(-1))
     out = np.ascontiguousarray(tensor).reshape(-1)
     norm = np.linalg.norm(out)
-    # Each step is unitary to machine precision, so only roundoff
-    # accumulates; anything past 1e-9 means a genuine defect.
+    # Each slot unitary is exact to roundoff, so anything past 1e-9 means
+    # a genuine defect.
     if abs(norm - 1.0) > 1e-9:
-        raise RuntimeError(f"unitary stepping lost normalisation ({norm - 1.0:.3e})")
+        raise RuntimeError(f"unitary evolution lost normalisation ({norm - 1.0:.3e})")
     return out
 
 
 # ---------------------------------------------------------------------------
-# Lindblad RK4 path (reference integrator)
-
-
-def _site_jump_operators(noise: NoiseModel, n: int):
-    block = noise.jump_block()
-    if block is None or noise.gamma == 0.0:
-        return []
-    ldl = block.conj().T @ block
-    return [
-        (LocalOperator((site,), block), LocalOperator((site,), ldl))
-        for site in range(1, n + 1)
-    ]
-
-
-def _lindblad_rhs(rho, t, slot_terms, jumps, gamma):
-    out = np.zeros_like(rho)
-    for pulse, op, window_start, window_end in slot_terms:
-        if not (window_start <= t < window_end):
-            continue
-        c = pulse.value(t)
-        out += (-1j * c) * (apply_local_left(op, rho) - apply_local_right(op, rho))
-    for jump_op, ldl_op in jumps:
-        sandwich = apply_local_right(jump_op, apply_local_left(jump_op, rho))
-        anti = apply_local_left(ldl_op, rho) + apply_local_right(ldl_op, rho)
-        out += gamma * (sandwich - 0.5 * anti)
-    return out
-
-
-def _evolve_lindblad_rk4(rho, schedule, noise, cfg, observer):
-    n = num_qubits(rho.shape[0])
-    n_steps, dt = _resolve_steps(schedule.slot_duration, cfg)
-    jumps = _site_jump_operators(noise, n)
-    for k in range(schedule.num_slots):
-        start, _ = schedule.slot_window(k)
-        slot_terms = []
-        for entry in schedule.slot_entries(k):
-            if max(entry.gate.qubits) > n:
-                raise ValueError("gate addresses a qubit outside the chain")
-            for term in gate_terms(entry.gate, entry.start, entry.end):
-                slot_terms.append((term.pulse, term.op, term.window[0], term.window[1]))
-        for m in range(n_steps):
-            t0 = start + m * dt
-            k1 = _lindblad_rhs(rho, t0, slot_terms, jumps, noise.gamma)
-            k2 = _lindblad_rhs(rho + (0.5 * dt) * k1, t0 + 0.5 * dt, slot_terms, jumps, noise.gamma)
-            k3 = _lindblad_rhs(rho + (0.5 * dt) * k2, t0 + 0.5 * dt, slot_terms, jumps, noise.gamma)
-            k4 = _lindblad_rhs(rho + dt * k3, t0 + dt, slot_terms, jumps, noise.gamma)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if observer is not None:
-                observer(t0 + dt, rho)
-        _check_trace(rho, f"after slot {k}")
-    return rho
-
-
-# ---------------------------------------------------------------------------
-# Factored path (exact slot factorisation into pair + idle channels)
+# Noisy slots: exact factorisation into pair propagators and idle channels
 
 _I4 = np.eye(4, dtype=complex)
 _PAIR_PROP_CACHE: dict = {}
@@ -270,20 +254,19 @@ def _dissipator_superop(l4: np.ndarray) -> np.ndarray:
     )
 
 
-def _pair_slot_propagator(
+def _pair_rk4(
     kind: str,
     params: tuple[tuple[float, float], ...],
     noise: NoiseModel,
     duration: float,
     dt: float,
+    observer=None,
 ) -> np.ndarray:
     """16x16 propagator of one driven pair (plus its two sites' noise)
-    across one slot, integrated by fixed-step RK4 and cached."""
-    key = (kind, params, noise.kind, float(noise.gamma), float(duration), float(dt))
-    cached = _PAIR_PROP_CACHE.get(key)
-    if cached is not None:
-        return cached
+    across one slot, by fixed-step RK4 on the propagator itself.
 
+    The observer, when given, is called with ``(t, phi)`` after each step.
+    """
     blocks = gate_channel_blocks(kind)
     pulses = materialize_channel_pulses(params, 0.0, duration)
     drive_superops = [_hamiltonian_superop(b) for b in blocks]
@@ -293,27 +276,71 @@ def _pair_slot_propagator(
         for l4 in (np.kron(jump, np.eye(2)), np.kron(np.eye(2), jump)):
             constant += noise.gamma * _dissipator_superop(l4)
 
-    def generator(t):
+    n_steps = int(round(duration / dt))
+    steps = np.arange(n_steps)
+    t0 = steps * dt
+    # Drive at each step's start, midpoint and end; the last step ends on
+    # the slot edge, where the truncated pulse is already off.
+    starts = np.array([p.value(t0) for p in pulses]).T
+    mids = np.array([p.value(t0 + 0.5 * dt) for p in pulses]).T
+    ends = np.array([p.value(t0 + dt) * (steps < n_steps - 1) for p in pulses]).T
+
+    def generator(values):
         gen = constant.copy()
-        if t < duration:
-            for pulse, sup in zip(pulses, drive_superops):
-                gen += pulse.value(t) * sup
+        for value, sup in zip(values, drive_superops):
+            gen += value * sup
         return gen
 
-    n_steps = int(round(duration / dt))
     phi = np.eye(16, dtype=complex)
     for m in range(n_steps):
-        t0 = m * dt
-        g1 = generator(t0)
-        g_mid = generator(t0 + 0.5 * dt)
-        g4 = generator(t0 + dt)
+        g1 = generator(starts[m])
+        g_mid = generator(mids[m])
+        g4 = generator(ends[m])
         k1 = g1 @ phi
         k2 = g_mid @ (phi + (0.5 * dt) * k1)
         k3 = g_mid @ (phi + (0.5 * dt) * k2)
         k4 = g4 @ (phi + dt * k3)
         phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if observer is not None:
+            observer(m * dt + dt, phi)
+    return phi
+
+
+def _pair_slot_propagator(
+    kind: str,
+    params: tuple[tuple[float, float], ...],
+    noise: NoiseModel,
+    duration: float,
+    dt: float,
+) -> np.ndarray:
+    """The cached slot propagator of one pair (see :func:`_pair_rk4`)."""
+    key = (kind, params, noise.kind, float(noise.gamma), float(duration), float(dt))
+    cached = _PAIR_PROP_CACHE.get(key)
+    if cached is not None:
+        return cached
+    phi = _pair_rk4(kind, params, noise, duration, dt)
     _PAIR_PROP_CACHE.setdefault(key, phi)
     return _PAIR_PROP_CACHE[key]
+
+
+def gate_superoperator(
+    gate: GateSpec,
+    noise: NoiseModel,
+    cfg: IntegratorConfig | None = None,
+    observer=None,
+) -> np.ndarray:
+    """Row-major 16x16 superoperator of one gate alone on its pair across
+    one unit slot, under the pair's own noise.
+
+    The observer, when given, is called with ``(t, phi)`` at t = 0 and
+    after every RK4 step, so one integration serves any number of inputs:
+    ``phi @ rho.reshape(16)`` is the evolved pair state at ``t``.
+    """
+    cfg = cfg or IntegratorConfig()
+    _, dt = _resolve_steps(1.0, cfg)
+    if observer is not None:
+        observer(0.0, np.eye(16, dtype=complex))
+    return _pair_rk4(gate.kind, gate.params, noise, 1.0, dt, observer)
 
 
 def _apply_pair_superop(
@@ -358,8 +385,29 @@ def _apply_idle_channels(
             t[block(s, 1, 0)] *= r
 
 
-def _evolve_lindblad_factored(rho, schedule, noise, cfg, observer):
+def evolve_lindblad(
+    rho: np.ndarray,
+    schedule: PulseSchedule,
+    noise: NoiseModel,
+    cfg: IntegratorConfig | None = None,
+    observer=None,
+) -> np.ndarray:
+    """Integrate the master equation across a schedule, slot by slot.
+
+    Each slot applies its cached pair propagators and the closed-form
+    channels of its idle sites. The observer, when given, is called with
+    ``(t, rho)`` at t = 0 and after every slot; trace drift beyond
+    ``TRACE_ABORT_TOL`` raises :class:`TraceDriftError`. No
+    renormalisation is ever applied.
+    """
+    cfg = cfg or IntegratorConfig()
+    rho = np.asarray(rho, dtype=complex).copy()
     n = num_qubits(rho.shape[0])
+    _check_trace(rho, "in the initial state")
+    if observer is not None:
+        observer(0.0, rho)
+    if schedule.num_slots == 0:
+        return rho
     _, dt = _resolve_steps(schedule.slot_duration, cfg)
     tau = schedule.slot_duration
     for k in range(schedule.num_slots):
@@ -377,36 +425,6 @@ def _evolve_lindblad_factored(rho, schedule, noise, cfg, observer):
         if observer is not None:
             observer(schedule.slot_window(k)[1], rho)
     return rho
-
-
-def evolve_lindblad(
-    rho: np.ndarray,
-    schedule: PulseSchedule,
-    noise: NoiseModel,
-    cfg: IntegratorConfig | None = None,
-    observer=None,
-) -> np.ndarray:
-    """Integrate the master equation across a schedule.
-
-    ``cfg.method`` picks ``rk4`` (reference, default) or ``factored``
-    (exact slot factorisation; required for large chains). The observer,
-    when given, is called with ``(t, rho)`` after every step (``rk4``) or
-    every slot (``factored``); trace drift beyond ``TRACE_ABORT_TOL``
-    raises :class:`TraceDriftError`. No renormalisation is ever applied.
-    """
-    cfg = cfg or IntegratorConfig()
-    if cfg.method == "trotter_step":
-        raise ValueError("density-matrix evolution requires method 'rk4' or 'factored'")
-    rho = np.asarray(rho, dtype=complex).copy()
-    num_qubits(rho.shape[0])
-    _check_trace(rho, "in the initial state")
-    if observer is not None:
-        observer(0.0, rho)
-    if schedule.num_slots == 0:
-        return rho
-    if cfg.method == "factored":
-        return _evolve_lindblad_factored(rho, schedule, noise, cfg, observer)
-    return _evolve_lindblad_rk4(rho, schedule, noise, cfg, observer)
 
 
 # ---------------------------------------------------------------------------

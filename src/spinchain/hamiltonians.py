@@ -1,8 +1,8 @@
-"""Time-dependent gate Hamiltonians for exchange-coupled qubit pairs.
+"""Gate drives for exchange-coupled qubit pairs.
 
-Each gate is a list of ``HamiltonianTerm``s, a Gaussian pulse multiplying a
-constant one- or two-site Pauli string. The SWAP drive is
-``J(t) * (XX + YY + ZZ)``; the CNOT drive is
+Each gate kind is a set of pulse channels, a Gaussian pulse multiplying a
+constant 4x4 block on the pair (``gate_channel_blocks``). The SWAP drive
+is ``J(t) * (XX + YY + ZZ)``; the CNOT drive is
 ``J1(t) * (IX + ZI) + J2(t) * (ZX)`` (single-qubit X on the target,
 single-qubit Z on the control, plus a ZX coupling). Its x-basis frame —
 obtained by conjugating the control with ``R = exp(i (pi/4) sigma_y)`` — is
@@ -10,11 +10,11 @@ obtained by conjugating the control with ``R = exp(i (pi/4) sigma_y)`` — is
 fixed by the conjugation identity itself, which the tests verify to
 machine precision.
 
-Within each gate the Pauli terms mutually commute, so the slot propagator
+Within each gate the blocks mutually commute, so the slot propagator
 factorises exactly: a common eigenbasis per gate kind turns every time
 step into a diagonal phase. ``gate_eigensystem`` exposes that basis.
 
-Terms are stored per qubit pair and never as dense ``2^N`` matrices, so a
+Blocks live on a qubit pair and never as dense ``2^N`` matrices, so a
 ``GateSpec`` works unchanged at any chain size.
 """
 
@@ -25,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import LocalOperator, pauli
-from .pulses import GaussianPulse, PulseSchedule
+from .operators import pauli
+from .pulses import GaussianPulse
 
 # Amplitude/width defaults (hbar*omega0, tau0^2) realizing each gate in a
 # single slot of duration tau0. The SWAP pulse area is 3*pi/4; the CNOT
@@ -40,26 +40,6 @@ GATE_KINDS = ("swap", "cnot", "cnot_rotated")
 # Control-qubit y-rotation by pi/2 (half-angle convention):
 # R = exp(i (pi/4) sigma_y) maps sigma_z -> -sigma_x and sigma_x -> sigma_z.
 ROTATION_FRAME = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
-
-
-@dataclass(frozen=True, eq=False)
-class HamiltonianTerm:
-    """A pulse-driven Pauli string, truncated to its slot window."""
-
-    pulse: GaussianPulse
-    op: LocalOperator
-    window: tuple[float, float] | None = None
-
-    def coefficient(self, t):
-        """Pulse value at ``t``; zero outside the half-open window."""
-        value = self.pulse.value(t)
-        if self.window is None:
-            return value
-        start, end = self.window
-        t_arr = np.asarray(t, dtype=float)
-        inside = (t_arr >= start) & (t_arr < end)
-        out = np.where(inside, value, 0.0)
-        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,53 +105,6 @@ def _two_site(a: str, b: str) -> np.ndarray:
     return np.kron(pauli(a), pauli(b))
 
 
-def build_swap_terms(
-    pair: tuple[int, int],
-    pulse: GaussianPulse,
-    window: tuple[float, float] | None = None,
-) -> list[HamiltonianTerm]:
-    """``J(t) * (XX + YY + ZZ)`` on the pair, as three terms."""
-    if pair[0] == pair[1]:
-        raise ValueError("gate needs two distinct qubits")
-    return [
-        HamiltonianTerm(pulse, LocalOperator(pair, _two_site(axis, axis)), window)
-        for axis in ("x", "y", "z")
-    ]
-
-
-def build_cnot_terms(
-    pair: tuple[int, int],
-    pulses: tuple[GaussianPulse, GaussianPulse],
-    window: tuple[float, float] | None = None,
-) -> list[HamiltonianTerm]:
-    """``J1(t)*(IX) + J1(t)*(ZI) + J2(t)*(ZX)``, control first in the pair."""
-    if pair[0] == pair[1]:
-        raise ValueError("gate needs two distinct qubits")
-    local, coupling = pulses
-    return [
-        HamiltonianTerm(local, LocalOperator(pair, _two_site("identity", "x")), window),
-        HamiltonianTerm(local, LocalOperator(pair, _two_site("z", "identity")), window),
-        HamiltonianTerm(coupling, LocalOperator(pair, _two_site("z", "x")), window),
-    ]
-
-
-def build_rotated_cnot_terms(
-    pair: tuple[int, int],
-    pulses: tuple[GaussianPulse, GaussianPulse],
-    window: tuple[float, float] | None = None,
-) -> list[HamiltonianTerm]:
-    """``J1(t)*(IX) - J1(t)*(XI) - J2(t)*(XX)``: the CNOT drive conjugated
-    by ``ROTATION_FRAME`` on the control qubit."""
-    if pair[0] == pair[1]:
-        raise ValueError("gate needs two distinct qubits")
-    local, coupling = pulses
-    return [
-        HamiltonianTerm(local, LocalOperator(pair, _two_site("identity", "x")), window),
-        HamiltonianTerm(local, LocalOperator(pair, -_two_site("x", "identity")), window),
-        HamiltonianTerm(coupling, LocalOperator(pair, -_two_site("x", "x")), window),
-    ]
-
-
 def materialize_channel_pulses(
     params: tuple[tuple[float, float], ...], start: float, end: float
 ) -> tuple[GaussianPulse, ...]:
@@ -189,43 +122,6 @@ def materialize_channel_pulses(
         GaussianPulse(amplitude=a / alpha, width=w * alpha**2, center=center)
         for a, w in params
     )
-
-
-def materialize_pulses(
-    spec: GateSpec, start: float, end: float
-) -> tuple[GaussianPulse, ...]:
-    """Concrete pulses for a gate placed in the window ``[start, end)``."""
-    return materialize_channel_pulses(spec.params, start, end)
-
-
-def gate_terms(spec: GateSpec, start: float, end: float) -> list[HamiltonianTerm]:
-    """All Hamiltonian terms of one gate bound to its window."""
-    pulses = materialize_pulses(spec, start, end)
-    window = (start, end)
-    if spec.kind == "swap":
-        return build_swap_terms(spec.qubits, pulses[0], window)
-    if spec.kind == "cnot":
-        return build_cnot_terms(spec.qubits, pulses, window)
-    return build_rotated_cnot_terms(spec.qubits, pulses, window)
-
-
-def schedule_terms(schedule: PulseSchedule) -> list[HamiltonianTerm]:
-    """Every term of every scheduled gate, each with its own window."""
-    terms: list[HamiltonianTerm] = []
-    for entry in schedule.entries:
-        terms.extend(gate_terms(entry.gate, entry.start, entry.end))
-    return terms
-
-
-def assemble_chain_hamiltonian(
-    schedule: PulseSchedule, t: float
-) -> list[HamiltonianTerm]:
-    """The terms of all gates whose slot contains ``t`` (empty otherwise)."""
-    terms: list[HamiltonianTerm] = []
-    for entry in schedule.entries:
-        if entry.start <= t < entry.end:
-            terms.extend(gate_terms(entry.gate, entry.start, entry.end))
-    return terms
 
 
 def gate_channel_blocks(kind: str) -> tuple[np.ndarray, ...]:

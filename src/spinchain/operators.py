@@ -10,8 +10,9 @@ Conventions used throughout the package:
 
 States are plain complex vectors of length ``2^N`` and density matrices are
 plain ``2^N x 2^N`` complex arrays; the helpers here validate their
-invariants and apply local (one- or two-site) operators without ever
-materialising a full ``2^N x 2^N`` embedding on the hot paths.
+invariants, trace out sites and compare states. ``embed`` builds the dense
+``2^N x 2^N`` matrix of a local (one- or two-site) operator for oracle
+tests; the evolution kernels never form it.
 """
 
 from __future__ import annotations
@@ -97,50 +98,6 @@ def embed(op: LocalOperator, n_qubits: int) -> np.ndarray:
         sub |= ((idx >> s) & 1) << (k - 1 - pos)
     out = op.block[sub[:, None], sub[None, :]] * (rest[:, None] == rest[None, :])
     return np.ascontiguousarray(out)
-
-
-def _move_block_front(tensor: np.ndarray, axes: tuple[int, ...]):
-    moved = np.moveaxis(tensor, axes, range(len(axes)))
-    return moved, moved.shape
-
-
-def apply_local_to_state(op: LocalOperator, psi: np.ndarray) -> np.ndarray:
-    """``embed(op) @ psi`` computed without forming the embedding."""
-    n = num_qubits(psi.shape[0])
-    axes = tuple(q - 1 for q in op.targets)
-    k = len(axes)
-    t = np.moveaxis(psi.reshape((2,) * n), axes, range(k))
-    shape = t.shape
-    t = op.block @ t.reshape(2**k, -1)
-    t = np.moveaxis(t.reshape(shape), range(k), axes)
-    return np.ascontiguousarray(t).reshape(psi.shape)
-
-
-def apply_local_left(op: LocalOperator, rho: np.ndarray) -> np.ndarray:
-    """``embed(op) @ rho`` without forming the embedding."""
-    n = num_qubits(rho.shape[0])
-    axes = tuple(q - 1 for q in op.targets)
-    k = len(axes)
-    t = np.moveaxis(rho.reshape((2,) * (2 * n)), axes, range(k))
-    shape = t.shape
-    t = op.block @ t.reshape(2**k, -1)
-    t = np.moveaxis(t.reshape(shape), range(k), axes)
-    return np.ascontiguousarray(t).reshape(rho.shape)
-
-
-def apply_local_right(op: LocalOperator, rho: np.ndarray) -> np.ndarray:
-    """``rho @ embed(op)^dagger`` without forming the embedding."""
-    n = num_qubits(rho.shape[0])
-    # Column indices live on axes n..2n-1 of the rank-2n tensor view.
-    axes = tuple(n + q - 1 for q in op.targets)
-    k = len(axes)
-    t = np.moveaxis(rho.reshape((2,) * (2 * n)), axes, range(k))
-    shape = t.shape
-    # (rho A^dag)[r, c] = sum_k rho[r, k] conj(A[c, k]): contract columns
-    # with the conjugate block.
-    t = op.block.conj() @ t.reshape(2**k, -1)
-    t = np.moveaxis(t.reshape(shape), range(k), axes)
-    return np.ascontiguousarray(t).reshape(rho.shape)
 
 
 def partial_trace_keep_last_two(rho: np.ndarray) -> np.ndarray:

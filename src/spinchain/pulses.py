@@ -1,4 +1,4 @@
-"""Gaussian exchange pulses, analytic areas, duration rescaling and scheduling.
+"""Gaussian exchange pulses, analytic areas and slot scheduling.
 
 Units: energies in ``hbar*omega0``, times in ``tau0``, widths in ``tau0^2``.
 A gate occupies one slot of duration ``alpha*tau0`` (``alpha = 1`` by
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 
 @dataclass(frozen=True)
@@ -37,43 +36,18 @@ class GaussianPulse:
         return out if out.ndim else float(out)
 
 
-def pulse_value(pulse: GaussianPulse, t):
-    return pulse.value(t)
-
-
 def pulse_area(pulse: GaussianPulse) -> float:
     """Full-line analytic area ``A * sqrt(pi * W)`` (units of hbar)."""
     return pulse.amplitude * math.sqrt(math.pi * pulse.width)
 
 
-def windowed_area(pulse: GaussianPulse, start: float, end: float) -> float:
-    """Numerical area over ``[start, end]`` by adaptive quadrature."""
-    val, _ = quad(pulse.value, start, end, epsabs=1e-14, epsrel=1e-12)
-    return val
-
-
-def rescale(pulse: GaussianPulse, alpha: float) -> GaussianPulse:
-    """Stretch a one-slot pulse to duration ``alpha*tau0``.
-
-    Maps ``A -> A/alpha`` and ``W -> W*alpha^2`` (area-preserving) and
-    re-centres at ``alpha/2``, the middle of the stretched slot.
-    """
-    if not (alpha > 0.0):
-        raise ValueError("rescale factor must be positive")
-    return GaussianPulse(
-        amplitude=pulse.amplitude / alpha,
-        width=pulse.width * alpha**2,
-        center=0.5 * alpha,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class ScheduledGate:
-    """A gate bound to its time window ``[start, end)``."""
+    """A gate bound to slot ``slot`` (its window is the schedule's
+    ``slot_window(slot)``)."""
 
     gate: Any
-    start: float
-    end: float
+    slot: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +70,7 @@ class PulseSchedule:
         return k * self.slot_duration, (k + 1) * self.slot_duration
 
     def slot_entries(self, k: int) -> tuple[ScheduledGate, ...]:
-        start, _ = self.slot_window(k)
-        return tuple(e for e in self.entries if abs(e.start - start) < 1e-12)
-
-    def active_entries(self, t: float) -> tuple[ScheduledGate, ...]:
-        return tuple(e for e in self.entries if e.start <= t < e.end)
+        return tuple(e for e in self.entries if e.slot == k)
 
 
 def idle_schedule(num_slots: int, slot_duration: float = 1.0) -> PulseSchedule:
@@ -163,12 +133,9 @@ def schedule_sequence(
         groups.append([item])
         explicit.append(False)
 
-    entries = []
-    for k, group in enumerate(groups):
-        start = k * slot_duration
-        end = (k + 1) * slot_duration
-        for g in group:
-            entries.append(ScheduledGate(gate=g, start=start, end=end))
+    entries = tuple(
+        ScheduledGate(gate=g, slot=k) for k, group in enumerate(groups) for g in group
+    )
     return PulseSchedule(
-        entries=tuple(entries), slot_duration=slot_duration, num_slots=len(groups)
+        entries=entries, slot_duration=slot_duration, num_slots=len(groups)
     )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import stepped_unitary
 
 from spinchain.calibration import (
     CALIBRATION_STATES,
@@ -11,13 +12,11 @@ from spinchain.calibration import (
     calibrate,
     calibrated_gate_params,
     default_seeds,
-    discrete_channel_areas,
     nelder_mead,
     objective,
     per_state_fidelities,
-    slot_unitary,
 )
-from spinchain.dynamics import IntegratorConfig, evolve_unitary
+from spinchain.dynamics import discrete_channel_areas, slot_unitary
 from spinchain.hamiltonians import (
     DEFAULT_CNOT_COUPLING_PARAMS,
     DEFAULT_CNOT_LOCAL_PARAMS,
@@ -87,14 +86,9 @@ def test_calibration_states_are_normalised():
     ],
 )
 def test_slot_unitary_equals_stepped_evolution(kind, gate):
-    u = slot_unitary(kind, STOCK_FLAT[kind])
+    u = slot_unitary(kind, gate.params)
     schedule = schedule_sequence([gate], slot_duration=1.0)
-    cfg = IntegratorConfig(dt=1e-3)
-    for col in range(4):
-        basis = np.zeros(4, dtype=complex)
-        basis[col] = 1.0
-        stepped = evolve_unitary(basis, schedule, cfg)
-        assert np.max(np.abs(u[:, col] - stepped)) < 1e-12
+    assert np.max(np.abs(u - stepped_unitary(schedule, 2, 1000))) < 1e-12
 
 
 def test_discrete_area_is_analytic_minus_truncation():
@@ -200,9 +194,7 @@ def test_calibrated_bank_is_essentially_exact(kind):
 @pytest.mark.parametrize("kind", GATE_KINDS)
 def test_calibrated_gate_acts_correctly_on_held_out_states(kind):
     """States outside the five calibration probes are transported too."""
-    pairs = calibrated_gate_params(kind)
-    flat = np.array([p for pair in pairs for p in pair])
-    u = slot_unitary(kind, flat)
+    u = slot_unitary(kind, calibrated_gate_params(kind))
     ideal = ideal_gate_matrix(kind)
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -234,4 +226,4 @@ def test_parameter_pairs_length_checked():
 
 def test_slot_unitary_rejects_nonpositive_width():
     with pytest.raises(ValueError):
-        slot_unitary("swap", [1.0, -0.1])
+        slot_unitary("swap", [(1.0, -0.1)])

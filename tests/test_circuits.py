@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import rk4_lindblad
 
 from spinchain.circuits import (
     GATE_ORDERS,
@@ -25,9 +26,8 @@ from spinchain.hamiltonians import (
     DEFAULT_CNOT_COUPLING_PARAMS,
     DEFAULT_CNOT_LOCAL_PARAMS,
     DEFAULT_SWAP_PARAMS,
-    gate_terms,
 )
-from spinchain.operators import embed, partial_trace_keep_last_two
+from spinchain.operators import partial_trace_keep_last_two
 
 STOCK_PARAMS = {
     "swap": (DEFAULT_SWAP_PARAMS,),
@@ -236,7 +236,6 @@ def test_reduced_state_is_a_density_matrix():
         circuit,
         np.array([1.0, 0.0]),
         noise=NoiseModel("dephasing", 0.05),
-        cfg=IntegratorConfig(method="factored"),
     )
     assert rho.shape == (4, 4)
     assert abs(np.trace(rho).real - 1.0) < 1e-9
@@ -249,65 +248,33 @@ def test_reduced_state_is_a_density_matrix():
 # ---------------------------------------------------------------------------
 
 
-def dense_generator_for_slot(schedule, slot, noise, n):
-    """Vectorised (row-major) Lindblad generator of one slot, built densely."""
-    dim = 2**n
-    eye = np.eye(dim)
-    terms = [
-        term
-        for entry in schedule.slot_entries(slot)
-        for term in gate_terms(entry.gate, entry.start, entry.end)
-    ]
-    jump2 = {"dephasing": np.diag([1.0, -1.0]), "amplitude_damping": np.array([[0.0, 0.0], [1.0, 0.0]])}[noise.kind]
-    dissipator = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for site in range(1, n + 1):
-        l = np.eye(1)
-        for q in range(1, n + 1):
-            l = np.kron(l, jump2 if q == site else np.eye(2))
-        ldl = l.conj().T @ l
-        dissipator += noise.gamma * (
-            np.kron(l, l.conj())
-            - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
-        )
-
-    def generator(t):
-        h = np.zeros((dim, dim), dtype=complex)
-        for term in terms:
-            h += term.coefficient(t) * embed(term.op, n)
-        return -1j * (np.kron(h, eye) - np.kron(eye, h.T)) + dissipator
-
-    return generator
-
-
 def test_square_transport_matches_dense_superoperator_oracle():
+    """The factored ladder run and the dense full-chain RK4 discretise the
+    same master equation differently; their gap closes at fourth order,
+    for the full state and for the reduced-state helper alike."""
     topo = ChainTopology("square_2d", 4)
     circuit = build_transport_circuit(topo, "cnot_first")
     noise = NoiseModel("dephasing", 0.1)
-    dt = 1e-3
     psi = transport_input(topo, np.array([1.0, 0.0]))
     rho = np.outer(psi, psi.conj())
 
-    vec = rho.reshape(-1)
-    for k in range(circuit.num_slots):
-        gen = dense_generator_for_slot(circuit.schedule, k, noise, 4)
-        for m in range(1000):
-            t0 = k + m * dt
-            g1, gm, g4 = gen(t0), gen(t0 + 0.5 * dt), gen(t0 + dt)
-            k1 = g1 @ vec
-            k2 = gm @ (vec + 0.5 * dt * k1)
-            k3 = gm @ (vec + 0.5 * dt * k2)
-            k4 = g4 @ (vec + dt * k3)
-            vec = vec + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    oracle = vec.reshape(16, 16)
-
-    out = evolve_lindblad(rho, circuit.schedule, noise, IntegratorConfig(dt=dt))
-    assert np.max(np.abs(out - oracle)) < 1e-9
-
-    # and the reduced-state helper agrees with the oracle's partial trace
-    reduced = transport_reduced_state(
-        circuit, np.array([1.0, 0.0]), noise=noise, cfg=IntegratorConfig(dt=dt)
-    )
-    assert np.max(np.abs(reduced - partial_trace_keep_last_two(oracle))) < 1e-9
+    gaps = []
+    for dt in (1e-3, 5e-4):
+        oracle = rk4_lindblad(rho, circuit.schedule, noise, dt)
+        out = evolve_lindblad(rho, circuit.schedule, noise, IntegratorConfig(dt=dt))
+        reduced = transport_reduced_state(
+            circuit, np.array([1.0, 0.0]), noise=noise, cfg=IntegratorConfig(dt=dt)
+        )
+        gaps.append(
+            np.array(
+                [
+                    np.max(np.abs(out - oracle)),
+                    np.max(np.abs(reduced - partial_trace_keep_last_two(oracle))),
+                ]
+            )
+        )
+    assert np.all(gaps[0] < 1e-6)
+    assert np.all(gaps[1] < gaps[0] / 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +289,20 @@ def small_grid():
 def test_reconstructed_map_equals_direct_evaluation():
     thetas, phis = small_grid()
     noise = NoiseModel("dephasing", 0.1)
-    cfg = IntegratorConfig(method="factored")
-    fast = fidelity_difference_map(thetas=thetas, phis=phis, noise=noise, cfg=cfg)
-    slow = fidelity_difference_map(
-        thetas=thetas, phis=phis, noise=noise, cfg=cfg, method="direct"
-    )
-    assert np.max(np.abs(fast.fidelity_cnot_first - slow.fidelity_cnot_first)) < 1e-10
-    assert np.max(np.abs(fast.fidelity_cnot_last - slow.fidelity_cnot_last)) < 1e-10
+    fast = fidelity_difference_map(thetas=thetas, phis=phis, noise=noise)
+    topo = ChainTopology("square_2d", 4)
+    for order, grid in (
+        ("cnot_first", fast.fidelity_cnot_first),
+        ("cnot_last", fast.fidelity_cnot_last),
+    ):
+        circuit = build_transport_circuit(topo, order)
+        direct = np.array(
+            [
+                [transport_fidelity(circuit, ParamState(theta, phi), noise=noise) for phi in phis]
+                for theta in thetas
+            ]
+        )
+        assert np.max(np.abs(grid - direct)) < 1e-10
 
 
 def test_map_theta_pi_row_equals_single_transport():
@@ -336,8 +310,7 @@ def test_map_theta_pi_row_equals_single_transport():
     plain transport fidelities."""
     thetas, phis = small_grid()
     noise = NoiseModel("amplitude_damping", 0.1)
-    cfg = IntegratorConfig(method="factored")
-    fmap = fidelity_difference_map(thetas=thetas, phis=phis, noise=noise, cfg=cfg)
+    fmap = fidelity_difference_map(thetas=thetas, phis=phis, noise=noise)
     topo = ChainTopology("square_2d", 4)
     row = np.where(np.isclose(thetas, np.pi))[0][0]
     for order, grid in (
@@ -345,9 +318,7 @@ def test_map_theta_pi_row_equals_single_transport():
         ("cnot_last", fmap.fidelity_cnot_last),
     ):
         circuit = build_transport_circuit(topo, order)
-        direct = transport_fidelity(
-            circuit, np.array([1.0, 0.0]), noise=noise, cfg=cfg
-        )
+        direct = transport_fidelity(circuit, np.array([1.0, 0.0]), noise=noise)
         assert np.max(np.abs(grid[row, :] - direct)) < 1e-12
 
 
@@ -361,9 +332,11 @@ def test_default_map_grid_shape():
 def test_map_rejects_empty_grids_and_bad_method():
     with pytest.raises(ValueError):
         fidelity_difference_map(thetas=np.array([]), phis=np.array([0.0]))
-    with pytest.raises(ValueError):
+    # the map always reconstructs from four basis evolutions; there is no
+    # method to choose
+    with pytest.raises(TypeError):
         fidelity_difference_map(
-            thetas=np.array([1.0]), phis=np.array([0.0]), method="interpolate"
+            thetas=np.array([1.0]), phis=np.array([0.0]), method="direct"
         )
 
 

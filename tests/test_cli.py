@@ -304,7 +304,8 @@ def test_header_records_resolved_settings(tmp_path):
     _, out = run(tmp_path, ["trace"])
     assert header_value(out, "command") == "trace"
     assert header_value(out, "integrator_dt") == "auto"
-    assert header_value(out, "integrator_method") == "factored"
+    assert header_value(out, "integrator_method") is None
+    assert header_value(out, "map_method") is None
     assert header_value(out, "force_large_n") == "false"
 
 
@@ -352,6 +353,19 @@ def test_unknown_config_entries_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[integrator]\nmethod = rk4\n", "[map]\nmethod = direct\n"],
+    ids=["integrator-method", "map-method"],
+)
+def test_removed_method_keys_are_unknown_config_entries(tmp_path, text, capsys):
+    config = tmp_path / "old.ini"
+    config.write_text(text)
+    code, _ = run(tmp_path, ["state-map", "--grid", "4x4", "--config", str(config)])
+    assert code == 2
+    assert "unknown config key 'method'" in capsys.readouterr().err
+
+
 def test_large_noisy_chain_needs_explicit_override(tmp_path, capsys):
     code, _ = run(
         tmp_path,
@@ -373,14 +387,10 @@ def test_help_exits_zero(capsys):
 
 
 def test_unstable_step_aborts_with_exit_4(tmp_path, capsys):
-    config = tmp_path / "rk4.ini"
-    config.write_text("[integrator]\nmethod = rk4\n")
     code, _ = run(
         tmp_path,
         [
             "chain-sweep",
-            "--config",
-            str(config),
             "--topology",
             "1d",
             "--n",
@@ -396,4 +406,4 @@ def test_unstable_step_aborts_with_exit_4(tmp_path, capsys):
         ],
     )
     assert code == 4
-    assert "integrator abort" in capsys.readouterr().err
+    assert "integrator abort: trace drifted" in capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from oracles import rk4_lindblad, stepped_unitary
 
 from spinchain.dynamics import (
     DEFAULT_STEPS_PER_SLOT,
@@ -10,12 +10,13 @@ from spinchain.dynamics import (
     IntegratorConfig,
     NoiseModel,
     TraceDriftError,
+    _pair_slot_propagator,
     evolve_lindblad,
     evolve_unitary,
     gate_fidelity,
+    gate_superoperator,
 )
-from spinchain.hamiltonians import cnot_gate, gate_terms, swap_gate
-from spinchain.operators import embed
+from spinchain.hamiltonians import cnot_gate, swap_gate
 from spinchain.pulses import idle_schedule, schedule_sequence
 
 
@@ -36,12 +37,11 @@ def proj(psi):
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
-def dense_hamiltonian(schedule, t, n):
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for entry in schedule.entries:
-        for term in gate_terms(entry.gate, entry.start, entry.end):
-            h += term.coefficient(t) * embed(term.op, n)
-    return h
+def evolve(method, rho, schedule, noise, dt=None):
+    """``rk4``: the dense full-chain oracle; ``factored``: the package."""
+    if method == "rk4":
+        return rk4_lindblad(rho, schedule, noise, dt)
+    return evolve_lindblad(rho, schedule, noise, IntegratorConfig(dt=dt))
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,9 @@ def dense_hamiltonian(schedule, t, n):
 
 
 def test_unitary_stepping_matches_expm_product():
-    """The stepper is exactly a product of right-endpoint exponentials."""
+    """The closed-form slots are exactly a product of right-endpoint
+    exponentials; only the slot's own gates drive its steps, and the
+    slot-end step contributes nothing."""
     rng = np.random.default_rng(7)
     for gates, n in [
         ([swap_gate(1, 2)], 2),
@@ -60,24 +62,23 @@ def test_unitary_stepping_matches_expm_product():
         psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         psi /= np.linalg.norm(psi)
         n_steps = 50
-        dt = 1.0 / n_steps
-        oracle = psi.copy()
-        for k in range(schedule.num_slots):
-            # only the slot's own gates drive its steps; each window is
-            # half-open, so the t = slot-end step contributes nothing
-            terms = [
-                term
-                for entry in schedule.slot_entries(k)
-                for term in gate_terms(entry.gate, entry.start, entry.end)
-            ]
-            for m in range(1, n_steps + 1):
-                t_eval = k + m * dt
-                h = np.zeros((2**n, 2**n), dtype=complex)
-                for term in terms:
-                    h += term.coefficient(t_eval) * embed(term.op, n)
-                oracle = expm(-1j * dt * h) @ oracle
-        out = evolve_unitary(psi, schedule, IntegratorConfig(dt=dt))
+        oracle = stepped_unitary(schedule, n, n_steps) @ psi
+        out = evolve_unitary(psi, schedule, IntegratorConfig(dt=1.0 / n_steps))
         assert np.max(np.abs(out - oracle)) < 1e-12
+
+
+# Slot durations from the default duration sweep at which the accumulated
+# step time m*dt + dt of the last step lands just below the slot end.
+EDGE_ALPHAS = (1.6102620275609394, 12.689610031679221, 38.56620421163472)
+
+
+@pytest.mark.parametrize("alpha", EDGE_ALPHAS + (1.0,))
+def test_slot_unitary_window_is_set_by_step_index(alpha):
+    schedule = schedule_sequence([cnot_gate(1, 2)], slot_duration=alpha)
+    oracle = stepped_unitary(schedule, 2, DEFAULT_STEPS_PER_SLOT)
+    basis = np.eye(4, dtype=complex)
+    out = np.stack([evolve_unitary(col, schedule) for col in basis], axis=1)
+    assert np.max(np.abs(out - oracle)) < 1e-12
 
 
 def test_unitary_preserves_norm_and_accepts_stretched_slots():
@@ -101,12 +102,7 @@ def test_unitary_rejects_gate_outside_chain():
 @pytest.mark.parametrize("gamma", [0.2, 1.0, 5.0])
 def test_dephasing_idle_closed_form(method, tol, gamma):
     rho = proj(PLUS)
-    out = evolve_lindblad(
-        rho,
-        idle_schedule(1),
-        NoiseModel("dephasing", gamma),
-        IntegratorConfig(method=method),
-    )
+    out = evolve(method, rho, idle_schedule(1), NoiseModel("dephasing", gamma))
     want = 0.5 * np.exp(-2.0 * gamma)
     assert abs(out[0, 1] - want) < tol * want
     # populations untouched
@@ -117,41 +113,35 @@ def test_dephasing_idle_closed_form(method, tol, gamma):
 @pytest.mark.parametrize("method, tol", [("rk4", 1e-6), ("factored", 1e-12)])
 @pytest.mark.parametrize("gamma", [0.2, 1.0, 5.0])
 def test_amplitude_damping_idle_closed_form(method, tol, gamma):
-    cfg = IntegratorConfig(method=method)
     noise = NoiseModel("amplitude_damping", gamma)
 
     # the |0> population drains to |1>
-    out = evolve_lindblad(proj(ket(0)), idle_schedule(1), noise, cfg)
+    out = evolve(method, proj(ket(0)), idle_schedule(1), noise)
     e = np.exp(-gamma)
     assert abs(out[0, 0] - e) < tol * e
     assert abs(out[1, 1] - (1.0 - e)) < tol
 
     # coherence decays at half the population rate
-    out = evolve_lindblad(proj(PLUS), idle_schedule(1), noise, cfg)
+    out = evolve(method, proj(PLUS), idle_schedule(1), noise)
     want = 0.5 * np.exp(-0.5 * gamma)
     assert abs(out[0, 1] - want) < tol * want
 
     # |1> is the fixed point
-    out = evolve_lindblad(proj(ket(1)), idle_schedule(1), noise, cfg)
+    out = evolve(method, proj(ket(1)), idle_schedule(1), noise)
     assert abs(out[1, 1] - 1.0) < 1e-12
 
 
 def test_amplitude_damping_accumulates_across_slots():
     noise = NoiseModel("amplitude_damping", 1.0)
-    out = evolve_lindblad(
-        proj(ket(0)), idle_schedule(5), noise, IntegratorConfig(method="factored")
-    )
+    out = evolve_lindblad(proj(ket(0)), idle_schedule(5), noise)
     assert abs(out[0, 0] - np.exp(-5.0)) < 1e-12
 
 
 @pytest.mark.parametrize("method, tol", [("rk4", 1e-6), ("factored", 1e-12)])
 def test_two_site_amplitude_damping_factorises(method, tol):
     gamma = 0.8
-    out = evolve_lindblad(
-        proj(ket(0, 0)),
-        idle_schedule(1),
-        NoiseModel("amplitude_damping", gamma),
-        IntegratorConfig(method=method),
+    out = evolve(
+        method, proj(ket(0, 0)), idle_schedule(1), NoiseModel("amplitude_damping", gamma)
     )
     e = np.exp(-gamma)
     diag = np.real(np.diag(out))
@@ -162,59 +152,7 @@ def test_two_site_amplitude_damping_factorises(method, tol):
 
 
 # ---------------------------------------------------------------------------
-# master equation vs independent dense-superoperator oracle
-# ---------------------------------------------------------------------------
-
-
-def dense_generator(h, jumps, gamma, dim):
-    """Row-major vec generator: vec(A X B) = (A kron B^T) vec(X)."""
-    eye = np.eye(dim)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for l in jumps:
-        ldl = l.conj().T @ l
-        gen += gamma * (
-            np.kron(l, l.conj())
-            - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
-        )
-    return gen
-
-
-@pytest.mark.parametrize(
-    "kind, gamma", [("dephasing", 0.07), ("amplitude_damping", 0.05)]
-)
-def test_rk4_matches_dense_superoperator_oracle(kind, gamma):
-    """Same RK4 grid on the dense vectorised generator, built independently."""
-    gate = cnot_gate(1, 2)
-    schedule = schedule_sequence([gate], slot_duration=1.0)
-    noise = NoiseModel(kind, gamma)
-    n, dim = 2, 4
-    blocks = {"dephasing": np.diag([1.0, -1.0]), "amplitude_damping": np.array([[0, 0], [1, 0]], dtype=complex)}
-    jump = blocks[kind]
-    jumps = [np.kron(jump, np.eye(2)), np.kron(np.eye(2), jump)]
-
-    dt = 1e-3
-    psi = np.kron(PLUS, ket(0))
-    vec = proj(psi).reshape(-1)
-    for m in range(1000):
-        t0 = m * dt
-        g1 = dense_generator(dense_hamiltonian(schedule, t0, n), jumps, gamma, dim)
-        gm = dense_generator(
-            dense_hamiltonian(schedule, t0 + 0.5 * dt, n), jumps, gamma, dim
-        )
-        g4 = dense_generator(dense_hamiltonian(schedule, t0 + dt, n), jumps, gamma, dim)
-        k1 = g1 @ vec
-        k2 = gm @ (vec + 0.5 * dt * k1)
-        k3 = gm @ (vec + 0.5 * dt * k2)
-        k4 = g4 @ (vec + dt * k3)
-        vec = vec + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    oracle = vec.reshape(dim, dim)
-
-    out = evolve_lindblad(proj(psi), schedule, noise, IntegratorConfig(dt=dt))
-    assert np.max(np.abs(out - oracle)) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# rk4 / factored cross-validation
+# factored path vs the dense full-chain RK4 oracle
 # ---------------------------------------------------------------------------
 
 
@@ -227,10 +165,8 @@ def three_qubit_case():
 def test_methods_agree_for_dephasing():
     rho, schedule = three_qubit_case()
     noise = NoiseModel("dephasing", 0.05)
-    a = evolve_lindblad(rho, schedule, noise, IntegratorConfig(dt=1e-3, method="rk4"))
-    b = evolve_lindblad(
-        rho, schedule, noise, IntegratorConfig(dt=1e-3, method="factored")
-    )
+    a = evolve("rk4", rho, schedule, noise, dt=1e-3)
+    b = evolve("factored", rho, schedule, noise, dt=1e-3)
     assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -240,10 +176,8 @@ def test_methods_converge_together_for_amplitude_damping():
     noise = NoiseModel("amplitude_damping", 0.05)
     gaps = []
     for dt in (2e-3, 1e-3):
-        a = evolve_lindblad(rho, schedule, noise, IntegratorConfig(dt=dt, method="rk4"))
-        b = evolve_lindblad(
-            rho, schedule, noise, IntegratorConfig(dt=dt, method="factored")
-        )
+        a = evolve("rk4", rho, schedule, noise, dt=dt)
+        b = evolve("factored", rho, schedule, noise, dt=dt)
         gaps.append(np.max(np.abs(a - b)))
     assert gaps[0] < 1e-8
     assert gaps[1] < gaps[0] / 8.0
@@ -254,16 +188,14 @@ def test_noiseless_master_equation_matches_unitary(method):
     rho, schedule = three_qubit_case()
     psi = np.kron(np.kron(PLUS, ket(0)), ket(0))
     out_u = evolve_unitary(psi, schedule)
-    out = evolve_lindblad(rho, schedule, NOISELESS, IntegratorConfig(method=method))
+    out = evolve(method, rho, schedule, NOISELESS)
     assert np.max(np.abs(out - proj(out_u))) < 1e-6
 
 
 @pytest.mark.parametrize("method", ["rk4", "factored"])
 def test_trajectory_stays_physical(method):
     rho, schedule = three_qubit_case()
-    out = evolve_lindblad(
-        rho, schedule, NoiseModel("dephasing", 0.1), IntegratorConfig(method=method)
-    )
+    out = evolve(method, rho, schedule, NoiseModel("dephasing", 0.1))
     assert np.max(np.abs(out - out.conj().T)) < 1e-10
     assert np.min(np.linalg.eigvalsh(out)) > -1e-9
     assert abs(np.trace(out).real - 1.0) < 1e-9
@@ -283,20 +215,20 @@ def test_initial_trace_drift_raises():
 def test_unstable_step_size_raises_trace_drift():
     plus0 = np.kron(PLUS, ket(0))
     schedule = schedule_sequence([swap_gate(1, 2)] * 6, slot_duration=1.0)
-    with pytest.raises(TraceDriftError):
+    with pytest.raises(TraceDriftError, match="after slot 4"):
         evolve_lindblad(
             proj(plus0),
             schedule,
             NoiseModel("amplitude_damping", 0.1),
-            IntegratorConfig(dt=0.25, method="rk4"),
+            IntegratorConfig(dt=1.0),
         )
 
 
 def test_density_path_rejects_trotter_step():
-    with pytest.raises(ValueError):
-        evolve_lindblad(
-            proj(ket(0)), idle_schedule(1), NOISELESS, IntegratorConfig(method="trotter_step")
-        )
+    # the factored path is the only density-matrix integrator: there is no
+    # method to pick
+    with pytest.raises(TypeError):
+        IntegratorConfig(method="trotter_step")
 
 
 def test_dt_must_divide_the_slot():
@@ -316,8 +248,6 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=-1e-3)
-    with pytest.raises(ValueError):
-        IntegratorConfig(method="euler")
 
 
 def test_noise_model_validation():
@@ -353,15 +283,52 @@ def test_unitary_observer_sees_every_step():
 
 def test_rk4_observer_sees_every_step():
     times = []
-    evolve_lindblad(
-        proj(np.kron(PLUS, ket(0))),
-        schedule_sequence([swap_gate(1, 2)]),
+    gate_superoperator(
+        swap_gate(1, 2),
         NoiseModel("dephasing", 0.01),
         IntegratorConfig(dt=1.0 / 50),
-        observer=lambda t, rho: times.append(t),
+        observer=lambda t, phi: times.append(t),
     )
     assert len(times) == 51
+    assert times[0] == 0.0
     assert times[-1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind", ["dephasing", "amplitude_damping"])
+def test_pair_steps_match_the_full_chain_oracle_at_every_step(kind):
+    """One pair integration gives the state of every input at every step."""
+    gate = cnot_gate(1, 2)
+    noise = NoiseModel(kind, 0.05)
+    rho0 = proj(np.kron(PLUS, ket(0)))
+    oracle = []
+    rk4_lindblad(
+        rho0, schedule_sequence([gate]), noise,
+        observer=lambda t, rho: oracle.append((t, rho.copy())),
+    )
+    steps = []
+    gate_superoperator(
+        gate, noise, observer=lambda t, phi: steps.append((t, phi @ rho0.reshape(-1)))
+    )
+    assert steps[0][0] == 0.0 and np.array_equal(steps[0][1], rho0.reshape(-1))
+    assert len(steps) == len(oracle) + 1
+    for (t, vec), (t_oracle, rho) in zip(steps[1:], oracle):
+        assert t == t_oracle
+        assert np.max(np.abs(vec.reshape(4, 4) - rho)) < 1e-14
+
+
+@pytest.mark.parametrize("alpha", EDGE_ALPHAS + (1.0,))
+@pytest.mark.parametrize("kind", ["swap", "cnot"])
+def test_pair_propagator_window_is_set_by_step_index(kind, alpha):
+    """Columns of the cached pair propagator are the oracle's evolutions
+    of the 16 matrix units, with the slot-end stage undriven."""
+    gate = swap_gate(1, 2) if kind == "swap" else cnot_gate(1, 2)
+    noise = NoiseModel("dephasing", 0.01)
+    dt = alpha / DEFAULT_STEPS_PER_SLOT
+    phi = _pair_slot_propagator(gate.kind, gate.params, noise, alpha, dt)
+    schedule = schedule_sequence([gate], slot_duration=alpha)
+    units = np.eye(16, dtype=complex).reshape(4, 4, 16)
+    oracle = rk4_lindblad(units, schedule, noise, dt).reshape(16, 16)
+    assert np.max(np.abs(phi - oracle)) < 1e-12
 
 
 def test_factored_observer_sees_slot_boundaries():
@@ -370,7 +337,6 @@ def test_factored_observer_sees_slot_boundaries():
         proj(np.kron(PLUS, ket(0))),
         schedule_sequence([swap_gate(1, 2), swap_gate(1, 2)]),
         NoiseModel("dephasing", 0.01),
-        IntegratorConfig(method="factored"),
         observer=lambda t, rho: times.append(t),
     )
     assert times == [0.0, 1.0, 2.0]
@@ -407,7 +373,6 @@ def test_gate_fidelity_with_noise_is_reduced():
         np.kron(PLUS, ket(0)),
         cnot_gate(1, 2),
         noise=NoiseModel("dephasing", 0.01),
-        cfg=IntegratorConfig(method="factored"),
     )
     assert 0.9 < noisy < noiseless
 

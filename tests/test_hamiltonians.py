@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import dense_hamiltonian, slot_channels
 from scipy.linalg import expm
 
 from spinchain.hamiltonians import (
@@ -11,18 +12,14 @@ from spinchain.hamiltonians import (
     GATE_KINDS,
     ROTATION_FRAME,
     GateSpec,
-    assemble_chain_hamiltonian,
     cnot_gate,
     gate_channel_blocks,
     gate_eigensystem,
-    gate_terms,
     ideal_gate_matrix,
     materialize_channel_pulses,
     rotated_cnot_gate,
-    schedule_terms,
     swap_gate,
 )
-from spinchain.operators import embed
 from spinchain.pulses import GaussianPulse, pulse_area, schedule_sequence
 
 # Independent Pauli literals so the oracle does not share code with the
@@ -223,28 +220,15 @@ def test_materialize_rejects_empty_window():
         materialize_channel_pulses(((1.0, 0.1),), 1.0, 1.0)
 
 
-def test_gate_terms_mask_to_half_open_window():
-    terms = gate_terms(swap_gate(1, 2), 1.0, 2.0)
-    assert len(terms) == 3
-    for term in terms:
-        assert term.window == (1.0, 2.0)
-        inside = term.coefficient(1.5)
-        assert inside == pytest.approx(term.pulse.value(1.5))
-        assert inside > 0.0
-        assert term.coefficient(0.5) == 0.0
-        assert term.coefficient(2.0) == 0.0  # end of window excluded
-        assert term.coefficient(1.0) == pytest.approx(term.pulse.value(1.0))
-        vec = term.coefficient(np.array([0.5, 1.5, 2.5]))
-        assert vec[0] == 0.0 and vec[2] == 0.0
-        assert vec[1] == pytest.approx(term.pulse.value(1.5))
-
-
 def test_cnot_terms_bind_local_then_coupling_pulses():
-    terms = gate_terms(cnot_gate(1, 2, (4.0, 0.01), (2.0, 0.02)), 0.0, 1.0)
-    assert len(terms) == 3
-    assert terms[0].pulse is terms[1].pulse  # shared local drive
-    assert terms[0].pulse.amplitude == pytest.approx(4.0)
-    assert terms[2].pulse.amplitude == pytest.approx(2.0)
+    gate = cnot_gate(1, 2, (4.0, 0.01), (2.0, 0.02))
+    local, coupling = materialize_channel_pulses(gate.params, 0.0, 1.0)
+    assert local.amplitude == pytest.approx(4.0)
+    assert coupling.amplitude == pytest.approx(2.0)
+    # the local channel drives IX + ZI together, the coupling channel ZX
+    b_local, b_coupling = gate_channel_blocks("cnot")
+    assert np.array_equal(b_local, kron2(I2, SX) + kron2(SZ, I2))
+    assert np.array_equal(b_coupling, kron2(SZ, SX))
 
 
 # ---------------------------------------------------------------------------
@@ -252,35 +236,25 @@ def test_cnot_terms_bind_local_then_coupling_pulses():
 # ---------------------------------------------------------------------------
 
 
-def dense_hamiltonian(terms, t, n_qubits):
-    h = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
-    for term in terms:
-        h += term.coefficient(t) * embed(term.op, n_qubits)
-    return h
-
-
 def test_assemble_selects_only_the_active_slot():
+    """The dense test oracle drives each slot with that slot's gate only."""
     schedule = schedule_sequence([cnot_gate(1, 2), swap_gate(2, 3)], slot_duration=1.0)
-    all_terms = schedule_terms(schedule)
-    assert len(all_terms) == 6  # 3 per gate
-
-    in_first = assemble_chain_hamiltonian(schedule, 0.25)
-    in_second = assemble_chain_hamiltonian(schedule, 1.25)
-    assert {t.op.targets for t in in_first} == {(1, 2)}
-    assert {t.op.targets for t in in_second} == {(2, 3)}
-    assert assemble_chain_hamiltonian(schedule, 2.5) == []
-
-    # active-slot assembly and the full windowed term list agree densely
-    for t in (0.25, 0.5, 1.1, 1.9, 2.5):
-        ha = dense_hamiltonian(assemble_chain_hamiltonian(schedule, t), t, 3)
-        hb = dense_hamiltonian(all_terms, t, 3)
-        assert np.max(np.abs(ha - hb)) < 1e-14
+    local, coupling = materialize_channel_pulses(cnot_gate(1, 2).params, 0.0, 1.0)
+    (exchange,) = materialize_channel_pulses((DEFAULT_SWAP_PARAMS,), 1.0, 2.0)
+    for t in (0.25, 0.5):
+        pair = local.value(t) * (kron2(I2, SX) + kron2(SZ, I2)) + coupling.value(t) * kron2(SZ, SX)
+        h = dense_hamiltonian(slot_channels(schedule, 0, 3), t, 3)
+        assert np.max(np.abs(h - np.kron(pair, I2))) < 1e-12
+    for t in (1.1, 1.9):
+        pair = exchange.value(t) * (kron2(SX, SX) + kron2(SY, SY) + kron2(SZ, SZ))
+        h = dense_hamiltonian(slot_channels(schedule, 1, 3), t, 3)
+        assert np.max(np.abs(h - np.kron(I2, pair))) < 1e-12
 
 
 def test_dense_assembly_matches_manual_kron():
     schedule = schedule_sequence([swap_gate(1, 2)], slot_duration=1.0)
     t = 0.4
-    h = dense_hamiltonian(schedule_terms(schedule), t, 3)
+    h = dense_hamiltonian(slot_channels(schedule, 0, 3), t, 3)
     (pulse,) = materialize_channel_pulses((DEFAULT_SWAP_PARAMS,), 0.0, 1.0)
     coupling = kron2(SX, SX) + kron2(SY, SY) + kron2(SZ, SZ)
     want = pulse.value(t) * np.kron(coupling, I2)

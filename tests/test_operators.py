@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinchain.dynamics import _apply_pair_matrix_to_state, _apply_pair_superop
 from spinchain.operators import (
     LocalOperator,
-    apply_local_left,
-    apply_local_right,
-    apply_local_to_state,
     check_density_matrix,
     check_state,
     embed,
@@ -113,6 +111,10 @@ def test_embed_rejects_targets_beyond_register():
         embed(op, 2)
 
 
+# The evolution kernels apply 4x4 pair blocks (states) and 16x16 pair
+# superoperators (density matrices) without forming the embedding.
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_state_application_matches_embedded_matrix(n):
     rng = np.random.default_rng(90 + n)
@@ -120,7 +122,8 @@ def test_state_application_matches_embedded_matrix(n):
     op = LocalOperator(targets=(1, n), block=block)
     psi = random_state(rng, n)
     expected = embed(op, n) @ psi
-    assert np.allclose(apply_local_to_state(op, psi), expected, atol=1e-12)
+    got = _apply_pair_matrix_to_state(block, (1, n), psi.reshape((2,) * n), n)
+    assert np.allclose(got.reshape(-1), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -130,8 +133,16 @@ def test_density_applications_match_embedded_matrix(n):
     op = LocalOperator(targets=(2, 1), block=block)  # reversed order on purpose
     rho = random_density(rng, n)
     dense = embed(op, n)
-    assert np.allclose(apply_local_left(op, rho), dense @ rho, atol=1e-12)
-    assert np.allclose(apply_local_right(op, rho), rho @ dense.conj().T, atol=1e-12)
+    eye = np.eye(4)
+
+    def apply(phi):  # row-major vec: vec(A X B) = (A kron B^T) vec(X)
+        return _apply_pair_superop(rho, phi, (2, 1), n)
+
+    assert np.allclose(apply(np.kron(block, eye)), dense @ rho, atol=1e-12)
+    assert np.allclose(apply(np.kron(eye, block.conj())), rho @ dense.conj().T, atol=1e-12)
+    assert np.allclose(
+        apply(np.kron(block, block.conj())), dense @ rho @ dense.conj().T, atol=1e-12
+    )
 
 
 @pytest.mark.parametrize("n", range(2, 6))

@@ -4,25 +4,37 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from spinchain.hamiltonians import cnot_gate, swap_gate
+from spinchain.hamiltonians import cnot_gate, materialize_channel_pulses, swap_gate
 from spinchain.pulses import (
     GaussianPulse,
+    PulseSchedule,
+    ScheduledGate,
     idle_schedule,
     pulse_area,
-    pulse_value,
-    rescale,
     schedule_sequence,
-    windowed_area,
 )
+
+
+def windowed_area(pulse, start, end):
+    """Numerical area over ``[start, end]`` by adaptive quadrature."""
+    val, _ = quad(pulse.value, start, end, epsabs=1e-14, epsrel=1e-12)
+    return val
+
+
+def stretched(amplitude, width, alpha):
+    """A one-slot (A, W) channel placed in a slot of duration ``alpha``."""
+    (pulse,) = materialize_channel_pulses(((amplitude, width),), 0.0, alpha)
+    return pulse
 
 
 def test_pulse_value_peaks_at_center():
     p = GaussianPulse(amplitude=2.0, width=0.05, center=0.4)
-    assert pulse_value(p, 0.4) == pytest.approx(2.0)
-    assert pulse_value(p, 0.4 + 0.1) == pytest.approx(2.0 * math.exp(-0.01 / 0.05))
+    assert p.value(0.4) == pytest.approx(2.0)
+    assert p.value(0.4 + 0.1) == pytest.approx(2.0 * math.exp(-0.01 / 0.05))
     ts = np.array([0.0, 0.4, 1.0])
-    vals = pulse_value(p, ts)
+    vals = p.value(ts)
     assert vals.shape == (3,)
     assert vals[1] == max(vals)
 
@@ -60,7 +72,7 @@ def test_window_truncation_loss_is_small_for_slot_sized_window():
 )
 def test_rescaling_preserves_the_pulse_area(amplitude, width, alpha):
     p = GaussianPulse(amplitude=amplitude, width=width, center=0.5)
-    q = rescale(p, alpha)
+    q = stretched(amplitude, width, alpha)
     assert q.amplitude == pytest.approx(amplitude / alpha)
     assert q.width == pytest.approx(width * alpha**2)
     assert q.center == pytest.approx(0.5 * alpha)
@@ -69,15 +81,15 @@ def test_rescaling_preserves_the_pulse_area(amplitude, width, alpha):
 
 def test_rescaled_pulse_is_the_time_stretched_profile():
     p = GaussianPulse(amplitude=5.0, width=0.02, center=0.5)
-    q = rescale(p, 7.0)
+    q = stretched(5.0, 0.02, 7.0)
     for t in (0.1, 0.45, 0.8):
-        assert pulse_value(q, 7.0 * t) == pytest.approx(pulse_value(p, t) / 7.0)
+        assert q.value(7.0 * t) == pytest.approx(p.value(t) / 7.0)
 
 
 def test_rescale_rejects_nonpositive_factor():
-    p = GaussianPulse(amplitude=1.0, width=0.02, center=0.5)
-    with pytest.raises(ValueError):
-        rescale(p, 0.0)
+    for alpha in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            stretched(1.0, 0.02, alpha)
 
 
 def test_sequential_schedule_one_slot_per_gate():
@@ -88,8 +100,8 @@ def test_sequential_schedule_one_slot_per_gate():
     for k, gate in enumerate(gates):  # slots are indexed from zero
         entries = sched.slot_entries(k)
         assert [e.gate for e in entries] == [gate]
-        assert entries[0].start == pytest.approx(k * 2.0)
-        assert entries[0].end == pytest.approx((k + 1) * 2.0)
+        assert entries[0].slot == k
+        assert sched.slot_window(k) == pytest.approx((k * 2.0, (k + 1) * 2.0))
 
 
 def test_explicit_parallel_group_shares_a_slot():
@@ -100,7 +112,8 @@ def test_explicit_parallel_group_shares_a_slot():
     assert sched.num_slots == 2
     slot2 = sched.slot_entries(1)
     assert len(slot2) == 2
-    assert all(e.start == pytest.approx(1.0) for e in slot2)
+    assert all(e.slot == 1 for e in slot2)
+    assert sched.slot_window(1)[0] == pytest.approx(1.0)
 
 
 def test_greedy_packing_only_merges_disjoint_pairs():
@@ -119,12 +132,18 @@ def test_overlapping_gates_cannot_share_an_explicit_slot():
         schedule_sequence([[swap_gate(1, 2), swap_gate(2, 3)]])
 
 
-def test_active_entries_window_is_half_open():
-    sched = schedule_sequence([swap_gate(1, 2), swap_gate(2, 3)])
-    assert [e.gate.qubits for e in sched.active_entries(0.0)] == [(1, 2)]
-    assert [e.gate.qubits for e in sched.active_entries(0.999)] == [(1, 2)]
-    assert [e.gate.qubits for e in sched.active_entries(1.0)] == [(2, 3)]
-    assert sched.active_entries(2.0) == ()
+def test_slot_entries_select_by_integer_slot():
+    sched = schedule_sequence([swap_gate(1, 2), swap_gate(2, 3)], slot_duration=0.1)
+    assert [e.slot for e in sched.entries] == [0, 1]
+    assert [e.gate.qubits for e in sched.slot_entries(1)] == [(2, 3)]
+    assert sched.slot_entries(2) == ()
+    # an entry carries its slot index, not a start time to be matched
+    gate = swap_gate(1, 2)
+    sparse = PulseSchedule(
+        entries=(ScheduledGate(gate=gate, slot=3),), slot_duration=0.1, num_slots=4
+    )
+    assert [e.gate for e in sparse.slot_entries(3)] == [gate]
+    assert all(sparse.slot_entries(k) == () for k in range(3))
 
 
 def test_idle_schedule_has_no_entries():
