@@ -31,8 +31,10 @@ from .dynamics import (
     IntegratorConfig,
     NOISELESS,
     NoiseModel,
+    NumericalError,
     TraceDriftError,
     evolve_lindblad,
+    evolve_lindblad_product,
     evolve_unitary,
     gate_fidelity,
     slot_unitary,
@@ -54,7 +56,6 @@ from .operators import (
     fidelity,
     fidelity_to_pure,
     overlap_fidelity,
-    partial_trace_keep_last_two,
     pauli,
 )
 from .pulses import (
@@ -82,6 +83,7 @@ __all__ = [
     "LocalOperator",
     "NOISELESS",
     "NoiseModel",
+    "NumericalError",
     "ParamState",
     "PulseSchedule",
     "TraceDriftError",
@@ -93,6 +95,7 @@ __all__ = [
     "default_map_grid",
     "embed",
     "evolve_lindblad",
+    "evolve_lindblad_product",
     "evolve_unitary",
     "fidelity",
     "fidelity_difference_map",
@@ -103,7 +106,6 @@ __all__ = [
     "nelder_mead",
     "objective",
     "overlap_fidelity",
-    "partial_trace_keep_last_two",
     "pauli",
     "pulse_area",
     "rotated_cnot_gate",

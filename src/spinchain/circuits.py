@@ -14,6 +14,13 @@ Layouts:
   rails hop one column per slot via simultaneous disjoint SWAPs
   (top: 2j-1 -> 2j+1, bottom: 2j -> 2j+2): N-2 SWAPs in N/2 - 1 slots,
   so the whole circuit takes N/2 slots instead of 2(N-2) + 1.
+
+Noisy runs follow the circuit's light cone: the register holds only the
+sites between their first and last gate, plus the readout pair once it
+has been reached (:func:`spinchain.dynamics.evolve_lindblad_product`).
+The ladder therefore never holds more than 4 sites, whatever its length;
+on the line the control's walk touches every site again, so the register
+grows to N. Noiseless runs evolve the full 2^N pure state.
 """
 
 from __future__ import annotations
@@ -27,11 +34,12 @@ from .dynamics import (
     NOISELESS,
     IntegratorConfig,
     NoiseModel,
-    evolve_lindblad,
+    evolve_lindblad_product,
     evolve_unitary,
+    live_register_width,
 )
 from .hamiltonians import GateSpec, cnot_gate, ideal_gate_matrix, swap_gate
-from .operators import fidelity_to_pure, partial_trace_keep_last_two
+from .operators import fidelity_to_pure
 from .pulses import PulseSchedule, schedule_sequence
 
 TOPOLOGY_KINDS = ("line_1d", "square_2d")
@@ -94,6 +102,19 @@ class TransportCircuit:
     @property
     def swap_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "swap")
+
+    @property
+    def readout(self) -> tuple[int, int]:
+        """The sites (N-1, N) that end up holding the pair."""
+        n = self.topology.n_qubits
+        return n - 1, n
+
+    @property
+    def live_width(self) -> int:
+        """Most sites a noisy run of this circuit holds at once."""
+        return live_register_width(
+            self.schedule, self.topology.n_qubits, self.readout
+        )
 
 
 def _normalise_pairs(value) -> tuple[tuple[float, float], ...]:
@@ -199,16 +220,22 @@ def _as_qubit_vector(state) -> np.ndarray:
     return vec
 
 
+def _input_sites(topology: ChainTopology, payload, control=None) -> list:
+    """Per-site input vectors [control, payload, |0>, ..., |0>]."""
+    control_vec = PLUS if control is None else _as_qubit_vector(control)
+    ground = np.array([1.0, 0.0], dtype=complex)
+    n_ground = topology.n_qubits - 2
+    return [control_vec, _as_qubit_vector(payload)] + [ground] * n_ground
+
+
 def transport_input(
     topology: ChainTopology, payload, control=None
 ) -> np.ndarray:
     """Full-register state |control>|payload>|0...0> (control defaults |+>)."""
-    control_vec = PLUS if control is None else _as_qubit_vector(control)
-    payload_vec = _as_qubit_vector(payload)
-    state = np.kron(control_vec, payload_vec)
-    ground = np.array([1.0, 0.0], dtype=complex)
-    for _ in range(topology.n_qubits - 2):
-        state = np.kron(state, ground)
+    sites = _input_sites(topology, payload, control)
+    state = sites[0]
+    for vec in sites[1:]:
+        state = np.kron(state, vec)
     return state
 
 
@@ -226,11 +253,14 @@ def transport_reduced_state(
     noise: NoiseModel = NOISELESS,
     cfg: IntegratorConfig | None = None,
 ) -> np.ndarray:
-    """Density matrix of the last two sites after running the circuit."""
-    psi = transport_input(circuit.topology, payload, control)
-    rho = np.outer(psi, psi.conj())
-    rho_out = evolve_lindblad(rho, circuit.schedule, noise, cfg)
-    return partial_trace_keep_last_two(rho_out)
+    """Density matrix of the last two sites after running the circuit.
+
+    The run holds only the circuit's light cone (see the module
+    docstring), never the 2^N-site register.
+    """
+    vectors = _input_sites(circuit.topology, payload, control)
+    sites = [np.outer(v, v.conj()) for v in vectors]
+    return evolve_lindblad_product(sites, circuit.schedule, noise, circuit.readout, cfg)
 
 
 def transport_fidelity(

@@ -16,15 +16,16 @@ byte-identical across reruns and worker counts.
 
 Noiseless runs apply one closed-form unitary per gate and slot; noisy runs
 use the factored master-equation integrator (16x16 pair propagators plus
-idle-site channels). A noisy ``trace`` steps one gate's pair propagator and
-reads every step from that one integration.
+idle-site channels), and noisy transport holds only the circuit's light
+cone. A noisy ``trace`` steps one gate's pair propagator and reads every
+step from that one integration.
 
 Units: times in units of the base slot, pulse amplitudes in units of the
 base energy scale (with hbar = 1), pulse widths in slot-squared, and
 dephasing/damping rates in inverse slots.
 
 Exit codes: 0 success, 2 configuration error, 3 calibration failure,
-4 integrator abort on trace drift.
+4 integrator abort (trace drift or lost normalisation).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .dynamics import (
     DEFAULT_STEPS_PER_SLOT,
     IntegratorConfig,
     NoiseModel,
-    TraceDriftError,
+    NumericalError,
     evolve_unitary,
     gate_fidelity,
     gate_superoperator,
@@ -522,16 +523,19 @@ def run_duration_sweep(s: Settings):
     return columns, rows
 
 
-def _check_lindblad_size(s: Settings, n_max: int) -> None:
-    if s.noise_kind == "none" or max(s.gammas) == 0.0:
+def _check_lindblad_size(s: Settings, circuits) -> None:
+    """Refuse noisy runs whose live register exceeds
+    ``LINDBLAD_MAX_QUBITS`` sites unless forced."""
+    if s.noise_kind == "none" or max(s.gammas) == 0.0 or s.force_large_n:
         return
-    if n_max <= LINDBLAD_MAX_QUBITS or s.force_large_n:
+    width = max(circuit.live_width for circuit in circuits)
+    if width <= LINDBLAD_MAX_QUBITS:
         return
-    per_copy = 16.0 * 4.0**n_max / 2.0**30
+    per_copy = 16.0 * 4.0**width / 2.0**30
     raise ConfigError(
-        f"a Lindblad run at n={n_max} holds ~{per_copy:.1f} GiB per "
-        f"density-matrix copy (several copies live at once); rerun with "
-        f"--force-large-n to proceed anyway"
+        f"a Lindblad run with a live register of w={width} qubits holds "
+        f"~{per_copy:.1f} GiB per density-matrix copy (several copies live "
+        f"at once); rerun with --force-large-n to proceed anyway"
     )
 
 
@@ -541,13 +545,13 @@ def run_chain_sweep(s: Settings):
     The logical input is a |+> control with a |0> payload; gates come
     from the internal calibrated parameter bank.
     """
-    _check_lindblad_size(s, max(s.ns))
     topology_kind = s.topology_kind
     circuits = {}
     for n in s.ns:
         topology = ChainTopology(topology_kind, n)
         for order in s.orders:
             circuits[(n, order)] = build_transport_circuit(topology, order)
+    _check_lindblad_size(s, circuits.values())
 
     cases = [
         (n, order, gamma) for n in s.ns for order in s.orders for gamma in s.gammas
@@ -730,7 +734,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except TraceDriftError as exc:
+    except NumericalError as exc:
         print(f"integrator abort: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
     except ValueError as exc:

@@ -20,6 +20,19 @@ Noisy slots
     integrated by fixed-step RK4 and cached, and closed-form single-site
     channels on the idle sites.
 
+Light cone
+    The noise is local too, so transport from product inputs need not
+    hold the whole chain (causal-cone locality, as in Vidal, PRL 91,
+    147902 (2003)). A site that no gate has touched yet is still in a
+    product state: its input under its own idle channel. A site that no
+    gate touches again can be traced out at once, because its later
+    channels act on it alone and commute with the partial trace.
+    :func:`evolve_lindblad_product` therefore joins each site at its
+    first gate and traces it out after its last, unless it is read out;
+    :func:`live_register_width` is the widest register that leaves, 4
+    sites on the two-row ladder for any length. Both entry points run
+    each slot through one function.
+
 Pulses are truncated to their slot. Whether a grid point carries drive is
 decided by its step index (the slot-end point never does), so results do
 not depend on how accumulated step times round near the slot edge.
@@ -42,6 +55,7 @@ from .hamiltonians import (
     ideal_gate_matrix,
     materialize_channel_pulses,
 )
+from .memo import BuildOnce
 from .operators import (
     check_state,
     fidelity_to_pure,
@@ -57,7 +71,11 @@ TRACE_ABORT_TOL = 1e-6
 _NOISE_KINDS = ("none", "dephasing", "amplitude_damping")
 
 
-class TraceDriftError(RuntimeError):
+class NumericalError(RuntimeError):
+    """An evolution broke a conserved quantity (trace or norm)."""
+
+
+class TraceDriftError(NumericalError):
     """Raised when the integrated trace drifts beyond ``TRACE_ABORT_TOL``."""
 
 
@@ -229,7 +247,7 @@ def evolve_unitary(
     # Each slot unitary is exact to roundoff, so anything past 1e-9 means
     # a genuine defect.
     if abs(norm - 1.0) > 1e-9:
-        raise RuntimeError(f"unitary evolution lost normalisation ({norm - 1.0:.3e})")
+        raise NumericalError(f"unitary evolution lost normalisation ({norm - 1.0:.3e})")
     return out
 
 
@@ -237,7 +255,7 @@ def evolve_unitary(
 # Noisy slots: exact factorisation into pair propagators and idle channels
 
 _I4 = np.eye(4, dtype=complex)
-_PAIR_PROP_CACHE: dict = {}
+_PAIR_PROP_CACHE = BuildOnce()
 
 
 def _hamiltonian_superop(h4: np.ndarray) -> np.ndarray:
@@ -315,12 +333,9 @@ def _pair_slot_propagator(
 ) -> np.ndarray:
     """The cached slot propagator of one pair (see :func:`_pair_rk4`)."""
     key = (kind, params, noise.kind, float(noise.gamma), float(duration), float(dt))
-    cached = _PAIR_PROP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    phi = _pair_rk4(kind, params, noise, duration, dt)
-    _PAIR_PROP_CACHE.setdefault(key, phi)
-    return _PAIR_PROP_CACHE[key]
+    return _PAIR_PROP_CACHE.get(
+        key, lambda: _pair_rk4(kind, params, noise, duration, dt)
+    )
 
 
 def gate_superoperator(
@@ -385,6 +400,69 @@ def _apply_idle_channels(
             t[block(s, 1, 0)] *= r
 
 
+def _light_cone(schedule: PulseSchedule, n: int, keep) -> tuple[list, list]:
+    """Per slot, the sites that join the register before it (their first
+    gate) and the sites traced out after it (their last gate, unless in
+    ``keep``); rejects gates outside the ``n`` sites."""
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for entry in schedule.entries:
+        if max(entry.gate.qubits) > n:
+            raise ValueError("gate addresses a qubit outside the chain")
+        for site in entry.gate.qubits:
+            first[site] = min(first.get(site, entry.slot), entry.slot)
+            last[site] = max(last.get(site, entry.slot), entry.slot)
+    joins: list[list[int]] = [[] for _ in range(schedule.num_slots)]
+    drops: list[list[int]] = [[] for _ in range(schedule.num_slots)]
+    for site in sorted(first):
+        joins[first[site]].append(site)
+        if site not in keep:
+            drops[last[site]].append(site)
+    return joins, drops
+
+
+def live_register_width(schedule: PulseSchedule, n: int, keep) -> int:
+    """Most sites :func:`evolve_lindblad_product` holds at once when it
+    runs ``schedule`` on ``n`` sites and reads out ``keep``."""
+    joins, drops = _light_cone(schedule, n, keep)
+    width = peak = 0
+    for joined, dropped in zip(joins, drops):
+        width += len(joined)
+        peak = max(peak, width)
+        width -= len(dropped)
+    return max(peak, len(keep))
+
+
+def _lindblad_slot(
+    rho: np.ndarray,
+    live: list[int],
+    schedule: PulseSchedule,
+    k: int,
+    noise: NoiseModel,
+    dt: float,
+) -> np.ndarray:
+    """Slot ``k`` on a register holding the chain sites ``live``, in
+    register order: the cached pair propagators of the slot's gates, the
+    closed-form channels of the idle live sites, then the trace check."""
+    n = len(live)
+    position = {site: p for p, site in enumerate(live, start=1)}
+    tau = schedule.slot_duration
+    active_sites: set[int] = set()
+    for entry in schedule.slot_entries(k):
+        spec: GateSpec = entry.gate
+        try:
+            pair = (position[spec.qubits[0]], position[spec.qubits[1]])
+        except KeyError:
+            raise ValueError("gate addresses a qubit outside the chain") from None
+        phi = _pair_slot_propagator(spec.kind, spec.params, noise, tau, dt)
+        rho = _apply_pair_superop(rho, phi, pair, n)
+        active_sites.update(spec.qubits)
+    idle = [position[s] for s in live if s not in active_sites]
+    _apply_idle_channels(rho, idle, noise, tau, n)
+    _check_trace(rho, f"after slot {k}")
+    return rho
+
+
 def evolve_lindblad(
     rho: np.ndarray,
     schedule: PulseSchedule,
@@ -409,22 +487,78 @@ def evolve_lindblad(
     if schedule.num_slots == 0:
         return rho
     _, dt = _resolve_steps(schedule.slot_duration, cfg)
-    tau = schedule.slot_duration
+    live = list(range(1, n + 1))
     for k in range(schedule.num_slots):
-        active_sites: set[int] = set()
-        for entry in schedule.slot_entries(k):
-            spec: GateSpec = entry.gate
-            if max(spec.qubits) > n:
-                raise ValueError("gate addresses a qubit outside the chain")
-            phi = _pair_slot_propagator(spec.kind, spec.params, noise, tau, dt)
-            rho = _apply_pair_superop(rho, phi, spec.qubits, n)
-            active_sites.update(spec.qubits)
-        idle = [s for s in range(1, n + 1) if s not in active_sites]
-        _apply_idle_channels(rho, idle, noise, tau, n)
-        _check_trace(rho, f"after slot {k}")
+        rho = _lindblad_slot(rho, live, schedule, k, noise, dt)
         if observer is not None:
             observer(schedule.slot_window(k)[1], rho)
     return rho
+
+
+def _idle_site_state(state: np.ndarray, noise: NoiseModel, duration: float):
+    """One site's 2x2 state after idling for ``duration``."""
+    state = state.copy()
+    _apply_idle_channels(state, [1], noise, duration, 1)
+    return state
+
+
+def _trace_out(rho: np.ndarray, position: int, n: int) -> np.ndarray:
+    """Trace out register position ``position`` (1-based) of ``n``."""
+    t = rho.reshape((2,) * (2 * n))
+    half = 2 ** (n - 1)
+    return np.trace(t, axis1=position - 1, axis2=n + position - 1).reshape(half, half)
+
+
+def evolve_lindblad_product(
+    site_states,
+    schedule: PulseSchedule,
+    noise: NoiseModel,
+    keep,
+    cfg: IntegratorConfig | None = None,
+) -> np.ndarray:
+    """The state of the sites ``keep`` (1-based, in that order) after
+    running ``schedule`` on the product of the 2x2 ``site_states``.
+
+    Equal to :func:`evolve_lindblad` on the Kronecker product followed by
+    a partial trace, but the register holds only the light cone: a site
+    joins, with its idle channel of every slot it waited, at its first
+    gate and is traced out after its last (see the module docstring).
+    Each slot runs the same body as :func:`evolve_lindblad`, trace check
+    included; no renormalisation is ever applied.
+    """
+    cfg = cfg or IntegratorConfig()
+    states = [np.asarray(s, dtype=complex) for s in site_states]
+    n = len(states)
+    keep = tuple(int(s) for s in keep)
+    if len(set(keep)) != len(keep) or any(not 1 <= s <= n for s in keep):
+        raise ValueError("keep must list distinct sites of the chain")
+    for state in states:
+        if state.shape != (2, 2):
+            raise ValueError("site states must be 2x2 density matrices")
+        _check_trace(state, "in the initial state")
+    joins, drops = _light_cone(schedule, n, keep)
+    _, dt = _resolve_steps(schedule.slot_duration, cfg)
+    tau = schedule.slot_duration
+
+    rho = np.ones((1, 1), dtype=complex)
+    live: list[int] = []
+    for k in range(schedule.num_slots):
+        for site in joins[k]:
+            rho = np.kron(rho, _idle_site_state(states[site - 1], noise, k * tau))
+            live.append(site)
+        rho = _lindblad_slot(rho, live, schedule, k, noise, dt)
+        for site in drops[k]:
+            rho = _trace_out(rho, live.index(site) + 1, len(live))
+            live.remove(site)
+    for site in keep:
+        if site not in live:  # no gate touched it: it idled the whole run
+            idled = _idle_site_state(states[site - 1], noise, schedule.total_time)
+            rho = np.kron(rho, idled)
+            live.append(site)
+    w = len(live)
+    order = [live.index(site) for site in keep]
+    t = rho.reshape((2,) * (2 * w)).transpose(order + [w + p for p in order])
+    return np.ascontiguousarray(t).reshape(2**w, 2**w)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ Conventions used throughout the package:
 
 States are plain complex vectors of length ``2^N`` and density matrices are
 plain ``2^N x 2^N`` complex arrays; the helpers here validate their
-invariants, trace out sites and compare states. ``embed`` builds the dense
+invariants and compare states. ``embed`` builds the dense
 ``2^N x 2^N`` matrix of a local (one- or two-site) operator for oracle
 tests; the evolution kernels never form it.
 """
@@ -98,19 +98,6 @@ def embed(op: LocalOperator, n_qubits: int) -> np.ndarray:
         sub |= ((idx >> s) & 1) << (k - 1 - pos)
     out = op.block[sub[:, None], sub[None, :]] * (rest[:, None] == rest[None, :])
     return np.ascontiguousarray(out)
-
-
-def partial_trace_keep_last_two(rho: np.ndarray) -> np.ndarray:
-    """Trace out qubits ``1..N-2``, returning the 4x4 state of the last two."""
-    dim = rho.shape[0]
-    n = num_qubits(dim)
-    if n < 2:
-        raise ValueError("need at least two qubits")
-    if n == 2:
-        return rho.copy()
-    rest = dim // 4
-    t = rho.reshape(rest, 4, rest, 4)
-    return np.einsum("iaib->ab", t)
 
 
 def check_state(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -9,6 +9,8 @@ pulses are truncated to their slot by step index: the grid point on a
 slot's end carries no drive.
 """
 
+import itertools
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -110,3 +112,40 @@ def stepped_unitary(schedule, n, n_steps):
         for m in range(1, n_steps):
             u = expm(-1j * dt * dense_hamiltonian(channels, start + m * dt, n)) @ u
     return u
+
+
+def partial_trace_keep_last_two(rho):
+    """Trace out qubits ``1..N-2``, returning the 4x4 state of the last two."""
+    dim = rho.shape[0]
+    n = num_qubits(dim)
+    if n < 2:
+        raise ValueError("need at least two qubits")
+    if n == 2:
+        return rho.copy()
+    rest = dim // 4
+    t = rho.reshape(rest, 4, rest, 4)
+    return np.einsum("iaib->ab", t)
+
+
+def reduced_state(rho, keep):
+    """Partial trace onto the sites ``keep`` (1-based, in that order), by
+    summing matrix elements over every basis label of the other sites."""
+    n = num_qubits(rho.shape[0])
+    rest = [s for s in range(1, n + 1) if s not in keep]
+
+    def index(sites, bits):
+        return sum(b << (n - s) for s, b in zip(sites, bits))
+
+    def label(bits):
+        return sum(b << (len(bits) - 1 - i) for i, b in enumerate(bits))
+
+    out = np.zeros((2 ** len(keep), 2 ** len(keep)), dtype=complex)
+    labels = list(itertools.product((0, 1), repeat=len(keep)))
+    for r in itertools.product((0, 1), repeat=len(rest)):
+        offset = index(rest, r)
+        for a in labels:
+            for b in labels:
+                out[label(a), label(b)] += rho[
+                    offset + index(keep, a), offset + index(keep, b)
+                ]
+    return out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import rk4_lindblad
+from oracles import partial_trace_keep_last_two, rk4_lindblad
 
 from spinchain.circuits import (
     GATE_ORDERS,
@@ -27,7 +27,6 @@ from spinchain.hamiltonians import (
     DEFAULT_CNOT_LOCAL_PARAMS,
     DEFAULT_SWAP_PARAMS,
 )
-from spinchain.operators import partial_trace_keep_last_two
 
 STOCK_PARAMS = {
     "swap": (DEFAULT_SWAP_PARAMS,),

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spinchain import cli
+from spinchain import cli, dynamics
+from spinchain.memo import BuildOnce
 
 
 def run(tmp_path, argv, name="out.csv"):
@@ -373,6 +374,38 @@ def test_large_noisy_chain_needs_explicit_override(tmp_path, capsys):
     )
     assert code == 2
     assert "force-large-n" in capsys.readouterr().err
+
+
+def test_noisy_ladder_size_guard_reads_the_live_width(tmp_path):
+    # the ladder holds at most 4 sites at once, whatever its length
+    code, out = run(
+        tmp_path, ["chain-sweep", "--topology", "2d", "--noise", "amp", "--n", "100"]
+    )
+    assert code == 0
+    _, rows = rows_of(out)
+    assert [r["n"] for r in rows] == ["100", "100"]
+    assert all(0.0 < float(r["fidelity"]) < 1.0 for r in rows)
+
+
+def test_lost_normalisation_aborts_with_exit_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dynamics, "slot_unitary", lambda *args: 2.0 * np.eye(4))
+    code, _ = run(tmp_path, ["chain-sweep", "--noise", "none", "--n", "3"])
+    assert code == 4
+    assert "integrator abort: unitary evolution lost normalisation" in capsys.readouterr().err
+
+
+def test_noisy_ladder_body_ignores_workers_and_cache_state(tmp_path, monkeypatch):
+    argv = ["chain-sweep", "--topology", "2d", "--noise", "amp", "--n", "4,6,8"]
+    bodies = []
+    for workers in ("1", "2"):
+        # a cold propagator cache, then the same run on the warm one
+        monkeypatch.setattr(dynamics, "_PAIR_PROP_CACHE", BuildOnce())
+        for state in ("cold", "warm"):
+            code, out = run(tmp_path, argv + ["--workers", workers], f"{workers}-{state}.csv")
+            assert code == 0
+            bodies.append(body_of(out))
+    assert len(bodies[0]) == 7
+    assert all(body == bodies[0] for body in bodies)
 
 
 def test_missing_subcommand_and_unknown_flag_exit_2(capsys):

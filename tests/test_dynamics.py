@@ -1,9 +1,15 @@
 """Tests for the unitary and master-equation evolution engines."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
-from oracles import rk4_lindblad, stepped_unitary
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reduced_state, rk4_lindblad, stepped_unitary
 
+from spinchain import dynamics
+from spinchain.circuits import GATE_ORDERS, ChainTopology, build_transport_circuit
 from spinchain.dynamics import (
     DEFAULT_STEPS_PER_SLOT,
     NOISELESS,
@@ -12,11 +18,14 @@ from spinchain.dynamics import (
     TraceDriftError,
     _pair_slot_propagator,
     evolve_lindblad,
+    evolve_lindblad_product,
     evolve_unitary,
     gate_fidelity,
     gate_superoperator,
+    live_register_width,
 )
 from spinchain.hamiltonians import cnot_gate, swap_gate
+from spinchain.memo import BuildOnce
 from spinchain.pulses import idle_schedule, schedule_sequence
 
 
@@ -215,13 +224,12 @@ def test_initial_trace_drift_raises():
 def test_unstable_step_size_raises_trace_drift():
     plus0 = np.kron(PLUS, ket(0))
     schedule = schedule_sequence([swap_gate(1, 2)] * 6, slot_duration=1.0)
+    noise, cfg = NoiseModel("amplitude_damping", 0.1), IntegratorConfig(dt=1.0)
     with pytest.raises(TraceDriftError, match="after slot 4"):
-        evolve_lindblad(
-            proj(plus0),
-            schedule,
-            NoiseModel("amplitude_damping", 0.1),
-            IntegratorConfig(dt=1.0),
-        )
+        evolve_lindblad(proj(plus0), schedule, noise, cfg)
+    # the light-cone entry runs the same slot body, trace check included
+    with pytest.raises(TraceDriftError, match="after slot 4"):
+        evolve_lindblad_product([proj(PLUS), proj(ket(0))], schedule, noise, (1, 2), cfg)
 
 
 def test_density_path_rejects_trotter_step():
@@ -382,3 +390,82 @@ def test_gate_fidelity_validation():
         gate_fidelity(ket(0, 1), swap_gate(1, 2), alpha=0.0)
     with pytest.raises(ValueError):
         gate_fidelity(ket(0, 1), swap_gate(2, 3))
+
+
+# ---------------------------------------------------------------------------
+# light-cone register
+# ---------------------------------------------------------------------------
+
+
+def random_site_state(rng):
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+GATES = {"swap": swap_gate, "cnot": cnot_gate}
+
+
+@st.composite
+def product_runs(draw):
+    """Random slots of disjoint pairs on n <= 6 sites, with a random
+    readout order (sites no gate touches included)."""
+    n = draw(st.integers(2, 6))
+    slots = []
+    for _ in range(draw(st.integers(0, 4))):
+        sites = draw(st.permutations(range(1, n + 1)))
+        kinds = draw(st.lists(st.sampled_from(sorted(GATES)), min_size=1, max_size=n // 2))
+        slots.append(
+            [GATES[k](sites[2 * i], sites[2 * i + 1]) for i, k in enumerate(kinds)]
+        )
+    keep = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(1, min(n, 3)))]
+    return n, schedule_sequence(slots), tuple(keep)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    run=product_runs(),
+    kind=st.sampled_from(["dephasing", "amplitude_damping"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_light_cone_run_equals_full_run_then_partial_trace(run, kind, seed):
+    n, schedule, keep = run
+    noise = NoiseModel(kind, 0.3)
+    rng = np.random.default_rng(seed)
+    sites = [random_site_state(rng) for _ in range(n)]
+    full = evolve_lindblad(reduce(np.kron, sites), schedule, noise)
+    got = evolve_lindblad_product(sites, schedule, noise, keep)
+    assert np.max(np.abs(got - reduced_state(full, keep))) <= 1e-12
+
+
+def test_ladder_live_width_is_four_at_any_length():
+    for n in range(4, 101, 2):
+        for order in GATE_ORDERS:
+            circuit = build_transport_circuit(ChainTopology("square_2d", n), order)
+            assert live_register_width(circuit.schedule, n, (n - 1, n)) == 4
+    # the control's walk back along the line touches every site again
+    for n in range(3, 9):
+        circuit = build_transport_circuit(ChainTopology("line_1d", n), "cnot_first")
+        assert live_register_width(circuit.schedule, n, (n - 1, n)) == n
+
+
+def test_density_entries_validate_their_inputs():
+    outside = schedule_sequence([swap_gate(2, 3)])
+    with pytest.raises(ValueError, match="outside the chain"):
+        evolve_lindblad(proj(ket(0, 0)), outside, NoiseModel("dephasing", 0.1))
+    schedule = schedule_sequence([swap_gate(1, 2)])
+    sites = [proj(ket(0))] * 2
+    for keep in [(1, 1), (0,), (3,)]:
+        with pytest.raises(ValueError):
+            evolve_lindblad_product(sites, schedule, NOISELESS, keep)
+    with pytest.raises(ValueError):
+        evolve_lindblad_product([proj(ket(0, 0))] * 2, schedule, NOISELESS, (1,))
+    with pytest.raises(ValueError, match="outside the chain"):
+        evolve_lindblad_product(sites, outside, NOISELESS, (1,))
+    with pytest.raises(TraceDriftError):
+        evolve_lindblad_product([0.9 * proj(ket(0))] * 2, schedule, NOISELESS, (1,))
+
+
+def test_propagator_cache_builds_once_under_threads():
+    # the build-once property itself is tested in test_memo.py
+    assert isinstance(dynamics._PAIR_PROP_CACHE, BuildOnce)

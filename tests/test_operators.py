@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import partial_trace_keep_last_two, reduced_state
 
 from spinchain.dynamics import _apply_pair_matrix_to_state, _apply_pair_superop
 from spinchain.operators import (
@@ -13,7 +14,6 @@ from spinchain.operators import (
     fidelity_to_pure,
     num_qubits,
     overlap_fidelity,
-    partial_trace_keep_last_two,
     pauli,
 )
 
@@ -156,7 +156,16 @@ def test_partial_trace_matches_dense_oracle(n):
         expected += tensor[r, :, r, :]
     reduced = partial_trace_keep_last_two(rho)
     assert np.allclose(reduced, expected, atol=1e-12)
+    assert np.allclose(reduced_state(rho, (n - 1, n)), expected, atol=1e-12)
     assert abs(np.trace(reduced) - 1.0) < 1e-10
+
+
+def test_reduced_state_of_a_product_keeps_its_factors_in_keep_order():
+    rng = np.random.default_rng(11)
+    a, b, c = (random_density(rng, 1) for _ in range(3))
+    rho = np.kron(np.kron(a, b), c)
+    assert np.allclose(reduced_state(rho, (3, 1)), np.kron(c, a), atol=1e-14)
+    assert np.allclose(reduced_state(rho, (2,)), b, atol=1e-14)
 
 
 def test_partial_trace_on_two_qubits_is_a_copy():
