@@ -117,18 +117,6 @@ class TransportCircuit:
         )
 
 
-def _normalise_pairs(value) -> tuple[tuple[float, float], ...]:
-    flat_candidates = tuple(value)
-    if flat_candidates and np.isscalar(flat_candidates[0]):
-        if len(flat_candidates) % 2 != 0:
-            raise ValueError("flat parameter vectors need an even length")
-        return tuple(
-            (float(flat_candidates[i]), float(flat_candidates[i + 1]))
-            for i in range(0, len(flat_candidates), 2)
-        )
-    return tuple((float(a), float(w)) for a, w in flat_candidates)
-
-
 def _resolve_gate_params(gate_params) -> dict:
     if gate_params is None:
         return {
@@ -139,7 +127,7 @@ def _resolve_gate_params(gate_params) -> dict:
     for kind, n_pairs in (("swap", 1), ("cnot", 2)):
         if kind not in gate_params:
             raise ValueError(f"gate_params is missing {kind!r}")
-        pairs = _normalise_pairs(gate_params[kind])
+        pairs = tuple((float(a), float(w)) for a, w in gate_params[kind])
         if len(pairs) != n_pairs:
             raise ValueError(f"{kind} takes {n_pairs} (amplitude, width) pair(s)")
         resolved[kind] = pairs

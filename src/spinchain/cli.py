@@ -24,8 +24,10 @@ Units: times in units of the base slot, pulse amplitudes in units of the
 base energy scale (with hbar = 1), pulse widths in slot-squared, and
 dephasing/damping rates in inverse slots.
 
-Exit codes: 0 success, 2 configuration error, 3 calibration failure,
-4 integrator abort (trace drift or lost normalisation).
+Exit codes: 0 success, 2 configuration error (a bad flag or INI value,
+an unknown INI key, or a ``[experiment] kind`` that is not the subcommand),
+3 calibration failure, 4 integrator abort (trace drift or lost
+normalisation), 5 internal error (any other library ``ValueError``).
 """
 
 from __future__ import annotations
@@ -35,8 +37,11 @@ import configparser
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import product
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -51,10 +56,10 @@ from .circuits import (
     zero_contour,
 )
 from .dynamics import (
-    DEFAULT_STEPS_PER_SLOT,
     IntegratorConfig,
     NoiseModel,
     NumericalError,
+    _resolve_steps,
     evolve_unitary,
     gate_fidelity,
     gate_superoperator,
@@ -75,43 +80,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CALIBRATION = 3
 EXIT_INTEGRATOR = 4
+EXIT_INTERNAL = 5
 
 LINDBLAD_MAX_QUBITS = 14
-
-NOISE_NAMES = {
-    "none": "none",
-    "dephasing": "dephasing",
-    "amp": "amplitude_damping",
-    "amplitude_damping": "amplitude_damping",
-}
-TOPOLOGY_NAMES = {
-    "1d": "line_1d",
-    "line_1d": "line_1d",
-    "2d": "square_2d",
-    "square_2d": "square_2d",
-}
-ORDER_NAMES = {
-    "cnot-first": "cnot_first",
-    "cnot_first": "cnot_first",
-    "cnot-last": "cnot_last",
-    "cnot_last": "cnot_last",
-    "both": "both",
-}
-
-COMMANDS = ("calibrate", "trace", "duration-sweep", "chain-sweep", "state-map")
-
-# Recognised config-file sections and keys; anything else is a config error.
-CONFIG_SCHEMA = {
-    "experiment": {"kind"},
-    "gate": {"kind"},
-    "noise": {"kind", "gamma"},
-    "topology": {"kind", "n", "order"},
-    "sweep": {"alpha"},
-    "map": {"grid"},
-    "integrator": {"dt"},
-    "calibration": {"amplitude_min", "amplitude_max", "width_min", "width_max"},
-    "run": {"workers", "seed", "out", "force_large_n"},
-}
 
 
 class ConfigError(Exception):
@@ -119,269 +90,7 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# configuration resolution
-
-
-@dataclass
-class Settings:
-    command: str
-    gate: str = "swap"
-    noise_kind: str = "none"
-    gammas: tuple[float, ...] = ()
-    topology_kind: str = "line_1d"
-    ns: tuple[int, ...] = ()
-    orders: tuple[str, ...] = ("cnot_first", "cnot_last")
-    alphas: tuple[float, ...] = ()
-    grid: tuple[int, int] = (64, 64)
-    dt: float | None = None
-    workers: int = 1
-    seed: int = 0
-    out: str = ""
-    force_large_n: bool = False
-    amplitude_bounds: tuple[float, float] = (0.0, 50.0)
-    width_bounds: tuple[float, float] = (1e-4, 1.0)
-    notes: dict = field(default_factory=dict)
-
-    def noise(self, gamma: float) -> NoiseModel:
-        if self.noise_kind == "none" or gamma == 0.0:
-            return NoiseModel("none")
-        return NoiseModel(self.noise_kind, gamma)
-
-    def effective_dt(self, slot_duration: float = 1.0) -> float:
-        return self.dt if self.dt is not None else slot_duration / DEFAULT_STEPS_PER_SLOT
-
-
-def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {what} list {text!r}") from exc
-    if not values:
-        raise ConfigError(f"{what} list is empty")
-    return values
-
-
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {what} list {text!r}") from exc
-    if not values:
-        raise ConfigError(f"{what} list is empty")
-    return values
-
-
-def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"grid must look like 64x64, got {text!r}")
-    try:
-        rows, cols = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"grid must look like 64x64, got {text!r}") from exc
-    if rows < 2 or cols < 2:
-        raise ConfigError("grid needs at least 2 points per axis")
-    return rows, cols
-
-
-def _parse_bool(text: str, what: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"cannot parse {what} boolean {text!r}")
-
-
-def load_config_file(path: str) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file {path!r} not found")
-    data: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in CONFIG_SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
-            if key not in CONFIG_SCHEMA[section]:
-                raise ConfigError(f"unknown config key {key!r} in [{section}]")
-            data.setdefault(section, {})[key] = value.strip()
-    return data
-
-
-def _lookup(cfg: dict, section: str, key: str):
-    return cfg.get(section, {}).get(key)
-
-
-def resolve_settings(args: argparse.Namespace) -> Settings:
-    cfg = load_config_file(args.config) if args.config else {}
-    command = args.command
-
-    kind_in_file = _lookup(cfg, "experiment", "kind")
-    if kind_in_file is not None and kind_in_file not in COMMANDS:
-        raise ConfigError(f"unknown experiment kind {kind_in_file!r}")
-
-    s = Settings(command=command)
-
-    gate = args.gate or _lookup(cfg, "gate", "kind")
-    if gate is None:
-        gate = "both" if command == "duration-sweep" else "swap"
-    if gate not in GATE_KINDS + ("both",):
-        raise ConfigError(f"unknown gate kind {gate!r}")
-    s.gate = gate
-
-    noise = args.noise or _lookup(cfg, "noise", "kind")
-    if noise is None:
-        noise = {
-            "trace": "none",
-            "duration-sweep": "dephasing",
-            "chain-sweep": "dephasing",
-            "state-map": "amp",
-        }.get(command, "none")
-    if noise not in NOISE_NAMES:
-        raise ConfigError(f"unknown noise kind {noise!r}")
-    s.noise_kind = NOISE_NAMES[noise]
-
-    gamma_text = args.gamma or _lookup(cfg, "noise", "gamma")
-    if gamma_text is not None:
-        s.gammas = _parse_float_list(gamma_text, "gamma")
-    elif s.noise_kind == "none":
-        s.gammas = (0.0,)
-    elif command == "duration-sweep":
-        s.gammas = (0.001, 0.01, 0.1)
-    else:
-        s.gammas = (0.1,)
-    if any(g < 0 for g in s.gammas):
-        raise ConfigError("gamma values must be nonnegative")
-    if s.noise_kind == "none" and any(g > 0 for g in s.gammas):
-        raise ConfigError("noise kind 'none' cannot take positive gamma")
-
-    topology = args.topology or _lookup(cfg, "topology", "kind")
-    if topology is None:
-        topology = "2d" if command == "state-map" else "1d"
-    if topology not in TOPOLOGY_NAMES:
-        raise ConfigError(f"unknown topology {topology!r}")
-    s.topology_kind = TOPOLOGY_NAMES[topology]
-
-    n_text = args.n or _lookup(cfg, "topology", "n")
-    if n_text is not None:
-        s.ns = _parse_int_list(n_text, "n")
-    elif command == "state-map":
-        s.ns = (4,)
-    elif s.topology_kind == "line_1d":
-        s.ns = (3, 4, 5, 6, 7, 8)
-    else:
-        s.ns = (4, 6, 8, 10, 12)
-
-    order = args.order or _lookup(cfg, "topology", "order")
-    if order is None:
-        order = "both"
-    if order not in ORDER_NAMES:
-        raise ConfigError(f"unknown gate order {order!r}")
-    resolved_order = ORDER_NAMES[order]
-    s.orders = (
-        ("cnot_first", "cnot_last") if resolved_order == "both" else (resolved_order,)
-    )
-
-    alpha_text = args.alpha or _lookup(cfg, "sweep", "alpha")
-    if alpha_text is not None:
-        s.alphas = _parse_float_list(alpha_text, "alpha")
-        if any(a <= 0 for a in s.alphas):
-            raise ConfigError("alpha values must be positive")
-    else:
-        s.alphas = tuple(float(a) for a in np.geomspace(1.0, 100.0, 30))
-
-    grid_text = args.grid or _lookup(cfg, "map", "grid")
-    if grid_text is not None:
-        s.grid = _parse_grid(grid_text)
-
-    dt_text = _lookup(cfg, "integrator", "dt")
-    if args.dt is not None:
-        s.dt = args.dt
-    elif dt_text:
-        try:
-            s.dt = float(dt_text)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse integrator dt {dt_text!r}") from exc
-    if s.dt is not None and s.dt <= 0:
-        raise ConfigError("integrator dt must be positive")
-
-    workers_text = _lookup(cfg, "run", "workers")
-    if args.workers is not None:
-        s.workers = args.workers
-    elif workers_text:
-        try:
-            s.workers = int(workers_text)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse workers {workers_text!r}") from exc
-    if s.workers < 1:
-        raise ConfigError("workers must be at least 1")
-
-    seed_text = _lookup(cfg, "run", "seed")
-    if args.seed is not None:
-        s.seed = args.seed
-    elif seed_text:
-        try:
-            s.seed = int(seed_text)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse seed {seed_text!r}") from exc
-
-    out = args.out or _lookup(cfg, "run", "out")
-    s.out = out if out else f"{command}.csv"
-
-    force_text = _lookup(cfg, "run", "force_large_n")
-    s.force_large_n = bool(args.force_large_n) or (
-        _parse_bool(force_text, "force_large_n") if force_text else False
-    )
-
-    for key, lo_default, hi_default in (
-        ("amplitude", 0.0, 50.0),
-        ("width", 1e-4, 1.0),
-    ):
-        lo_text = _lookup(cfg, "calibration", f"{key}_min")
-        hi_text = _lookup(cfg, "calibration", f"{key}_max")
-        try:
-            lo = float(lo_text) if lo_text else lo_default
-            hi = float(hi_text) if hi_text else hi_default
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse calibration {key} bounds") from exc
-        if not hi > lo:
-            raise ConfigError(f"calibration {key} bounds are empty")
-        if key == "amplitude":
-            s.amplitude_bounds = (lo, hi)
-        else:
-            if lo <= 0:
-                raise ConfigError("width lower bound must be positive")
-            s.width_bounds = (lo, hi)
-
-    return s
-
-
-def settings_header(s: Settings) -> list[tuple[str, str]]:
-    pairs = {
-        "command": s.command,
-        "gate": s.gate,
-        "noise": s.noise_kind,
-        "gamma": ",".join(_fmt_float(g) for g in s.gammas),
-        "topology": s.topology_kind,
-        "n": ",".join(str(n) for n in s.ns),
-        "order": ",".join(s.orders),
-        "alpha": ",".join(_fmt_float(a) for a in s.alphas),
-        "grid": f"{s.grid[0]}x{s.grid[1]}",
-        "integrator_dt": "auto" if s.dt is None else _fmt_float(s.dt),
-        "workers": str(s.workers),
-        "seed": str(s.seed),
-        "out": s.out,
-        "force_large_n": str(s.force_large_n).lower(),
-        "amplitude_bounds": f"{_fmt_float(s.amplitude_bounds[0])},{_fmt_float(s.amplitude_bounds[1])}",
-        "width_bounds": f"{_fmt_float(s.width_bounds[0])},{_fmt_float(s.width_bounds[1])}",
-    }
-    pairs.update({k: str(v) for k, v in s.notes.items()})
-    return sorted(pairs.items())
-
-
-# ---------------------------------------------------------------------------
-# CSV emission
+# settings: one table row per key
 
 
 def _fmt_float(x: float) -> str:
@@ -396,6 +105,239 @@ def _fmt_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return _fmt_float(float(value))
     return str(value)
+
+
+def _show(value) -> str:
+    """Header text of a resolved setting; ``None`` is an automatic value."""
+    if value is None:
+        return "auto"
+    if isinstance(value, tuple):
+        return ",".join(_fmt_cell(v) for v in value)
+    return _fmt_cell(value)
+
+
+def _choice(what: str, names: dict):
+    """Parser for a name; ``names`` maps every accepted spelling to its value."""
+
+    def parse(text: str):
+        if text not in names:
+            raise ConfigError(f"unknown {what} {text!r}")
+        return names[text]
+
+    return parse
+
+
+def _parser(convert, what: str, valid=None, rule: str = ""):
+    """Parser that converts text, then checks the value against ``valid``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse {what} {text!r}") from exc
+        if valid is not None and not valid(value):
+            raise ConfigError(f"{what} {rule}")
+        return value
+
+    return parse
+
+
+def _items(convert):
+    """Converter for a nonempty comma-separated list."""
+
+    def items(text: str) -> tuple:
+        values = tuple(convert(tok) for tok in text.split(",") if tok.strip())
+        if not values:
+            raise ValueError("empty list")
+        return values
+
+    return items
+
+
+def _bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One setting: its attribute, header line, INI key, flag, default, parser.
+
+    ``flag`` is ``None`` for INI-only keys. ``default`` is a value, or a
+    function of the settings resolved so far (rows resolve in table order);
+    a row whose default is ``False`` has a switch for its flag. Rows that
+    share a ``header`` print as one comma-joined header line.
+    """
+
+    name: str
+    header: str
+    section: str
+    key: str
+    flag: str | None
+    default: object
+    parse: Callable[[str], object]
+    help: str = ""
+    show: Callable[[object], str] = _show
+
+
+# A value comes from its flag, else its INI key, else its default; an empty
+# value counts as unset. Flags hand their text to the same parser as the INI,
+# so both accept the same spellings.
+SETTINGS = (
+    Setting("gate", "gate", "gate", "kind", "--gate",
+            lambda v: "both" if v["command"] == "duration-sweep" else "swap",
+            _choice("gate kind", {kind: kind for kind in GATE_KINDS + ("both",)}),
+            "swap | cnot | cnot_rotated | both"),
+    Setting("noise_kind", "noise", "noise", "kind", "--noise",
+            lambda v: {"duration-sweep": "dephasing", "chain-sweep": "dephasing",
+                       "state-map": "amplitude_damping"}.get(v["command"], "none"),
+            _choice("noise kind", {"none": "none", "dephasing": "dephasing",
+                                   "amp": "amplitude_damping",
+                                   "amplitude_damping": "amplitude_damping"}),
+            "none | dephasing | amp (amplitude_damping)"),
+    Setting("gammas", "gamma", "noise", "gamma", "--gamma",
+            lambda v: (0.0,) if v["noise_kind"] == "none"
+            else (0.001, 0.01, 0.1) if v["command"] == "duration-sweep" else (0.1,),
+            _parser(_items(float), "gamma", lambda xs: all(0.0 <= x < np.inf for x in xs),
+                    "values must be finite and nonnegative"),
+            "comma-separated decay rates (inverse slots)"),
+    Setting("topology_kind", "topology", "topology", "kind", "--topology",
+            lambda v: "square_2d" if v["command"] == "state-map" else "line_1d",
+            _choice("topology", {"1d": "line_1d", "line_1d": "line_1d",
+                                 "2d": "square_2d", "square_2d": "square_2d"}),
+            "1d (line_1d) | 2d (square_2d)"),
+    Setting("ns", "n", "topology", "n", "--n",
+            lambda v: (4,) if v["command"] == "state-map"
+            else (3, 4, 5, 6, 7, 8) if v["topology_kind"] == "line_1d"
+            else (4, 6, 8, 10, 12),
+            _parser(_items(int), "n"), "comma-separated chain sizes"),
+    Setting("orders", "order", "topology", "order", "--order", ("cnot_first", "cnot_last"),
+            _choice("gate order", {"cnot-first": ("cnot_first",),
+                                   "cnot_first": ("cnot_first",),
+                                   "cnot-last": ("cnot_last",),
+                                   "cnot_last": ("cnot_last",),
+                                   "both": ("cnot_first", "cnot_last")}),
+            "cnot-first | cnot-last | both"),
+    Setting("alphas", "alpha", "sweep", "alpha", "--alpha",
+            tuple(float(a) for a in np.geomspace(1.0, 100.0, 30)),
+            _parser(_items(float), "alpha", lambda xs: all(0.0 < x < np.inf for x in xs),
+                    "values must be finite and positive"),
+            "comma-separated duration factors"),
+    Setting("grid", "grid", "map", "grid", "--grid", (64, 64),
+            _parser(lambda text: tuple(int(k) for k in text.lower().split("x")), "grid",
+                    lambda grid: len(grid) == 2 and min(grid) >= 2,
+                    "must be two sizes of at least 2, like 64x64"),
+            "map resolution, e.g. 64x64", lambda grid: f"{grid[0]}x{grid[1]}"),
+    Setting("dt", "integrator_dt", "integrator", "dt", "--dt", None,
+            _parser(float, "integrator dt", lambda dt: dt > 0.0, "must be positive"),
+            "integrator step (slot units; must divide every slot)"),
+    Setting("workers", "workers", "run", "workers", "--workers", 1,
+            _parser(int, "workers", lambda w: w >= 1, "must be at least 1"),
+            "parallel worker count"),
+    Setting("seed", "seed", "run", "seed", "--seed", 0,
+            _parser(int, "seed", lambda seed: seed >= 0, "must be nonnegative"),
+            "seed for calibration starts"),
+    Setting("out", "out", "run", "out", "--out", lambda v: f"{v['command']}.csv", str,
+            "output CSV path"),
+    Setting("force_large_n", "force_large_n", "run", "force_large_n", "--force-large-n",
+            False, _parser(_bool, "force_large_n boolean"),
+            f"allow a noisy live register over {LINDBLAD_MAX_QUBITS} sites"),
+    Setting("amplitude_min", "amplitude_bounds", "calibration", "amplitude_min", None,
+            0.0, _parser(float, "calibration amplitude_min")),
+    Setting("amplitude_max", "amplitude_bounds", "calibration", "amplitude_max", None,
+            50.0, _parser(float, "calibration amplitude_max")),
+    Setting("width_min", "width_bounds", "calibration", "width_min", None,
+            1e-4, _parser(float, "calibration width_min")),
+    Setting("width_max", "width_bounds", "calibration", "width_max", None,
+            1.0, _parser(float, "calibration width_max")),
+)
+
+# ``[experiment] kind`` names the subcommand a config file is written for.
+CONFIG_KEYS = {(row.section, row.key) for row in SETTINGS} | {("experiment", "kind")}
+
+
+class Settings(SimpleNamespace):
+    """Resolved settings: ``command`` plus one attribute per ``SETTINGS`` row."""
+
+    def noise(self, gamma: float) -> NoiseModel:
+        if self.noise_kind == "none" or gamma == 0.0:
+            return NoiseModel("none")
+        return NoiseModel(self.noise_kind, gamma)
+
+
+def load_config_file(path: str) -> dict[str, dict[str, str]]:
+    parser = configparser.ConfigParser()
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    if not read:
+        raise ConfigError(f"config file {path!r} not found")
+    sections = {section for section, _ in CONFIG_KEYS}
+    data: dict[str, dict[str, str]] = {}
+    for section in parser.sections():
+        if section not in sections:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key, value in parser.items(section):
+            if (section, key) not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {key!r} in [{section}]")
+            data.setdefault(section, {})[key] = value.strip()
+    return data
+
+
+def resolve_settings(args: argparse.Namespace) -> Settings:
+    cfg = load_config_file(args.config) if args.config else {}
+    kind = cfg.get("experiment", {}).get("kind")
+    if kind and kind != args.command:
+        raise ConfigError(
+            f"[experiment] kind {kind!r} does not match the subcommand {args.command!r}"
+        )
+
+    values = {"command": args.command}
+    for row in SETTINGS:
+        text = getattr(args, row.name, None) or cfg.get(row.section, {}).get(row.key)
+        if text:
+            values[row.name] = row.parse(text)
+        else:
+            values[row.name] = row.default(values) if callable(row.default) else row.default
+    s = Settings(**values)
+
+    if s.noise_kind == "none" and any(g > 0 for g in s.gammas):
+        raise ConfigError("noise kind 'none' cannot take positive gamma")
+    for what, lo, hi in (
+        ("amplitude", s.amplitude_min, s.amplitude_max),
+        ("width", s.width_min, s.width_max),
+    ):
+        if not hi > lo:
+            raise ConfigError(f"calibration {what} bounds are empty")
+    if s.width_min <= 0:
+        raise ConfigError("width lower bound must be positive")
+    # The library's own rules, checked before any case runs: dt must divide
+    # every slot the command integrates over, and each chain must exist.
+    slots = {"calibrate": (), "duration-sweep": s.alphas}.get(s.command, (1.0,))
+    chains = s.ns if s.command in ("chain-sweep", "state-map") else ()
+    try:
+        for slot in slots:
+            _resolve_steps(slot, IntegratorConfig(dt=s.dt))
+        for n in chains:
+            ChainTopology(s.topology_kind, n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return s
+
+
+def settings_header(s: Settings) -> list[tuple[str, str]]:
+    pairs = {"command": s.command}
+    for row in SETTINGS:
+        shown = row.show(getattr(s, row.name))
+        pairs[row.header] = f"{pairs[row.header]},{shown}" if row.header in pairs else shown
+    return sorted(pairs.items())
+
+
+# ---------------------------------------------------------------------------
+# CSV emission
 
 
 def write_csv(
@@ -413,6 +355,13 @@ def write_csv(
         lines.append(",".join(_fmt_cell(cell) for cell in row))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def output_path(out: str, suffix: str) -> str:
+    """``out`` itself for the main file; ``<stem><suffix>.csv`` beside it."""
+    if not suffix:
+        return out
+    return (out[: -len(".csv")] if out.endswith(".csv") else out) + suffix + ".csv"
 
 
 def run_jobs(jobs, workers: int) -> list:
@@ -441,6 +390,12 @@ def _single_gate(s: Settings) -> GateSpec:
     return GATE_BUILDERS[s.gate](1, 2)
 
 
+def _single_gamma(s: Settings) -> float:
+    if len(s.gammas) != 1:
+        raise ConfigError(f"{s.command} takes a single gamma")
+    return s.gammas[0]
+
+
 _KET_ZERO = np.array([1.0, 0.0], dtype=complex)
 _KET_ONE = np.array([0.0, 1.0], dtype=complex)
 _KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -455,8 +410,8 @@ TRACE_INPUTS = (
 def run_trace(s: Settings):
     """Per-step fidelity toward the ideal gate output, plus drive values."""
     gate = _single_gate(s)
+    noise = s.noise(_single_gamma(s))
     pulses = materialize_channel_pulses(gate.params, 0.0, 1.0)
-    noise = s.noise(s.gammas[0])
     cfg = IntegratorConfig(dt=s.dt)
     ideal = ideal_gate_matrix(gate.kind)
     inputs = [np.kron(control, _KET_ZERO) for _, control in TRACE_INPUTS]
@@ -489,38 +444,31 @@ def run_trace(s: Settings):
 
     columns = ["t"] + [name for name, _ in TRACE_INPUTS]
     columns += [f"j_channel_{i + 1}" for i in range(len(pulses))]
-    rows = []
-    for idx, t in enumerate(times):
-        row = [t] + [col[idx] for col in fidelity_columns]
-        row += [pulse.value(t) for pulse in pulses]
-        rows.append(tuple(row))
-    return columns, rows
+    rows = [
+        (t, *(col[idx] for col in fidelity_columns), *(pulse.value(t) for pulse in pulses))
+        for idx, t in enumerate(times)
+    ]
+    return [("", [], columns, rows)], EXIT_OK
 
 
 def run_duration_sweep(s: Settings):
     """Gate fidelity for stretched gates, over gates x gammas x alphas."""
     gates = ("swap", "cnot") if s.gate == "both" else (s.gate,)
     psi0 = np.kron(_KET_PLUS, _KET_ZERO)
-
-    cases = [
-        (kind, gamma, alpha)
-        for kind in gates
-        for gamma in s.gammas
-        for alpha in s.alphas
-    ]
+    cfg = IntegratorConfig(dt=s.dt)
+    cases = list(product(gates, s.gammas, s.alphas))
 
     def job(kind, gamma, alpha):
         gate = GATE_BUILDERS[kind](1, 2)
-        cfg = IntegratorConfig(dt=s.dt)
         return gate_fidelity(psi0, gate, s.noise(gamma), alpha, cfg)
 
     values = run_jobs([lambda c=c: job(*c) for c in cases], s.workers)
     columns = ["duration", "gamma", "gate", "fidelity", "dt"]
     rows = [
-        (alpha, gamma, kind, value, s.effective_dt(alpha))
+        (alpha, gamma, kind, value, _resolve_steps(alpha, cfg)[1])
         for (kind, gamma, alpha), value in zip(cases, values)
     ]
-    return columns, rows
+    return [("", [], columns, rows)], EXIT_OK
 
 
 def _check_lindblad_size(s: Settings, circuits) -> None:
@@ -553,12 +501,10 @@ def run_chain_sweep(s: Settings):
             circuits[(n, order)] = build_transport_circuit(topology, order)
     _check_lindblad_size(s, circuits.values())
 
-    cases = [
-        (n, order, gamma) for n in s.ns for order in s.orders for gamma in s.gammas
-    ]
+    cfg = IntegratorConfig(dt=s.dt)
+    cases = list(product(s.ns, s.orders, s.gammas))
 
     def job(n, order, gamma):
-        cfg = IntegratorConfig(dt=s.dt)
         return transport_fidelity(
             circuits[(n, order)], _KET_ZERO, noise=s.noise(gamma), cfg=cfg
         )
@@ -566,21 +512,19 @@ def run_chain_sweep(s: Settings):
     values = run_jobs([lambda c=c: job(*c) for c in cases], s.workers)
     columns = ["n", "topology", "order", "gamma", "noise", "fidelity", "dt"]
     rows = [
-        (n, topology_kind, order, gamma, s.noise_kind, value, s.effective_dt(1.0))
+        (n, topology_kind, order, gamma, s.noise_kind, value, _resolve_steps(1.0, cfg)[1])
         for (n, order, gamma), value in zip(cases, values)
     ]
-    return columns, rows
+    return [("", [], columns, rows)], EXIT_OK
 
 
 def run_state_map(s: Settings):
     """Fidelity-difference map plus its zero contour and cosine fit."""
     if s.topology_kind != "square_2d" or tuple(s.ns) != (4,):
         raise ConfigError("state-map runs on the square_2d topology with n = 4")
-    if len(s.gammas) != 1:
-        raise ConfigError("state-map takes a single gamma")
+    gamma = _single_gamma(s)
     if len(s.orders) != 2:
         raise ConfigError("state-map compares both gate orders; drop --order")
-    gamma = s.gammas[0]
 
     thetas, phis = default_map_grid(*s.grid)
     topology = ChainTopology("square_2d", 4)
@@ -589,50 +533,35 @@ def run_state_map(s: Settings):
     )
 
     columns = ["theta", "phi", "f_cnot_first", "f_cnot_last", "delta_f"]
-    rows = []
-    for i, theta in enumerate(thetas):
-        for j, phi in enumerate(phis):
-            rows.append(
-                (
-                    theta,
-                    phi,
-                    fmap.fidelity_cnot_first[i, j],
-                    fmap.fidelity_cnot_last[i, j],
-                    fmap.delta[i, j],
-                )
-            )
+    first, last, delta = fmap.fidelity_cnot_first, fmap.fidelity_cnot_last, fmap.delta
+    rows = [
+        (theta, phi, first[i, j], last[i, j], delta[i, j])
+        for i, theta in enumerate(thetas)
+        for j, phi in enumerate(phis)
+    ]
 
+    # Fewer than two contour points leave the fit, and every fitted theta, NaN.
     contour = zero_contour(fmap)
+    a = b = residual = float("nan")
     if contour.shape[0] >= 2:
         a, b, residual = fit_cos_two_phi(contour)
-        fit_rows = [
-            (phi, theta, a * np.cos(2.0 * phi) + b) for phi, theta in contour
-        ]
-    else:
-        a = b = residual = float("nan")
-        fit_rows = [(phi, theta, float("nan")) for phi, theta in contour]
-    contour_header = [
-        ("fit_a", _fmt_float(a)),
-        ("fit_b", _fmt_float(b)),
-        ("fit_rms_residual", _fmt_float(residual)),
-    ]
+    fit_rows = [(phi, theta, a * np.cos(2.0 * phi) + b) for phi, theta in contour]
+    fit = {"fit_a": a, "fit_b": b, "fit_rms_residual": residual}
+    contour_header = [(key, _fmt_float(value)) for key, value in fit.items()]
     contour_columns = ["phi", "theta", "fit_theta"]
-    return columns, rows, (contour_columns, fit_rows, contour_header)
-
-
-def contour_path(out: str) -> str:
-    return out[: -len(".csv")] + ".contour.csv" if out.endswith(".csv") else out + ".contour.csv"
+    return [
+        ("", [], columns, rows),
+        (".contour", contour_header, contour_columns, fit_rows),
+    ], EXIT_OK
 
 
 def run_calibrate(s: Settings):
     """Search pulse parameters; report the best record even on failure."""
-    gate = s.gate
-    if gate == "both":
-        raise ConfigError("calibrate takes a single gate kind, not 'both'")
+    gate = _single_gate(s).kind
     problem = CalibrationProblem(
         kind=gate,
-        amplitude_bounds=s.amplitude_bounds,
-        width_bounds=s.width_bounds,
+        amplitude_bounds=(s.amplitude_min, s.amplitude_max),
+        width_bounds=(s.width_min, s.width_max),
     )
     result = calibrate(problem, rng_seed=s.seed)
     pairs = problem.parameter_pairs(result.params)
@@ -643,20 +572,22 @@ def run_calibrate(s: Settings):
     for index, (amplitude, width) in enumerate(pairs, start=1):
         columns += [f"amplitude_{index}", f"width_{index}", f"area_{index}"]
         row += [amplitude, width, areas[index - 1]]
-    columns += [
-        "objective",
-        "f_00",
-        "f_01",
-        "f_10",
-        "f_11",
-        "f_superposition",
-        "success",
-        "seed_index",
-        "n_evaluations",
-    ]
+    columns += ["objective", "f_00", "f_01", "f_10", "f_11", "f_superposition"]
+    columns += ["success", "seed_index", "n_evaluations"]
     row += [result.objective_value, *result.per_state_fidelities]
     row += [result.success, result.seed_index, result.n_evaluations]
-    return columns, [tuple(row)], result.success
+    return [("", [], columns, [tuple(row)])], (
+        EXIT_OK if result.success else EXIT_CALIBRATION
+    )
+
+
+RUNNERS = {
+    "calibrate": run_calibrate,
+    "trace": run_trace,
+    "duration-sweep": run_duration_sweep,
+    "chain-sweep": run_chain_sweep,
+    "state-map": run_state_map,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -669,68 +600,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spin-chain transport simulator: calibration, sweeps, maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="INI config file; flags override it")
-        p.add_argument("--gate", choices=list(GATE_KINDS) + ["both"])
-        p.add_argument("--noise", choices=["none", "dephasing", "amp"])
-        p.add_argument("--gamma", help="comma-separated decay rates (inverse slots)")
-        p.add_argument("--topology", choices=["1d", "2d"])
-        p.add_argument("--order", choices=["cnot-first", "cnot-last", "both"])
-        p.add_argument("--n", help="comma-separated chain sizes")
-        p.add_argument("--alpha", help="comma-separated duration factors")
-        p.add_argument("--grid", help="map resolution, e.g. 64x64")
-        p.add_argument("--dt", type=float, help="integrator step (slot units)")
-        p.add_argument("--workers", type=int, help="parallel worker count")
-        p.add_argument("--seed", type=int, help="seed for calibration starts")
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--force-large-n", action="store_true")
+        for row in (row for row in SETTINGS if row.flag):
+            how = {"metavar": row.flag[2:].upper()}
+            if row.default is False:  # a switch: present means "true"
+                how = {"action": "store_const", "const": "true"}
+            p.add_argument(row.flag, dest=row.name, help=row.help, **how)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return EXIT_CONFIG if code not in (0, None) else EXIT_OK
+        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
 
-    exit_code = EXIT_OK
     try:
         settings = resolve_settings(args)
         started = time.perf_counter()
-        if settings.command == "trace":
-            columns, rows = run_trace(settings)
-        elif settings.command == "duration-sweep":
-            columns, rows = run_duration_sweep(settings)
-        elif settings.command == "chain-sweep":
-            columns, rows = run_chain_sweep(settings)
-        elif settings.command == "state-map":
-            columns, rows, contour = run_state_map(settings)
-        else:
-            columns, rows, success = run_calibrate(settings)
-            if not success:
-                exit_code = EXIT_CALIBRATION
+        files, exit_code = RUNNERS[settings.command](settings)
         wall = time.perf_counter() - started
         header = settings_header(settings)
-        write_csv(settings.out, header, columns, rows, wall)
-        if settings.command == "state-map":
-            contour_columns, contour_rows, contour_extra = contour
-            write_csv(
-                contour_path(settings.out),
-                header + contour_extra,
-                contour_columns,
-                contour_rows,
-                wall,
-            )
-        if exit_code == EXIT_CALIBRATION:
-            print(
-                "calibration failed to reach the success threshold; "
-                f"best record written to {settings.out}",
-                file=sys.stderr,
-            )
-        return exit_code
+        for suffix, extra, columns, rows in files:
+            write_csv(output_path(settings.out, suffix), header + extra, columns, rows, wall)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -738,8 +632,12 @@ def main(argv=None) -> int:
         print(f"integrator abort: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    if exit_code == EXIT_CALIBRATION:
+        print("calibration failed to reach the success threshold; "
+              f"best record written to {settings.out}", file=sys.stderr)
+    return exit_code
 
 
 def main_entry() -> None:

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
+import configparser
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,8 +211,9 @@ def test_state_map_tiny_grid(tmp_path):
 
 
 def test_contour_path_naming():
-    assert cli.contour_path("maps/run.csv") == "maps/run.contour.csv"
-    assert cli.contour_path("plain") == "plain.contour.csv"
+    assert cli.output_path("maps/run.csv", ".contour") == "maps/run.contour.csv"
+    assert cli.output_path("plain", ".contour") == "plain.contour.csv"
+    assert cli.output_path("plain", "") == "plain"
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +331,15 @@ def test_header_records_resolved_settings(tmp_path):
         ["state-map", "--gamma", "0.1,0.2"],
         ["state-map", "--grid", "8x"],
         ["duration-sweep", "--alpha", "1", "--gamma", "zero"],
+        ["trace", "--noise", "dephasing", "--gamma", "0.1,0.5"],
+        ["duration-sweep", "--dt", "0.001"],  # does not divide alpha = 1.172
+        ["chain-sweep", "--topology", "2d", "--n", "5"],
+        ["chain-sweep", "--n", "1"],
+        ["calibrate", "--seed", "-1"],
+        ["chain-sweep", "--workers", "abc"],
+        ["trace", "--gate", "hadamard"],
+        ["chain-sweep", "--noise", "dephasing", "--gamma", "inf"],
+        ["duration-sweep", "--alpha", "1,inf"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -335,6 +347,46 @@ def test_bad_settings_exit_2(tmp_path, argv, capsys):
     code, _ = run(tmp_path, argv)
     assert code == 2
     assert capsys.readouterr().err != ""
+
+
+def test_bad_dt_is_refused_before_any_case_runs(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "gate_fidelity", lambda *args: calls.append(args) or 1.0)
+    code, out = run(tmp_path, ["duration-sweep", "--dt", "0.001"])
+    assert code == 2
+    assert calls == [] and not out.exists()
+    assert "does not divide the slot duration" in capsys.readouterr().err
+
+
+def test_library_value_error_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("broken invariant")
+
+    monkeypatch.setattr(cli, "transport_fidelity", broken)
+    code, _ = run(tmp_path, ["chain-sweep", "--noise", "none", "--n", "3"])
+    assert code == 5
+    assert capsys.readouterr().err == "internal error: broken invariant\n"
+
+
+def test_experiment_kind_must_match_the_subcommand(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[experiment]\nkind = chain-sweep\n")
+    code, out = run(tmp_path, ["trace", "--config", str(config)])
+    assert code == 2 and not out.exists()
+    assert "does not match the subcommand 'trace'" in capsys.readouterr().err
+
+    config.write_text("[experiment]\nkind = trace\n")
+    code, out = run(tmp_path, ["trace", "--config", str(config)])
+    assert code == 0
+    assert header_value(out, "command") == "trace"
+
+
+def test_malformed_config_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "flat.ini"
+    config.write_text("gamma = 0.1\n")  # no section header
+    code, _ = run(tmp_path, ["trace", "--config", str(config)])
+    assert code == 2
+    assert "config error: cannot read config file" in capsys.readouterr().err
 
 
 def test_unknown_config_entries_exit_2(tmp_path):
@@ -440,3 +492,98 @@ def test_unstable_step_aborts_with_exit_4(tmp_path, capsys):
     )
     assert code == 4
     assert "integrator abort: trace drifted" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the settings table: flag/INI parity and the documented schema
+# ---------------------------------------------------------------------------
+
+def resolved_header(tmp_path, argv, ini=""):
+    """Header pairs of the settings ``argv`` resolves to, without running."""
+    if ini:
+        config = tmp_path / "parity.ini"
+        config.write_text(ini)
+        argv = argv + ["--config", str(config)]
+    args = cli._build_parser().parse_args(argv)
+    return dict(cli.settings_header(cli.resolve_settings(args)))
+
+
+FLAGGED = [row for row in cli.SETTINGS if row.flag]
+
+# every accepted spelling of each named setting, and the header value it means
+SPELLINGS = {
+    "gate": {"swap": "swap", "cnot": "cnot", "cnot_rotated": "cnot_rotated", "both": "both"},
+    "noise_kind": {
+        "none": "none",
+        "dephasing": "dephasing",
+        "amp": "amplitude_damping",
+        "amplitude_damping": "amplitude_damping",
+    },
+    "topology_kind": {"1d": "line_1d", "line_1d": "line_1d", "2d": "square_2d", "square_2d": "square_2d"},
+    "orders": {
+        "cnot-first": "cnot_first",
+        "cnot_first": "cnot_first",
+        "cnot-last": "cnot_last",
+        "cnot_last": "cnot_last",
+        "both": "cnot_first,cnot_last",
+    },
+}
+
+# row name: (INI text, flag text or None for a switch, header value of the flag)
+OVERRIDES = {
+    "gate": ("cnot", "swap", "swap"),
+    "noise_kind": ("dephasing", "amp", "amplitude_damping"),
+    "gammas": ("0.02", "0.05", "0.05"),
+    "topology_kind": ("2d", "1d", "line_1d"),
+    "ns": ("4", "6,8", "6,8"),
+    "orders": ("cnot-first", "both", "cnot_first,cnot_last"),
+    "alphas": ("1,2", "5", "5"),
+    "grid": ("8x8", "4x6", "4x6"),
+    "dt": ("0.01", "0.001", "0.001"),
+    "workers": ("3", "2", "2"),
+    "seed": ("7", "3", "3"),
+    "out": ("a.csv", "b.csv", "b.csv"),
+    "force_large_n": ("false", None, "true"),
+}
+
+
+@pytest.mark.parametrize(
+    "row, spelling",
+    [
+        (row, spelling)
+        for row in FLAGGED
+        if row.name in SPELLINGS
+        for spelling in SPELLINGS[row.name]
+    ],
+    ids=lambda value: getattr(value, "name", value),
+)
+def test_flag_and_ini_accept_the_same_spellings(tmp_path, row, spelling):
+    from_flag = resolved_header(tmp_path, ["chain-sweep", row.flag, spelling])
+    ini = f"[{row.section}]\n{row.key} = {spelling}\n"
+    from_ini = resolved_header(tmp_path, ["chain-sweep"], ini)
+    assert from_flag[row.header] == from_ini[row.header] == SPELLINGS[row.name][spelling]
+
+
+def test_every_flag_has_an_override_case():
+    assert set(OVERRIDES) == {row.name for row in FLAGGED}
+
+
+@pytest.mark.parametrize("row", FLAGGED, ids=lambda row: row.name)
+def test_every_flag_overrides_its_ini_key(tmp_path, row):
+    ini_text, flag_text, expected = OVERRIDES[row.name]
+    ini = f"[{row.section}]\n{row.key} = {ini_text}\n"
+    from_ini = resolved_header(tmp_path, ["chain-sweep"], ini)
+    argv = ["chain-sweep", row.flag] + ([flag_text] if flag_text else [])
+    from_both = resolved_header(tmp_path, argv, ini)
+    assert from_ini[row.header] != expected
+    assert from_both[row.header] == expected
+
+
+def test_readme_schema_matches_the_settings_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    schema = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    schema.read_string(block)
+    documented = {(section, key) for section in schema.sections() for key in schema[section]}
+    table = {(row.section, row.key) for row in cli.SETTINGS}
+    assert documented == table | {("experiment", "kind")}
