@@ -24,7 +24,6 @@ from .circuits import (
     fidelity_difference_map,
     fit_cos_two_phi,
     transport_fidelity,
-    transport_input,
     zero_contour,
 )
 from .dynamics import (
@@ -113,6 +112,5 @@ __all__ = [
     "slot_unitary",
     "swap_gate",
     "transport_fidelity",
-    "transport_input",
     "zero_contour",
 ]

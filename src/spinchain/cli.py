@@ -14,11 +14,12 @@ Settings resolve in precedence order: command-line flags, then the
 timestamps and wall time appear only there, so CSV bodies are
 byte-identical across reruns and worker counts.
 
-Noiseless runs apply one closed-form unitary per gate and slot; noisy runs
-use the factored master-equation integrator (16x16 pair propagators plus
-idle-site channels), and noisy transport holds only the circuit's light
-cone. A noisy ``trace`` steps one gate's pair propagator and reads every
-step from that one integration.
+Noiseless gates apply one closed-form unitary per slot; noisy gates use
+the factored master-equation integrator (16x16 pair propagators plus
+idle-site channels). Transport contracts the circuit site by site, so a
+chain of any length runs in time linear in its length. A noisy ``trace``
+steps one gate's pair propagator and reads every step from that one
+integration.
 
 Units: times in units of the base slot, pulse amplitudes in units of the
 base energy scale (with hbar = 1), pulse widths in slot-squared, and
@@ -26,8 +27,9 @@ dephasing/damping rates in inverse slots.
 
 Exit codes: 0 success, 2 configuration error (a bad flag or INI value,
 an unknown INI key, or a ``[experiment] kind`` that is not the subcommand),
-3 calibration failure, 4 integrator abort (trace drift or lost
-normalisation), 5 internal error (any other library ``ValueError``).
+3 calibration failure, 4 integrator abort (trace drift, a pair propagator
+that is not finite and trace-preserving, or lost normalisation), 5 internal
+error (any other library ``ValueError``).
 """
 
 from __future__ import annotations
@@ -81,8 +83,6 @@ EXIT_CONFIG = 2
 EXIT_CALIBRATION = 3
 EXIT_INTEGRATOR = 4
 EXIT_INTERNAL = 5
-
-LINDBLAD_MAX_QUBITS = 14
 
 
 class ConfigError(Exception):
@@ -154,21 +154,13 @@ def _items(convert):
     return items
 
 
-def _bool(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
-    except KeyError:
-        raise ValueError(text) from None
-
-
 @dataclass(frozen=True)
 class Setting:
     """One setting: its attribute, header line, INI key, flag, default, parser.
 
     ``flag`` is ``None`` for INI-only keys. ``default`` is a value, or a
-    function of the settings resolved so far (rows resolve in table order);
-    a row whose default is ``False`` has a switch for its flag. Rows that
-    share a ``header`` print as one comma-joined header line.
+    function of the settings resolved so far (rows resolve in table order).
+    Rows that share a ``header`` print as one comma-joined header line.
     """
 
     name: str
@@ -241,9 +233,6 @@ SETTINGS = (
             "seed for calibration starts"),
     Setting("out", "out", "run", "out", "--out", lambda v: f"{v['command']}.csv", str,
             "output CSV path"),
-    Setting("force_large_n", "force_large_n", "run", "force_large_n", "--force-large-n",
-            False, _parser(_bool, "force_large_n boolean"),
-            f"allow a noisy live register over {LINDBLAD_MAX_QUBITS} sites"),
     Setting("amplitude_min", "amplitude_bounds", "calibration", "amplitude_min", None,
             0.0, _parser(float, "calibration amplitude_min")),
     Setting("amplitude_max", "amplitude_bounds", "calibration", "amplitude_max", None,
@@ -471,22 +460,6 @@ def run_duration_sweep(s: Settings):
     return [("", [], columns, rows)], EXIT_OK
 
 
-def _check_lindblad_size(s: Settings, circuits) -> None:
-    """Refuse noisy runs whose live register exceeds
-    ``LINDBLAD_MAX_QUBITS`` sites unless forced."""
-    if s.noise_kind == "none" or max(s.gammas) == 0.0 or s.force_large_n:
-        return
-    width = max(circuit.live_width for circuit in circuits)
-    if width <= LINDBLAD_MAX_QUBITS:
-        return
-    per_copy = 16.0 * 4.0**width / 2.0**30
-    raise ConfigError(
-        f"a Lindblad run with a live register of w={width} qubits holds "
-        f"~{per_copy:.1f} GiB per density-matrix copy (several copies live "
-        f"at once); rerun with --force-large-n to proceed anyway"
-    )
-
-
 def run_chain_sweep(s: Settings):
     """Transport fidelity over chain sizes, orders, and noise rates.
 
@@ -499,7 +472,6 @@ def run_chain_sweep(s: Settings):
         topology = ChainTopology(topology_kind, n)
         for order in s.orders:
             circuits[(n, order)] = build_transport_circuit(topology, order)
-    _check_lindblad_size(s, circuits.values())
 
     cfg = IntegratorConfig(dt=s.dt)
     cases = list(product(s.ns, s.orders, s.gammas))
@@ -604,10 +576,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="INI config file; flags override it")
         for row in (row for row in SETTINGS if row.flag):
-            how = {"metavar": row.flag[2:].upper()}
-            if row.default is False:  # a switch: present means "true"
-                how = {"action": "store_const", "const": "true"}
-            p.add_argument(row.flag, dest=row.name, help=row.help, **how)
+            p.add_argument(row.flag, dest=row.name, metavar=row.flag[2:].upper(),
+                           help=row.help)
     return parser
 
 

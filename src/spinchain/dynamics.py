@@ -20,25 +20,27 @@ Noisy slots
     integrated by fixed-step RK4 and cached, and closed-form single-site
     channels on the idle sites.
 
-Light cone
-    The noise is local too, so transport from product inputs need not
-    hold the whole chain (causal-cone locality, as in Vidal, PRL 91,
-    147902 (2003)). A site that no gate has touched yet is still in a
-    product state: its input under its own idle channel. A site that no
-    gate touches again can be traced out at once, because its later
-    channels act on it alone and commute with the partial trace.
-    :func:`evolve_lindblad_product` therefore joins each site at its
-    first gate and traces it out after its last, unless it is read out;
-    :func:`live_register_width` is the widest register that leaves, 4
-    sites on the two-row ladder for any length. Both entry points run
-    each slot through one function.
+Contraction along the chain
+    Transport from product inputs is a tensor network with one wire per
+    site: its input, the closed-form idle channel over each gap between
+    its gates (the idle channels form a semigroup), its gates in slot
+    order, then a trace, or an open leg for a readout site. Each gate is
+    a (4, 4, 4, 4) tensor: its pair propagator, or ``kron(U, U*)`` of its
+    slot unitary when noiseless. :func:`evolve_lindblad_product` cuts
+    that network by site instead of by time (Markov & Shi, SIAM J.
+    Comput. 38, 963 (2008)): sites join one frontier tensor in index
+    order, a gate's first site brings in the whole gate and its second
+    site closes the gate's legs. On the transport circuits the frontier
+    never exceeds 1024 entries, so the cost is linear in the length.
 
 Pulses are truncated to their slot. Whether a grid point carries drive is
 decided by its step index (the slot-end point never does), so results do
 not depend on how accumulated step times round near the slot edge.
 
 Trace is monitored, never renormalised: drift beyond ``TRACE_ABORT_TOL``
-raises :class:`TraceDriftError` so integrator bugs cannot hide.
+(a NaN trace included) raises :class:`TraceDriftError`, and so does a
+pair propagator that is not finite and trace-preserving when it is built,
+so integrator bugs cannot hide.
 """
 
 from __future__ import annotations
@@ -107,6 +109,10 @@ class NoiseModel:
 NOISELESS = NoiseModel(kind="none")
 
 
+def _is_noiseless(noise: NoiseModel) -> bool:
+    return noise.kind == "none" or noise.gamma == 0.0
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step size. ``dt=None`` resolves to slot_duration/1000."""
@@ -135,7 +141,7 @@ def _resolve_steps(slot_duration: float, cfg: IntegratorConfig) -> tuple[int, fl
 
 def _check_trace(rho: np.ndarray, where: str):
     drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-    if drift > TRACE_ABORT_TOL:
+    if not drift <= TRACE_ABORT_TOL:  # a NaN trace fails too
         raise TraceDriftError(f"trace drifted by {drift:.3e} {where}")
 
 
@@ -255,6 +261,7 @@ def evolve_unitary(
 # Noisy slots: exact factorisation into pair propagators and idle channels
 
 _I4 = np.eye(4, dtype=complex)
+_VEC_I4 = _I4.reshape(16)
 _PAIR_PROP_CACHE = BuildOnce()
 
 
@@ -284,6 +291,8 @@ def _pair_rk4(
     across one slot, by fixed-step RK4 on the propagator itself.
 
     The observer, when given, is called with ``(t, phi)`` after each step.
+    A finished map that is not finite or not trace-preserving to
+    ``TRACE_ABORT_TOL`` raises :class:`TraceDriftError`.
     """
     blocks = gate_channel_blocks(kind)
     pulses = materialize_channel_pulses(params, 0.0, duration)
@@ -321,6 +330,11 @@ def _pair_rk4(
         phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if observer is not None:
             observer(m * dt + dt, phi)
+    error = np.max(np.abs(_VEC_I4 @ phi - _VEC_I4))
+    if not (np.all(np.isfinite(phi)) and error <= TRACE_ABORT_TOL):
+        raise TraceDriftError(
+            f"the {kind} pair propagator is not trace-preserving (error {error:.3e})"
+        )
     return phi
 
 
@@ -358,109 +372,31 @@ def gate_superoperator(
     return _pair_rk4(gate.kind, gate.params, noise, 1.0, dt, observer)
 
 
-def _apply_pair_superop(
-    rho: np.ndarray, phi: np.ndarray, qubits: tuple[int, int], n: int
+def _apply_superop(
+    rho: np.ndarray, phi: np.ndarray, qubits: tuple[int, ...], n: int
 ) -> np.ndarray:
-    i, j = qubits
-    t = rho.reshape((2,) * (2 * n))
-    axes = (i - 1, j - 1, n + i - 1, n + j - 1)
-    t = np.moveaxis(t, axes, (0, 1, 2, 3))
+    """Apply a row-major superoperator on the sites ``qubits`` (one or two)."""
+    axes = [q - 1 for q in qubits] + [n + q - 1 for q in qubits]
+    front = list(range(len(axes)))
+    t = np.moveaxis(rho.reshape((2,) * (2 * n)), axes, front)
     shape = t.shape
-    t = phi @ t.reshape(16, -1)
-    t = np.moveaxis(t.reshape(shape), (0, 1, 2, 3), axes)
+    t = phi @ t.reshape(phi.shape[1], -1)
+    t = np.moveaxis(t.reshape(shape), front, axes)
     return np.ascontiguousarray(t).reshape(rho.shape)
 
 
-def _apply_idle_channels(
-    rho: np.ndarray, idle_sites, noise: NoiseModel, tau: float, n: int
-):
-    """Exact single-site channels on idle sites, in place."""
-    if noise.kind == "none" or noise.gamma == 0.0 or not idle_sites:
-        return
-    t = rho.reshape((2,) * (2 * n))
-
-    def block(site, row_bit, col_bit):
-        sl = [slice(None)] * (2 * n)
-        sl[site - 1] = row_bit
-        sl[n + site - 1] = col_bit
-        return tuple(sl)
-
+def _idle_superop(noise: NoiseModel, duration: float) -> np.ndarray:
+    """Row-major 4x4 map of one site idling for ``duration``, in closed
+    form; the idle channels form a semigroup, so any gap is one map."""
     if noise.kind == "dephasing":
-        f = np.exp(-2.0 * noise.gamma * tau)
-        for s in idle_sites:
-            t[block(s, 0, 1)] *= f
-            t[block(s, 1, 0)] *= f
-    else:  # amplitude damping: sigma_- = |1><0| drains the |0> population
-        e = np.exp(-noise.gamma * tau)
-        r = np.exp(-0.5 * noise.gamma * tau)
-        for s in idle_sites:
-            t[block(s, 1, 1)] += (1.0 - e) * t[block(s, 0, 0)]
-            t[block(s, 0, 0)] *= e
-            t[block(s, 0, 1)] *= r
-            t[block(s, 1, 0)] *= r
-
-
-def _light_cone(schedule: PulseSchedule, n: int, keep) -> tuple[list, list]:
-    """Per slot, the sites that join the register before it (their first
-    gate) and the sites traced out after it (their last gate, unless in
-    ``keep``); rejects gates outside the ``n`` sites."""
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for entry in schedule.entries:
-        if max(entry.gate.qubits) > n:
-            raise ValueError("gate addresses a qubit outside the chain")
-        for site in entry.gate.qubits:
-            first[site] = min(first.get(site, entry.slot), entry.slot)
-            last[site] = max(last.get(site, entry.slot), entry.slot)
-    joins: list[list[int]] = [[] for _ in range(schedule.num_slots)]
-    drops: list[list[int]] = [[] for _ in range(schedule.num_slots)]
-    for site in sorted(first):
-        joins[first[site]].append(site)
-        if site not in keep:
-            drops[last[site]].append(site)
-    return joins, drops
-
-
-def live_register_width(schedule: PulseSchedule, n: int, keep) -> int:
-    """Most sites :func:`evolve_lindblad_product` holds at once when it
-    runs ``schedule`` on ``n`` sites and reads out ``keep``."""
-    joins, drops = _light_cone(schedule, n, keep)
-    width = peak = 0
-    for joined, dropped in zip(joins, drops):
-        width += len(joined)
-        peak = max(peak, width)
-        width -= len(dropped)
-    return max(peak, len(keep))
-
-
-def _lindblad_slot(
-    rho: np.ndarray,
-    live: list[int],
-    schedule: PulseSchedule,
-    k: int,
-    noise: NoiseModel,
-    dt: float,
-) -> np.ndarray:
-    """Slot ``k`` on a register holding the chain sites ``live``, in
-    register order: the cached pair propagators of the slot's gates, the
-    closed-form channels of the idle live sites, then the trace check."""
-    n = len(live)
-    position = {site: p for p, site in enumerate(live, start=1)}
-    tau = schedule.slot_duration
-    active_sites: set[int] = set()
-    for entry in schedule.slot_entries(k):
-        spec: GateSpec = entry.gate
-        try:
-            pair = (position[spec.qubits[0]], position[spec.qubits[1]])
-        except KeyError:
-            raise ValueError("gate addresses a qubit outside the chain") from None
-        phi = _pair_slot_propagator(spec.kind, spec.params, noise, tau, dt)
-        rho = _apply_pair_superop(rho, phi, pair, n)
-        active_sites.update(spec.qubits)
-    idle = [position[s] for s in live if s not in active_sites]
-    _apply_idle_channels(rho, idle, noise, tau, n)
-    _check_trace(rho, f"after slot {k}")
-    return rho
+        f = np.exp(-2.0 * noise.gamma * duration)
+        return np.diag([1.0, f, f, 1.0]).astype(complex)
+    # amplitude damping: sigma_- = |1><0| drains the |0> population
+    e = np.exp(-noise.gamma * duration)
+    r = np.exp(-0.5 * noise.gamma * duration)
+    m = np.diag([e, r, r, 1.0]).astype(complex)
+    m[3, 0] = 1.0 - e
+    return m
 
 
 def evolve_lindblad(
@@ -487,26 +423,55 @@ def evolve_lindblad(
     if schedule.num_slots == 0:
         return rho
     _, dt = _resolve_steps(schedule.slot_duration, cfg)
-    live = list(range(1, n + 1))
+    tau = schedule.slot_duration
     for k in range(schedule.num_slots):
-        rho = _lindblad_slot(rho, live, schedule, k, noise, dt)
+        active_sites: set[int] = set()
+        for entry in schedule.slot_entries(k):
+            spec: GateSpec = entry.gate
+            if max(spec.qubits) > n:
+                raise ValueError("gate addresses a qubit outside the chain")
+            phi = _pair_slot_propagator(spec.kind, spec.params, noise, tau, dt)
+            rho = _apply_superop(rho, phi, spec.qubits, n)
+            active_sites.update(spec.qubits)
+        if not _is_noiseless(noise):
+            idle = _idle_superop(noise, tau)
+            for site in range(1, n + 1):
+                if site not in active_sites:
+                    rho = _apply_superop(rho, idle, (site,), n)
+        _check_trace(rho, f"after slot {k}")
         if observer is not None:
             observer(schedule.slot_window(k)[1], rho)
     return rho
 
 
-def _idle_site_state(state: np.ndarray, noise: NoiseModel, duration: float):
-    """One site's 2x2 state after idling for ``duration``."""
-    state = state.copy()
-    _apply_idle_channels(state, [1], noise, duration, 1)
-    return state
+# ---------------------------------------------------------------------------
+# Transport from product inputs: contraction along the chain
+
+FRONTIER_MAX_ENTRIES = 4**11  # 64 MiB of complex128
+_VEC_I2 = np.eye(2, dtype=complex).reshape(4)
 
 
-def _trace_out(rho: np.ndarray, position: int, n: int) -> np.ndarray:
-    """Trace out register position ``position`` (1-based) of ``n``."""
-    t = rho.reshape((2,) * (2 * n))
-    half = 2 ** (n - 1)
-    return np.trace(t, axis1=position - 1, axis2=n + position - 1).reshape(half, half)
+def _gate_tensor(
+    spec: GateSpec, noise: NoiseModel, tau: float, n_steps: int, dt: float
+) -> np.ndarray:
+    """A gate's slot map as a ``(4, 4, 4, 4)`` tensor with legs (out_a,
+    out_b, in_a, in_b), one row-major 2x2 leg per site of ``spec.qubits``:
+    the closed-form ``kron(U, U*)`` when noiseless, else the cached pair
+    propagator."""
+    if _is_noiseless(noise):
+        u = slot_unitary(spec.kind, spec.params, tau, n_steps)
+        phi = np.kron(u, u.conj())
+    else:
+        phi = _pair_slot_propagator(spec.kind, spec.params, noise, tau, dt)
+    return phi.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(4, 4, 4, 4)
+
+
+def _check_frontier(entries: int):
+    if entries > FRONTIER_MAX_ENTRIES:
+        raise ValueError(
+            f"the contraction frontier would hold {entries} entries, over the "
+            f"limit of {FRONTIER_MAX_ENTRIES}"
+        )
 
 
 def evolve_lindblad_product(
@@ -520,11 +485,10 @@ def evolve_lindblad_product(
     running ``schedule`` on the product of the 2x2 ``site_states``.
 
     Equal to :func:`evolve_lindblad` on the Kronecker product followed by
-    a partial trace, but the register holds only the light cone: a site
-    joins, with its idle channel of every slot it waited, at its first
-    gate and is traced out after its last (see the module docstring).
-    Each slot runs the same body as :func:`evolve_lindblad`, trace check
-    included; no renormalisation is ever applied.
+    a partial trace, but contracted site by site (see the module
+    docstring). A frontier over ``FRONTIER_MAX_ENTRIES`` entries raises
+    ``ValueError``; the trace of the result is checked, never
+    renormalised.
     """
     cfg = cfg or IntegratorConfig()
     states = [np.asarray(s, dtype=complex) for s in site_states]
@@ -536,29 +500,108 @@ def evolve_lindblad_product(
         if state.shape != (2, 2):
             raise ValueError("site states must be 2x2 density matrices")
         _check_trace(state, "in the initial state")
-    joins, drops = _light_cone(schedule, n, keep)
-    _, dt = _resolve_steps(schedule.slot_duration, cfg)
+    n_steps, dt = _resolve_steps(schedule.slot_duration, cfg)
     tau = schedule.slot_duration
+    tensors: dict = {}
 
-    rho = np.ones((1, 1), dtype=complex)
-    live: list[int] = []
-    for k in range(schedule.num_slots):
-        for site in joins[k]:
-            rho = np.kron(rho, _idle_site_state(states[site - 1], noise, k * tau))
-            live.append(site)
-        rho = _lindblad_slot(rho, live, schedule, k, noise, dt)
-        for site in drops[k]:
-            rho = _trace_out(rho, live.index(site) + 1, len(live))
-            live.remove(site)
-    for site in keep:
-        if site not in live:  # no gate touched it: it idled the whole run
-            idled = _idle_site_state(states[site - 1], noise, schedule.total_time)
-            rho = np.kron(rho, idled)
-            live.append(site)
-    w = len(live)
-    order = [live.index(site) for site in keep]
-    t = rho.reshape((2,) * (2 * w)).transpose(order + [w + p for p in order])
-    return np.ascontiguousarray(t).reshape(2**w, 2**w)
+    # Blocks: gates on one pair that no other gate on either site separates
+    # compose into one tensor, so a pair's repeated gates cost no more
+    # frontier legs than one. Each block is [qubits, first slot, last slot,
+    # tensor].
+    blocks: list[list] = []
+    events: list[list[int]] = [[] for _ in range(n + 1)]  # site -> its blocks
+    for entry in sorted(schedule.entries, key=lambda e: e.slot):
+        spec: GateSpec = entry.gate
+        if max(spec.qubits) > n:
+            raise ValueError("gate addresses a qubit outside the chain")
+        key = (spec.kind, spec.params)
+        if key not in tensors:
+            tensors[key] = _gate_tensor(spec, noise, tau, n_steps, dt)
+        g = tensors[key]
+        a, b = spec.qubits
+        if events[a] and events[b] and events[a][-1] == events[b][-1]:
+            block = blocks[events[a][-1]]
+            if block[0] != spec.qubits:
+                g = g.transpose(1, 0, 3, 2)
+            m = _idle_superop(noise, (entry.slot - block[2] - 1) * tau)
+            block[3] = np.einsum("abcd,ce,df,efgh->abgh", g, m, m, block[3])
+            block[2] = entry.slot
+        else:
+            events[a].append(len(blocks))
+            events[b].append(len(blocks))
+            blocks.append([spec.qubits, entry.slot, entry.slot, g])
+
+    # One axis per open leg, labelled: "wire" (the site being absorbed),
+    # ("in"|"out", block index, site) for a block whose second site is
+    # still to come, and ("keep", site) for a readout site. A site's wire
+    # stays a loose vector until it meets the frontier.
+    frontier = np.ones((), dtype=complex)
+    legs: list = []
+    loose = None
+
+    def join():
+        nonlocal frontier, loose
+        _check_frontier(4 * frontier.size)
+        frontier = np.multiply.outer(frontier, loose)
+        legs.append("wire")
+        loose = None
+
+    def idle(slots: int):
+        nonlocal frontier, loose
+        if not slots or _is_noiseless(noise):
+            return
+        m = _idle_superop(noise, slots * tau)
+        if loose is not None:
+            loose = m @ loose
+        else:
+            wire = legs.index("wire")
+            frontier = np.tensordot(frontier, m, axes=([wire], [1]))
+            legs.append(legs.pop(wire))
+
+    for site in range(1, n + 1):
+        loose = states[site - 1].reshape(4)
+        slot = 0
+        for index in events[site]:
+            qubits, first, last, tensor = blocks[index]
+            idle(first - slot)
+            slot = last + 1
+            if site == min(qubits):  # the block joins the frontier
+                if loose is not None:
+                    join()
+                own = qubits.index(site)
+                wire = legs.index("wire")
+                legs.remove("wire")
+                _check_frontier(16 * frontier.size)
+                frontier = np.tensordot(frontier, tensor, axes=([wire], [2 + own]))
+                legs += [("out", index, q) for q in qubits] + [("in", index, qubits[1 - own])]
+            else:  # the wire closes the block's input leg on this site
+                leg = legs.index(("in", index, site))
+                if loose is not None:
+                    frontier = np.tensordot(frontier, loose, axes=([leg], [0]))
+                    loose = None
+                else:
+                    wire = legs.index("wire")
+                    frontier = np.trace(frontier, axis1=wire, axis2=leg)
+                    legs.remove("wire")
+                legs.remove(("in", index, site))
+            legs[legs.index(("out", index, site))] = "wire"
+        idle(schedule.num_slots - slot)
+        if loose is not None:  # no gate touched the site
+            join()
+        wire = legs.index("wire")
+        if site in keep:
+            legs[wire] = ("keep", site)
+        else:
+            frontier = np.tensordot(frontier, _VEC_I2, axes=([wire], [0]))
+            legs.remove("wire")
+
+    w = len(keep)
+    order = [legs.index(("keep", site)) for site in keep]
+    t = frontier.transpose(order).reshape((2,) * (2 * w))
+    t = t.transpose(list(range(0, 2 * w, 2)) + list(range(1, 2 * w, 2)))
+    rho = np.ascontiguousarray(t).reshape(2**w, 2**w)
+    _check_trace(rho, "in the final state")
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +628,7 @@ def gate_fidelity(
         raise ValueError("gate addresses a qubit outside the input state")
     schedule = schedule_sequence([gate], slot_duration=alpha)
     target = _ideal_output(gate, psi0, n)
-    if noise.kind == "none" or noise.gamma == 0.0:
+    if _is_noiseless(noise):
         out = evolve_unitary(psi0, schedule, cfg)
         return overlap_fidelity(out, target)
     rho = np.outer(psi0, psi0.conj())

@@ -10,10 +10,12 @@ slot's end carries no drive.
 """
 
 import itertools
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import expm
 
+from spinchain.circuits import _input_sites
 from spinchain.hamiltonians import gate_channel_blocks, materialize_channel_pulses
 from spinchain.operators import LocalOperator, embed, num_qubits
 
@@ -112,6 +114,11 @@ def stepped_unitary(schedule, n, n_steps):
         for m in range(1, n_steps):
             u = expm(-1j * dt * dense_hamiltonian(channels, start + m * dt, n)) @ u
     return u
+
+
+def transport_input(topology, payload, control=None):
+    """Full-register state |control>|payload>|0...0> (control defaults |+>)."""
+    return reduce(np.kron, _input_sites(topology, payload, control))
 
 
 def partial_trace_keep_last_two(rho):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import partial_trace_keep_last_two, rk4_lindblad
+from oracles import partial_trace_keep_last_two, rk4_lindblad, transport_input
 
 from spinchain.circuits import (
     GATE_ORDERS,
@@ -17,7 +17,6 @@ from spinchain.circuits import (
     fit_cos_two_phi,
     ideal_pair_output,
     transport_fidelity,
-    transport_input,
     transport_reduced_state,
     zero_contour,
 )

@@ -310,7 +310,7 @@ def test_header_records_resolved_settings(tmp_path):
     assert header_value(out, "integrator_dt") == "auto"
     assert header_value(out, "integrator_method") is None
     assert header_value(out, "map_method") is None
-    assert header_value(out, "force_large_n") == "false"
+    assert header_value(out, "force_large_n") is None
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +340,7 @@ def test_header_records_resolved_settings(tmp_path):
         ["trace", "--gate", "hadamard"],
         ["chain-sweep", "--noise", "dephasing", "--gamma", "inf"],
         ["duration-sweep", "--alpha", "1,inf"],
+        ["chain-sweep", "--force-large-n"],  # removed: any length runs
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -407,43 +408,86 @@ def test_unknown_config_entries_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["[integrator]\nmethod = rk4\n", "[map]\nmethod = direct\n"],
-    ids=["integrator-method", "map-method"],
+    "text, key",
+    [
+        ("[integrator]\nmethod = rk4\n", "method"),
+        ("[map]\nmethod = direct\n", "method"),
+        ("[run]\nforce_large_n = true\n", "force_large_n"),
+    ],
+    ids=["integrator-method", "map-method", "force-large-n"],
 )
-def test_removed_method_keys_are_unknown_config_entries(tmp_path, text, capsys):
+def test_removed_method_keys_are_unknown_config_entries(tmp_path, text, key, capsys):
     config = tmp_path / "old.ini"
     config.write_text(text)
     code, _ = run(tmp_path, ["state-map", "--grid", "4x4", "--config", str(config)])
     assert code == 2
-    assert "unknown config key 'method'" in capsys.readouterr().err
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
-def test_large_noisy_chain_needs_explicit_override(tmp_path, capsys):
-    code, _ = run(
+def test_large_noisy_chain_runs_without_an_override(tmp_path):
+    code, out = run(
         tmp_path,
         ["chain-sweep", "--topology", "1d", "--n", "16", "--gamma", "0.1", "--noise", "dephasing"],
     )
-    assert code == 2
-    assert "force-large-n" in capsys.readouterr().err
+    assert code == 0
+    _, rows = rows_of(out)
+    assert [r["n"] for r in rows] == ["16", "16"]
+    assert all(0.0 < float(r["fidelity"]) < 1.0 for r in rows)
 
 
-def test_noisy_ladder_size_guard_reads_the_live_width(tmp_path):
-    # the ladder holds at most 4 sites at once, whatever its length
+def test_long_noisy_chains_contract_within_1024_entries(tmp_path, monkeypatch):
+    # the line's frontier stays at 4 * 16**2 entries at any length
+    monkeypatch.setattr(dynamics, "FRONTIER_MAX_ENTRIES", 1024)
+    argv = ["chain-sweep", "--topology", "1d", "--noise", "amp", "--n", "200"]
+    code, out = run(tmp_path, argv)
+    assert code == 0
+    _, rows = rows_of(out)
+    assert [(r["n"], r["order"]) for r in rows] == [("200", "cnot_first"), ("200", "cnot_last")]
+    assert all(0.0 < float(r["fidelity"]) < 1.0 for r in rows)
+
+
+def test_noisy_ladder_size_guard_reads_the_live_width(tmp_path, monkeypatch):
+    # the size guard is the frontier limit, not the number of sites: the
+    # ladder's frontier stays at 4 * 16**2 entries, whatever its length
+    monkeypatch.setattr(dynamics, "FRONTIER_MAX_ENTRIES", 1024)
     code, out = run(
         tmp_path, ["chain-sweep", "--topology", "2d", "--noise", "amp", "--n", "100"]
     )
     assert code == 0
     _, rows = rows_of(out)
-    assert [r["n"] for r in rows] == ["100", "100"]
+    assert [(r["n"], r["order"]) for r in rows] == [("100", "cnot_first"), ("100", "cnot_last")]
     assert all(0.0 < float(r["fidelity"]) < 1.0 for r in rows)
 
 
 def test_lost_normalisation_aborts_with_exit_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(dynamics, "slot_unitary", lambda *args: 2.0 * np.eye(4))
-    code, _ = run(tmp_path, ["chain-sweep", "--noise", "none", "--n", "3"])
+    code, _ = run(tmp_path, ["duration-sweep", "--noise", "none", "--alpha", "1"])
     assert code == 4
     assert "integrator abort: unitary evolution lost normalisation" in capsys.readouterr().err
+
+
+def test_broken_transport_gate_aborts_on_the_final_trace(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dynamics, "slot_unitary", lambda *args: 2.0 * np.eye(4))
+    code, _ = run(tmp_path, ["chain-sweep", "--noise", "none", "--n", "3"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("integrator abort: trace drifted by")
+    assert "in the final state" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain-sweep", "--noise", "dephasing", "--gamma", "5000", "--n", "3"],
+        ["trace", "--gate", "cnot", "--noise", "amp", "--gamma", "5000"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_overflowing_propagator_aborts_with_exit_4(tmp_path, argv, capsys):
+    code, out = run(tmp_path, argv)
+    assert code == 4 and not out.exists()
+    assert capsys.readouterr().err.startswith("integrator abort: the ")
 
 
 def test_noisy_ladder_body_ignores_workers_and_cache_state(tmp_path, monkeypatch):
@@ -529,7 +573,7 @@ SPELLINGS = {
     },
 }
 
-# row name: (INI text, flag text or None for a switch, header value of the flag)
+# row name: (INI text, flag text, header value of the flag)
 OVERRIDES = {
     "gate": ("cnot", "swap", "swap"),
     "noise_kind": ("dephasing", "amp", "amplitude_damping"),
@@ -543,7 +587,6 @@ OVERRIDES = {
     "workers": ("3", "2", "2"),
     "seed": ("7", "3", "3"),
     "out": ("a.csv", "b.csv", "b.csv"),
-    "force_large_n": ("false", None, "true"),
 }
 
 
@@ -573,8 +616,7 @@ def test_every_flag_overrides_its_ini_key(tmp_path, row):
     ini_text, flag_text, expected = OVERRIDES[row.name]
     ini = f"[{row.section}]\n{row.key} = {ini_text}\n"
     from_ini = resolved_header(tmp_path, ["chain-sweep"], ini)
-    argv = ["chain-sweep", row.flag] + ([flag_text] if flag_text else [])
-    from_both = resolved_header(tmp_path, argv, ini)
+    from_both = resolved_header(tmp_path, ["chain-sweep", row.flag, flag_text], ini)
     assert from_ini[row.header] != expected
     assert from_both[row.header] == expected
 

@@ -4,7 +4,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from oracles import reduced_state, rk4_lindblad, stepped_unitary
 
@@ -22,7 +22,6 @@ from spinchain.dynamics import (
     evolve_unitary,
     gate_fidelity,
     gate_superoperator,
-    live_register_width,
 )
 from spinchain.hamiltonians import cnot_gate, swap_gate
 from spinchain.memo import BuildOnce
@@ -227,9 +226,33 @@ def test_unstable_step_size_raises_trace_drift():
     noise, cfg = NoiseModel("amplitude_damping", 0.1), IntegratorConfig(dt=1.0)
     with pytest.raises(TraceDriftError, match="after slot 4"):
         evolve_lindblad(proj(plus0), schedule, noise, cfg)
-    # the light-cone entry runs the same slot body, trace check included
-    with pytest.raises(TraceDriftError, match="after slot 4"):
+    # the contraction checks the trace of its result
+    with pytest.raises(TraceDriftError, match="in the final state"):
         evolve_lindblad_product([proj(PLUS), proj(ket(0))], schedule, noise, (1, 2), cfg)
+
+
+def test_nan_trace_aborts():
+    with pytest.raises(TraceDriftError, match="nan"):
+        dynamics._check_trace(np.full((2, 2), np.nan), "in the final state")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
+def test_overflowing_pair_propagator_aborts_and_is_not_cached():
+    # gamma * dt = 5 is far outside RK4's stability region: the map overflows
+    noise = NoiseModel("dephasing", 5000.0)
+    for _ in range(2):  # a failed build stores nothing, so it fails again
+        with pytest.raises(TraceDriftError, match="swap pair propagator"):
+            dynamics._pair_slot_propagator("swap", swap_gate(1, 2).params, noise, 1.0, 1e-3)
+    with pytest.raises(TraceDriftError, match="cnot pair propagator"):
+        gate_superoperator(cnot_gate(1, 2), noise)
+
+
+def test_pair_propagator_that_loses_trace_aborts(monkeypatch):
+    # a dissipator without its anticommutator terms is finite but not
+    # trace-preserving
+    monkeypatch.setattr(dynamics, "_dissipator_superop", lambda l4: np.kron(l4, l4.conj()))
+    with pytest.raises(TraceDriftError, match="not trace-preserving"):
+        gate_superoperator(swap_gate(1, 2), NoiseModel("amplitude_damping", 0.1))
 
 
 def test_density_path_rejects_trotter_step():
@@ -393,7 +416,7 @@ def test_gate_fidelity_validation():
 
 
 # ---------------------------------------------------------------------------
-# light-cone register
+# transport contracted along the chain
 # ---------------------------------------------------------------------------
 
 
@@ -401,6 +424,11 @@ def random_site_state(rng):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def random_ket(rng):
+    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return psi / np.linalg.norm(psi)
 
 
 GATES = {"swap": swap_gate, "cnot": cnot_gate}
@@ -422,31 +450,94 @@ def product_runs(draw):
     return n, schedule_sequence(slots), tuple(keep)
 
 
+def product_run_or_refusal(sites, schedule, noise, keep):
+    """The contraction's result, or ``None`` when it refuses a frontier
+    over the limit; ``event`` records which (``--hypothesis-show-statistics``)."""
+    try:
+        got = evolve_lindblad_product(sites, schedule, noise, keep)
+    except ValueError as exc:
+        assert "contraction frontier" in str(exc)
+        event("refused at the frontier limit")
+        return None
+    event("contracted")
+    return got
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     run=product_runs(),
     kind=st.sampled_from(["dephasing", "amplitude_damping"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_light_cone_run_equals_full_run_then_partial_trace(run, kind, seed):
+def test_product_run_equals_full_run_then_partial_trace(run, kind, seed):
     n, schedule, keep = run
     noise = NoiseModel(kind, 0.3)
     rng = np.random.default_rng(seed)
     sites = [random_site_state(rng) for _ in range(n)]
     full = evolve_lindblad(reduce(np.kron, sites), schedule, noise)
-    got = evolve_lindblad_product(sites, schedule, noise, keep)
-    assert np.max(np.abs(got - reduced_state(full, keep))) <= 1e-12
+    got = product_run_or_refusal(sites, schedule, noise, keep)
+    if got is not None:
+        assert np.max(np.abs(got - reduced_state(full, keep))) <= 1e-12
 
 
-def test_ladder_live_width_is_four_at_any_length():
+@settings(max_examples=40, deadline=None)
+@given(run=product_runs(), seed=st.integers(0, 2**32 - 1))
+def test_noiseless_product_run_equals_pure_run_then_partial_trace(run, seed):
+    n, schedule, keep = run
+    rng = np.random.default_rng(seed)
+    kets = [random_ket(rng) for _ in range(n)]
+    psi = evolve_unitary(reduce(np.kron, kets), schedule)
+    got = product_run_or_refusal([proj(k) for k in kets], schedule, NOISELESS, keep)
+    if got is not None:
+        assert np.max(np.abs(got - reduced_state(proj(psi), keep))) <= 1e-12
+
+
+def test_product_run_refuses_a_frontier_over_the_limit():
+    # sites 1..3 alternate partners among 4..6, so no two of their gates
+    # compose: after site 2, sixteen gate legs wait for sites 4..6
+    crossing = [
+        [swap_gate(1, 4), swap_gate(2, 5), swap_gate(3, 6)],
+        [swap_gate(1, 5), swap_gate(2, 6), swap_gate(3, 4)],
+    ]
+    with pytest.raises(ValueError, match=f"over the limit of {4**11}"):
+        evolve_lindblad_product(
+            [proj(ket(0))] * 6, schedule_sequence(crossing * 2), NOISELESS, (6,)
+        )
+
+
+def test_repeated_pair_gates_compose_into_one_block(monkeypatch):
+    # pairs (1,4), (2,5) and (3,6) repeated over 4 slots: 24 gate legs would
+    # cross the cut after site 3, but each pair's gates compose into one
+    # block with two legs per site, whichever way round each gate is given
+    monkeypatch.setattr(dynamics, "FRONTIER_MAX_ENTRIES", 4**8)
+    slots = [
+        [swap_gate(1, 4), cnot_gate(5, 2), swap_gate(3, 6)],
+        [swap_gate(4, 1), cnot_gate(2, 5), swap_gate(3, 6)],
+    ]
+    repeated = schedule_sequence(slots * 2)
+    noise = NoiseModel("amplitude_damping", 0.3)
+    rng = np.random.default_rng(3)
+    sites = [random_site_state(rng) for _ in range(6)]
+    full = evolve_lindblad(reduce(np.kron, sites), repeated, noise)
+    got = evolve_lindblad_product(sites, repeated, noise, (5, 1, 6))
+    assert np.max(np.abs(got - reduced_state(full, (5, 1, 6)))) <= 1e-12
+
+
+def test_ladder_live_width_is_four_at_any_length(monkeypatch):
+    # the ladder's live frontier is one site wire (4 entries) times the
+    # 16 x 16 legs of one open gate, whatever the length: a limit of
+    # 4 * 16**2 entries runs every length, one entry less refuses the first
+    sites = [proj(ket(0))] * 100
+    noise = NoiseModel("amplitude_damping", 0.1)
+    monkeypatch.setattr(dynamics, "FRONTIER_MAX_ENTRIES", 4 * 16**2)
     for n in range(4, 101, 2):
         for order in GATE_ORDERS:
             circuit = build_transport_circuit(ChainTopology("square_2d", n), order)
-            assert live_register_width(circuit.schedule, n, (n - 1, n)) == 4
-    # the control's walk back along the line touches every site again
-    for n in range(3, 9):
-        circuit = build_transport_circuit(ChainTopology("line_1d", n), "cnot_first")
-        assert live_register_width(circuit.schedule, n, (n - 1, n)) == n
+            evolve_lindblad_product(sites[:n], circuit.schedule, noise, (n - 1, n))
+    monkeypatch.setattr(dynamics, "FRONTIER_MAX_ENTRIES", 4 * 16**2 - 1)
+    circuit = build_transport_circuit(ChainTopology("square_2d", 4), "cnot_first")
+    with pytest.raises(ValueError, match="would hold 1024 entries"):
+        evolve_lindblad_product(sites[:4], circuit.schedule, noise, (3, 4))
 
 
 def test_density_entries_validate_their_inputs():

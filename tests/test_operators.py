@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import partial_trace_keep_last_two, reduced_state
 
-from spinchain.dynamics import _apply_pair_matrix_to_state, _apply_pair_superop
+from spinchain.dynamics import _apply_pair_matrix_to_state, _apply_superop
 from spinchain.operators import (
     LocalOperator,
     check_density_matrix,
@@ -136,7 +136,7 @@ def test_density_applications_match_embedded_matrix(n):
     eye = np.eye(4)
 
     def apply(phi):  # row-major vec: vec(A X B) = (A kron B^T) vec(X)
-        return _apply_pair_superop(rho, phi, (2, 1), n)
+        return _apply_superop(rho, phi, (2, 1), n)
 
     assert np.allclose(apply(np.kron(block, eye)), dense @ rho, atol=1e-12)
     assert np.allclose(apply(np.kron(eye, block.conj())), rho @ dense.conj().T, atol=1e-12)
