@@ -32,9 +32,7 @@ from .dynamics import (
     NoiseModel,
     NumericalError,
     TraceDriftError,
-    evolve_lindblad,
     evolve_lindblad_product,
-    evolve_unitary,
     gate_fidelity,
     slot_unitary,
 )
@@ -50,9 +48,6 @@ from .hamiltonians import (
     swap_gate,
 )
 from .operators import (
-    LocalOperator,
-    embed,
-    fidelity,
     fidelity_to_pure,
     overlap_fidelity,
     pauli,
@@ -79,7 +74,6 @@ __all__ = [
     "GateSpec",
     "GaussianPulse",
     "IntegratorConfig",
-    "LocalOperator",
     "NOISELESS",
     "NoiseModel",
     "NumericalError",
@@ -92,11 +86,7 @@ __all__ = [
     "calibrated_gate_params",
     "cnot_gate",
     "default_map_grid",
-    "embed",
-    "evolve_lindblad",
     "evolve_lindblad_product",
-    "evolve_unitary",
-    "fidelity",
     "fidelity_difference_map",
     "fidelity_to_pure",
     "fit_cos_two_phi",

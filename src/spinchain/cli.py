@@ -14,12 +14,14 @@ Settings resolve in precedence order: command-line flags, then the
 timestamps and wall time appear only there, so CSV bodies are
 byte-identical across reruns and worker counts.
 
-Noiseless gates apply one closed-form unitary per slot; noisy gates use
-the factored master-equation integrator (16x16 pair propagators plus
-idle-site channels). Transport contracts the circuit site by site, so a
-chain of any length runs in time linear in its length. A noisy ``trace``
-steps one gate's pair propagator and reads every step from that one
-integration.
+Single-gate runs act on their pair alone: ``duration-sweep`` applies the
+gate's closed-form slot unitary (noiseless) or its cached 16x16 pair
+propagator (noisy) to the input. A noiseless ``trace`` reads every step
+from the closed form at cumulative pulse areas; a noisy ``trace`` steps
+the pair propagator once and reads every step from that one integration.
+Transport contracts the circuit site by site (pair propagators, or
+closed-form unitaries, plus idle-site channels), so a chain of any
+length runs in time linear in its length.
 
 Units: times in units of the base slot, pulse amplitudes in units of the
 base energy scale (with hbar = 1), pulse widths in slot-squared, and
@@ -62,8 +64,8 @@ from .dynamics import (
     NoiseModel,
     NumericalError,
     _resolve_steps,
-    evolve_unitary,
     gate_fidelity,
+    gate_step_states,
     gate_superoperator,
 )
 from .hamiltonians import (
@@ -76,7 +78,6 @@ from .hamiltonians import (
     swap_gate,
 )
 from .operators import fidelity_to_pure, overlap_fidelity
-from .pulses import schedule_sequence
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -409,15 +410,11 @@ def run_trace(s: Settings):
     times: list[float] = []
     fidelity_columns: list[list[float]] = [[] for _ in inputs]
     if noise.kind == "none":
-        schedule = schedule_sequence([gate], slot_duration=1.0)
-        for psi0, target, samples in zip(inputs, targets, fidelity_columns):
-            times = []
-
-            def observer(t, psi, times=times, target=target, samples=samples):
-                times.append(t)
-                samples.append(overlap_fidelity(psi, target))
-
-            evolve_unitary(psi0, schedule, cfg, observer)
+        n_steps, dt = _resolve_steps(1.0, cfg)
+        times = [0.0] + (dt * np.arange(1, n_steps + 1)).tolist()
+        states = gate_step_states(gate, inputs, cfg)
+        for psis, target, samples in zip(states, targets, fidelity_columns):
+            samples += [overlap_fidelity(psi, target) for psi in psis]
     else:
         # One pair integration serves every input: each step's propagator
         # maps all initial density matrices at once.

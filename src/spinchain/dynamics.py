@@ -1,8 +1,9 @@
-"""Time evolution: closed-form unitary slots and the factored Lindblad path.
+"""Time evolution: closed-form unitary slots, pair propagators and the
+contraction along the chain.
 
 Each gate drives its qubit pair with a Gaussian exchange pulse inside its
-own slot, and the Pauli terms of one gate commute. Both integrators use
-that structure; each piece of physics has one kernel:
+own slot, and the Pauli terms of one gate commute. Every kernel uses that
+structure; each piece of physics has one kernel:
 
 Unitary slots
     The product of the per-step exponentials ``exp(-i H(t_m) dt)`` over a
@@ -10,7 +11,8 @@ Unitary slots
     gate's common eigenbasis, ``d_i`` the eigenvalues of channel ``i`` and
     ``S_i`` its right-endpoint pulse area on the step grid
     (:func:`discrete_channel_areas`). :func:`slot_unitary` is that 4x4
-    matrix; calibration scores the same matrix.
+    matrix; calibration scores the same matrix, and cumulative areas give
+    the state after every step (:func:`gate_step_states`).
 
 Noisy slots
     Within one slot the Lindblad generator splits into commuting pieces
@@ -19,6 +21,11 @@ Noisy slots
     propagator therefore factorises exactly into 16x16 pair propagators,
     integrated by fixed-step RK4 and cached, and closed-form single-site
     channels on the idle sites.
+
+Single gates
+    A gate on its own pair needs no register: :func:`gate_fidelity`
+    applies ``slot_unitary`` to the pure input, or the cached pair
+    propagator to its vectorised density matrix.
 
 Contraction along the chain
     Transport from product inputs is a tensor network with one wire per
@@ -39,14 +46,14 @@ not depend on how accumulated step times round near the slot edge.
 
 Trace is monitored, never renormalised: drift beyond ``TRACE_ABORT_TOL``
 (a NaN trace included) raises :class:`TraceDriftError`, and so does a
-pair propagator that is not finite and trace-preserving when it is built,
-so integrator bugs cannot hide.
+pair propagator that stops being finite and trace-preserving while it is
+built (checked every ``TRACE_CHECK_STRIDE`` steps and at the end), so
+integrator bugs cannot hide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -58,17 +65,14 @@ from .hamiltonians import (
     materialize_channel_pulses,
 )
 from .memo import BuildOnce
-from .operators import (
-    check_state,
-    fidelity_to_pure,
-    num_qubits,
-    overlap_fidelity,
-    pauli,
-)
-from .pulses import PulseSchedule, schedule_sequence
+from .operators import check_state, fidelity_to_pure, overlap_fidelity, pauli
+from .pulses import PulseSchedule
 
 DEFAULT_STEPS_PER_SLOT = 1000
 TRACE_ABORT_TOL = 1e-6
+# Pair builds check their map every this many RK4 steps: an unstable step
+# breaks trace preservation within ~10 steps but overflows only after ~80.
+TRACE_CHECK_STRIDE = 32
 
 _NOISE_KINDS = ("none", "dephasing", "amplitude_damping")
 
@@ -118,9 +122,6 @@ class IntegratorConfig:
     """Step size. ``dt=None`` resolves to slot_duration/1000."""
 
     dt: float | None = None
-    # The one density-matrix integrator's name, not a setting: the
-    # benchmark's span tracer (perfbench/tracer.py) labels runs by it.
-    method: ClassVar[str] = "factored"
 
     def __post_init__(self):
         if self.dt is not None and not (self.dt > 0.0):
@@ -192,69 +193,33 @@ def slot_unitary(
     return _eigen_unitary(kind, discrete_channel_areas(params, slot_duration, n_steps))
 
 
-def _apply_pair_matrix_to_state(
-    u4: np.ndarray, qubits: tuple[int, int], psi_tensor: np.ndarray, n: int
-) -> np.ndarray:
-    """Apply a 4x4 block on ``qubits``; axes of ``psi_tensor`` before its
-    last ``n`` are stack axes, matched by a stack of blocks."""
-    lead = psi_tensor.ndim - n
-    axes = (lead + qubits[0] - 1, lead + qubits[1] - 1)
-    t = np.moveaxis(psi_tensor, axes, (lead, lead + 1))
-    shape = t.shape
-    t = u4 @ t.reshape(shape[:lead] + (4, -1))
-    return np.moveaxis(t.reshape(shape), (lead, lead + 1), axes)
-
-
-def evolve_unitary(
-    psi: np.ndarray,
-    schedule: PulseSchedule,
-    cfg: IntegratorConfig | None = None,
-    observer=None,
-) -> np.ndarray:
-    """Propagate a pure state through a schedule without noise.
-
-    Each slot applies one closed-form 4x4 unitary per gate; gates sharing
-    a slot act on disjoint pairs, so the order does not matter. The
-    observer, when given, is called with ``(t, psi)`` at t = 0 and after
-    every step.
-    """
-    cfg = cfg or IntegratorConfig()
-    psi = check_state(psi).copy()
-    n = num_qubits(psi.shape[0])
-    if observer is not None:
-        observer(0.0, psi)
-    if schedule.num_slots == 0:
-        return psi
-    n_steps, dt = _resolve_steps(schedule.slot_duration, cfg)
-    tau = schedule.slot_duration
-
-    tensor = psi.reshape((2,) * n)
-    for k in range(schedule.num_slots):
-        if observer is not None:
-            # Observed steps: each gate's closed form at its cumulative
-            # areas, applied to a stack holding one register per step.
-            stack = np.broadcast_to(tensor, (n_steps,) + tensor.shape)
-        for entry in schedule.slot_entries(k):
-            spec: GateSpec = entry.gate
-            if max(spec.qubits) > n:
-                raise ValueError("gate addresses a qubit outside the chain")
-            u4 = slot_unitary(spec.kind, spec.params, tau, n_steps)
-            tensor = _apply_pair_matrix_to_state(u4, spec.qubits, tensor, n)
-            if observer is not None:
-                samples, grid_dt = _channel_samples(spec.params, tau, n_steps)
-                steps = _eigen_unitary(spec.kind, np.cumsum(samples, axis=1) * grid_dt)
-                stack = _apply_pair_matrix_to_state(steps, spec.qubits, stack, n)
-        if observer is not None:
-            times = schedule.slot_window(k)[0] + dt * np.arange(1, n_steps + 1)
-            for t, state in zip(times.tolist(), stack):
-                observer(t, np.ascontiguousarray(state).reshape(-1))
-    out = np.ascontiguousarray(tensor).reshape(-1)
-    norm = np.linalg.norm(out)
-    # Each slot unitary is exact to roundoff, so anything past 1e-9 means
-    # a genuine defect.
-    if abs(norm - 1.0) > 1e-9:
+def _check_norm(psi: np.ndarray):
+    # Each closed-form unitary is exact to roundoff, so anything past 1e-9
+    # means a genuine defect.
+    norm = np.linalg.norm(psi)
+    if not abs(norm - 1.0) <= 1e-9:
         raise NumericalError(f"unitary evolution lost normalisation ({norm - 1.0:.3e})")
-    return out
+
+
+def gate_step_states(
+    gate: GateSpec, inputs, cfg: IntegratorConfig | None = None
+) -> np.ndarray:
+    """States of one gate alone on its pair at t = 0 and after every step
+    of one unit slot, stacked as ``(input, step, 4)``, for each pure
+    2-qubit input: the closed form at the cumulative pulse areas, so step
+    ``m`` is the product of the first ``m`` per-step exponentials. A final
+    state off unit norm raises :class:`NumericalError`.
+    """
+    n_steps, _ = _resolve_steps(1.0, cfg or IntegratorConfig())
+    samples, dt = _channel_samples(gate.params, 1.0, n_steps)
+    steps = _eigen_unitary(gate.kind, np.cumsum(samples, axis=1) * dt)
+    out = []
+    for psi0 in inputs:
+        psi0 = check_state(psi0)
+        states = (steps @ psi0.reshape(4, 1))[..., 0]
+        _check_norm(states[-1])
+        out.append(np.concatenate([psi0[None], states]))
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +256,9 @@ def _pair_rk4(
     across one slot, by fixed-step RK4 on the propagator itself.
 
     The observer, when given, is called with ``(t, phi)`` after each step.
-    A finished map that is not finite or not trace-preserving to
-    ``TRACE_ABORT_TOL`` raises :class:`TraceDriftError`.
+    A map that is not finite or not trace-preserving to
+    ``TRACE_ABORT_TOL``, every ``TRACE_CHECK_STRIDE`` steps and when
+    finished, raises :class:`TraceDriftError` before numpy can overflow.
     """
     blocks = gate_channel_blocks(kind)
     pulses = materialize_channel_pulses(params, 0.0, duration)
@@ -328,14 +294,20 @@ def _pair_rk4(
         k3 = g_mid @ (phi + (0.5 * dt) * k2)
         k4 = g4 @ (phi + dt * k3)
         phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (m + 1) % TRACE_CHECK_STRIDE == 0:
+            _check_pair_map(kind, phi)
         if observer is not None:
             observer(m * dt + dt, phi)
+    _check_pair_map(kind, phi)
+    return phi
+
+
+def _check_pair_map(kind: str, phi: np.ndarray):
     error = np.max(np.abs(_VEC_I4 @ phi - _VEC_I4))
     if not (np.all(np.isfinite(phi)) and error <= TRACE_ABORT_TOL):
         raise TraceDriftError(
             f"the {kind} pair propagator is not trace-preserving (error {error:.3e})"
         )
-    return phi
 
 
 def _pair_slot_propagator(
@@ -372,19 +344,6 @@ def gate_superoperator(
     return _pair_rk4(gate.kind, gate.params, noise, 1.0, dt, observer)
 
 
-def _apply_superop(
-    rho: np.ndarray, phi: np.ndarray, qubits: tuple[int, ...], n: int
-) -> np.ndarray:
-    """Apply a row-major superoperator on the sites ``qubits`` (one or two)."""
-    axes = [q - 1 for q in qubits] + [n + q - 1 for q in qubits]
-    front = list(range(len(axes)))
-    t = np.moveaxis(rho.reshape((2,) * (2 * n)), axes, front)
-    shape = t.shape
-    t = phi @ t.reshape(phi.shape[1], -1)
-    t = np.moveaxis(t.reshape(shape), front, axes)
-    return np.ascontiguousarray(t).reshape(rho.shape)
-
-
 def _idle_superop(noise: NoiseModel, duration: float) -> np.ndarray:
     """Row-major 4x4 map of one site idling for ``duration``, in closed
     form; the idle channels form a semigroup, so any gap is one map."""
@@ -397,51 +356,6 @@ def _idle_superop(noise: NoiseModel, duration: float) -> np.ndarray:
     m = np.diag([e, r, r, 1.0]).astype(complex)
     m[3, 0] = 1.0 - e
     return m
-
-
-def evolve_lindblad(
-    rho: np.ndarray,
-    schedule: PulseSchedule,
-    noise: NoiseModel,
-    cfg: IntegratorConfig | None = None,
-    observer=None,
-) -> np.ndarray:
-    """Integrate the master equation across a schedule, slot by slot.
-
-    Each slot applies its cached pair propagators and the closed-form
-    channels of its idle sites. The observer, when given, is called with
-    ``(t, rho)`` at t = 0 and after every slot; trace drift beyond
-    ``TRACE_ABORT_TOL`` raises :class:`TraceDriftError`. No
-    renormalisation is ever applied.
-    """
-    cfg = cfg or IntegratorConfig()
-    rho = np.asarray(rho, dtype=complex).copy()
-    n = num_qubits(rho.shape[0])
-    _check_trace(rho, "in the initial state")
-    if observer is not None:
-        observer(0.0, rho)
-    if schedule.num_slots == 0:
-        return rho
-    _, dt = _resolve_steps(schedule.slot_duration, cfg)
-    tau = schedule.slot_duration
-    for k in range(schedule.num_slots):
-        active_sites: set[int] = set()
-        for entry in schedule.slot_entries(k):
-            spec: GateSpec = entry.gate
-            if max(spec.qubits) > n:
-                raise ValueError("gate addresses a qubit outside the chain")
-            phi = _pair_slot_propagator(spec.kind, spec.params, noise, tau, dt)
-            rho = _apply_superop(rho, phi, spec.qubits, n)
-            active_sites.update(spec.qubits)
-        if not _is_noiseless(noise):
-            idle = _idle_superop(noise, tau)
-            for site in range(1, n + 1):
-                if site not in active_sites:
-                    rho = _apply_superop(rho, idle, (site,), n)
-        _check_trace(rho, f"after slot {k}")
-        if observer is not None:
-            observer(schedule.slot_window(k)[1], rho)
-    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +398,9 @@ def evolve_lindblad_product(
     """The state of the sites ``keep`` (1-based, in that order) after
     running ``schedule`` on the product of the 2x2 ``site_states``.
 
-    Equal to :func:`evolve_lindblad` on the Kronecker product followed by
-    a partial trace, but contracted site by site (see the module
-    docstring). A frontier over ``FRONTIER_MAX_ENTRIES`` entries raises
+    Equal to integrating the master equation on the Kronecker product of
+    the inputs and taking a partial trace, but contracted site by site
+    (see the module docstring). A frontier over ``FRONTIER_MAX_ENTRIES`` entries raises
     ``ValueError``; the trace of the result is checked, never
     renormalised.
     """
@@ -614,29 +528,25 @@ def gate_fidelity(
     alpha: float = 1.0,
     cfg: IntegratorConfig | None = None,
 ) -> float:
-    """Fidelity of one stretched gate against its ideal action.
+    """Fidelity of one stretched gate on (1, 2) against its ideal action.
 
-    The gate's pulses are rescaled to a slot of duration ``alpha * tau0``,
-    the input is evolved (unitarily when noiseless, otherwise through the
-    master equation) and compared with the ideal gate output.
+    The gate's pulses are rescaled to a slot of duration ``alpha * tau0``;
+    the normalised 2-qubit input goes through the slot unitary when
+    noiseless, otherwise its density matrix goes through the cached pair
+    propagator, and the result is compared with the ideal gate output.
     """
     if not (alpha > 0.0):
         raise ValueError("duration factor alpha must be positive")
     psi0 = check_state(np.asarray(input_state, dtype=complex))
-    n = num_qubits(psi0.shape[0])
-    if max(gate.qubits) > n:
-        raise ValueError("gate addresses a qubit outside the input state")
-    schedule = schedule_sequence([gate], slot_duration=alpha)
-    target = _ideal_output(gate, psi0, n)
+    if psi0.shape != (4,) or gate.qubits != (1, 2):
+        raise ValueError("gate_fidelity runs one gate on qubits (1, 2) of a 2-qubit input")
+    n_steps, dt = _resolve_steps(alpha, cfg or IntegratorConfig())
+    target = ideal_gate_matrix(gate.kind) @ psi0
     if _is_noiseless(noise):
-        out = evolve_unitary(psi0, schedule, cfg)
+        out = slot_unitary(gate.kind, gate.params, alpha, n_steps) @ psi0
+        _check_norm(out)
         return overlap_fidelity(out, target)
-    rho = np.outer(psi0, psi0.conj())
-    rho_final = evolve_lindblad(rho, schedule, noise, cfg)
-    return fidelity_to_pure(rho_final, target)
-
-
-def _ideal_output(gate: GateSpec, psi0: np.ndarray, n: int) -> np.ndarray:
-    u4 = ideal_gate_matrix(gate.kind)
-    tensor = _apply_pair_matrix_to_state(u4, gate.qubits, psi0.reshape((2,) * n), n)
-    return np.ascontiguousarray(tensor).reshape(-1)
+    phi = _pair_slot_propagator(gate.kind, gate.params, noise, alpha, dt)
+    rho = (phi @ np.outer(psi0, psi0.conj()).reshape(16)).reshape(4, 4)
+    _check_trace(rho, "in the final state")
+    return fidelity_to_pure(rho, target)

@@ -73,13 +73,6 @@ class PulseSchedule:
         return tuple(e for e in self.entries if e.slot == k)
 
 
-def idle_schedule(num_slots: int, slot_duration: float = 1.0) -> PulseSchedule:
-    """A gate-free schedule: the chain just sits in its noise channel."""
-    if num_slots < 0 or not (slot_duration > 0.0):
-        raise ValueError("need num_slots >= 0 and a positive slot duration")
-    return PulseSchedule(entries=(), slot_duration=slot_duration, num_slots=num_slots)
-
-
 def _qubits_of(gate) -> frozenset:
     qubits = frozenset(gate.qubits)
     if len(qubits) != 2:
@@ -87,51 +80,28 @@ def _qubits_of(gate) -> frozenset:
     return qubits
 
 
-def schedule_sequence(
-    gates: Sequence,
-    parallel_pairs: bool = False,
-    slot_duration: float = 1.0,
-) -> PulseSchedule:
+def schedule_sequence(gates: Sequence, slot_duration: float = 1.0) -> PulseSchedule:
     """Assign gates to consecutive slots of length ``slot_duration``.
 
-    ``gates`` is a flat sequence of gate specs, or — when grouping is meant
-    to be explicit — a sequence whose items may be lists/tuples of gates
-    that must share one slot. With ``parallel_pairs`` set, consecutive flat
-    gates on disjoint pairs are packed greedily into a shared slot; without
-    it every flat gate gets its own slot. Gates on intersecting pairs can
-    never share a slot.
+    Each item of ``gates`` is a gate spec, which gets a slot of its own,
+    or a list/tuple of gates that share one slot. Gates on intersecting
+    pairs can never share a slot.
     """
     if not (slot_duration > 0.0):
         raise ValueError("slot duration must be positive")
 
     groups: list[list] = []
-    explicit: list[bool] = []
     for item in gates:
-        if isinstance(item, (list, tuple)):
-            group = list(item)
-            if not group:
-                raise ValueError("empty parallel group")
-            occupied: set = set()
-            for g in group:
-                q = _qubits_of(g)
-                if occupied & q:
-                    raise ValueError(
-                        "gates on intersecting qubit pairs cannot share a slot"
-                    )
-                occupied |= q
-            groups.append(group)
-            explicit.append(True)
-            continue
-        _qubits_of(item)
-        if parallel_pairs and groups and not explicit[-1]:
-            # Greedy packing: join the previous slot when disjoint from all
-            # of its gates, otherwise open a new slot.
-            occupied = set().union(*(_qubits_of(g) for g in groups[-1]))
-            if not (occupied & _qubits_of(item)):
-                groups[-1].append(item)
-                continue
-        groups.append([item])
-        explicit.append(False)
+        group = list(item) if isinstance(item, (list, tuple)) else [item]
+        if not group:
+            raise ValueError("empty parallel group")
+        occupied: set = set()
+        for g in group:
+            q = _qubits_of(g)
+            if occupied & q:
+                raise ValueError("gates on intersecting qubit pairs cannot share a slot")
+            occupied |= q
+        groups.append(group)
 
     entries = tuple(
         ScheduledGate(gate=g, slot=k) for k, group in enumerate(groups) for g in group

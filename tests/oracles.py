@@ -1,23 +1,193 @@
-"""Dense reference constructions for the evolution kernels (small N only).
+"""Reference constructions for the evolution kernels (small N only).
 
-Everything here is built independently of the factored kernels: the
-chain Hamiltonian comes from the gate channel blocks (pinned to their
+The dense references are built independently of the package's kernels:
+the chain Hamiltonian comes from the gate channel blocks (pinned to their
 Pauli strings by ``test_channel_blocks_match_kron_oracle``), the
 materialised pulses and ``embed``; the master equation is a dense
 row-major vectorised generator on the whole chain. As in the package,
 pulses are truncated to their slot by step index: the grid point on a
 slot's end carries no drive.
+
+The full-register integrators ``evolve_unitary`` and ``evolve_lindblad``
+run a schedule slot by slot on a ``2^N`` register, applying the package's
+own 4x4 slot unitaries and 16x16 pair propagators in place: they share
+those kernels, and are references for how the package composes them
+(the contraction along the chain, the single-gate paths).
 """
 
 import itertools
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 from scipy.linalg import expm
 
 from spinchain.circuits import _input_sites
+from spinchain.dynamics import (
+    IntegratorConfig,
+    NumericalError,
+    _check_trace,
+    _idle_superop,
+    _is_noiseless,
+    _pair_slot_propagator,
+    _resolve_steps,
+    slot_unitary,
+)
 from spinchain.hamiltonians import gate_channel_blocks, materialize_channel_pulses
-from spinchain.operators import LocalOperator, embed, num_qubits
+from spinchain.operators import check_state, num_qubits
+from spinchain.pulses import PulseSchedule
+
+
+@dataclass(frozen=True, eq=False)
+class LocalOperator:
+    """A 2x2 or 4x4 block acting on one or two distinct (1-based) sites.
+
+    For two targets the block is read in target order: the first target is
+    the first tensor factor of the 4x4 block.
+    """
+
+    targets: tuple[int, ...]
+    block: np.ndarray
+
+    def __post_init__(self):
+        targets = tuple(int(q) for q in self.targets)
+        object.__setattr__(self, "targets", targets)
+        if len(targets) not in (1, 2):
+            raise ValueError("a local operator acts on one or two sites")
+        if any(q < 1 for q in targets):
+            raise ValueError("qubit indices are 1-based")
+        if len(set(targets)) != len(targets):
+            raise ValueError("target sites must be distinct")
+        block = np.asarray(self.block, dtype=complex)
+        object.__setattr__(self, "block", block)
+        dim = 2 ** len(targets)
+        if block.shape != (dim, dim):
+            raise ValueError(
+                f"block shape {block.shape} does not match {len(targets)} target(s)"
+            )
+
+
+def embed(op, n_qubits):
+    """Dense ``2^N x 2^N`` matrix of a local operator (identity elsewhere),
+    by brute-force index construction; O(4^N) memory."""
+    if any(q > n_qubits for q in op.targets):
+        raise ValueError("target site outside the chain")
+    dim = 2**n_qubits
+    # Qubit q (1-based, MSB first) owns bit position n_qubits - q.
+    shifts = [n_qubits - q for q in op.targets]
+    mask = 0
+    for s in shifts:
+        mask |= 1 << s
+    idx = np.arange(dim)
+    rest = idx & ~mask
+    sub = np.zeros(dim, dtype=np.int64)
+    k = len(shifts)
+    for pos, s in enumerate(shifts):
+        sub |= ((idx >> s) & 1) << (k - 1 - pos)
+    out = op.block[sub[:, None], sub[None, :]] * (rest[:, None] == rest[None, :])
+    return np.ascontiguousarray(out)
+
+
+def fidelity(rho_out, rho_target):
+    """Squared Uhlmann fidelity ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2``
+    of two density matrices of the same dimension."""
+    rho_out = np.asarray(rho_out, dtype=complex)
+    rho_target = np.asarray(rho_target, dtype=complex)
+    if rho_out.shape != rho_target.shape:
+        raise ValueError("density matrices differ in dimension")
+    w, v = np.linalg.eigh(0.5 * (rho_out + rho_out.conj().T))
+    if w.min() < -1e-6:
+        raise ValueError("first argument is not positive within tolerance")
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    inner = sqrt_rho @ rho_target @ sqrt_rho
+    mu = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    if mu.min() < -1e-6:
+        raise ValueError("second argument is not positive within tolerance")
+    root_sum = np.sum(np.sqrt(np.clip(mu, 0.0, None)))
+    return float(root_sum**2)
+
+
+def idle_schedule(num_slots, slot_duration=1.0):
+    """A gate-free schedule: the chain just sits in its noise channel."""
+    if num_slots < 0 or not (slot_duration > 0.0):
+        raise ValueError("need num_slots >= 0 and a positive slot duration")
+    return PulseSchedule(entries=(), slot_duration=slot_duration, num_slots=num_slots)
+
+
+def apply_pair_matrix_to_state(u4, qubits, psi_tensor):
+    """Apply a 4x4 block on ``qubits`` of a ``(2,) * n`` state tensor."""
+    axes = (qubits[0] - 1, qubits[1] - 1)
+    t = np.moveaxis(psi_tensor, axes, (0, 1))
+    shape = t.shape
+    t = u4 @ t.reshape(4, -1)
+    return np.moveaxis(t.reshape(shape), (0, 1), axes)
+
+
+def apply_superop(rho, phi, qubits, n):
+    """Apply a row-major superoperator on the sites ``qubits`` (one or two)."""
+    axes = [q - 1 for q in qubits] + [n + q - 1 for q in qubits]
+    front = list(range(len(axes)))
+    t = np.moveaxis(rho.reshape((2,) * (2 * n)), axes, front)
+    shape = t.shape
+    t = phi @ t.reshape(phi.shape[1], -1)
+    t = np.moveaxis(t.reshape(shape), front, axes)
+    return np.ascontiguousarray(t).reshape(rho.shape)
+
+
+def _checked_entries(schedule, k, n):
+    entries = schedule.slot_entries(k)
+    if any(max(entry.gate.qubits) > n for entry in entries):
+        raise ValueError("gate addresses a qubit outside the chain")
+    return entries
+
+
+def evolve_unitary(psi, schedule, cfg=None):
+    """A pure state through a noiseless schedule: each slot applies one
+    closed-form 4x4 unitary per gate to the full register."""
+    psi = check_state(psi)
+    n = num_qubits(psi.shape[0])
+    if schedule.num_slots == 0:
+        return psi.copy()
+    n_steps, _ = _resolve_steps(schedule.slot_duration, cfg or IntegratorConfig())
+    tensor = psi.reshape((2,) * n)
+    for k in range(schedule.num_slots):
+        for entry in _checked_entries(schedule, k, n):
+            gate = entry.gate
+            u4 = slot_unitary(gate.kind, gate.params, schedule.slot_duration, n_steps)
+            tensor = apply_pair_matrix_to_state(u4, gate.qubits, tensor)
+    out = np.ascontiguousarray(tensor).reshape(-1)
+    norm = np.linalg.norm(out)
+    if abs(norm - 1.0) > 1e-9:
+        raise NumericalError(f"unitary evolution lost normalisation ({norm - 1.0:.3e})")
+    return out
+
+
+def evolve_lindblad(rho, schedule, noise, cfg=None):
+    """The master equation across a schedule on the full register, slot by
+    slot: each gate's cached pair propagator, then the closed-form idle
+    channel of every site no gate touches; the trace is checked after
+    every slot."""
+    rho = np.asarray(rho, dtype=complex).copy()
+    n = num_qubits(rho.shape[0])
+    _check_trace(rho, "in the initial state")
+    if schedule.num_slots == 0:
+        return rho
+    _, dt = _resolve_steps(schedule.slot_duration, cfg or IntegratorConfig())
+    tau = schedule.slot_duration
+    for k in range(schedule.num_slots):
+        active = set()
+        for entry in _checked_entries(schedule, k, n):
+            gate = entry.gate
+            phi = _pair_slot_propagator(gate.kind, gate.params, noise, tau, dt)
+            rho = apply_superop(rho, phi, gate.qubits, n)
+            active.update(gate.qubits)
+        if not _is_noiseless(noise):
+            idle = _idle_superop(noise, tau)
+            for site in range(1, n + 1):
+                if site not in active:
+                    rho = apply_superop(rho, idle, (site,), n)
+        _check_trace(rho, f"after slot {k}")
+    return rho
 
 
 def slot_channels(schedule, slot, n):
@@ -103,16 +273,20 @@ def rk4_lindblad(rho, schedule, noise, dt=None, observer=None):
     return vec.reshape(rho.shape)
 
 
-def stepped_unitary(schedule, n, n_steps):
+def stepped_unitary(schedule, n, n_steps, observer=None):
     """Product of right-endpoint exponentials ``exp(-i H(t_m) dt)`` over the
-    whole schedule; the step on each slot's end carries no drive."""
+    whole schedule; the step on each slot's end carries no drive.
+    ``observer(t, u)`` sees the product after every step."""
     dt = schedule.slot_duration / n_steps
     u = np.eye(2**n, dtype=complex)
     for k in range(schedule.num_slots):
         start, _ = schedule.slot_window(k)
         channels = slot_channels(schedule, k, n)
-        for m in range(1, n_steps):
-            u = expm(-1j * dt * dense_hamiltonian(channels, start + m * dt, n)) @ u
+        for m in range(1, n_steps + 1):
+            if m < n_steps:
+                u = expm(-1j * dt * dense_hamiltonian(channels, start + m * dt, n)) @ u
+            if observer is not None:
+                observer(start + m * dt, u)
     return u
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import partial_trace_keep_last_two, rk4_lindblad, transport_input
+from oracles import evolve_lindblad, partial_trace_keep_last_two, rk4_lindblad, transport_input
 
 from spinchain.circuits import (
     GATE_ORDERS,
@@ -20,7 +20,7 @@ from spinchain.circuits import (
     transport_reduced_state,
     zero_contour,
 )
-from spinchain.dynamics import IntegratorConfig, NoiseModel, evolve_lindblad
+from spinchain.dynamics import IntegratorConfig, NoiseModel
 from spinchain.hamiltonians import (
     DEFAULT_CNOT_COUPLING_PARAMS,
     DEFAULT_CNOT_LOCAL_PARAMS,

@@ -475,7 +475,7 @@ def test_broken_transport_gate_aborts_on_the_final_trace(tmp_path, monkeypatch, 
     assert "in the final state" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the build stops before numpy overflows
 @pytest.mark.parametrize(
     "argv",
     [

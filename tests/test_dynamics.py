@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from oracles import reduced_state, rk4_lindblad, stepped_unitary
+from oracles import (
+    evolve_lindblad,
+    evolve_unitary,
+    idle_schedule,
+    reduced_state,
+    rk4_lindblad,
+    stepped_unitary,
+)
 
 from spinchain import dynamics
 from spinchain.circuits import GATE_ORDERS, ChainTopology, build_transport_circuit
@@ -17,15 +24,15 @@ from spinchain.dynamics import (
     NoiseModel,
     TraceDriftError,
     _pair_slot_propagator,
-    evolve_lindblad,
     evolve_lindblad_product,
-    evolve_unitary,
     gate_fidelity,
+    gate_step_states,
     gate_superoperator,
+    slot_unitary,
 )
-from spinchain.hamiltonians import cnot_gate, swap_gate
+from spinchain.hamiltonians import cnot_gate, ideal_gate_matrix, rotated_cnot_gate, swap_gate
 from spinchain.memo import BuildOnce
-from spinchain.pulses import idle_schedule, schedule_sequence
+from spinchain.pulses import schedule_sequence
 
 
 def ket(*bits):
@@ -45,11 +52,14 @@ def proj(psi):
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
-def evolve(method, rho, schedule, noise, dt=None):
-    """``rk4``: the dense full-chain oracle; ``factored``: the package."""
+def evolve(method, sites, schedule, noise, dt=None):
+    """The state of every site after running ``schedule`` on the product of
+    the 2x2 ``sites``: ``rk4`` is the dense full-chain oracle, ``factored``
+    the package's contraction."""
     if method == "rk4":
-        return rk4_lindblad(rho, schedule, noise, dt)
-    return evolve_lindblad(rho, schedule, noise, IntegratorConfig(dt=dt))
+        return rk4_lindblad(reduce(np.kron, sites), schedule, noise, dt)
+    keep = range(1, len(sites) + 1)
+    return evolve_lindblad_product(sites, schedule, noise, keep, IntegratorConfig(dt=dt))
 
 
 # ---------------------------------------------------------------------------
@@ -82,23 +92,25 @@ EDGE_ALPHAS = (1.6102620275609394, 12.689610031679221, 38.56620421163472)
 
 @pytest.mark.parametrize("alpha", EDGE_ALPHAS + (1.0,))
 def test_slot_unitary_window_is_set_by_step_index(alpha):
-    schedule = schedule_sequence([cnot_gate(1, 2)], slot_duration=alpha)
+    gate = cnot_gate(1, 2)
+    schedule = schedule_sequence([gate], slot_duration=alpha)
     oracle = stepped_unitary(schedule, 2, DEFAULT_STEPS_PER_SLOT)
-    basis = np.eye(4, dtype=complex)
-    out = np.stack([evolve_unitary(col, schedule) for col in basis], axis=1)
+    out = slot_unitary(gate.kind, gate.params, alpha, DEFAULT_STEPS_PER_SLOT)
     assert np.max(np.abs(out - oracle)) < 1e-12
 
 
 def test_unitary_preserves_norm_and_accepts_stretched_slots():
     psi = np.kron(PLUS, ket(0))
-    schedule = schedule_sequence([swap_gate(1, 2)], slot_duration=3.0)
-    out = evolve_unitary(psi, schedule, IntegratorConfig(dt=3.0 / 300))
+    gate = swap_gate(1, 2)
+    out = slot_unitary(gate.kind, gate.params, 3.0, 300) @ psi
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_unitary_rejects_gate_outside_chain():
-    with pytest.raises(ValueError):
-        evolve_unitary(ket(0, 0), schedule_sequence([swap_gate(2, 3)]))
+    with pytest.raises(ValueError, match="outside the chain"):
+        evolve_lindblad_product(
+            [proj(ket(0))] * 2, schedule_sequence([swap_gate(2, 3)]), NOISELESS, (1, 2)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +121,7 @@ def test_unitary_rejects_gate_outside_chain():
 @pytest.mark.parametrize("method, tol", [("rk4", 1e-6), ("factored", 1e-12)])
 @pytest.mark.parametrize("gamma", [0.2, 1.0, 5.0])
 def test_dephasing_idle_closed_form(method, tol, gamma):
-    rho = proj(PLUS)
-    out = evolve(method, rho, idle_schedule(1), NoiseModel("dephasing", gamma))
+    out = evolve(method, [proj(PLUS)], idle_schedule(1), NoiseModel("dephasing", gamma))
     want = 0.5 * np.exp(-2.0 * gamma)
     assert abs(out[0, 1] - want) < tol * want
     # populations untouched
@@ -124,24 +135,24 @@ def test_amplitude_damping_idle_closed_form(method, tol, gamma):
     noise = NoiseModel("amplitude_damping", gamma)
 
     # the |0> population drains to |1>
-    out = evolve(method, proj(ket(0)), idle_schedule(1), noise)
+    out = evolve(method, [proj(ket(0))], idle_schedule(1), noise)
     e = np.exp(-gamma)
     assert abs(out[0, 0] - e) < tol * e
     assert abs(out[1, 1] - (1.0 - e)) < tol
 
     # coherence decays at half the population rate
-    out = evolve(method, proj(PLUS), idle_schedule(1), noise)
+    out = evolve(method, [proj(PLUS)], idle_schedule(1), noise)
     want = 0.5 * np.exp(-0.5 * gamma)
     assert abs(out[0, 1] - want) < tol * want
 
     # |1> is the fixed point
-    out = evolve(method, proj(ket(1)), idle_schedule(1), noise)
+    out = evolve(method, [proj(ket(1))], idle_schedule(1), noise)
     assert abs(out[1, 1] - 1.0) < 1e-12
 
 
 def test_amplitude_damping_accumulates_across_slots():
     noise = NoiseModel("amplitude_damping", 1.0)
-    out = evolve_lindblad(proj(ket(0)), idle_schedule(5), noise)
+    out = evolve("factored", [proj(ket(0))], idle_schedule(5), noise)
     assert abs(out[0, 0] - np.exp(-5.0)) < 1e-12
 
 
@@ -149,7 +160,7 @@ def test_amplitude_damping_accumulates_across_slots():
 def test_two_site_amplitude_damping_factorises(method, tol):
     gamma = 0.8
     out = evolve(
-        method, proj(ket(0, 0)), idle_schedule(1), NoiseModel("amplitude_damping", gamma)
+        method, [proj(ket(0))] * 2, idle_schedule(1), NoiseModel("amplitude_damping", gamma)
     )
     e = np.exp(-gamma)
     diag = np.real(np.diag(out))
@@ -165,27 +176,27 @@ def test_two_site_amplitude_damping_factorises(method, tol):
 
 
 def three_qubit_case():
-    psi = np.kron(np.kron(PLUS, ket(0)), ket(0))
+    sites = [proj(PLUS), proj(ket(0)), proj(ket(0))]
     schedule = schedule_sequence([cnot_gate(1, 2), swap_gate(2, 3)], slot_duration=1.0)
-    return proj(psi), schedule
+    return sites, schedule
 
 
 def test_methods_agree_for_dephasing():
-    rho, schedule = three_qubit_case()
+    sites, schedule = three_qubit_case()
     noise = NoiseModel("dephasing", 0.05)
-    a = evolve("rk4", rho, schedule, noise, dt=1e-3)
-    b = evolve("factored", rho, schedule, noise, dt=1e-3)
+    a = evolve("rk4", sites, schedule, noise, dt=1e-3)
+    b = evolve("factored", sites, schedule, noise, dt=1e-3)
     assert np.max(np.abs(a - b)) < 1e-8
 
 
 def test_methods_converge_together_for_amplitude_damping():
     """The gap closes at 4th order as the step is halved."""
-    rho, schedule = three_qubit_case()
+    sites, schedule = three_qubit_case()
     noise = NoiseModel("amplitude_damping", 0.05)
     gaps = []
     for dt in (2e-3, 1e-3):
-        a = evolve("rk4", rho, schedule, noise, dt=dt)
-        b = evolve("factored", rho, schedule, noise, dt=dt)
+        a = evolve("rk4", sites, schedule, noise, dt=dt)
+        b = evolve("factored", sites, schedule, noise, dt=dt)
         gaps.append(np.max(np.abs(a - b)))
     assert gaps[0] < 1e-8
     assert gaps[1] < gaps[0] / 8.0
@@ -193,17 +204,17 @@ def test_methods_converge_together_for_amplitude_damping():
 
 @pytest.mark.parametrize("method", ["rk4", "factored"])
 def test_noiseless_master_equation_matches_unitary(method):
-    rho, schedule = three_qubit_case()
+    sites, schedule = three_qubit_case()
     psi = np.kron(np.kron(PLUS, ket(0)), ket(0))
     out_u = evolve_unitary(psi, schedule)
-    out = evolve(method, rho, schedule, NOISELESS)
+    out = evolve(method, sites, schedule, NOISELESS)
     assert np.max(np.abs(out - proj(out_u))) < 1e-6
 
 
 @pytest.mark.parametrize("method", ["rk4", "factored"])
 def test_trajectory_stays_physical(method):
-    rho, schedule = three_qubit_case()
-    out = evolve(method, rho, schedule, NoiseModel("dephasing", 0.1))
+    sites, schedule = three_qubit_case()
+    out = evolve(method, sites, schedule, NoiseModel("dephasing", 0.1))
     assert np.max(np.abs(out - out.conj().T)) < 1e-10
     assert np.min(np.linalg.eigvalsh(out)) > -1e-9
     assert abs(np.trace(out).real - 1.0) < 1e-9
@@ -215,17 +226,13 @@ def test_trajectory_stays_physical(method):
 
 
 def test_initial_trace_drift_raises():
-    rho = 0.98 * proj(ket(0))
-    with pytest.raises(TraceDriftError):
-        evolve_lindblad(rho, idle_schedule(1), NOISELESS)
+    with pytest.raises(TraceDriftError, match="in the initial state"):
+        evolve_lindblad_product([0.98 * proj(ket(0))], idle_schedule(1), NOISELESS, (1,))
 
 
 def test_unstable_step_size_raises_trace_drift():
-    plus0 = np.kron(PLUS, ket(0))
     schedule = schedule_sequence([swap_gate(1, 2)] * 6, slot_duration=1.0)
     noise, cfg = NoiseModel("amplitude_damping", 0.1), IntegratorConfig(dt=1.0)
-    with pytest.raises(TraceDriftError, match="after slot 4"):
-        evolve_lindblad(proj(plus0), schedule, noise, cfg)
     # the contraction checks the trace of its result
     with pytest.raises(TraceDriftError, match="in the final state"):
         evolve_lindblad_product([proj(PLUS), proj(ket(0))], schedule, noise, (1, 2), cfg)
@@ -236,7 +243,7 @@ def test_nan_trace_aborts():
         dynamics._check_trace(np.full((2, 2), np.nan), "in the final state")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the build stops before numpy overflows
 def test_overflowing_pair_propagator_aborts_and_is_not_cached():
     # gamma * dt = 5 is far outside RK4's stability region: the map overflows
     noise = NoiseModel("dephasing", 5000.0)
@@ -245,6 +252,20 @@ def test_overflowing_pair_propagator_aborts_and_is_not_cached():
             dynamics._pair_slot_propagator("swap", swap_gate(1, 2).params, noise, 1.0, 1e-3)
     with pytest.raises(TraceDriftError, match="cnot pair propagator"):
         gate_superoperator(cnot_gate(1, 2), noise)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_build_stops_at_the_first_stride():
+    # the trace error passes the tolerance within ~10 steps, so the first
+    # check aborts the build: the observer sees t = 0 and the steps before it
+    steps = []
+    with pytest.raises(TraceDriftError, match="swap pair propagator"):
+        gate_superoperator(
+            swap_gate(1, 2),
+            NoiseModel("amplitude_damping", 5000.0),
+            observer=lambda t, phi: steps.append(t),
+        )
+    assert len(steps) == dynamics.TRACE_CHECK_STRIDE
 
 
 def test_pair_propagator_that_loses_trace_aborts(monkeypatch):
@@ -263,14 +284,15 @@ def test_density_path_rejects_trotter_step():
 
 
 def test_dt_must_divide_the_slot():
-    with pytest.raises(ValueError):
-        evolve_unitary(ket(0, 0), schedule_sequence([swap_gate(1, 2)]), IntegratorConfig(dt=0.3))
-    with pytest.raises(ValueError):
-        evolve_lindblad(
-            proj(ket(0, 0)),
-            schedule_sequence([swap_gate(1, 2)]),
-            NOISELESS,
-            IntegratorConfig(dt=0.3),
+    cfg = IntegratorConfig(dt=0.3)
+    for noise in (NOISELESS, NoiseModel("dephasing", 0.1)):
+        with pytest.raises(ValueError, match="does not divide"):
+            gate_fidelity(ket(0, 0), swap_gate(1, 2), noise, cfg=cfg)
+    with pytest.raises(ValueError, match="does not divide"):
+        gate_step_states(swap_gate(1, 2), [ket(0, 0)], cfg)
+    with pytest.raises(ValueError, match="does not divide"):
+        evolve_lindblad_product(
+            [proj(ket(0))] * 2, schedule_sequence([swap_gate(1, 2)]), NOISELESS, (1,), cfg
         )
 
 
@@ -296,20 +318,6 @@ def test_noise_model_validation():
 # ---------------------------------------------------------------------------
 # observers
 # ---------------------------------------------------------------------------
-
-
-def test_unitary_observer_sees_every_step():
-    times = []
-    cfg = IntegratorConfig(dt=1.0 / 50)
-    evolve_unitary(
-        np.kron(PLUS, ket(0)),
-        schedule_sequence([swap_gate(1, 2)]),
-        cfg,
-        observer=lambda t, psi: times.append(t),
-    )
-    assert len(times) == 51
-    assert times[0] == 0.0
-    assert times[-1] == pytest.approx(1.0)
 
 
 def test_rk4_observer_sees_every_step():
@@ -347,6 +355,21 @@ def test_pair_steps_match_the_full_chain_oracle_at_every_step(kind):
         assert np.max(np.abs(vec.reshape(4, 4) - rho)) < 1e-14
 
 
+@pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
+def test_unitary_steps_match_the_expm_product_at_every_step(kind):
+    """The noiseless ``trace`` states are the per-step exponential products."""
+    gate = {"swap": swap_gate, "cnot": cnot_gate, "cnot_rotated": rotated_cnot_gate}[kind](1, 2)
+    inputs = [np.kron(control, ket(0)) for control in (ket(0), ket(1), PLUS)]
+    oracle = []
+    stepped_unitary(schedule_sequence([gate]), 2, 50, observer=lambda t, u: oracle.append(u))
+    states = gate_step_states(gate, inputs, IntegratorConfig(dt=1.0 / 50))
+    assert len(oracle) == 50 and states.shape == (3, 51, 4)
+    for psi0, psis in zip(inputs, states):
+        assert np.array_equal(psis[0], psi0)
+        want = np.array([u @ psi0 for u in oracle])
+        assert np.max(np.abs(psis[1:] - want)) < 1e-12
+
+
 @pytest.mark.parametrize("alpha", EDGE_ALPHAS + (1.0,))
 @pytest.mark.parametrize("kind", ["swap", "cnot"])
 def test_pair_propagator_window_is_set_by_step_index(kind, alpha):
@@ -362,25 +385,9 @@ def test_pair_propagator_window_is_set_by_step_index(kind, alpha):
     assert np.max(np.abs(phi - oracle)) < 1e-12
 
 
-def test_factored_observer_sees_slot_boundaries():
-    times = []
-    evolve_lindblad(
-        proj(np.kron(PLUS, ket(0))),
-        schedule_sequence([swap_gate(1, 2), swap_gate(1, 2)]),
-        NoiseModel("dephasing", 0.01),
-        observer=lambda t, rho: times.append(t),
-    )
-    assert times == [0.0, 1.0, 2.0]
-
-
 def test_default_step_count():
-    counter = []
-    evolve_unitary(
-        np.kron(PLUS, ket(0)),
-        schedule_sequence([swap_gate(1, 2)]),
-        observer=lambda t, psi: counter.append(t),
-    )
-    assert len(counter) == DEFAULT_STEPS_PER_SLOT + 1
+    states = gate_step_states(swap_gate(1, 2), [np.kron(PLUS, ket(0))])
+    assert states.shape == (1, DEFAULT_STEPS_PER_SLOT + 1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +420,37 @@ def test_gate_fidelity_validation():
         gate_fidelity(ket(0, 1), swap_gate(1, 2), alpha=0.0)
     with pytest.raises(ValueError):
         gate_fidelity(ket(0, 1), swap_gate(2, 3))
+
+
+def test_gate_fidelity_runs_one_gate_on_its_pair_only():
+    for psi, gate in [
+        (np.kron(ket(0, 1), ket(0)), swap_gate(1, 2)),  # a 3-qubit input
+        (ket(0, 1), swap_gate(2, 1)),
+    ]:
+        with pytest.raises(ValueError, match=r"qubits \(1, 2\) of a 2-qubit input"):
+            gate_fidelity(psi, gate)
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [NOISELESS, NoiseModel("dephasing", 0.3), NoiseModel("amplitude_damping", 0.3)],
+    ids=lambda noise: noise.kind,
+)
+@pytest.mark.parametrize("alpha", [1.0, 2.5])
+def test_gate_fidelity_equals_the_full_register_oracles(noise, alpha):
+    """The pair map reproduces the slot-by-slot register integrators."""
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    for gate in (swap_gate(1, 2), cnot_gate(1, 2)):
+        target = ideal_gate_matrix(gate.kind) @ psi
+        schedule = schedule_sequence([gate], slot_duration=alpha)
+        if noise is NOISELESS:
+            want = abs(np.vdot(target, evolve_unitary(psi, schedule))) ** 2
+        else:
+            rho = evolve_lindblad(proj(psi), schedule, noise)
+            want = np.real(target.conj() @ rho @ target)
+        assert abs(gate_fidelity(psi, gate, noise, alpha) - want) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +579,8 @@ def test_ladder_live_width_is_four_at_any_length(monkeypatch):
 
 
 def test_density_entries_validate_their_inputs():
-    outside = schedule_sequence([swap_gate(2, 3)])
-    with pytest.raises(ValueError, match="outside the chain"):
-        evolve_lindblad(proj(ket(0, 0)), outside, NoiseModel("dephasing", 0.1))
+    # gates outside the chain and unnormalised inputs: see
+    # test_unitary_rejects_gate_outside_chain and test_initial_trace_drift_raises
     schedule = schedule_sequence([swap_gate(1, 2)])
     sites = [proj(ket(0))] * 2
     for keep in [(1, 1), (0,), (3,)]:
@@ -551,10 +588,6 @@ def test_density_entries_validate_their_inputs():
             evolve_lindblad_product(sites, schedule, NOISELESS, keep)
     with pytest.raises(ValueError):
         evolve_lindblad_product([proj(ket(0, 0))] * 2, schedule, NOISELESS, (1,))
-    with pytest.raises(ValueError, match="outside the chain"):
-        evolve_lindblad_product(sites, outside, NOISELESS, (1,))
-    with pytest.raises(TraceDriftError):
-        evolve_lindblad_product([0.9 * proj(ket(0))] * 2, schedule, NOISELESS, (1,))
 
 
 def test_propagator_cache_builds_once_under_threads():

