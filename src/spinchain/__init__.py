@@ -49,7 +49,6 @@ from .hamiltonians import (
 )
 from .operators import (
     fidelity_to_pure,
-    overlap_fidelity,
     pauli,
 )
 from .pulses import (
@@ -94,7 +93,6 @@ __all__ = [
     "ideal_gate_matrix",
     "nelder_mead",
     "objective",
-    "overlap_fidelity",
     "pauli",
     "pulse_area",
     "rotated_cnot_gate",

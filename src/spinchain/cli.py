@@ -14,21 +14,25 @@ Settings resolve in precedence order: command-line flags, then the
 timestamps and wall time appear only there, so CSV bodies are
 byte-identical across reruns and worker counts.
 
-Single-gate runs act on their pair alone: ``duration-sweep`` applies the
-gate's closed-form slot unitary (noiseless) or its cached 16x16 pair
-propagator (noisy) to the input. A noiseless ``trace`` reads every step
-from the closed form at cumulative pulse areas; a noisy ``trace`` steps
-the pair propagator once and reads every step from that one integration.
-Transport contracts the circuit site by site (pair propagators, or
-closed-form unitaries, plus idle-site channels), so a chain of any
-length runs in time linear in its length.
+Single-gate runs act on their pair alone, through the gate's 16x16 slot
+map from ``dynamics.gate_superoperator``: ``kron(U, U*)`` of the
+closed-form slot unitary when noiseless, pair RK4 when noisy, cached by
+gate, noise, duration and step count. ``duration-sweep`` applies the
+cached map to the input. ``trace`` asks for the map with an observer and
+reads every step of that one pass, for all three inputs at once; its
+noiseless steps are the closed form at cumulative pulse areas.
+Transport contracts the circuit site by site (the same cached maps plus
+idle-site channels), so a chain of any length runs in time linear in
+its length.
 
 Units: times in units of the base slot, pulse amplitudes in units of the
 base energy scale (with hbar = 1), pulse widths in slot-squared, and
 dephasing/damping rates in inverse slots.
 
 Exit codes: 0 success, 2 configuration error (a bad flag or INI value,
-an unknown INI key, or a ``[experiment] kind`` that is not the subcommand),
+an unknown INI key, a ``[experiment] kind`` that is not the subcommand,
+or a ``dt`` or duration factor whose step grid or rescaled pulses the
+library cannot represent),
 3 calibration failure, 4 integrator abort (trace drift, a pair propagator
 that is not finite and trace-preserving, or lost normalisation), 5 internal
 error (any other library ``ValueError``).
@@ -65,7 +69,6 @@ from .dynamics import (
     NumericalError,
     _resolve_steps,
     gate_fidelity,
-    gate_step_states,
     gate_superoperator,
 )
 from .hamiltonians import (
@@ -77,7 +80,7 @@ from .hamiltonians import (
     rotated_cnot_gate,
     swap_gate,
 )
-from .operators import fidelity_to_pure, overlap_fidelity
+from .operators import fidelity_to_pure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -252,8 +255,6 @@ class Settings(SimpleNamespace):
     """Resolved settings: ``command`` plus one attribute per ``SETTINGS`` row."""
 
     def noise(self, gamma: float) -> NoiseModel:
-        if self.noise_kind == "none" or gamma == 0.0:
-            return NoiseModel("none")
         return NoiseModel(self.noise_kind, gamma)
 
 
@@ -305,12 +306,16 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
     if s.width_min <= 0:
         raise ConfigError("width lower bound must be positive")
     # The library's own rules, checked before any case runs: dt must divide
-    # every slot the command integrates over, and each chain must exist.
+    # every slot the command integrates over, each swept gate's pulses must
+    # rescale to every stretched slot, and each chain must exist.
     slots = {"calibrate": (), "duration-sweep": s.alphas}.get(s.command, (1.0,))
+    swept = _swept_kinds(s) if s.command == "duration-sweep" else ()
     chains = s.ns if s.command in ("chain-sweep", "state-map") else ()
     try:
         for slot in slots:
             _resolve_steps(slot, IntegratorConfig(dt=s.dt))
+            for kind in swept:
+                materialize_channel_pulses(GATE_BUILDERS[kind](1, 2).params, 0.0, slot)
         for n in chains:
             ChainTopology(s.topology_kind, n)
     except ValueError as exc:
@@ -380,6 +385,10 @@ def _single_gate(s: Settings) -> GateSpec:
     return GATE_BUILDERS[s.gate](1, 2)
 
 
+def _swept_kinds(s: Settings) -> tuple[str, ...]:
+    return ("swap", "cnot") if s.gate == "both" else (s.gate,)
+
+
 def _single_gamma(s: Settings) -> float:
     if len(s.gammas) != 1:
         raise ConfigError(f"{s.command} takes a single gamma")
@@ -409,24 +418,17 @@ def run_trace(s: Settings):
 
     times: list[float] = []
     fidelity_columns: list[list[float]] = [[] for _ in inputs]
-    if noise.kind == "none":
-        n_steps, dt = _resolve_steps(1.0, cfg)
-        times = [0.0] + (dt * np.arange(1, n_steps + 1)).tolist()
-        states = gate_step_states(gate, inputs, cfg)
-        for psis, target, samples in zip(states, targets, fidelity_columns):
-            samples += [overlap_fidelity(psi, target) for psi in psis]
-    else:
-        # One pair integration serves every input: each step's propagator
-        # maps all initial density matrices at once.
-        rho0 = np.stack([np.outer(p, p.conj()).reshape(-1) for p in inputs], axis=1)
+    # One pass serves every input: each step's map takes all initial
+    # density matrices at once.
+    rho0 = np.stack([np.outer(p, p.conj()).reshape(-1) for p in inputs], axis=1)
 
-        def observer(t, phi):
-            times.append(t)
-            rhos = phi @ rho0
-            for k, (target, samples) in enumerate(zip(targets, fidelity_columns)):
-                samples.append(fidelity_to_pure(rhos[:, k].reshape(4, 4), target))
+    def observer(t, phi):
+        times.append(t)
+        rhos = phi @ rho0
+        for k, (target, samples) in enumerate(zip(targets, fidelity_columns)):
+            samples.append(fidelity_to_pure(rhos[:, k].reshape(4, 4), target))
 
-        gate_superoperator(gate, noise, cfg, observer)
+    gate_superoperator(gate, noise, cfg=cfg, observer=observer)
 
     columns = ["t"] + [name for name, _ in TRACE_INPUTS]
     columns += [f"j_channel_{i + 1}" for i in range(len(pulses))]
@@ -439,7 +441,7 @@ def run_trace(s: Settings):
 
 def run_duration_sweep(s: Settings):
     """Gate fidelity for stretched gates, over gates x gammas x alphas."""
-    gates = ("swap", "cnot") if s.gate == "both" else (s.gate,)
+    gates = _swept_kinds(s)
     psi0 = np.kron(_KET_PLUS, _KET_ZERO)
     cfg = IntegratorConfig(dt=s.dt)
     cases = list(product(gates, s.gammas, s.alphas))

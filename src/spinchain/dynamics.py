@@ -11,34 +11,40 @@ Unitary slots
     gate's common eigenbasis, ``d_i`` the eigenvalues of channel ``i`` and
     ``S_i`` its right-endpoint pulse area on the step grid
     (:func:`discrete_channel_areas`). :func:`slot_unitary` is that 4x4
-    matrix; calibration scores the same matrix, and cumulative areas give
-    the state after every step (:func:`gate_step_states`).
+    matrix, and calibration scores the same matrix. Cumulative areas give
+    the unitary after every step.
 
 Noisy slots
     Within one slot the Lindblad generator splits into commuting pieces
     with disjoint site support: each active pair (its drive plus its two
     sites' dissipators) and each idle site's dissipator. The slot
     propagator therefore factorises exactly into 16x16 pair propagators,
-    integrated by fixed-step RK4 and cached, and closed-form single-site
-    channels on the idle sites.
+    integrated by fixed-step RK4, and closed-form single-site channels on
+    the idle sites.
 
 Single gates
-    A gate on its own pair needs no register: :func:`gate_fidelity`
-    applies ``slot_unitary`` to the pure input, or the cached pair
-    propagator to its vectorised density matrix.
+    :func:`gate_superoperator` is the one entry point for a gate alone on
+    its pair, and the one place that picks a kernel for its 16x16 slot
+    map: ``kron(U, U*)`` of the slot unitary when noiseless, pair RK4
+    otherwise. Maps are cached by ``(kind, params, noise, duration,
+    n_steps)``: an explicit ``dt`` and the default grid share a build
+    when they give the same step count. With an observer nothing is
+    cached and every step is reported; noiseless steps come from the
+    closed form at cumulative areas. :func:`gate_fidelity`, the ``trace``
+    command and transport all read these maps.
 
 Contraction along the chain
     Transport from product inputs is a tensor network with one wire per
     site: its input, the closed-form idle channel over each gap between
     its gates (the idle channels form a semigroup), its gates in slot
     order, then a trace, or an open leg for a readout site. Each gate is
-    a (4, 4, 4, 4) tensor: its pair propagator, or ``kron(U, U*)`` of its
-    slot unitary when noiseless. :func:`evolve_lindblad_product` cuts
-    that network by site instead of by time (Markov & Shi, SIAM J.
-    Comput. 38, 963 (2008)): sites join one frontier tensor in index
-    order, a gate's first site brings in the whole gate and its second
-    site closes the gate's legs. On the transport circuits the frontier
-    never exceeds 1024 entries, so the cost is linear in the length.
+    its cached slot map read as a (4, 4, 4, 4) tensor.
+    :func:`evolve_lindblad_product` cuts that network by site instead of
+    by time (Markov & Shi, SIAM J. Comput. 38, 963 (2008)): sites join
+    one frontier tensor in index order, a gate's first site brings in the
+    whole gate and its second site closes the gate's legs. On the
+    transport circuits the frontier never exceeds 1024 entries, so the
+    cost is linear in the length.
 
 Pulses are truncated to their slot. Whether a grid point carries drive is
 decided by its step index (the slot-end point never does), so results do
@@ -47,8 +53,9 @@ not depend on how accumulated step times round near the slot edge.
 Trace is monitored, never renormalised: drift beyond ``TRACE_ABORT_TOL``
 (a NaN trace included) raises :class:`TraceDriftError`, and so does a
 pair propagator that stops being finite and trace-preserving while it is
-built (checked every ``TRACE_CHECK_STRIDE`` steps and at the end), so
-integrator bugs cannot hide.
+built (checked every ``TRACE_CHECK_STRIDE`` steps and at the end). A slot
+unitary more than 1e-9 away from unitary raises :class:`NumericalError`
+when its map is built. Integrator bugs cannot hide.
 """
 
 from __future__ import annotations
@@ -65,10 +72,13 @@ from .hamiltonians import (
     materialize_channel_pulses,
 )
 from .memo import BuildOnce
-from .operators import check_state, fidelity_to_pure, overlap_fidelity, pauli
+from .operators import check_state, fidelity_to_pure, pauli
 from .pulses import PulseSchedule
 
 DEFAULT_STEPS_PER_SLOT = 1000
+# RK4 at the default grid is already accurate to ~1e-12, and a noiseless
+# observed pass holds one 4x4 unitary per step, so finer grids are refused.
+MAX_STEPS_PER_SLOT = 100 * DEFAULT_STEPS_PER_SLOT
 TRACE_ABORT_TOL = 1e-6
 # Pair builds check their map every this many RK4 steps: an unstable step
 # breaks trace preservation within ~10 steps but overflows only after ~80.
@@ -88,7 +98,8 @@ class TraceDriftError(NumericalError):
 @dataclass(frozen=True)
 class NoiseModel:
     """Uniform single-site noise: ``sqrt(gamma) sigma_z`` (dephasing) or
-    ``sqrt(gamma) sigma_-`` (amplitude damping) on every site."""
+    ``sqrt(gamma) sigma_-`` (amplitude damping) on every site. A zero rate
+    is the noiseless model, kind ``"none"``."""
 
     kind: str
     gamma: float = 0.0
@@ -98,7 +109,8 @@ class NoiseModel:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.gamma < 0.0:
             raise ValueError("decay rate gamma must be non-negative")
-        if self.kind == "none":
+        if self.kind == "none" or self.gamma == 0.0:
+            object.__setattr__(self, "kind", "none")
             object.__setattr__(self, "gamma", 0.0)
 
     def jump_block(self) -> np.ndarray | None:
@@ -111,10 +123,6 @@ class NoiseModel:
 
 
 NOISELESS = NoiseModel(kind="none")
-
-
-def _is_noiseless(noise: NoiseModel) -> bool:
-    return noise.kind == "none" or noise.gamma == 0.0
 
 
 @dataclass(frozen=True)
@@ -132,7 +140,13 @@ def _resolve_steps(slot_duration: float, cfg: IntegratorConfig) -> tuple[int, fl
     """Steps per slot and the actual dt; dt must divide the slot evenly."""
     if cfg.dt is None:
         return DEFAULT_STEPS_PER_SLOT, slot_duration / DEFAULT_STEPS_PER_SLOT
-    n = int(round(slot_duration / cfg.dt))
+    steps = slot_duration / cfg.dt
+    if not steps < MAX_STEPS_PER_SLOT + 0.5:  # an infinite or NaN count fails too
+        raise ValueError(
+            f"dt={cfg.dt} would take more than {MAX_STEPS_PER_SLOT} steps "
+            f"for the slot duration {slot_duration}"
+        )
+    n = int(round(steps))
     if n < 1 or abs(n * cfg.dt - slot_duration) > 1e-9 * max(1.0, slot_duration):
         raise ValueError(
             f"dt={cfg.dt} does not divide the slot duration {slot_duration}"
@@ -193,41 +207,11 @@ def slot_unitary(
     return _eigen_unitary(kind, discrete_channel_areas(params, slot_duration, n_steps))
 
 
-def _check_norm(psi: np.ndarray):
-    # Each closed-form unitary is exact to roundoff, so anything past 1e-9
-    # means a genuine defect.
-    norm = np.linalg.norm(psi)
-    if not abs(norm - 1.0) <= 1e-9:
-        raise NumericalError(f"unitary evolution lost normalisation ({norm - 1.0:.3e})")
-
-
-def gate_step_states(
-    gate: GateSpec, inputs, cfg: IntegratorConfig | None = None
-) -> np.ndarray:
-    """States of one gate alone on its pair at t = 0 and after every step
-    of one unit slot, stacked as ``(input, step, 4)``, for each pure
-    2-qubit input: the closed form at the cumulative pulse areas, so step
-    ``m`` is the product of the first ``m`` per-step exponentials. A final
-    state off unit norm raises :class:`NumericalError`.
-    """
-    n_steps, _ = _resolve_steps(1.0, cfg or IntegratorConfig())
-    samples, dt = _channel_samples(gate.params, 1.0, n_steps)
-    steps = _eigen_unitary(gate.kind, np.cumsum(samples, axis=1) * dt)
-    out = []
-    for psi0 in inputs:
-        psi0 = check_state(psi0)
-        states = (steps @ psi0.reshape(4, 1))[..., 0]
-        _check_norm(states[-1])
-        out.append(np.concatenate([psi0[None], states]))
-    return np.array(out)
-
-
 # ---------------------------------------------------------------------------
 # Noisy slots: exact factorisation into pair propagators and idle channels
 
 _I4 = np.eye(4, dtype=complex)
 _VEC_I4 = _I4.reshape(16)
-_PAIR_PROP_CACHE = BuildOnce()
 
 
 def _hamiltonian_superop(h4: np.ndarray) -> np.ndarray:
@@ -249,11 +233,12 @@ def _pair_rk4(
     params: tuple[tuple[float, float], ...],
     noise: NoiseModel,
     duration: float,
-    dt: float,
+    n_steps: int,
     observer=None,
 ) -> np.ndarray:
     """16x16 propagator of one driven pair (plus its two sites' noise)
-    across one slot, by fixed-step RK4 on the propagator itself.
+    across one slot of ``n_steps`` steps, by fixed-step RK4 on the
+    propagator itself.
 
     The observer, when given, is called with ``(t, phi)`` after each step.
     A map that is not finite or not trace-preserving to
@@ -265,11 +250,11 @@ def _pair_rk4(
     drive_superops = [_hamiltonian_superop(b) for b in blocks]
     constant = np.zeros((16, 16), dtype=complex)
     jump = noise.jump_block()
-    if jump is not None and noise.gamma > 0.0:
+    if jump is not None:
         for l4 in (np.kron(jump, np.eye(2)), np.kron(np.eye(2), jump)):
             constant += noise.gamma * _dissipator_superop(l4)
 
-    n_steps = int(round(duration / dt))
+    dt = duration / n_steps
     steps = np.arange(n_steps)
     t0 = steps * dt
     # Drive at each step's start, midpoint and end; the last step ends on
@@ -310,38 +295,63 @@ def _check_pair_map(kind: str, phi: np.ndarray):
         )
 
 
-def _pair_slot_propagator(
-    kind: str,
-    params: tuple[tuple[float, float], ...],
-    noise: NoiseModel,
-    duration: float,
-    dt: float,
-) -> np.ndarray:
-    """The cached slot propagator of one pair (see :func:`_pair_rk4`)."""
-    key = (kind, params, noise.kind, float(noise.gamma), float(duration), float(dt))
-    return _PAIR_PROP_CACHE.get(
-        key, lambda: _pair_rk4(kind, params, noise, duration, dt)
-    )
+_PAIR_PROP_CACHE = BuildOnce()
+
+
+def _check_unitary(u: np.ndarray):
+    # Each closed-form unitary is exact to roundoff, so anything past 1e-9
+    # means a genuine defect.
+    error = np.max(np.abs(u.conj().T @ u - _I4))
+    if not error <= 1e-9:
+        raise NumericalError(f"unitary evolution lost normalisation ({error:.3e})")
+
+
+def _unitary_map(u: np.ndarray) -> np.ndarray:
+    """``kron(u, u*)``, the row-major map of ``rho -> u rho u^dag``,
+    without ``np.kron``'s per-call overhead."""
+    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(16, 16)
 
 
 def gate_superoperator(
     gate: GateSpec,
     noise: NoiseModel,
+    duration: float = 1.0,
     cfg: IntegratorConfig | None = None,
     observer=None,
 ) -> np.ndarray:
-    """Row-major 16x16 superoperator of one gate alone on its pair across
-    one unit slot, under the pair's own noise.
+    """Row-major 16x16 map of one gate alone on its pair across one slot
+    of ``duration``, under the pair's own noise: ``kron(U, U*)`` of the
+    closed-form slot unitary when noiseless, else the pair RK4 propagator.
 
-    The observer, when given, is called with ``(t, phi)`` at t = 0 and
-    after every RK4 step, so one integration serves any number of inputs:
-    ``phi @ rho.reshape(16)`` is the evolved pair state at ``t``.
+    Without an observer the map is cached by ``(kind, params, noise,
+    duration, n_steps)``. With one, nothing is cached and the observer is
+    called with ``(t, phi)`` at t = 0 and after every step, so one pass
+    serves any number of inputs: ``phi @ rho.reshape(16)`` is the evolved
+    pair state at ``t``. A noiseless step is the closed form at the
+    cumulative pulse areas.
     """
-    cfg = cfg or IntegratorConfig()
-    _, dt = _resolve_steps(1.0, cfg)
-    if observer is not None:
-        observer(0.0, np.eye(16, dtype=complex))
-    return _pair_rk4(gate.kind, gate.params, noise, 1.0, dt, observer)
+    n_steps, dt = _resolve_steps(duration, cfg or IntegratorConfig())
+    kind, params = gate.kind, gate.params
+
+    def build():
+        if noise.kind != "none":
+            return _pair_rk4(kind, params, noise, duration, n_steps, observer)
+        if observer is None:
+            u = slot_unitary(kind, params, duration, n_steps)
+            _check_unitary(u)
+            return _unitary_map(u)
+        samples, step = _channel_samples(params, duration, n_steps)
+        steps = _eigen_unitary(kind, np.cumsum(samples, axis=1) * step)
+        _check_unitary(steps[-1])
+        for t, u in zip(dt * np.arange(1, n_steps + 1), steps):
+            phi = _unitary_map(u)
+            observer(t, phi)
+        return phi
+
+    if observer is None:
+        return _PAIR_PROP_CACHE.get((kind, params, noise, float(duration), n_steps), build)
+    observer(0.0, np.eye(16, dtype=complex))
+    return build()
 
 
 def _idle_superop(noise: NoiseModel, duration: float) -> np.ndarray:
@@ -366,17 +376,12 @@ _VEC_I2 = np.eye(2, dtype=complex).reshape(4)
 
 
 def _gate_tensor(
-    spec: GateSpec, noise: NoiseModel, tau: float, n_steps: int, dt: float
+    spec: GateSpec, noise: NoiseModel, tau: float, cfg: IntegratorConfig | None
 ) -> np.ndarray:
-    """A gate's slot map as a ``(4, 4, 4, 4)`` tensor with legs (out_a,
-    out_b, in_a, in_b), one row-major 2x2 leg per site of ``spec.qubits``:
-    the closed-form ``kron(U, U*)`` when noiseless, else the cached pair
-    propagator."""
-    if _is_noiseless(noise):
-        u = slot_unitary(spec.kind, spec.params, tau, n_steps)
-        phi = np.kron(u, u.conj())
-    else:
-        phi = _pair_slot_propagator(spec.kind, spec.params, noise, tau, dt)
+    """A gate's cached slot map (:func:`gate_superoperator`) as a
+    ``(4, 4, 4, 4)`` tensor with legs (out_a, out_b, in_a, in_b), one
+    row-major 2x2 leg per site of ``spec.qubits``."""
+    phi = gate_superoperator(spec, noise, tau, cfg)
     return phi.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(4, 4, 4, 4)
 
 
@@ -404,7 +409,6 @@ def evolve_lindblad_product(
     ``ValueError``; the trace of the result is checked, never
     renormalised.
     """
-    cfg = cfg or IntegratorConfig()
     states = [np.asarray(s, dtype=complex) for s in site_states]
     n = len(states)
     keep = tuple(int(s) for s in keep)
@@ -414,9 +418,7 @@ def evolve_lindblad_product(
         if state.shape != (2, 2):
             raise ValueError("site states must be 2x2 density matrices")
         _check_trace(state, "in the initial state")
-    n_steps, dt = _resolve_steps(schedule.slot_duration, cfg)
     tau = schedule.slot_duration
-    tensors: dict = {}
 
     # Blocks: gates on one pair that no other gate on either site separates
     # compose into one tensor, so a pair's repeated gates cost no more
@@ -428,10 +430,7 @@ def evolve_lindblad_product(
         spec: GateSpec = entry.gate
         if max(spec.qubits) > n:
             raise ValueError("gate addresses a qubit outside the chain")
-        key = (spec.kind, spec.params)
-        if key not in tensors:
-            tensors[key] = _gate_tensor(spec, noise, tau, n_steps, dt)
-        g = tensors[key]
+        g = _gate_tensor(spec, noise, tau, cfg)
         a, b = spec.qubits
         if events[a] and events[b] and events[a][-1] == events[b][-1]:
             block = blocks[events[a][-1]]
@@ -462,7 +461,7 @@ def evolve_lindblad_product(
 
     def idle(slots: int):
         nonlocal frontier, loose
-        if not slots or _is_noiseless(noise):
+        if not slots or noise.kind == "none":
             return
         m = _idle_superop(noise, slots * tau)
         if loose is not None:
@@ -531,22 +530,16 @@ def gate_fidelity(
     """Fidelity of one stretched gate on (1, 2) against its ideal action.
 
     The gate's pulses are rescaled to a slot of duration ``alpha * tau0``;
-    the normalised 2-qubit input goes through the slot unitary when
-    noiseless, otherwise its density matrix goes through the cached pair
-    propagator, and the result is compared with the ideal gate output.
+    the density matrix of the normalised 2-qubit input goes through the
+    gate's cached slot map (:func:`gate_superoperator`), and the result is
+    compared with the ideal gate output.
     """
     if not (alpha > 0.0):
         raise ValueError("duration factor alpha must be positive")
     psi0 = check_state(np.asarray(input_state, dtype=complex))
     if psi0.shape != (4,) or gate.qubits != (1, 2):
         raise ValueError("gate_fidelity runs one gate on qubits (1, 2) of a 2-qubit input")
-    n_steps, dt = _resolve_steps(alpha, cfg or IntegratorConfig())
-    target = ideal_gate_matrix(gate.kind) @ psi0
-    if _is_noiseless(noise):
-        out = slot_unitary(gate.kind, gate.params, alpha, n_steps) @ psi0
-        _check_norm(out)
-        return overlap_fidelity(out, target)
-    phi = _pair_slot_propagator(gate.kind, gate.params, noise, alpha, dt)
+    phi = gate_superoperator(gate, noise, alpha, cfg)
     rho = (phi @ np.outer(psi0, psi0.conj()).reshape(16)).reshape(4, 4)
     _check_trace(rho, "in the final state")
-    return fidelity_to_pure(rho, target)
+    return fidelity_to_pure(rho, ideal_gate_matrix(gate.kind) @ psi0)

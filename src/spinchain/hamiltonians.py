@@ -112,14 +112,17 @@ def materialize_channel_pulses(
 
     A window of duration ``alpha`` carries the rescaled parameters
     ``(A/alpha, W*alpha^2)`` centred mid-window, so the analytic pulse area
-    is independent of the slot duration.
+    is independent of the slot duration. Rescaled parameters outside the
+    float range fail ``GaussianPulse``'s checks with ``ValueError``.
     """
     alpha = end - start
     if not (alpha > 0.0):
         raise ValueError("gate window must have positive duration")
     center = 0.5 * (start + end)
+    # alpha * alpha overflows to inf, which GaussianPulse rejects; alpha**2
+    # would raise OverflowError instead
     return tuple(
-        GaussianPulse(amplitude=a / alpha, width=w * alpha**2, center=center)
+        GaussianPulse(amplitude=a / alpha, width=w * (alpha * alpha), center=center)
         for a, w in params
     )
 

@@ -56,8 +56,3 @@ def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray) -> float:
     """``<psi| rho |psi>`` — the Uhlmann fidelity when the target is pure."""
     psi = np.asarray(psi, dtype=complex)
     return float(np.real(psi.conj() @ (rho @ psi)))
-
-
-def overlap_fidelity(psi: np.ndarray, phi: np.ndarray) -> float:
-    """``|<phi|psi>|^2`` for two pure states."""
-    return float(np.abs(np.vdot(phi, psi)) ** 2)

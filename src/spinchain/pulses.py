@@ -27,8 +27,8 @@ class GaussianPulse:
     def __post_init__(self):
         if not math.isfinite(self.amplitude):
             raise ValueError("pulse amplitude must be finite")
-        if not (self.width > 0.0):
-            raise ValueError("pulse width must be positive")
+        if not (0.0 < self.width < math.inf):
+            raise ValueError("pulse width must be positive and finite")
 
     def value(self, t):
         t = np.asarray(t, dtype=float)

@@ -28,9 +28,8 @@ from spinchain.dynamics import (
     NumericalError,
     _check_trace,
     _idle_superop,
-    _is_noiseless,
-    _pair_slot_propagator,
     _resolve_steps,
+    gate_superoperator,
     slot_unitary,
 )
 from spinchain.hamiltonians import gate_channel_blocks, materialize_channel_pulses
@@ -164,7 +163,7 @@ def evolve_unitary(psi, schedule, cfg=None):
 
 def evolve_lindblad(rho, schedule, noise, cfg=None):
     """The master equation across a schedule on the full register, slot by
-    slot: each gate's cached pair propagator, then the closed-form idle
+    slot: each gate's cached slot map, then the closed-form idle
     channel of every site no gate touches; the trace is checked after
     every slot."""
     rho = np.asarray(rho, dtype=complex).copy()
@@ -172,16 +171,15 @@ def evolve_lindblad(rho, schedule, noise, cfg=None):
     _check_trace(rho, "in the initial state")
     if schedule.num_slots == 0:
         return rho
-    _, dt = _resolve_steps(schedule.slot_duration, cfg or IntegratorConfig())
     tau = schedule.slot_duration
     for k in range(schedule.num_slots):
         active = set()
         for entry in _checked_entries(schedule, k, n):
             gate = entry.gate
-            phi = _pair_slot_propagator(gate.kind, gate.params, noise, tau, dt)
+            phi = gate_superoperator(gate, noise, tau, cfg)
             rho = apply_superop(rho, phi, gate.qubits, n)
             active.update(gate.qubits)
-        if not _is_noiseless(noise):
+        if noise.kind != "none":
             idle = _idle_superop(noise, tau)
             for site in range(1, n + 1):
                 if site not in active:

@@ -341,6 +341,11 @@ def test_header_records_resolved_settings(tmp_path):
         ["chain-sweep", "--noise", "dephasing", "--gamma", "inf"],
         ["duration-sweep", "--alpha", "1,inf"],
         ["chain-sweep", "--force-large-n"],  # removed: any length runs
+        ["duration-sweep", "--alpha", "1e200"],  # the pulse width overflows
+        ["duration-sweep", "--alpha", "1e-300"],  # the pulse width underflows
+        ["trace", "--dt", "1e-320"],  # the step count overflows
+        ["trace", "--dt", "1e-300"],  # a finite step count past the ceiling
+        ["duration-sweep", "--dt", "1e-9"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -467,12 +472,27 @@ def test_lost_normalisation_aborts_with_exit_4(tmp_path, monkeypatch, capsys):
 
 
 def test_broken_transport_gate_aborts_on_the_final_trace(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(dynamics, "slot_unitary", lambda *args: 2.0 * np.eye(4))
-    code, _ = run(tmp_path, ["chain-sweep", "--noise", "none", "--n", "3"])
+    # a noisy pair map that is not trace-preserving, past the build's own check
+    monkeypatch.setattr(dynamics, "_pair_rk4", lambda *args: 2.0 * np.eye(16))
+    code, _ = run(tmp_path, ["chain-sweep", "--noise", "dephasing", "--n", "3"])
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("integrator abort: trace drifted by")
     assert "in the final state" in err
+    # a broken closed-form unitary aborts when its map is built
+    monkeypatch.setattr(dynamics, "slot_unitary", lambda *args: 2.0 * np.eye(4))
+    code, _ = run(tmp_path, ["chain-sweep", "--noise", "none", "--n", "3"])
+    assert code == 4
+    assert "integrator abort: unitary evolution lost normalisation" in capsys.readouterr().err
+
+
+def test_default_noisy_ladder_builds_two_maps(tmp_path, monkeypatch):
+    builds = []
+    build = dynamics._pair_rk4
+    monkeypatch.setattr(dynamics, "_pair_rk4", lambda *args: builds.append(args[0]) or build(*args))
+    code, out = run(tmp_path, ["chain-sweep", "--topology", "2d", "--noise", "amp"])
+    assert code == 0 and len(rows_of(out)[1]) == 10
+    assert sorted(builds) == ["cnot", "swap"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the build stops before numpy overflows

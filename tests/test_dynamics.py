@@ -19,14 +19,14 @@ from spinchain import dynamics
 from spinchain.circuits import GATE_ORDERS, ChainTopology, build_transport_circuit
 from spinchain.dynamics import (
     DEFAULT_STEPS_PER_SLOT,
+    MAX_STEPS_PER_SLOT,
     NOISELESS,
     IntegratorConfig,
     NoiseModel,
     TraceDriftError,
-    _pair_slot_propagator,
+    _resolve_steps,
     evolve_lindblad_product,
     gate_fidelity,
-    gate_step_states,
     gate_superoperator,
     slot_unitary,
 )
@@ -249,7 +249,7 @@ def test_overflowing_pair_propagator_aborts_and_is_not_cached():
     noise = NoiseModel("dephasing", 5000.0)
     for _ in range(2):  # a failed build stores nothing, so it fails again
         with pytest.raises(TraceDriftError, match="swap pair propagator"):
-            dynamics._pair_slot_propagator("swap", swap_gate(1, 2).params, noise, 1.0, 1e-3)
+            gate_superoperator(swap_gate(1, 2), noise)
     with pytest.raises(TraceDriftError, match="cnot pair propagator"):
         gate_superoperator(cnot_gate(1, 2), noise)
 
@@ -289,11 +289,19 @@ def test_dt_must_divide_the_slot():
         with pytest.raises(ValueError, match="does not divide"):
             gate_fidelity(ket(0, 0), swap_gate(1, 2), noise, cfg=cfg)
     with pytest.raises(ValueError, match="does not divide"):
-        gate_step_states(swap_gate(1, 2), [ket(0, 0)], cfg)
+        gate_superoperator(swap_gate(1, 2), NOISELESS, cfg=cfg)
     with pytest.raises(ValueError, match="does not divide"):
         evolve_lindblad_product(
             [proj(ket(0))] * 2, schedule_sequence([swap_gate(1, 2)]), NOISELESS, (1,), cfg
         )
+
+
+@pytest.mark.parametrize("dt", [1e-320, 1e-300, 1e-9, 1.0 / (MAX_STEPS_PER_SLOT + 1)])
+def test_step_count_past_the_ceiling_is_refused(dt):
+    with pytest.raises(ValueError, match=f"more than {MAX_STEPS_PER_SLOT} steps"):
+        gate_fidelity(ket(0, 0), swap_gate(1, 2), cfg=IntegratorConfig(dt=dt))
+    # the ceiling itself is a valid grid
+    assert _resolve_steps(1.0, IntegratorConfig(dt=1.0 / MAX_STEPS_PER_SLOT))[0] == MAX_STEPS_PER_SLOT
 
 
 def test_integrator_config_validation():
@@ -325,7 +333,7 @@ def test_rk4_observer_sees_every_step():
     gate_superoperator(
         swap_gate(1, 2),
         NoiseModel("dephasing", 0.01),
-        IntegratorConfig(dt=1.0 / 50),
+        cfg=IntegratorConfig(dt=1.0 / 50),
         observer=lambda t, phi: times.append(t),
     )
     assert len(times) == 51
@@ -355,19 +363,56 @@ def test_pair_steps_match_the_full_chain_oracle_at_every_step(kind):
         assert np.max(np.abs(vec.reshape(4, 4) - rho)) < 1e-14
 
 
+GATE_BUILDERS = {"swap": swap_gate, "cnot": cnot_gate, "cnot_rotated": rotated_cnot_gate}
+
+
 @pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
 def test_unitary_steps_match_the_expm_product_at_every_step(kind):
-    """The noiseless ``trace`` states are the per-step exponential products."""
-    gate = {"swap": swap_gate, "cnot": cnot_gate, "cnot_rotated": rotated_cnot_gate}[kind](1, 2)
-    inputs = [np.kron(control, ket(0)) for control in (ket(0), ket(1), PLUS)]
+    """The noiseless ``trace`` maps are the per-step exponential products."""
+    gate = GATE_BUILDERS[kind](1, 2)
     oracle = []
     stepped_unitary(schedule_sequence([gate]), 2, 50, observer=lambda t, u: oracle.append(u))
-    states = gate_step_states(gate, inputs, IntegratorConfig(dt=1.0 / 50))
-    assert len(oracle) == 50 and states.shape == (3, 51, 4)
-    for psi0, psis in zip(inputs, states):
-        assert np.array_equal(psis[0], psi0)
-        want = np.array([u @ psi0 for u in oracle])
-        assert np.max(np.abs(psis[1:] - want)) < 1e-12
+    steps = []
+    gate_superoperator(
+        gate, NOISELESS, cfg=IntegratorConfig(dt=1.0 / 50),
+        observer=lambda t, phi: steps.append(phi),
+    )
+    assert len(oracle) == 50 and len(steps) == 51
+    assert np.array_equal(steps[0], np.eye(16))
+    for phi, u in zip(steps[1:], oracle):
+        assert np.max(np.abs(phi - np.kron(u, u.conj()))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
+def test_noiseless_map_is_the_closed_form(kind):
+    gate = GATE_BUILDERS[kind](1, 2)
+    u = slot_unitary(gate.kind, gate.params)
+    phi = gate_superoperator(gate, NOISELESS)
+    assert np.max(np.abs(phi - np.kron(u, u.conj()))) < 1e-15
+
+
+def test_zero_rate_is_noiseless():
+    gate, psi = cnot_gate(1, 2), np.kron(PLUS, ket(0))
+    for kind in ("dephasing", "amplitude_damping"):
+        noise = NoiseModel(kind, 0.0)
+        assert noise == NOISELESS
+        assert np.array_equal(gate_superoperator(gate, noise), gate_superoperator(gate, NOISELESS))
+        assert gate_fidelity(psi, gate, noise) == gate_fidelity(psi, gate, NOISELESS)
+
+
+def test_maps_are_cached_by_step_count(monkeypatch):
+    builds = []
+    build = dynamics._pair_rk4
+    monkeypatch.setattr(dynamics, "_pair_rk4", lambda *args: builds.append(args) or build(*args))
+    alpha, psi = 1.37382379588, np.kron(PLUS, ket(0))
+    noise = NoiseModel("dephasing", 0.01)
+    # the default grid, its dt, and that dt as a CSV prints it: one step count
+    cfgs = [IntegratorConfig(), IntegratorConfig(dt=alpha / 1000)]
+    cfgs.append(IntegratorConfig(dt=float(f"{alpha / 1000:.12g}")))
+    values = {gate_fidelity(psi, swap_gate(1, 2), noise, alpha, cfg) for cfg in cfgs}
+    assert len(builds) == 1 and len(values) == 1
+    gate_fidelity(psi, swap_gate(1, 2), noise, alpha, IntegratorConfig(dt=alpha / 500))
+    assert len(builds) == 2
 
 
 @pytest.mark.parametrize("alpha", EDGE_ALPHAS + (1.0,))
@@ -378,7 +423,7 @@ def test_pair_propagator_window_is_set_by_step_index(kind, alpha):
     gate = swap_gate(1, 2) if kind == "swap" else cnot_gate(1, 2)
     noise = NoiseModel("dephasing", 0.01)
     dt = alpha / DEFAULT_STEPS_PER_SLOT
-    phi = _pair_slot_propagator(gate.kind, gate.params, noise, alpha, dt)
+    phi = gate_superoperator(gate, noise, alpha)
     schedule = schedule_sequence([gate], slot_duration=alpha)
     units = np.eye(16, dtype=complex).reshape(4, 4, 16)
     oracle = rk4_lindblad(units, schedule, noise, dt).reshape(16, 16)
@@ -386,8 +431,10 @@ def test_pair_propagator_window_is_set_by_step_index(kind, alpha):
 
 
 def test_default_step_count():
-    states = gate_step_states(swap_gate(1, 2), [np.kron(PLUS, ket(0))])
-    assert states.shape == (1, DEFAULT_STEPS_PER_SLOT + 1, 4)
+    times = []
+    gate_superoperator(swap_gate(1, 2), NOISELESS, observer=lambda t, phi: times.append(t))
+    assert len(times) == DEFAULT_STEPS_PER_SLOT + 1
+    assert times[-1] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

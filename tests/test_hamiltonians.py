@@ -259,3 +259,9 @@ def test_dense_assembly_matches_manual_kron():
     coupling = kron2(SX, SX) + kron2(SY, SY) + kron2(SZ, SZ)
     want = pulse.value(t) * np.kron(coupling, I2)
     assert np.max(np.abs(h - want)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1e200, 1e-300, 5e-324])
+def test_unrepresentable_pulse_rescaling_is_refused(alpha):
+    with pytest.raises(ValueError, match="pulse (amplitude|width) must be"):
+        materialize_channel_pulses(((10.0, 0.02),), 0.0, alpha)

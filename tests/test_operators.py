@@ -16,7 +16,6 @@ from spinchain.operators import (
     check_state,
     fidelity_to_pure,
     num_qubits,
-    overlap_fidelity,
     pauli,
 )
 
@@ -204,7 +203,6 @@ def test_fidelity_on_pure_states_is_squared_overlap():
     # the eigen-decomposition route loses ~sqrt(eps) on rank-deficient input
     assert abs(fidelity(rho, sigma) - expected) < 2e-7
     assert abs(fidelity_to_pure(rho, phi) - expected) < 1e-12
-    assert abs(overlap_fidelity(psi, phi) - expected) < 1e-12
 
 
 def test_fidelity_to_pure_agrees_with_general_fidelity_on_mixed_input():

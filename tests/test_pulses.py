@@ -45,6 +45,8 @@ def test_pulse_validation():
     with pytest.raises(ValueError):
         GaussianPulse(amplitude=1.0, width=-0.1, center=0.5)
     with pytest.raises(ValueError):
+        GaussianPulse(amplitude=1.0, width=float("inf"), center=0.5)
+    with pytest.raises(ValueError):
         GaussianPulse(amplitude=float("nan"), width=0.1, center=0.5)
 
 
