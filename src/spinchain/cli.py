@@ -33,9 +33,10 @@ Exit codes: 0 success, 2 configuration error (a bad flag or INI value,
 an unknown INI key, a ``[experiment] kind`` that is not the subcommand,
 or a ``dt`` or duration factor whose step grid or rescaled pulses the
 library cannot represent),
-3 calibration failure, 4 integrator abort (trace drift, a pair propagator
-that is not finite and trace-preserving, or lost normalisation), 5 internal
-error (any other library ``ValueError``).
+3 calibration failure, 4 integrator abort (trace drift, a pair generator
+that breaks Hermiticity, a pair propagator that is not finite,
+trace-preserving and bounded, or lost normalisation), 5 internal error
+(any other library ``ValueError``).
 """
 
 from __future__ import annotations

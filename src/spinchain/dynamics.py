@@ -20,7 +20,14 @@ Noisy slots
     sites' dissipators) and each idle site's dissipator. The slot
     propagator therefore factorises exactly into 16x16 pair propagators,
     integrated by fixed-step RK4, and closed-form single-site channels on
-    the idle sites.
+    the idle sites. A pair propagator is built in the real Pauli-transfer
+    basis, where a Hermiticity-preserving generator is real (a complex one
+    raises :class:`NumericalError`): one GEMM of the pulse samples against
+    the generator's letters gives every step's generators, three batched
+    products give every step's RK4 map, and a pairwise tree (Blelloch,
+    CMU-CS-90-190) multiplies them, in chunks of ``PAIR_CHUNK_STEPS``
+    steps. Maps are carried as their difference from the identity, so
+    near-identity steps multiply without losing digits.
 
 Single gates
     :func:`gate_superoperator` is the one entry point for a gate alone on
@@ -52,10 +59,14 @@ not depend on how accumulated step times round near the slot edge.
 
 Trace is monitored, never renormalised: drift beyond ``TRACE_ABORT_TOL``
 (a NaN trace included) raises :class:`TraceDriftError`, and so does a
-pair propagator that stops being finite and trace-preserving while it is
-built (checked every ``TRACE_CHECK_STRIDE`` steps and at the end). A slot
-unitary more than 1e-9 away from unitary raises :class:`NumericalError`
-when its map is built. Integrator bugs cannot hide.
+pair propagator that, while it is built, stops being finite, keeping its
+trace row (the first Pauli-transfer row stays e_0 to ``TRACE_ABORT_TOL``)
+or bounded (no entry above ``1 / TRACE_ABORT_TOL``; a CPTP map has none
+above 1). The build checks every level of its tree, and an observed build
+its step maps and then its product every ``TRACE_CHECK_STRIDE`` steps and
+at the end, so an unstable step grid aborts before numpy overflows. A slot unitary more than 1e-9 away
+from unitary raises :class:`NumericalError` when its map is built.
+Integrator bugs cannot hide.
 """
 
 from __future__ import annotations
@@ -211,21 +222,149 @@ def slot_unitary(
 # Noisy slots: exact factorisation into pair propagators and idle channels
 
 _I4 = np.eye(4, dtype=complex)
-_VEC_I4 = _I4.reshape(16)
+
+
+def _kron4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 4x4 matrices without its per-call overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
 
 
 def _hamiltonian_superop(h4: np.ndarray) -> np.ndarray:
     # Row-major vec: vec(A X B) = (A kron B^T) vec(X).
-    return -1j * (np.kron(h4, _I4) - np.kron(_I4, h4.T))
+    return -1j * (_kron4(h4, _I4) - _kron4(_I4, h4.T))
 
 
 def _dissipator_superop(l4: np.ndarray) -> np.ndarray:
     ldl = l4.conj().T @ l4
     return (
-        np.kron(l4, l4.conj())
-        - 0.5 * np.kron(ldl, _I4)
-        - 0.5 * np.kron(_I4, ldl.T)
+        _kron4(l4, l4.conj())
+        - 0.5 * _kron4(ldl, _I4)
+        - 0.5 * _kron4(_I4, ldl.T)
     )
+
+
+# Pauli-transfer basis: column 4a + b is the row-major vec(P_a kron P_b) / 2
+# over P = (I, X, Y, Z). It is unitary, and a map that preserves
+# Hermiticity is real in it, with first row e_0 when it preserves trace.
+_PAULI_BASIS = [pauli(k) for k in ("identity", "x", "y", "z")]
+_PTM = np.array([np.kron(a, b).reshape(16) / 2 for a in _PAULI_BASIS for b in _PAULI_BASIS]).T
+_PTM_INV = _PTM.conj().T
+_I16 = np.eye(16, dtype=complex)
+# Steps per batch of step maps: bounds a build's transient memory (~3.5 MiB
+# at 20 000 steps, against ~230 MiB for all of them at once).
+PAIR_CHUNK_STEPS = 256
+# RK4 weights of the workspace rows (hk_4, hk_1, hk_2, hk_3)
+_RK4_WEIGHTS = np.array([1.0, 1.0, 2.0, 2.0]) / 6.0
+
+
+def _diagonal(maps: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonals of a contiguous ``(steps, 16, 16)``
+    stack."""
+    return maps.reshape(len(maps), 256)[:, ::17]
+
+
+def _pair_step_maps(kind, params, noise, duration, n_steps):
+    """The real RK4 step maps of one driven pair across one slot, minus the
+    identity, in the Pauli-transfer basis, yielded in chunks of at most
+    ``PAIR_CHUNK_STEPS`` as ``(steps, 16, 16)`` arrays. Each chunk lives in
+    a workspace that the next chunk overwrites.
+
+    The letters (the dissipator sum and each channel's drive superoperator)
+    are transformed once; a generator that does not preserve Hermiticity
+    has an imaginary part there and raises :class:`NumericalError`. Each
+    step samples the drive at its start, midpoint and end (the last step
+    ends on the slot edge, where the truncated pulse is already off), and
+    its map is the RK4 stages applied to the identity.
+    """
+    blocks = gate_channel_blocks(kind)
+    pulses = materialize_channel_pulses(params, 0.0, duration)
+    constant = np.zeros((16, 16), dtype=complex)
+    jump = noise.jump_block()
+    if jump is not None:
+        for l4 in (np.kron(jump, np.eye(2)), np.kron(np.eye(2), jump)):
+            constant += noise.gamma * _dissipator_superop(l4)
+    letters = [constant] + [_hamiltonian_superop(b) for b in blocks]
+    letters = _PTM_INV @ np.array(letters) @ _PTM
+    imag = np.max(np.abs(letters.imag))
+    if not imag <= 1e-12:
+        raise NumericalError(
+            f"the {kind} pair generator does not preserve Hermiticity "
+            f"(imaginary part {imag:.3e} in the Pauli-transfer basis)"
+        )
+    letters = letters.real.reshape(len(letters), 256)
+
+    h = duration / n_steps
+    size = min(n_steps, PAIR_CHUNK_STEPS)
+    # Coefficients of (L_0, L_c...) for h g at each step's end, midpoint and
+    # start.
+    coefs = np.full((3, size, len(letters)), h)
+    # One workspace serves every chunk. The GEMM fills rows 0-2 with h g_4,
+    # h g_m and h g_1 = hk_1; hk_2 and hk_3 go to rows 3-4, and hk_4 to row
+    # 1 once h g_m is spent, so one GEMV over rows 1-4 combines the stages.
+    work = np.empty((5, size, 16, 16))
+    x = np.empty((size, 16, 16))
+    for first in range(0, n_steps, size):
+        steps = np.arange(first, min(first + size, n_steps))
+        n, t0 = len(steps), steps * h
+        for c, p in enumerate(pulses, start=1):
+            coefs[0, :n, c] = h * p.value(t0 + h) * (steps < n_steps - 1)
+            coefs[1, :n, c] = h * p.value(t0 + 0.5 * h)
+            coefs[2, :n, c] = h * p.value(t0)
+        np.matmul(coefs[:, :n], letters, out=work[:3, :n].reshape(3, n, 256))
+        hg4, hgm, hk1, hk2, hk3 = work[:, :n]
+        hk4 = hgm
+        # the RK4 stages applied to the identity: hk_2 = h g_m (I + hk_1 / 2),
+        # hk_3 = h g_m (I + hk_2 / 2), hk_4 = h g_4 (I + hk_3)
+        stages = ((hgm, hk1, 0.5, hk2), (hgm, hk2, 0.5, hk3), (hg4, hk3, 1.0, hk4))
+        for g, prev, scale, out in stages:
+            np.multiply(prev, scale, out=x[:n])
+            _diagonal(x[:n])[:] += 1.0
+            np.matmul(g, x[:n], out=out)
+        # the step maps minus the identity, (hk_1 + 2 hk_2 + 2 hk_3 + hk_4) / 6
+        np.matmul(_RK4_WEIGHTS, work[1:, :n].reshape(4, -1), out=x[:n].reshape(-1))
+        yield x[:n]
+
+
+def _check_pair_maps(kind: str, d: np.ndarray):
+    """Every real Pauli-transfer map ``I + d`` of the stack ``d`` must keep
+    its first row at e_0 (trace preservation) and stay finite and bounded.
+    A CPTP map has entries of modulus at most 1; an unstable step grid
+    grows them geometrically, so no entry of ``d`` may pass
+    ``1 / TRACE_ABORT_TOL``. Without the bound such a grid would only show
+    once numpy overflows: in this basis the trace row of every step map
+    stays at e_0, so a drifting trace no longer gives it away."""
+    error = np.max(np.abs(d[..., 0, :]))
+    size = max(d.max(), -d.min())
+    if not error <= TRACE_ABORT_TOL:  # a NaN map fails too
+        raise TraceDriftError(
+            f"the {kind} pair propagator is not trace-preserving (error {error:.3e})"
+        )
+    if not size <= 1.0 / TRACE_ABORT_TOL:
+        raise TraceDriftError(
+            f"the {kind} pair propagator is not bounded "
+            f"(an entry {size:.3e} away from the identity's)"
+        )
+
+
+def _then(d_first: np.ndarray, d_next: np.ndarray) -> np.ndarray:
+    """``d`` of ``(I + d_next)(I + d_first)``, kept away from the identity
+    so that near-identity steps multiply without losing digits."""
+    out = d_next @ d_first
+    out += d_first
+    out += d_next
+    return out
+
+
+def _tree_product(kind: str, d: np.ndarray) -> np.ndarray:
+    """The product of the maps ``I + d[i]``, later steps on the left, as a
+    pairwise tree, minus the identity; every level is checked."""
+    _check_pair_maps(kind, d)
+    while len(d) > 1:
+        even = len(d) - len(d) % 2
+        pairs = _then(d[0:even:2], d[1:even:2])
+        d = np.concatenate([pairs, d[even:]]) if even < len(d) else pairs
+        _check_pair_maps(kind, d)
+    return d[0]
 
 
 def _pair_rk4(
@@ -236,63 +375,49 @@ def _pair_rk4(
     n_steps: int,
     observer=None,
 ) -> np.ndarray:
-    """16x16 propagator of one driven pair (plus its two sites' noise)
-    across one slot of ``n_steps`` steps, by fixed-step RK4 on the
-    propagator itself.
+    """16x16 row-major propagator of one driven pair (plus its two sites'
+    noise) across one slot of ``n_steps`` fixed RK4 steps.
 
-    The observer, when given, is called with ``(t, phi)`` after each step.
-    A map that is not finite or not trace-preserving to
-    ``TRACE_ABORT_TOL``, every ``TRACE_CHECK_STRIDE`` steps and when
-    finished, raises :class:`TraceDriftError` before numpy can overflow.
+    The step maps come from :func:`_pair_step_maps` in the real
+    Pauli-transfer basis. Without an observer, each chunk of them is
+    multiplied by a pairwise tree, later steps on the left, and the chunk
+    products are folded in order; with one, the same step maps are folded
+    one by one and the observer is called with ``(t, phi)`` after each
+    step. Either way a map goes back to the row-major basis only where it
+    is handed out.
+
+    The tree checks every level, and the observed fold each chunk of step
+    maps, then its product every ``TRACE_CHECK_STRIDE`` steps and at the
+    end (:func:`_check_pair_maps`): a map that is not finite, whose first
+    row leaves e_0 by more than ``TRACE_ABORT_TOL``, or that differs from
+    the identity by more than ``1 / TRACE_ABORT_TOL`` in an entry raises
+    :class:`TraceDriftError` before numpy can overflow.
     """
-    blocks = gate_channel_blocks(kind)
-    pulses = materialize_channel_pulses(params, 0.0, duration)
-    drive_superops = [_hamiltonian_superop(b) for b in blocks]
-    constant = np.zeros((16, 16), dtype=complex)
-    jump = noise.jump_block()
-    if jump is not None:
-        for l4 in (np.kron(jump, np.eye(2)), np.kron(np.eye(2), jump)):
-            constant += noise.gamma * _dissipator_superop(l4)
-
-    dt = duration / n_steps
-    steps = np.arange(n_steps)
-    t0 = steps * dt
-    # Drive at each step's start, midpoint and end; the last step ends on
-    # the slot edge, where the truncated pulse is already off.
-    starts = np.array([p.value(t0) for p in pulses]).T
-    mids = np.array([p.value(t0 + 0.5 * dt) for p in pulses]).T
-    ends = np.array([p.value(t0 + dt) * (steps < n_steps - 1) for p in pulses]).T
-
-    def generator(values):
-        gen = constant.copy()
-        for value, sup in zip(values, drive_superops):
-            gen += value * sup
-        return gen
-
-    phi = np.eye(16, dtype=complex)
-    for m in range(n_steps):
-        g1 = generator(starts[m])
-        g_mid = generator(mids[m])
-        g4 = generator(ends[m])
-        k1 = g1 @ phi
-        k2 = g_mid @ (phi + (0.5 * dt) * k1)
-        k3 = g_mid @ (phi + (0.5 * dt) * k2)
-        k4 = g4 @ (phi + dt * k3)
-        phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (m + 1) % TRACE_CHECK_STRIDE == 0:
-            _check_pair_map(kind, phi)
-        if observer is not None:
-            observer(m * dt + dt, phi)
-    _check_pair_map(kind, phi)
-    return phi
+    chunks = _pair_step_maps(kind, params, noise, duration, n_steps)
+    total = np.zeros((16, 16))
+    if observer is None:
+        for d in chunks:
+            total = _then(total, _tree_product(kind, d))
+            _check_pair_maps(kind, total)
+    else:
+        dt = duration / n_steps
+        m = 0
+        for d in chunks:
+            # bounded step maps cannot overflow within one stride
+            _check_pair_maps(kind, d)
+            for step in d:
+                total = _then(total, step)
+                if (m + 1) % TRACE_CHECK_STRIDE == 0:
+                    _check_pair_maps(kind, total)
+                observer(m * dt + dt, _to_row_major(total))
+                m += 1
+        _check_pair_maps(kind, total)
+    return _to_row_major(total)
 
 
-def _check_pair_map(kind: str, phi: np.ndarray):
-    error = np.max(np.abs(_VEC_I4 @ phi - _VEC_I4))
-    if not (np.all(np.isfinite(phi)) and error <= TRACE_ABORT_TOL):
-        raise TraceDriftError(
-            f"the {kind} pair propagator is not trace-preserving (error {error:.3e})"
-        )
+def _to_row_major(d: np.ndarray) -> np.ndarray:
+    """The row-major map of the Pauli-transfer map ``I + d``."""
+    return _I16 + _PTM @ d @ _PTM_INV
 
 
 _PAIR_PROP_CACHE = BuildOnce()
@@ -304,12 +429,6 @@ def _check_unitary(u: np.ndarray):
     error = np.max(np.abs(u.conj().T @ u - _I4))
     if not error <= 1e-9:
         raise NumericalError(f"unitary evolution lost normalisation ({error:.3e})")
-
-
-def _unitary_map(u: np.ndarray) -> np.ndarray:
-    """``kron(u, u*)``, the row-major map of ``rho -> u rho u^dag``,
-    without ``np.kron``'s per-call overhead."""
-    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(16, 16)
 
 
 def gate_superoperator(
@@ -339,12 +458,12 @@ def gate_superoperator(
         if observer is None:
             u = slot_unitary(kind, params, duration, n_steps)
             _check_unitary(u)
-            return _unitary_map(u)
+            return _kron4(u, u.conj())
         samples, step = _channel_samples(params, duration, n_steps)
         steps = _eigen_unitary(kind, np.cumsum(samples, axis=1) * step)
         _check_unitary(steps[-1])
         for t, u in zip(dt * np.arange(1, n_steps + 1), steps):
-            phi = _unitary_map(u)
+            phi = _kron4(u, u.conj())
             observer(t, phi)
         return phi
 

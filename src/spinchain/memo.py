@@ -2,8 +2,8 @@
 
 Worker threads (``--workers``) share the pair-propagator cache of
 :mod:`spinchain.dynamics`. A plain dict lets two threads that miss the
-same key both run the build (a 1000-step RK4); :class:`BuildOnce` runs it
-once and hands the other thread the same value.
+same key both run the build (a pair RK4 propagator); :class:`BuildOnce`
+runs it once and hands the other thread the same value.
 """
 
 from __future__ import annotations

@@ -27,6 +27,8 @@ from spinchain.dynamics import (
     IntegratorConfig,
     NumericalError,
     _check_trace,
+    _dissipator_superop,
+    _hamiltonian_superop,
     _idle_superop,
     _resolve_steps,
     gate_superoperator,
@@ -269,6 +271,51 @@ def rk4_lindblad(rho, schedule, noise, dt=None, observer=None):
             if observer is not None:
                 observer(t0 + dt, vec.reshape(rho.shape))
     return vec.reshape(rho.shape)
+
+
+def pair_rk4_loop(kind, params, noise, duration, n_steps, observer=None):
+    """16x16 row-major propagator of one driven pair (plus its two sites'
+    noise) across one slot, by fixed-step RK4 on the propagator itself, one
+    Python iteration per step; ``observer(t, phi)`` sees every step.
+
+    The reference for ``dynamics._pair_rk4``: the same generator letters
+    and sample points, summed and multiplied in the complex row-major
+    basis, step after step.
+    """
+    pulses = materialize_channel_pulses(params, 0.0, duration)
+    drive_superops = [_hamiltonian_superop(b) for b in gate_channel_blocks(kind)]
+    constant = np.zeros((16, 16), dtype=complex)
+    jump = noise.jump_block()
+    if jump is not None:
+        for l4 in (np.kron(jump, np.eye(2)), np.kron(np.eye(2), jump)):
+            constant += noise.gamma * _dissipator_superop(l4)
+
+    dt = duration / n_steps
+    steps = np.arange(n_steps)
+    t0 = steps * dt
+    starts = np.array([p.value(t0) for p in pulses]).T
+    mids = np.array([p.value(t0 + 0.5 * dt) for p in pulses]).T
+    ends = np.array([p.value(t0 + dt) * (steps < n_steps - 1) for p in pulses]).T
+
+    def generator(values):
+        gen = constant.copy()
+        for value, sup in zip(values, drive_superops):
+            gen += value * sup
+        return gen
+
+    phi = np.eye(16, dtype=complex)
+    for m in range(n_steps):
+        g1 = generator(starts[m])
+        g_mid = generator(mids[m])
+        g4 = generator(ends[m])
+        k1 = g1 @ phi
+        k2 = g_mid @ (phi + (0.5 * dt) * k1)
+        k3 = g_mid @ (phi + (0.5 * dt) * k2)
+        k4 = g4 @ (phi + dt * k3)
+        phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if observer is not None:
+            observer(m * dt + dt, phi)
+    return phi
 
 
 def stepped_unitary(schedule, n, n_steps, observer=None):

@@ -471,6 +471,15 @@ def test_lost_normalisation_aborts_with_exit_4(tmp_path, monkeypatch, capsys):
     assert "integrator abort: unitary evolution lost normalisation" in capsys.readouterr().err
 
 
+def test_generator_that_breaks_hermiticity_exits_4(tmp_path, monkeypatch, capsys):
+    dissipator = dynamics._dissipator_superop
+    monkeypatch.setattr(dynamics, "_dissipator_superop", lambda l4: 1j * dissipator(l4))
+    code, out = run(tmp_path, ["duration-sweep", "--gate", "swap", "--noise", "dephasing"])
+    assert code == 4 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("integrator abort: the swap pair generator does not preserve Hermiticity")
+
+
 def test_broken_transport_gate_aborts_on_the_final_trace(tmp_path, monkeypatch, capsys):
     # a noisy pair map that is not trace-preserving, past the build's own check
     monkeypatch.setattr(dynamics, "_pair_rk4", lambda *args: 2.0 * np.eye(16))

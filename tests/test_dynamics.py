@@ -1,5 +1,6 @@
 """Tests for the unitary and master-equation evolution engines."""
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -10,6 +11,7 @@ from oracles import (
     evolve_lindblad,
     evolve_unitary,
     idle_schedule,
+    pair_rk4_loop,
     reduced_state,
     rk4_lindblad,
     stepped_unitary,
@@ -21,8 +23,10 @@ from spinchain.dynamics import (
     DEFAULT_STEPS_PER_SLOT,
     MAX_STEPS_PER_SLOT,
     NOISELESS,
+    PAIR_CHUNK_STEPS,
     IntegratorConfig,
     NoiseModel,
+    NumericalError,
     TraceDriftError,
     _resolve_steps,
     evolve_lindblad_product,
@@ -268,12 +272,71 @@ def test_overflowing_build_stops_at_the_first_stride():
     assert len(steps) == dynamics.TRACE_CHECK_STRIDE
 
 
+def test_observed_build_with_exploding_steps_stops_before_the_first_step():
+    # gamma * dt = 1000: one step map already leaves the bound, and 32 of
+    # them would overflow before the first stride's check
+    steps = []
+    with pytest.raises(TraceDriftError, match="swap pair propagator is not bounded"):
+        gate_superoperator(
+            swap_gate(1, 2),
+            NoiseModel("dephasing", 1e6),
+            observer=lambda t, phi: steps.append(t),
+        )
+    assert steps == [0.0]
+
+
 def test_pair_propagator_that_loses_trace_aborts(monkeypatch):
     # a dissipator without its anticommutator terms is finite but not
     # trace-preserving
     monkeypatch.setattr(dynamics, "_dissipator_superop", lambda l4: np.kron(l4, l4.conj()))
     with pytest.raises(TraceDriftError, match="not trace-preserving"):
         gate_superoperator(swap_gate(1, 2), NoiseModel("amplitude_damping", 0.1))
+
+
+@pytest.mark.parametrize("noise_kind", ["dephasing", "amplitude_damping"])
+@pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
+def test_pair_build_matches_the_sequential_loop(kind, noise_kind):
+    # step counts on both sides of the tree's and the chunks' edges
+    assert PAIR_CHUNK_STEPS == 256
+    params, noise = GATE_BUILDERS[kind](1, 2).params, NoiseModel(noise_kind, 0.01)
+    for alpha in (1.0, 10.0, 100.0):
+        for n_steps in (1, 2, 3, 255, 256, 257, 1000):
+            built = dynamics._pair_rk4(kind, params, noise, alpha, n_steps)
+            loop = pair_rk4_loop(kind, params, noise, alpha, n_steps)
+            assert np.max(np.abs(built - loop)) <= 1e-12, (alpha, n_steps)
+
+
+def test_observed_pair_build_matches_the_sequential_loop_at_every_step():
+    gate, noise = cnot_gate(1, 2), NoiseModel("amplitude_damping", 0.01)
+    built, loop = [], []
+    for build, steps in ((dynamics._pair_rk4, built), (pair_rk4_loop, loop)):
+        build(gate.kind, gate.params, noise, 1.0, 50, lambda t, phi: steps.append((t, phi.copy())))
+    assert len(built) == len(loop) == 50
+    for (t, phi), (t_loop, phi_loop) in zip(built, loop):
+        assert t == t_loop
+        assert np.max(np.abs(phi - phi_loop)) <= 1e-12
+
+
+def test_generator_that_breaks_hermiticity_aborts(monkeypatch):
+    # a dissipator times i does not map Hermitian matrices to Hermitian ones,
+    # so it is complex in the Pauli-transfer basis
+    dissipator = dynamics._dissipator_superop
+    monkeypatch.setattr(dynamics, "_dissipator_superop", lambda l4: 1j * dissipator(l4))
+    with pytest.raises(NumericalError, match="the cnot pair generator does not preserve Hermiticity"):
+        gate_superoperator(cnot_gate(1, 2), NoiseModel("dephasing", 0.01))
+
+
+def test_long_pair_build_runs_in_bounded_memory():
+    # the step maps are made and multiplied in chunks: all 20 000 at once
+    # would take ~230 MiB
+    gate = swap_gate(1, 2)
+    tracemalloc.start()
+    try:
+        dynamics._pair_rk4(gate.kind, gate.params, NoiseModel("dephasing", 0.01), 20.0, 20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_density_path_rejects_trotter_step():
