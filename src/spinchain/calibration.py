@@ -14,6 +14,13 @@ The optimum is a one-parameter family — only the pulse area is pinned
 (SWAP: pi/4 + k*pi/2; CNOT channels: area sum = 0 and difference = pi/2,
 both mod pi) — so results report areas alongside raw parameters, and
 multi-start Nelder-Mead is used to cope with the periodic local optima.
+
+The starts are a scrambled Sobol sequence (Joe & Kuo, SIAM J. Sci.
+Comput. 30, 2635 (2008)) with random linear-matrix scrambling and a
+digital shift (Matoušek, J. Complexity 14, 527 (1998)), generated here by
+:func:`_sobol_points`. It reproduces ``scipy.stats.qmc.Sobol(d,
+scramble=True, seed=seed).random_base2(m)`` bit for bit, and a test pins
+it to scipy, but the package itself imports no scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import qmc
 
 from .dynamics import slot_unitary
 from .hamiltonians import (
@@ -198,18 +204,69 @@ def _bound_arrays(problem: CalibrationProblem):
     return lo, hi
 
 
+# Sobol direction numbers: 30 bits; dimension 1 is all ones, and dimensions
+# 2-4 are (primitive polynomial, initial numbers) from the Joe-Kuo table.
+_SOBOL_BITS = 30
+_SOBOL_POLYNOMIALS = ((3, (1,)), (7, (1, 3)), (11, (1, 3, 1)))
+
+
+def _sobol_points(d: int, seed: int, m: int) -> np.ndarray:
+    """The first ``2**m`` points of a ``d``-dimensional Sobol sequence with
+    linear-matrix scrambling and a digital shift, drawn from
+    ``np.random.default_rng(seed)`` exactly as scipy's ``qmc.Sobol`` draws
+    them, so the two agree bit for bit."""
+    if d > 1 + len(_SOBOL_POLYNOMIALS):
+        raise ValueError(
+            f"Sobol starts cover at most {1 + len(_SOBOL_POLYNOMIALS)} parameters"
+        )
+    bits = _SOBOL_BITS
+    v = np.ones((d, bits), dtype=np.int64)
+    for k, (poly, init) in enumerate(_SOBOL_POLYNOMIALS[: d - 1], start=1):
+        degree = len(init)
+        v[k, :degree] = init
+        # Bratley-Fox recurrence: the polynomial's bits, highest first,
+        # pick the earlier numbers XORed in, each shifted by its distance
+        for j in range(degree, bits):
+            new = v[k, j - degree]
+            for i in range(1, degree + 1):
+                if (poly >> (degree - i)) & 1:
+                    new ^= v[k, j - i] << i
+            v[k, j] = new
+    msb = bits - 1 - np.arange(bits)  # bit weights, most significant first
+    v <<= msb  # number j has j + 1 bits, aligned at the top of the word
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(d, bits), dtype=np.uint32) @ (1 << np.arange(bits))
+    lms = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32))
+    lms[:, range(bits), range(bits)] = 1
+    # scrambled direction numbers: each LMS matrix times the direction bits
+    v_bits = (v[:, None, :] >> msb[:, None]) & 1
+    scrambled = (1 << msb) @ ((lms @ v_bits) & 1)
+    # point i XORs onto the shift the numbers picked by the bits of Gray(i)
+    i = np.arange(2**m)
+    gray = ((i ^ (i >> 1))[:, None, None] >> np.arange(bits)) & 1
+    points = shift ^ np.bitwise_xor.reduce(gray * scrambled, axis=-1)
+    return points / 2.0**bits
+
+
 def default_seeds(
     problem: CalibrationProblem, rng_seed: int = 0, count: int = 16
 ) -> list[np.ndarray]:
-    """Quasi-random (Sobol) starts within bounds, plus the stock parameters."""
+    """Quasi-random starts within bounds, plus the stock parameters.
+
+    The starts are the first ``count`` points of :func:`_sobol_points`
+    (seeded by ``rng_seed``), scaled into the box in the operation order of
+    ``scipy.stats.qmc.scale``, so they equal the scipy composition exactly.
+    An empty box raises ``ValueError``.
+    """
     lo, hi = _bound_arrays(problem)
     # keep starts away from the open amplitude lower bound, but never past
     # the upper bound when the user passes a very narrow box
     sample_lo = np.maximum(lo, np.minimum(1e-3, lo + 0.1 * (hi - lo)))
-    sampler = qmc.Sobol(d=problem.n_params, scramble=True, seed=rng_seed)
+    if not np.all(sample_lo < hi):
+        raise ValueError(f"{problem.kind} calibration bounds are empty")
     m = max(1, int(math.ceil(math.log2(max(count, 2)))))
-    points = sampler.random_base2(m)[:count]
-    seeds = [np.asarray(row, dtype=float) for row in qmc.scale(points, sample_lo, hi)]
+    points = _sobol_points(problem.n_params, rng_seed, m)[:count]
+    seeds = list(points * (hi - sample_lo) + sample_lo)
     if problem.kind == "swap":
         stock = np.array(DEFAULT_SWAP_PARAMS, dtype=float)
     else:

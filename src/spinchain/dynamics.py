@@ -64,7 +64,11 @@ trace row (the first Pauli-transfer row stays e_0 to ``TRACE_ABORT_TOL``)
 or bounded (no entry above ``1 / TRACE_ABORT_TOL``; a CPTP map has none
 above 1). The build checks every level of its tree, and an observed build
 its step maps and then its product every ``TRACE_CHECK_STRIDE`` steps and
-at the end, so an unstable step grid aborts before numpy overflows. A slot unitary more than 1e-9 away
+at the end, so an unstable step grid aborts before numpy overflows. The
+step generators are held to the same bound before the RK4 stages use
+them, and a generator letter that is not finite (a decay rate near the
+float limit) fails as not bounded, so no rate reaches a numpy overflow
+either. A slot unitary more than 1e-9 away
 from unitary raises :class:`NumericalError` when its map is built.
 Integrator bugs cannot hide.
 """
@@ -270,8 +274,11 @@ def _pair_step_maps(kind, params, noise, duration, n_steps):
     a workspace that the next chunk overwrites.
 
     The letters (the dissipator sum and each channel's drive superoperator)
-    are transformed once; a generator that does not preserve Hermiticity
-    has an imaginary part there and raises :class:`NumericalError`. Each
+    are transformed once; a letter that is not finite raises
+    :class:`TraceDriftError` as not bounded, and a generator that does not
+    preserve Hermiticity has an imaginary part there and raises
+    :class:`NumericalError`. Every chunk's step generators pass
+    :func:`_check_step_generators` before the RK4 stages use them. Each
     step samples the drive at its start, midpoint and end (the last step
     ends on the slot edge, where the truncated pulse is already off), and
     its map is the RK4 stages applied to the identity.
@@ -280,11 +287,17 @@ def _pair_step_maps(kind, params, noise, duration, n_steps):
     pulses = materialize_channel_pulses(params, 0.0, duration)
     constant = np.zeros((16, 16), dtype=complex)
     jump = noise.jump_block()
-    if jump is not None:
-        for l4 in (np.kron(jump, np.eye(2)), np.kron(np.eye(2), jump)):
-            constant += noise.gamma * _dissipator_superop(l4)
-    letters = [constant] + [_hamiltonian_superop(b) for b in blocks]
-    letters = _PTM_INV @ np.array(letters) @ _PTM
+    # a rate near the float limit overflows here; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if jump is not None:
+            for l4 in (np.kron(jump, np.eye(2)), np.kron(np.eye(2), jump)):
+                constant += noise.gamma * _dissipator_superop(l4)
+        letters = [constant] + [_hamiltonian_superop(b) for b in blocks]
+        letters = _PTM_INV @ np.array(letters) @ _PTM
+    if not np.isfinite(letters).all():
+        raise TraceDriftError(
+            f"the {kind} pair propagator is not bounded (a generator letter is not finite)"
+        )
     imag = np.max(np.abs(letters.imag))
     if not imag <= 1e-12:
         raise NumericalError(
@@ -292,6 +305,7 @@ def _pair_step_maps(kind, params, noise, duration, n_steps):
             f"(imaginary part {imag:.3e} in the Pauli-transfer basis)"
         )
     letters = letters.real.reshape(len(letters), 256)
+    letter_sizes = np.max(np.abs(letters), axis=1)
 
     h = duration / n_steps
     size = min(n_steps, PAIR_CHUNK_STEPS)
@@ -310,7 +324,13 @@ def _pair_step_maps(kind, params, noise, duration, n_steps):
             coefs[0, :n, c] = h * p.value(t0 + h) * (steps < n_steps - 1)
             coefs[1, :n, c] = h * p.value(t0 + 0.5 * h)
             coefs[2, :n, c] = h * p.value(t0)
-        np.matmul(coefs[:, :n], letters, out=work[:3, :n].reshape(3, n, 256))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            np.matmul(coefs[:, :n], letters, out=work[:3, :n].reshape(3, n, 256))
+        # sum_c |coef_c| max|L_c| bounds every entry of h g: only a chunk over
+        # the bound is searched entry by entry (searching every chunk cost ~15 %
+        # of a build)
+        if not np.max(np.abs(coefs[:, :n]) @ letter_sizes) <= 1.0 / TRACE_ABORT_TOL:
+            _check_step_generators(kind, work[:3, :n])
         hg4, hgm, hk1, hk2, hk3 = work[:, :n]
         hk4 = hgm
         # the RK4 stages applied to the identity: hk_2 = h g_m (I + hk_1 / 2),
@@ -323,6 +343,19 @@ def _pair_step_maps(kind, params, noise, duration, n_steps):
         # the step maps minus the identity, (hk_1 + 2 hk_2 + 2 hk_3 + hk_4) / 6
         np.matmul(_RK4_WEIGHTS, work[1:, :n].reshape(4, -1), out=x[:n].reshape(-1))
         yield x[:n]
+
+
+def _check_step_generators(kind: str, hg: np.ndarray):
+    """The step generators ``h g`` must be finite and have no entry above
+    ``1 / TRACE_ABORT_TOL``, the bound :func:`_check_pair_maps` holds the
+    step maps to. Checked before the RK4 stage products, which cannot
+    overflow below it."""
+    size = max(hg.max(), -hg.min())
+    if not size <= 1.0 / TRACE_ABORT_TOL:  # a NaN generator fails too
+        raise TraceDriftError(
+            f"the {kind} pair propagator is not bounded "
+            f"(a step generator entry {size:.3e})"
+        )
 
 
 def _check_pair_maps(kind: str, d: np.ndarray):

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 from oracles import stepped_unitary
+from scipy.stats import qmc
 
 from spinchain.calibration import (
     CALIBRATION_STATES,
     SUCCESS_OBJECTIVE,
     CalibrationProblem,
+    _bound_arrays,
+    _sobol_points,
     analytic_channel_areas,
     calibrate,
     calibrated_gate_params,
@@ -138,6 +141,49 @@ def test_default_seeds_are_deterministic_and_bounded():
     for seed in seeds_a[:-1]:
         assert np.all(seed >= np.array([1e-3, 1e-4]) - 1e-15)
         assert np.all(seed <= np.array([50.0, 1.0]) + 1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sobol_points_equal_scipy_bit_for_bit(d):
+    for m in range(1, 8):
+        for seed in [*range(20), 2**40 + 3]:
+            expected = qmc.Sobol(d=d, scramble=True, seed=seed).random_base2(m)
+            assert np.array_equal(_sobol_points(d, seed, m), expected), (m, seed)
+
+
+def test_sobol_points_refuse_more_than_four_dimensions():
+    with pytest.raises(ValueError, match="at most 4 parameters"):
+        _sobol_points(5, 0, 4)
+
+
+BOUND_BOXES = [
+    {},  # the defaults
+    {"amplitude_bounds": (0.0, 0.01), "width_bounds": (1e-4, 2e-4)},
+    {"amplitude_bounds": (2.0, 7.5), "width_bounds": (0.3, 0.9)},
+]
+
+
+@pytest.mark.parametrize("box", range(len(BOUND_BOXES)))
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_default_seeds_equal_the_scipy_composition(kind, box):
+    problem = CalibrationProblem(kind=kind, **BOUND_BOXES[box])
+    lo, hi = _bound_arrays(problem)
+    sample_lo = np.maximum(lo, np.minimum(1e-3, lo + 0.1 * (hi - lo)))
+    for rng_seed in (0, 1, 7, 123456789):
+        sampler = qmc.Sobol(d=problem.n_params, scramble=True, seed=rng_seed)
+        expected = list(qmc.scale(sampler.random_base2(4), sample_lo, hi))
+        seeds = default_seeds(problem, rng_seed)
+        assert len(seeds) == len(expected) + 1
+        for got, want in zip(seeds, expected + [STOCK_FLAT[kind]]):
+            assert np.array_equal(got, want), rng_seed
+
+
+def test_empty_bound_box_is_refused():
+    problem = CalibrationProblem("swap", amplitude_bounds=(5.0, 5.0))
+    with pytest.raises(ValueError):
+        default_seeds(problem)
+    with pytest.raises(ValueError):
+        calibrate(problem)
 
 
 def test_calibrate_swap_succeeds_and_lands_on_the_area_family():

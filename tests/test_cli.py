@@ -2,6 +2,9 @@
 
 import configparser
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -517,6 +520,49 @@ def test_overflowing_propagator_aborts_with_exit_4(tmp_path, argv, capsys):
     code, out = run(tmp_path, argv)
     assert code == 4 and not out.exists()
     assert capsys.readouterr().err.startswith("integrator abort: the ")
+
+
+@pytest.mark.parametrize("gamma", ["1e200", "1e308"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["duration-sweep", "--gate", "swap", "--alpha", "1", "--noise", "dephasing"],
+        ["trace", "--gate", "cnot", "--noise", "dephasing"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_rate_near_the_float_limit_exits_4_as_unbounded(tmp_path, argv, gamma, capsys):
+    # no numpy warning either: the suite turns RuntimeWarnings into errors
+    code, out = run(tmp_path, argv + ["--gamma", gamma])
+    assert code == 4 and not out.exists()
+    assert "pair propagator is not bounded" in capsys.readouterr().err
+
+
+def test_the_cli_loads_no_scipy(tmp_path):
+    # calibration starts come from an in-house sampler, so neither the
+    # import nor a calibrate or noisy sweep run pulls in scipy
+    code = """
+import sys
+import spinchain.cli as cli
+argvs = [
+    ["calibrate", "--gate", "cnot"],
+    ["duration-sweep", "--gate", "swap", "--alpha", "1", "--noise", "dephasing"],
+]
+for i, argv in enumerate(argvs):
+    assert cli.main(argv + ["--out", f"{sys.argv[1]}/{i}.csv"]) == 0
+print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+"""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_noisy_ladder_body_ignores_workers_and_cache_state(tmp_path, monkeypatch):

@@ -285,6 +285,18 @@ def test_observed_build_with_exploding_steps_stops_before_the_first_step():
     assert steps == [0.0]
 
 
+@pytest.mark.parametrize("gamma", [1e200, 1e308])
+def test_rate_near_the_float_limit_aborts_as_unbounded(gamma):
+    # 1e200 gives finite step generators far past the bound; 1e308 makes the
+    # generator letters themselves infinite. Neither may reach a numpy
+    # overflow, which the suite's RuntimeWarning filter would fail.
+    noise = NoiseModel("dephasing", gamma)
+    with pytest.raises(TraceDriftError, match="swap pair propagator is not bounded"):
+        gate_superoperator(swap_gate(1, 2), noise)
+    with pytest.raises(TraceDriftError, match="cnot pair propagator is not bounded"):
+        gate_superoperator(cnot_gate(1, 2), noise, observer=lambda t, phi: None)
+
+
 def test_pair_propagator_that_loses_trace_aborts(monkeypatch):
     # a dissipator without its anticommutator terms is finite but not
     # trace-preserving
