@@ -14,6 +14,11 @@ The optimum is a one-parameter family — only the pulse area is pinned
 (SWAP: pi/4 + k*pi/2; CNOT channels: area sum = 0 and difference = pi/2,
 both mod pi) — so results report areas alongside raw parameters, and
 multi-start Nelder-Mead is used to cope with the periodic local optima.
+The starts advance in lockstep (:func:`_lockstep_nelder_mead`): each
+round scores every start's trial points in one batched slot unitary, and
+each start still follows, bit for bit, the path it would follow alone.
+The calibrated bank that transport uses (:func:`calibrated_gate_params`)
+is that search's polish of the stock parameters, shipped as literals.
 
 The starts are a scrambled Sobol sequence (Joe & Kuo, SIAM J. Sci.
 Comput. 30, 2635 (2008)) with random linear-matrix scrambling and a
@@ -110,16 +115,97 @@ def _calibration_targets(kind: str) -> np.ndarray:
 
 
 def per_state_fidelities(params, problem: CalibrationProblem) -> np.ndarray:
-    u = slot_unitary(problem.kind, problem.parameter_pairs(params))
-    outs = (u @ CALIBRATION_STATES.T).T
-    targets = _calibration_targets(problem.kind)
-    overlaps = np.sum(targets.conj() * outs, axis=1)
+    """Fidelity with the ideal gate for each calibration state: ``params``
+    of shape ``(n_params,)`` give ``(5,)``, a batch ``(B, n_params)`` gives
+    ``(B, 5)``, each row exactly as that point gives alone."""
+    params = np.asarray(params, dtype=float)
+    if params.shape[-1:] != (problem.n_params,):
+        raise ValueError(f"{problem.kind} calibration takes {problem.n_params} parameters")
+    pairs = params.reshape(params.shape[:-1] + (problem.n_channels, 2))
+    outs = np.swapaxes(slot_unitary(problem.kind, pairs) @ CALIBRATION_STATES.T, -1, -2)
+    overlaps = np.sum(_calibration_targets(problem.kind).conj() * outs, axis=-1)
     return np.abs(overlaps) ** 2
 
 
-def objective(params, problem: CalibrationProblem) -> float:
-    """One minus the mean fidelity over the five calibration states."""
-    return float(1.0 - np.mean(per_state_fidelities(params, problem)))
+def objective(params, problem: CalibrationProblem):
+    """One minus the mean fidelity over the five calibration states, per
+    point of ``params`` (see :func:`per_state_fidelities`)."""
+    return 1.0 - np.mean(per_state_fidelities(params, problem), axis=-1)
+
+
+def _lockstep_nelder_mead(f, starts, step, max_iter, diameter_tol, f_tol):
+    """Nelder-Mead simplex descent (reflection 1, expansion 2, contraction
+    0.5, shrink 0.5) from every row of ``starts`` ``(B, d)`` at once.
+
+    The simplices are held as ``(B, d + 1, d)`` arrays and advance in
+    lockstep. ``f`` maps ``(k, d)`` points to ``(k,)`` values; each round
+    calls it on all reflections, then on all expansions and contractions,
+    then on all shrink points. A start leaves the batch when its simplex
+    diameter falls below ``diameter_tol`` or its best value below
+    ``f_tol``, so every start follows exactly the path, and makes exactly
+    the evaluations, it would make alone. Returns the best point, its
+    value, and the iterations and evaluations of each start.
+    """
+    n_starts, d = starts.shape
+    simplex = np.repeat(starts[:, None, :], d + 1, axis=1)
+    axis = np.arange(d)
+    simplex[:, axis + 1, axis] += step
+    values = f(simplex.reshape(-1, d)).reshape(n_starts, d + 1)
+    n_evaluations = np.full(n_starts, d + 1)
+    iterations = np.full(n_starts, max(max_iter, 0))
+
+    active = np.arange(n_starts)
+    for iteration in range(1, max_iter + 1):
+        x, fx = simplex[active], values[active]
+        order = np.argsort(fx, axis=1, kind="stable")
+        x = np.take_along_axis(x, order[..., None], axis=1)
+        fx = np.take_along_axis(fx, order, axis=1)
+        diameter = np.max(np.abs(x[:, 1:] - x[:, :1]), axis=(1, 2))
+        done = (fx[:, 0] < f_tol) | (diameter < diameter_tol)
+        iterations[active[done]] = iteration
+        active, x, fx = active[~done], x[~done], fx[~done]
+        if not active.size:
+            break
+
+        centroid = np.mean(x[:, :-1], axis=1)
+        worst, f_worst = x[:, -1], fx[:, -1]
+        reflected = centroid + (centroid - worst)
+        f_reflected = f(reflected)
+        expand = f_reflected < fx[:, 0]
+        contract = ~expand & ~(f_reflected < fx[:, -2])
+        expanded = centroid + 2.0 * (centroid - worst)
+        toward = np.where((f_reflected < f_worst)[:, None], reflected, worst)
+        contracted = centroid + 0.5 * (toward - centroid)
+        trial = f(np.concatenate([expanded[expand], contracted[contract]]))
+        n_expand = np.count_nonzero(expand)
+        f_expanded, f_contracted = trial[:n_expand], trial[n_expand:]
+        n_evaluations[active] += 1 + expand + contract
+
+        # The worst vertex gives way to the reflection, or to the expansion
+        # when that is better still, or to the contraction when that beats
+        # min(f_reflected, f_worst) (Python's min, NaN order included); a
+        # contraction that does not keeps the worst vertex and shrinks.
+        new_x, new_f = reflected.copy(), f_reflected.copy()
+        better = f_expanded < f_reflected[expand]
+        rows = np.flatnonzero(expand)[better]
+        new_x[rows], new_f[rows] = expanded[rows], f_expanded[better]
+        rows = np.flatnonzero(contract)
+        bound = np.where(f_worst[rows] < f_reflected[rows], f_worst[rows], f_reflected[rows])
+        better = f_contracted < bound
+        new_x[rows[better]], new_f[rows[better]] = contracted[rows[better]], f_contracted[better]
+        shrink = rows[~better]
+        new_x[shrink], new_f[shrink] = worst[shrink], f_worst[shrink]
+        x[:, -1], fx[:, -1] = new_x, new_f
+        if shrink.size:
+            best = x[shrink, :1]
+            x[shrink, 1:] = best + 0.5 * (x[shrink, 1:] - best)
+            fx[shrink, 1:] = f(x[shrink, 1:].reshape(-1, d)).reshape(-1, d)
+            n_evaluations[active[shrink]] += d
+        simplex[active], values[active] = x, fx
+
+    best = np.argsort(values, axis=1, kind="stable")[:, 0]
+    rows = np.arange(n_starts)
+    return simplex[rows, best], values[rows, best], iterations, n_evaluations
 
 
 def nelder_mead(
@@ -131,71 +217,27 @@ def nelder_mead(
     f_tol: float = 1e-9,
 ):
     """Nelder-Mead simplex descent (reflection 1, expansion 2,
-    contraction 0.5, shrink 0.5). Deterministic for a given start.
+    contraction 0.5, shrink 0.5) of a scalar function ``f`` from one start:
+    the one-start case of the lockstep loop that :func:`calibrate` runs.
+    Deterministic for a given start.
 
     Stops when the simplex diameter falls below ``diameter_tol``, the best
     value falls below ``f_tol``, or after ``max_iter`` iterations. Returns
     ``(x_best, f_best, n_iterations, n_evaluations)``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    d = x0.size
+    x0 = np.asarray(x0, dtype=float).ravel()
     if step is None:
         step = 0.1 * np.maximum(np.abs(x0), 0.1)
-    step = np.broadcast_to(np.asarray(step, dtype=float), (d,))
-
-    simplex = [x0.copy()]
-    for i in range(d):
-        x = x0.copy()
-        x[i] += step[i]
-        simplex.append(x)
-    values = [f(x) for x in simplex]
-    nfev = d + 1
-
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
-        order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-
-        diameter = max(np.max(np.abs(x - simplex[0])) for x in simplex[1:])
-        if values[0] < f_tol or diameter < diameter_tol:
-            break
-
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        reflected = centroid + (centroid - worst)
-        f_reflected = f(reflected)
-        nfev += 1
-
-        if f_reflected < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_expanded = f(expanded)
-            nfev += 1
-            if f_expanded < f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
-            else:
-                simplex[-1], values[-1] = reflected, f_reflected
-        elif f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
-        else:
-            if f_reflected < values[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-            else:
-                contracted = centroid + 0.5 * (worst - centroid)
-            f_contracted = f(contracted)
-            nfev += 1
-            if f_contracted < min(f_reflected, values[-1]):
-                simplex[-1], values[-1] = contracted, f_contracted
-            else:
-                best = simplex[0]
-                for i in range(1, d + 1):
-                    simplex[i] = best + 0.5 * (simplex[i] - best)
-                    values[i] = f(simplex[i])
-                nfev += d
-
-    order = np.argsort(values, kind="stable")
-    best_idx = order[0]
-    return simplex[best_idx].copy(), values[best_idx], iteration, nfev
+    step = np.broadcast_to(np.asarray(step, dtype=float), x0.shape)
+    x, fx, iterations, n_evaluations = _lockstep_nelder_mead(
+        lambda points: np.array([f(p) for p in points], dtype=float),
+        x0[None],
+        step,
+        max_iter,
+        diameter_tol,
+        f_tol,
+    )
+    return x[0], float(fx[0]), int(iterations[0]), int(n_evaluations[0])
 
 
 def _bound_arrays(problem: CalibrationProblem):
@@ -248,6 +290,13 @@ def _sobol_points(d: int, seed: int, m: int) -> np.ndarray:
     return points / 2.0**bits
 
 
+def _stock_params(kind: str) -> np.ndarray:
+    """The stock (A, W) parameters of a gate kind as one flat vector."""
+    if kind == "swap":
+        return np.array(DEFAULT_SWAP_PARAMS, dtype=float)
+    return np.array(DEFAULT_CNOT_LOCAL_PARAMS + DEFAULT_CNOT_COUPLING_PARAMS, dtype=float)
+
+
 def default_seeds(
     problem: CalibrationProblem, rng_seed: int = 0, count: int = 16
 ) -> list[np.ndarray]:
@@ -266,15 +315,7 @@ def default_seeds(
         raise ValueError(f"{problem.kind} calibration bounds are empty")
     m = max(1, int(math.ceil(math.log2(max(count, 2)))))
     points = _sobol_points(problem.n_params, rng_seed, m)[:count]
-    seeds = list(points * (hi - sample_lo) + sample_lo)
-    if problem.kind == "swap":
-        stock = np.array(DEFAULT_SWAP_PARAMS, dtype=float)
-    else:
-        stock = np.array(
-            DEFAULT_CNOT_LOCAL_PARAMS + DEFAULT_CNOT_COUPLING_PARAMS, dtype=float
-        )
-    seeds.append(stock)
-    return seeds
+    return list(points * (hi - sample_lo) + sample_lo) + [_stock_params(problem.kind)]
 
 
 def calibrate(
@@ -287,72 +328,88 @@ def calibrate(
 ) -> CalibrationResult:
     """Multi-start Nelder-Mead over the pulse parameters.
 
-    Deterministic for fixed ``seeds``/``rng_seed``; the best start wins,
-    ties broken by seed order. A best objective at or above
-    ``SUCCESS_OBJECTIVE`` is reported as a failure (with the best-found
-    parameters still attached).
+    Every start runs its own simplex descent, and all of them advance in
+    lockstep, each round scoring its trial points in one batched
+    :func:`~spinchain.dynamics.slot_unitary` (see
+    :func:`_lockstep_nelder_mead`); a point outside the box scores ``1 +``
+    its distance from it instead. Deterministic for fixed
+    ``seeds``/``rng_seed``; the best start wins, ties broken by seed order,
+    and ``n_evaluations`` counts the evaluations of every start. A best
+    objective at or above ``SUCCESS_OBJECTIVE`` is reported as a failure
+    (with the best-found parameters still attached).
     """
     if seeds is None:
         seeds = default_seeds(problem, rng_seed)
     seeds = [np.asarray(s, dtype=float) for s in seeds]
     if not seeds:
         raise ValueError("calibration needs at least one seed")
+    if any(s.shape != (problem.n_params,) for s in seeds):
+        raise ValueError(f"{problem.kind} calibration takes {problem.n_params} parameters")
     lo, hi = _bound_arrays(problem)
-    span = hi - lo
 
     def penalised(x):
         excess = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
-        pen = float(np.sum(excess))
-        if pen > 0.0:
-            return 1.0 + pen
-        return objective(x, problem)
+        pen = np.sum(excess, axis=-1)
+        values = 1.0 + pen
+        scored = ~(pen > 0.0)
+        if scored.any():
+            values[scored] = objective(x[scored], problem)
+        return values
 
-    best = None
-    total_evals = 0
-    for index, seed in enumerate(seeds):
-        start = np.clip(seed, lo + 1e-12, hi)
-        x, fx, _, nfev = nelder_mead(
-            penalised,
-            start,
-            step=0.05 * span,
-            max_iter=max_iter,
-            diameter_tol=diameter_tol,
-            f_tol=f_tol,
-        )
-        total_evals += nfev
-        if best is None or fx < best[1]:
-            best = (x, fx, index)
+    x, fx, _, n_evaluations = _lockstep_nelder_mead(
+        penalised,
+        np.clip(seeds, lo + 1e-12, hi),
+        0.05 * (hi - lo),
+        max_iter,
+        diameter_tol,
+        f_tol,
+    )
+    seed_index = 0
+    for index in range(1, len(seeds)):
+        if fx[index] < fx[seed_index]:
+            seed_index = index
 
-    x_best, f_best, seed_index = best
-    pairs = problem.parameter_pairs(x_best)
+    x_best, f_best = x[seed_index], float(fx[seed_index])
     fids = per_state_fidelities(x_best, problem)
     return CalibrationResult(
         kind=problem.kind,
         params=tuple(float(p) for p in x_best),
-        objective_value=float(f_best),
+        objective_value=f_best,
         per_state_fidelities=tuple(float(f) for f in fids),
-        areas=analytic_channel_areas(pairs),
+        areas=analytic_channel_areas(problem.parameter_pairs(x_best)),
         success=bool(f_best < SUCCESS_OBJECTIVE),
         seed_index=seed_index,
-        n_evaluations=total_evals,
+        n_evaluations=int(np.sum(n_evaluations)),
     )
+
+
+# The stock parameters of each gate kind polished to simplex convergence:
+# calibrate(CalibrationProblem(kind), seeds=[_stock_params(kind)], f_tol=0.0).
+# A test reruns that polish and holds these literals to it bit for bit, so
+# a change to the objective or the simplex loop must pin them again.
+_POLISHED_BANK = {
+    "swap": ((9.345621176685896, 0.02023283057225373),),
+    "cnot": (
+        (9.403704105271292, 0.01998365843415007),
+        (3.125149002873353, 0.02010430107152058),
+    ),
+    "cnot_rotated": (
+        (9.52144106647675, 0.019492493412941903),
+        (3.014619500635584, 0.021605594057166614),
+    ),
+}
 
 
 @lru_cache(maxsize=None)
 def calibrated_gate_params(kind: str) -> tuple[tuple[float, float], ...]:
     """Process-wide calibrated (A, W) pairs for a gate kind.
 
-    Started from the stock parameters only and polished to simplex
-    convergence (``f_tol=0``), giving per-gate infidelities far below the
-    budget of the longest transport circuits. Deterministic, so every
-    worker computes identical values.
+    The stock parameters polished to simplex convergence (``f_tol=0``),
+    giving per-gate infidelities far below the budget of the longest
+    transport circuits. The polish is deterministic, so its result ships
+    as literals (``_POLISHED_BANK``) instead of being rerun in every
+    interpreter.
     """
-    problem = CalibrationProblem(kind=kind)
-    if kind == "swap":
-        stock = DEFAULT_SWAP_PARAMS
-    else:
-        stock = DEFAULT_CNOT_LOCAL_PARAMS + DEFAULT_CNOT_COUPLING_PARAMS
-    result = calibrate(problem, seeds=[np.array(stock)], f_tol=0.0)
-    if result.objective_value > 1e-9:
-        raise RuntimeError(f"internal calibration of {kind} did not converge")
-    return problem.parameter_pairs(result.params)
+    if kind not in _POLISHED_BANK:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    return _POLISHED_BANK[kind]

@@ -102,7 +102,22 @@ def _fmt_float(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+# Cell formatters by exact type: CSV bodies are mostly floats, and one dict
+# lookup replaces the isinstance chain below for them. ``np.float64``
+# formats through ``float``, so both spell a value alike.
+_CELL_FORMATS = {
+    float: "{:.12g}".format,
+    np.float64: "{:.12g}".format,
+    int: str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    str: str,
+}
+
+
 def _fmt_cell(value) -> str:
+    fmt = _CELL_FORMATS.get(type(value))
+    if fmt is not None:
+        return fmt(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -348,7 +363,7 @@ def write_csv(
     lines += [f"# {key} = {value}" for key, value in header_pairs]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt_cell(cell) for cell in row))
+        lines.append(",".join([_fmt_cell(cell) for cell in row]))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

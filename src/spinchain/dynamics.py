@@ -11,8 +11,9 @@ Unitary slots
     gate's common eigenbasis, ``d_i`` the eigenvalues of channel ``i`` and
     ``S_i`` its right-endpoint pulse area on the step grid
     (:func:`discrete_channel_areas`). :func:`slot_unitary` is that 4x4
-    matrix, and calibration scores the same matrix. Cumulative areas give
-    the unitary after every step.
+    matrix, and calibration scores the same matrix, for a whole batch of
+    parameter points at once. Cumulative areas give the unitary after
+    every step.
 
 Noisy slots
     Within one slot the Lindblad generator splits into commuting pieces
@@ -76,6 +77,7 @@ Integrator bugs cannot hide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,11 +90,15 @@ from .hamiltonians import (
 )
 from .memo import BuildOnce
 from .operators import check_state, fidelity_to_pure, pauli
-from .pulses import PulseSchedule
+from .pulses import PulseSchedule, gaussian
 
 DEFAULT_STEPS_PER_SLOT = 1000
-# RK4 at the default grid is already accurate to ~1e-12, and a noiseless
-# observed pass holds one 4x4 unitary per step, so finer grids are refused.
+# At the default grid the noisy pair RK4 lies 2.5-4.7e-8 from its converged
+# continuous-pulse limit, and the noiseless closed form 7.8-8.4e-8 from the
+# exact unitary of the truncated pulse; past ~1000 steps both errors fall
+# only at first order, because the pulse is cut at the slot edge. A
+# noiseless observed pass holds one 4x4 unitary per step, so grids finer
+# than this ceiling are refused.
 MAX_STEPS_PER_SLOT = 100 * DEFAULT_STEPS_PER_SLOT
 TRACE_ABORT_TOL = 1e-6
 # Pair builds check their map every this many RK4 steps: an unstable step
@@ -181,29 +187,41 @@ def _check_trace(rho: np.ndarray, where: str):
 
 def _channel_samples(params, slot_duration: float, n_steps: int):
     """Pulse values at the right endpoints ``m dt`` (m = 1..n_steps) of a
-    slot starting at 0, one row per channel, and ``dt``. The slot-end
-    sample is zero: pulses are truncated to ``[0, slot)``."""
+    slot starting at 0, and ``dt``. ``params`` holds one (A, W) pair per
+    channel, shape ``(C, 2)``, or a batch of them, shape ``(B, C, 2)``; the
+    samples are one contiguous row per channel, shape ``(C, n_steps)`` or
+    ``(B, C, n_steps)``, and every pair passes ``GaussianPulse``'s checks.
+    The slot-end sample is zero: pulses are truncated to ``[0, slot)``."""
     dt = slot_duration / n_steps
     m = np.arange(1, n_steps + 1)
     ts, inside = dt * m, m < n_steps
-    pulses = materialize_channel_pulses(params, 0.0, slot_duration)
-    return np.array([p.value(ts) * inside for p in pulses]), dt
+    params = np.asarray(params, dtype=float)
+    pulses = [
+        materialize_channel_pulses(pairs, 0.0, slot_duration)
+        for pairs in params.reshape(-1, *params.shape[-2:])
+    ]
+    shape = params.shape[:-1] + (1,)
+    amplitude = np.reshape([p.amplitude for row in pulses for p in row], shape)
+    width = np.reshape([p.width for row in pulses for p in row], shape)
+    return gaussian(ts, amplitude, width, pulses[0][0].center) * inside, dt
 
 
 def discrete_channel_areas(
     params,
     slot_duration: float = 1.0,
     n_steps: int = DEFAULT_STEPS_PER_SLOT,
-) -> tuple[float, ...]:
-    """Right-endpoint pulse areas on the step grid, one per (A, W) channel:
-    exactly what a product of per-step exponentials accumulates."""
+) -> np.ndarray:
+    """Right-endpoint pulse areas on the step grid, one per (A, W) channel,
+    shape ``(C,)`` or, for a batch of parameters, ``(B, C)``: exactly what a
+    product of per-step exponentials accumulates."""
     samples, dt = _channel_samples(params, slot_duration, n_steps)
-    return tuple(float(np.sum(row) * dt) for row in samples)
+    return np.sum(samples, axis=-1) * dt
 
 
 def _eigen_unitary(kind: str, areas) -> np.ndarray:
-    """``V exp(-i sum_i S_i d_i) V^dag``; ``areas`` rows may carry a
-    trailing step axis, giving one 4x4 unitary per step."""
+    """``V exp(-i sum_i S_i d_i) V^dag``; ``areas`` has one row per channel,
+    and the rows may carry further axes (a batch, or the steps of a slot),
+    giving one 4x4 unitary per entry."""
     v, diags = gate_eigensystem(kind)
     if len(areas) != len(diags):
         raise ValueError(f"{kind} takes {len(diags)} (A, W) pair(s)")
@@ -218,8 +236,11 @@ def slot_unitary(
     n_steps: int = DEFAULT_STEPS_PER_SLOT,
 ) -> np.ndarray:
     """The exact stepped one-slot 4x4 unitary of a gate kind; ``params``
-    holds one (A, W) pair per channel, as in ``GateSpec``."""
-    return _eigen_unitary(kind, discrete_channel_areas(params, slot_duration, n_steps))
+    holds one (A, W) pair per channel, as in ``GateSpec``, or a ``(B, C,
+    2)`` batch of them, giving ``(B, 4, 4)``. Each batch entry is computed
+    exactly as it would be alone."""
+    areas = discrete_channel_areas(params, slot_duration, n_steps)
+    return _eigen_unitary(kind, np.moveaxis(areas, -1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +288,19 @@ def _diagonal(maps: np.ndarray) -> np.ndarray:
     return maps.reshape(len(maps), 256)[:, ::17]
 
 
-def _pair_step_maps(kind, params, noise, duration, n_steps):
-    """The real RK4 step maps of one driven pair across one slot, minus the
-    identity, in the Pauli-transfer basis, yielded in chunks of at most
-    ``PAIR_CHUNK_STEPS`` as ``(steps, 16, 16)`` arrays. Each chunk lives in
-    a workspace that the next chunk overwrites.
+@lru_cache(maxsize=64)
+def _pair_letters(kind: str, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """The generator letters of one driven pair in the real Pauli-transfer
+    basis, one flattened 16x16 row each (the dissipator sum, then each
+    channel's drive superoperator), and the largest entry of each; both
+    read-only, and cached by ``(kind, noise)``.
 
-    The letters (the dissipator sum and each channel's drive superoperator)
-    are transformed once; a letter that is not finite raises
-    :class:`TraceDriftError` as not bounded, and a generator that does not
-    preserve Hermiticity has an imaginary part there and raises
-    :class:`NumericalError`. Every chunk's step generators pass
-    :func:`_check_step_generators` before the RK4 stages use them. Each
-    step samples the drive at its start, midpoint and end (the last step
-    ends on the slot edge, where the truncated pulse is already off), and
-    its map is the RK4 stages applied to the identity.
+    A letter that is not finite raises :class:`TraceDriftError` as not
+    bounded, and a generator that does not preserve Hermiticity has an
+    imaginary part here and raises :class:`NumericalError`; a failed build
+    is not cached, so every call raises again.
     """
     blocks = gate_channel_blocks(kind)
-    pulses = materialize_channel_pulses(params, 0.0, duration)
     constant = np.zeros((16, 16), dtype=complex)
     jump = noise.jump_block()
     # a rate near the float limit overflows here; the check below reports it
@@ -306,6 +322,25 @@ def _pair_step_maps(kind, params, noise, duration, n_steps):
         )
     letters = letters.real.reshape(len(letters), 256)
     letter_sizes = np.max(np.abs(letters), axis=1)
+    letters.flags.writeable = False
+    letter_sizes.flags.writeable = False
+    return letters, letter_sizes
+
+
+def _pair_step_maps(kind, params, noise, duration, n_steps):
+    """The real RK4 step maps of one driven pair across one slot, minus the
+    identity, in the Pauli-transfer basis, yielded in chunks of at most
+    ``PAIR_CHUNK_STEPS`` as ``(steps, 16, 16)`` arrays. Each chunk lives in
+    a workspace that the next chunk overwrites.
+
+    The letters come from :func:`_pair_letters`. Every chunk's step
+    generators pass :func:`_check_step_generators` before the RK4 stages
+    use them. Each step samples the drive at its start, midpoint and end
+    (the last step ends on the slot edge, where the truncated pulse is
+    already off), and its map is the RK4 stages applied to the identity.
+    """
+    pulses = materialize_channel_pulses(params, 0.0, duration)
+    letters, letter_sizes = _pair_letters(kind, noise)
 
     h = duration / n_steps
     size = min(n_steps, PAIR_CHUNK_STEPS)

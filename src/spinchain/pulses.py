@@ -31,9 +31,14 @@ class GaussianPulse:
             raise ValueError("pulse width must be positive and finite")
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self.amplitude * np.exp(-((t - self.center) ** 2) / self.width)
+        out = gaussian(np.asarray(t, dtype=float), self.amplitude, self.width, self.center)
         return out if out.ndim else float(out)
+
+
+def gaussian(t, amplitude, width, center):
+    """``amplitude * exp(-(t - center)^2 / width)``, broadcast over array
+    arguments: the one formula behind every pulse sample."""
+    return amplitude * np.exp(-((t - center) ** 2) / width)
 
 
 def pulse_area(pulse: GaussianPulse) -> float:

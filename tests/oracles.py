@@ -13,6 +13,10 @@ run a schedule slot by slot on a ``2^N`` register, applying the package's
 own 4x4 slot unitaries and 16x16 pair propagators in place: they share
 those kernels, and are references for how the package composes them
 (the contraction along the chain, the single-gate paths).
+
+The calibration references score one point at a time and run one
+Nelder-Mead start after another, as scalar code; the package's batched
+objective and lockstep simplex loop must reproduce them bit for bit.
 """
 
 import itertools
@@ -22,8 +26,16 @@ from functools import reduce
 import numpy as np
 from scipy.linalg import expm
 
+from spinchain.calibration import (
+    CALIBRATION_STATES,
+    SUCCESS_OBJECTIVE,
+    CalibrationResult,
+    _bound_arrays,
+    analytic_channel_areas,
+)
 from spinchain.circuits import _input_sites
 from spinchain.dynamics import (
+    DEFAULT_STEPS_PER_SLOT,
     IntegratorConfig,
     NumericalError,
     _check_trace,
@@ -34,7 +46,12 @@ from spinchain.dynamics import (
     gate_superoperator,
     slot_unitary,
 )
-from spinchain.hamiltonians import gate_channel_blocks, materialize_channel_pulses
+from spinchain.hamiltonians import (
+    gate_channel_blocks,
+    gate_eigensystem,
+    ideal_gate_matrix,
+    materialize_channel_pulses,
+)
 from spinchain.operators import check_state, num_qubits
 from spinchain.pulses import PulseSchedule
 
@@ -375,3 +392,127 @@ def reduced_state(rho, keep):
                     offset + index(keep, a), offset + index(keep, b)
                 ]
     return out
+
+
+def point_fidelities(params, problem):
+    """The five calibration-state fidelities of one parameter point, scored
+    alone: each channel's pulse sampled on the default unit-slot grid and
+    summed as one float, then one closed-form 4x4 slot unitary."""
+    pulses = materialize_channel_pulses(problem.parameter_pairs(params), 0.0, 1.0)
+    n = DEFAULT_STEPS_PER_SLOT
+    dt = 1.0 / n
+    m = np.arange(1, n + 1)
+    ts, inside = dt * m, m < n
+    areas = [float(np.sum(p.value(ts) * inside) * dt) for p in pulses]
+    v, diags = gate_eigensystem(problem.kind)
+    phase = sum(np.multiply.outer(s, d) for s, d in zip(areas, diags))
+    u = (v * np.exp(-1j * phase)[None, :]) @ v.conj().T
+    outs = (u @ CALIBRATION_STATES.T).T
+    targets = (ideal_gate_matrix(problem.kind) @ CALIBRATION_STATES.T).T
+    return np.abs(np.sum(targets.conj() * outs, axis=1)) ** 2
+
+
+def point_objective(params, problem):
+    return float(1.0 - np.mean(point_fidelities(params, problem)))
+
+
+def nelder_mead_loop(f, x0, step=None, max_iter=5000, diameter_tol=1e-10, f_tol=1e-9):
+    """Nelder-Mead (reflection 1, expansion 2, contraction 0.5, shrink 0.5)
+    of a scalar ``f`` from one start, one vertex list per iteration.
+    Returns ``(x_best, f_best, n_iterations, n_evaluations)``."""
+    x0 = np.asarray(x0, dtype=float)
+    d = x0.size
+    if step is None:
+        step = 0.1 * np.maximum(np.abs(x0), 0.1)
+    step = np.broadcast_to(np.asarray(step, dtype=float), (d,))
+
+    simplex = [x0.copy()]
+    for i in range(d):
+        x = x0.copy()
+        x[i] += step[i]
+        simplex.append(x)
+    values = [f(x) for x in simplex]
+    nfev = d + 1
+
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
+        order = np.argsort(values, kind="stable")
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+
+        diameter = max(np.max(np.abs(x - simplex[0])) for x in simplex[1:])
+        if values[0] < f_tol or diameter < diameter_tol:
+            break
+
+        centroid = np.mean(simplex[:-1], axis=0)
+        worst = simplex[-1]
+        reflected = centroid + (centroid - worst)
+        f_reflected = f(reflected)
+        nfev += 1
+
+        if f_reflected < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            f_expanded = f(expanded)
+            nfev += 1
+            if f_expanded < f_reflected:
+                simplex[-1], values[-1] = expanded, f_expanded
+            else:
+                simplex[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
+        else:
+            if f_reflected < values[-1]:
+                contracted = centroid + 0.5 * (reflected - centroid)
+            else:
+                contracted = centroid + 0.5 * (worst - centroid)
+            f_contracted = f(contracted)
+            nfev += 1
+            if f_contracted < min(f_reflected, values[-1]):
+                simplex[-1], values[-1] = contracted, f_contracted
+            else:
+                best = simplex[0]
+                for i in range(1, d + 1):
+                    simplex[i] = best + 0.5 * (simplex[i] - best)
+                    values[i] = f(simplex[i])
+                nfev += d
+
+    order = np.argsort(values, kind="stable")
+    best_idx = order[0]
+    return simplex[best_idx].copy(), values[best_idx], iteration, nfev
+
+
+def calibrate_loop(problem, seeds, max_iter=5000, diameter_tol=1e-10, f_tol=1e-9):
+    """Multi-start calibration one start after another: each start's
+    :func:`nelder_mead_loop` on the box-penalised :func:`point_objective`;
+    the first best start wins."""
+    lo, hi = _bound_arrays(problem)
+
+    def penalised(x):
+        excess = np.maximum(lo - x, 0.0) + np.maximum(x - hi, 0.0)
+        pen = float(np.sum(excess))
+        if pen > 0.0:
+            return 1.0 + pen
+        return point_objective(x, problem)
+
+    best = None
+    total_evals = 0
+    for index, seed in enumerate(seeds):
+        start = np.clip(np.asarray(seed, dtype=float), lo + 1e-12, hi)
+        x, fx, _, nfev = nelder_mead_loop(
+            penalised, start, 0.05 * (hi - lo), max_iter, diameter_tol, f_tol
+        )
+        total_evals += nfev
+        if best is None or fx < best[1]:
+            best = (x, fx, index)
+
+    x_best, f_best, seed_index = best
+    return CalibrationResult(
+        kind=problem.kind,
+        params=tuple(float(p) for p in x_best),
+        objective_value=float(f_best),
+        per_state_fidelities=tuple(float(f) for f in point_fidelities(x_best, problem)),
+        areas=analytic_channel_areas(problem.parameter_pairs(x_best)),
+        success=bool(f_best < SUCCESS_OBJECTIVE),
+        seed_index=seed_index,
+        n_evaluations=total_evals,
+    )

@@ -2,15 +2,23 @@
 
 import numpy as np
 import pytest
-from oracles import stepped_unitary
+from oracles import (
+    calibrate_loop,
+    nelder_mead_loop,
+    point_fidelities,
+    point_objective,
+    stepped_unitary,
+)
 from scipy.stats import qmc
 
+from spinchain import calibration
 from spinchain.calibration import (
     CALIBRATION_STATES,
     SUCCESS_OBJECTIVE,
     CalibrationProblem,
     _bound_arrays,
     _sobol_points,
+    _stock_params,
     analytic_channel_areas,
     calibrate,
     calibrated_gate_params,
@@ -125,6 +133,61 @@ def test_nelder_mead_respects_iteration_cap():
     assert iterations <= 5
 
 
+def _same_descent(a, b):
+    x_a, f_a, iterations_a, nfev_a = a
+    x_b, f_b, iterations_b, nfev_b = b
+    return np.array_equal(x_a, x_b) and f_a == f_b and (iterations_a, nfev_a) == (iterations_b, nfev_b)
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 5, 5000])
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_nelder_mead_equals_the_scalar_loop(dim, max_iter):
+    target = np.arange(1.0, dim + 1.0)
+    f = lambda x: float(np.sum((x - target) ** 2) + np.sin(5.0 * x[0]))
+    for f_tol in (1e-9, 0.0, -np.inf):
+        args = (f, np.full(dim, 0.3), None, max_iter, 1e-10, f_tol)
+        assert _same_descent(nelder_mead(*args), nelder_mead_loop(*args))
+
+
+def test_nelder_mead_on_the_calibration_objective_equals_the_scalar_loop():
+    problem = CalibrationProblem(kind="cnot")
+    f = lambda x: point_objective(x, problem)
+    x0 = STOCK_FLAT["cnot"] * 1.01
+    assert _same_descent(nelder_mead(f, x0, max_iter=60), nelder_mead_loop(f, x0, max_iter=60))
+
+
+# ---------------------------------------------------------------------------
+# the batched objective scores each point as it would alone
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_batched_objective_equals_points_scored_alone(kind):
+    problem = CalibrationProblem(kind=kind)
+    rng = np.random.default_rng(3)
+    scale = np.tile([50.0, 1.0], problem.n_channels)
+    for size in (1, 2, 7, 17):
+        points = rng.uniform(1e-3, 1.0, size=(size, problem.n_params)) * scale
+        points[::2] *= np.tile([0.3, 0.03], problem.n_channels)  # near the stock pulses
+        fids = per_state_fidelities(points, problem)
+        values = objective(points, problem)
+        assert fids.shape == (size, 5) and values.shape == (size,)
+        for point, row, value in zip(points, fids, values):
+            assert np.array_equal(row, point_fidelities(point, problem))
+            assert np.array_equal(per_state_fidelities(point, problem), row)
+            assert value == point_objective(point, problem) == objective(point, problem)
+
+
+def test_batched_objective_checks_every_point():
+    problem = CalibrationProblem(kind="cnot")
+    points = np.tile(STOCK_FLAT["cnot"], (3, 1))
+    points[2, 3] = 0.0  # a zero width
+    with pytest.raises(ValueError, match="pulse width must be positive"):
+        objective(points, problem)
+    with pytest.raises(ValueError, match="takes 4 parameters"):
+        objective(points[:, :3], problem)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end calibration
 # ---------------------------------------------------------------------------
@@ -227,6 +290,88 @@ def test_calibrate_requires_a_seed():
         calibrate(CalibrationProblem(kind="swap"), seeds=[])
 
 
+# ---------------------------------------------------------------------------
+# lockstep multi-start calibration equals the scalar starts one by one
+# ---------------------------------------------------------------------------
+
+
+def _spy_lockstep(monkeypatch):
+    """Record each batch the lockstep loop scores, as (points, points
+    outside the box), and each start's iteration count."""
+    batches, iterations = [], []
+    lockstep = calibration._lockstep_nelder_mead
+
+    def spy(f, *args):
+        def scored(x):
+            values = f(x)
+            batches.append((len(x), int(np.sum(values > 1.0))))  # 1 + penalty
+            return values
+
+        result = lockstep(scored, *args)
+        iterations.append(result[2])
+        return result
+
+    monkeypatch.setattr(calibration, "_lockstep_nelder_mead", spy)
+    return batches, iterations
+
+
+@pytest.mark.parametrize("rng_seed", [0, 1, 7, 123456789])
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_calibrate_equals_the_scalar_oracle(kind, rng_seed):
+    problem = CalibrationProblem(kind=kind)
+    result = calibrate(problem, rng_seed=rng_seed)
+    assert result == calibrate_loop(problem, default_seeds(problem, rng_seed))
+
+
+def test_penalised_and_scored_points_share_a_batch(monkeypatch):
+    problem = CalibrationProblem(kind="swap")
+    lo, hi = _bound_arrays(problem)
+    # starts on the box's corners and edges step and reflect out of it
+    seeds = default_seeds(problem, 5)[:4] + [hi, lo, np.array([50.0, 1e-4]), np.array([0.0, 0.5])]
+    batches, _ = _spy_lockstep(monkeypatch)
+    result = calibrate(problem, seeds=seeds)
+    assert any(0 < outside < size for size, outside in batches)
+    assert result == calibrate_loop(problem, seeds)
+
+
+def test_duplicated_starts_keep_the_first_in_seed_order():
+    problem = CalibrationProblem(kind="cnot")
+    seeds = default_seeds(problem, 0)
+    best = calibrate(problem, seeds=seeds).seed_index
+    duplicated = [seeds[5], seeds[best], seeds[best], seeds[3], seeds[best]]
+    result = calibrate(problem, seeds=duplicated)
+    assert result.seed_index == 1
+    assert result == calibrate_loop(problem, duplicated)
+
+
+def test_starts_that_stop_in_different_rounds_and_at_the_cap(monkeypatch):
+    problem = CalibrationProblem(kind="cnot", amplitude_bounds=(0.0, 5.0), width_bounds=(1e-4, 0.01))
+    seeds = default_seeds(problem, 0)
+    _, iterations = _spy_lockstep(monkeypatch)
+    result = calibrate(problem, seeds=seeds, max_iter=300)
+    (counts,) = iterations
+    assert len(set(counts)) > 2 and 300 in counts and min(counts) < 300
+    assert not result.success
+    assert result == calibrate_loop(problem, seeds, max_iter=300)
+
+
+def test_a_scored_zero_width_raises_as_before():
+    """A box that admits w = 0 lets a reflection land on it exactly
+    (0.05 + (0.05 - 0.1)); that point's pulse is refused, in lockstep as
+    in the scalar loop."""
+    problem = CalibrationProblem(kind="swap", width_bounds=(0.0, 1.0))
+    for seeds in ([np.array([2.5, 0.05])], [np.array([20.0, 0.3]), np.array([2.5, 0.05])]):
+        with pytest.raises(ValueError, match="pulse width must be positive"):
+            calibrate_loop(problem, seeds, max_iter=50)
+        with pytest.raises(ValueError, match="pulse width must be positive"):
+            calibrate(problem, seeds=seeds, max_iter=50)
+
+
+def test_calibrate_rejects_seeds_of_the_wrong_length():
+    with pytest.raises(ValueError, match="takes 2 parameters"):
+        calibrate(CalibrationProblem(kind="swap"), seeds=[np.array([1.0, 0.5, 0.1])])
+
+
 @pytest.mark.parametrize("kind", GATE_KINDS)
 def test_calibrated_bank_is_essentially_exact(kind):
     pairs = calibrated_gate_params(kind)
@@ -235,6 +380,22 @@ def test_calibrated_bank_is_essentially_exact(kind):
     assert objective(flat, problem) <= 1e-9
     assert all(w > 0.0 for _, w in pairs)
     assert calibrated_gate_params(kind) is pairs  # cached
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_pinned_bank_equals_the_polish_bit_for_bit(kind):
+    """The bank ships as literals. Rerun the polish that made them: if this
+    fails, the objective or the simplex loop changed, and the literals in
+    ``calibration._POLISHED_BANK`` must be pinned again from this run."""
+    problem = CalibrationProblem(kind=kind)
+    result = calibrate(problem, seeds=[_stock_params(kind)], f_tol=0.0)
+    assert result.objective_value <= 1e-9
+    assert problem.parameter_pairs(result.params) == calibrated_gate_params(kind)
+
+
+def test_bank_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        calibrated_gate_params("cz")
 
 
 @pytest.mark.parametrize("kind", GATE_KINDS)

@@ -704,3 +704,28 @@ def test_readme_schema_matches_the_settings_table():
     documented = {(section, key) for section in schema.sections() for key in schema[section]}
     table = {(row.section, row.key) for row in cli.SETTINGS}
     assert documented == table | {("experiment", "kind")}
+
+
+def _fmt_cell_by_isinstance(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.12g}"
+    return str(value)
+
+
+def test_cell_formats_by_type_equal_the_isinstance_chain():
+    class Flag(int):
+        pass
+
+    cells = [
+        0.1, -0.0, 1e-300, 2.0**60, math.pi, math.inf, -math.inf, math.nan, 1 / 3,
+        np.float64(0.999999999999), np.float64(-1e-17), np.float64(-0.0), np.float64(math.nan),
+        np.float64(-math.inf), np.float64(123456789012.5), np.float32(0.1), np.float16(2.5),
+        0, -7, 10**20, True, False, np.int64(-3), np.int32(9), np.uint8(255),
+        np.bool_(True), Flag(4), "swap", "", None, (1, 2),
+    ]
+    for cell in cells:
+        assert cli._fmt_cell(cell) == _fmt_cell_by_isinstance(cell), repr(cell)

@@ -297,6 +297,30 @@ def test_rate_near_the_float_limit_aborts_as_unbounded(gamma):
         gate_superoperator(cnot_gate(1, 2), noise, observer=lambda t, phi: None)
 
 
+def test_pair_letters_are_cached_read_only_per_noise_model():
+    noise = NoiseModel("dephasing", 0.1)
+    letters, sizes = dynamics._pair_letters("cnot", noise)
+    assert dynamics._pair_letters("cnot", NoiseModel("dephasing", 0.1))[0] is letters
+    assert not letters.flags.writeable and not sizes.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        letters[0, 0] = 1.0
+    # the whole model is the key: another rate gets letters of its own
+    other, _ = dynamics._pair_letters("cnot", NoiseModel("dephasing", 0.2))
+    assert not np.array_equal(other, letters)
+    # a cached build equals a fresh one bit for bit
+    dynamics._pair_letters.cache_clear()
+    assert np.array_equal(dynamics._pair_letters("cnot", noise)[0], letters)
+
+
+def test_letters_that_are_not_finite_raise_on_every_call():
+    noise = NoiseModel("amplitude_damping", 1e308)
+    for _ in range(2):
+        with pytest.raises(TraceDriftError, match="a generator letter is not finite"):
+            dynamics._pair_letters("swap", noise)
+        with pytest.raises(TraceDriftError, match="swap pair propagator is not bounded"):
+            gate_superoperator(swap_gate(1, 2), noise)
+
+
 def test_pair_propagator_that_loses_trace_aborts(monkeypatch):
     # a dissipator without its anticommutator terms is finite but not
     # trace-preserving
