@@ -18,9 +18,9 @@ Single-gate runs act on their pair alone, through the gate's 16x16 slot
 map from ``dynamics.gate_superoperator``: ``kron(U, U*)`` of the
 closed-form slot unitary when noiseless, pair RK4 when noisy, cached by
 gate, noise, duration and step count. ``duration-sweep`` applies the
-cached map to the input. ``trace`` asks for the map with an observer and
-reads every step of that one pass, for all three inputs at once; its
-noiseless steps are the closed form at cumulative pulse areas.
+cached map to the input. ``trace`` reads the map after every step from
+the stream ``dynamics.gate_step_maps``, for all three inputs at once;
+its noiseless steps are the closed form at cumulative pulse areas.
 Transport contracts the circuit site by site (the same cached maps plus
 idle-site channels), so a chain of any length runs in time linear in
 its length.
@@ -70,7 +70,7 @@ from .dynamics import (
     NumericalError,
     _resolve_steps,
     gate_fidelity,
-    gate_superoperator,
+    gate_step_maps,
 )
 from .hamiltonians import (
     GATE_KINDS,
@@ -81,7 +81,6 @@ from .hamiltonians import (
     rotated_cnot_gate,
     swap_gate,
 )
-from .operators import fidelity_to_pure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -427,31 +426,23 @@ def run_trace(s: Settings):
     gate = _single_gate(s)
     noise = s.noise(_single_gamma(s))
     pulses = materialize_channel_pulses(gate.params, 0.0, 1.0)
-    cfg = IntegratorConfig(dt=s.dt)
     ideal = ideal_gate_matrix(gate.kind)
     inputs = [np.kron(control, _KET_ZERO) for _, control in TRACE_INPUTS]
-    targets = [ideal @ psi0 for psi0 in inputs]
-
-    times: list[float] = []
-    fidelity_columns: list[list[float]] = [[] for _ in inputs]
-    # One pass serves every input: each step's map takes all initial
-    # density matrices at once.
+    # one column per input: its density matrix and its ideal output
     rho0 = np.stack([np.outer(p, p.conj()).reshape(-1) for p in inputs], axis=1)
+    targets = np.stack([ideal @ psi0 for psi0 in inputs], axis=1)
 
-    def observer(t, phi):
-        times.append(t)
-        rhos = phi @ rho0
-        for k, (target, samples) in enumerate(zip(targets, fidelity_columns)):
-            samples.append(fidelity_to_pure(rhos[:, k].reshape(4, 4), target))
-
-    gate_superoperator(gate, noise, cfg=cfg, observer=observer)
+    times, fidelities = [], []
+    for ts, maps in gate_step_maps(gate, noise, cfg=IntegratorConfig(dt=s.dt)):
+        rhos = (maps @ rho0).reshape(len(ts), 4, 4, len(inputs))
+        times.append(ts)
+        fidelities.append(np.einsum("ik,nijk,jk->nk", targets.conj(), rhos, targets).real)
+    times = np.concatenate(times)
 
     columns = ["t"] + [name for name, _ in TRACE_INPUTS]
     columns += [f"j_channel_{i + 1}" for i in range(len(pulses))]
-    rows = [
-        (t, *(col[idx] for col in fidelity_columns), *(pulse.value(t) for pulse in pulses))
-        for idx, t in enumerate(times)
-    ]
+    drives = [pulse.value(times) for pulse in pulses]
+    rows = np.column_stack([times, np.concatenate(fidelities), *drives]).tolist()
     return [("", [], columns, rows)], EXIT_OK
 
 

@@ -36,10 +36,11 @@ Single gates
     map: ``kron(U, U*)`` of the slot unitary when noiseless, pair RK4
     otherwise. Maps are cached by ``(kind, params, noise, duration,
     n_steps)``: an explicit ``dt`` and the default grid share a build
-    when they give the same step count. With an observer nothing is
-    cached and every step is reported; noiseless steps come from the
-    closed form at cumulative areas. :func:`gate_fidelity`, the ``trace``
-    command and transport all read these maps.
+    when they give the same step count. :func:`gate_fidelity` and
+    transport read these maps; the ``trace`` command reads
+    :func:`gate_step_maps`, an uncached stream of the map after every
+    step: the closed form at cumulative areas, or the prefix products of
+    each chunk of RK4 step maps, taken by a scan.
 
 Contraction along the chain
     Transport from product inputs is a tensor network with one wire per
@@ -63,15 +64,14 @@ Trace is monitored, never renormalised: drift beyond ``TRACE_ABORT_TOL``
 pair propagator that, while it is built, stops being finite, keeping its
 trace row (the first Pauli-transfer row stays e_0 to ``TRACE_ABORT_TOL``)
 or bounded (no entry above ``1 / TRACE_ABORT_TOL``; a CPTP map has none
-above 1). The build checks every level of its tree, and an observed build
-its step maps and then its product every ``TRACE_CHECK_STRIDE`` steps and
-at the end, so an unstable step grid aborts before numpy overflows. The
-step generators are held to the same bound before the RK4 stages use
-them, and a generator letter that is not finite (a decay rate near the
-float limit) fails as not bounded, so no rate reaches a numpy overflow
-either. A slot unitary more than 1e-9 away
-from unitary raises :class:`NumericalError` when its map is built.
-Integrator bugs cannot hide.
+above 1). A build checks every level of its tree and a stream every
+level of its scan, so an unstable step grid aborts before numpy overflows
+and before a stream hands out a step map. The step generators are held to
+the same bound before the RK4 stages use them, and a generator letter
+that is not finite (a decay rate near the float limit) fails as not
+bounded, so no rate reaches a numpy overflow either. A slot unitary more
+than 1e-9 away from unitary raises :class:`NumericalError` when its map,
+or its stream chunk, is built. Integrator bugs cannot hide.
 """
 
 from __future__ import annotations
@@ -90,20 +90,16 @@ from .hamiltonians import (
 )
 from .memo import BuildOnce
 from .operators import check_state, fidelity_to_pure, pauli
-from .pulses import PulseSchedule, gaussian
+from .pulses import PulseSchedule, check_pulse_params, gaussian
 
 DEFAULT_STEPS_PER_SLOT = 1000
 # At the default grid the noisy pair RK4 lies 2.5-4.7e-8 from its converged
 # continuous-pulse limit, and the noiseless closed form 7.8-8.4e-8 from the
 # exact unitary of the truncated pulse; past ~1000 steps both errors fall
-# only at first order, because the pulse is cut at the slot edge. A
-# noiseless observed pass holds one 4x4 unitary per step, so grids finer
-# than this ceiling are refused.
+# only at first order, because the pulse is cut at the slot edge, so grids
+# finer than this ceiling buy nothing and are refused.
 MAX_STEPS_PER_SLOT = 100 * DEFAULT_STEPS_PER_SLOT
 TRACE_ABORT_TOL = 1e-6
-# Pair builds check their map every this many RK4 steps: an unstable step
-# breaks trace preservation within ~10 steps but overflows only after ~80.
-TRACE_CHECK_STRIDE = 32
 
 _NOISE_KINDS = ("none", "dephasing", "amplitude_damping")
 
@@ -190,20 +186,21 @@ def _channel_samples(params, slot_duration: float, n_steps: int):
     slot starting at 0, and ``dt``. ``params`` holds one (A, W) pair per
     channel, shape ``(C, 2)``, or a batch of them, shape ``(B, C, 2)``; the
     samples are one contiguous row per channel, shape ``(C, n_steps)`` or
-    ``(B, C, n_steps)``, and every pair passes ``GaussianPulse``'s checks.
-    The slot-end sample is zero: pulses are truncated to ``[0, slot)``."""
+    ``(B, C, n_steps)``, and every pair, rescaled as in
+    ``materialize_channel_pulses``, passes ``check_pulse_params``. The
+    slot-end sample is zero: pulses are truncated to ``[0, slot)``."""
+    if not (slot_duration > 0.0):
+        raise ValueError("gate window must have positive duration")
     dt = slot_duration / n_steps
     m = np.arange(1, n_steps + 1)
     ts, inside = dt * m, m < n_steps
     params = np.asarray(params, dtype=float)
-    pulses = [
-        materialize_channel_pulses(pairs, 0.0, slot_duration)
-        for pairs in params.reshape(-1, *params.shape[-2:])
-    ]
-    shape = params.shape[:-1] + (1,)
-    amplitude = np.reshape([p.amplitude for row in pulses for p in row], shape)
-    width = np.reshape([p.width for row in pulses for p in row], shape)
-    return gaussian(ts, amplitude, width, pulses[0][0].center) * inside, dt
+    # a rescaling past the float range gives inf or 0, which the check refuses
+    with np.errstate(all="ignore"):
+        amplitude = params[..., :1] / slot_duration
+        width = params[..., 1:] * (slot_duration * slot_duration)
+    check_pulse_params(amplitude, width)
+    return gaussian(ts, amplitude, width, 0.5 * slot_duration) * inside, dt
 
 
 def discrete_channel_areas(
@@ -250,8 +247,8 @@ _I4 = np.eye(4, dtype=complex)
 
 
 def _kron4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two 4x4 matrices without its per-call overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
+    """``np.kron`` of 4x4 matrices (or of stacks, pairwise) without its overhead."""
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*a.shape[:-2], 16, 16)
 
 
 def _hamiltonian_superop(h4: np.ndarray) -> np.ndarray:
@@ -441,51 +438,42 @@ def _pair_rk4(
     noise: NoiseModel,
     duration: float,
     n_steps: int,
-    observer=None,
 ) -> np.ndarray:
     """16x16 row-major propagator of one driven pair (plus its two sites'
     noise) across one slot of ``n_steps`` fixed RK4 steps.
 
-    The step maps come from :func:`_pair_step_maps` in the real
-    Pauli-transfer basis. Without an observer, each chunk of them is
-    multiplied by a pairwise tree, later steps on the left, and the chunk
-    products are folded in order; with one, the same step maps are folded
-    one by one and the observer is called with ``(t, phi)`` after each
-    step. Either way a map goes back to the row-major basis only where it
-    is handed out.
-
-    The tree checks every level, and the observed fold each chunk of step
-    maps, then its product every ``TRACE_CHECK_STRIDE`` steps and at the
-    end (:func:`_check_pair_maps`): a map that is not finite, whose first
-    row leaves e_0 by more than ``TRACE_ABORT_TOL``, or that differs from
-    the identity by more than ``1 / TRACE_ABORT_TOL`` in an entry raises
+    Each chunk of step maps from :func:`_pair_step_maps` (real
+    Pauli-transfer basis) is multiplied by a pairwise tree, later steps on
+    the left, and the chunk products are folded in order. Every level and
+    every partial product must pass :func:`_check_pair_maps`, so a map
+    that is not finite, trace-preserving and bounded raises
     :class:`TraceDriftError` before numpy can overflow.
     """
-    chunks = _pair_step_maps(kind, params, noise, duration, n_steps)
     total = np.zeros((16, 16))
-    if observer is None:
-        for d in chunks:
-            total = _then(total, _tree_product(kind, d))
-            _check_pair_maps(kind, total)
-    else:
-        dt = duration / n_steps
-        m = 0
-        for d in chunks:
-            # bounded step maps cannot overflow within one stride
-            _check_pair_maps(kind, d)
-            for step in d:
-                total = _then(total, step)
-                if (m + 1) % TRACE_CHECK_STRIDE == 0:
-                    _check_pair_maps(kind, total)
-                observer(m * dt + dt, _to_row_major(total))
-                m += 1
+    for d in _pair_step_maps(kind, params, noise, duration, n_steps):
+        total = _then(total, _tree_product(kind, d))
         _check_pair_maps(kind, total)
     return _to_row_major(total)
 
 
+def _scan_product(kind: str, d: np.ndarray) -> np.ndarray:
+    """The prefix products of the maps ``I + d[i]``, later steps on the
+    left, minus the identity, by a Hillis-Steele scan (CACM 29, 1170
+    (1986)) that overwrites ``d``; every level is checked."""
+    _check_pair_maps(kind, d)
+    span = 1
+    while span < len(d):
+        d[span:] = _then(d[:-span], d[span:])
+        _check_pair_maps(kind, d)
+        span *= 2
+    return d
+
+
 def _to_row_major(d: np.ndarray) -> np.ndarray:
-    """The row-major map of the Pauli-transfer map ``I + d``."""
-    return _I16 + _PTM @ d @ _PTM_INV
+    """The row-major map of each Pauli-transfer map ``I + d``."""
+    out = _PTM @ d @ _PTM_INV
+    out += _I16
+    return out
 
 
 _PAIR_PROP_CACHE = BuildOnce()
@@ -494,7 +482,7 @@ _PAIR_PROP_CACHE = BuildOnce()
 def _check_unitary(u: np.ndarray):
     # Each closed-form unitary is exact to roundoff, so anything past 1e-9
     # means a genuine defect.
-    error = np.max(np.abs(u.conj().T @ u - _I4))
+    error = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - _I4))
     if not error <= 1e-9:
         raise NumericalError(f"unitary evolution lost normalisation ({error:.3e})")
 
@@ -504,41 +492,53 @@ def gate_superoperator(
     noise: NoiseModel,
     duration: float = 1.0,
     cfg: IntegratorConfig | None = None,
-    observer=None,
 ) -> np.ndarray:
     """Row-major 16x16 map of one gate alone on its pair across one slot
     of ``duration``, under the pair's own noise: ``kron(U, U*)`` of the
     closed-form slot unitary when noiseless, else the pair RK4 propagator.
-
-    Without an observer the map is cached by ``(kind, params, noise,
-    duration, n_steps)``. With one, nothing is cached and the observer is
-    called with ``(t, phi)`` at t = 0 and after every step, so one pass
-    serves any number of inputs: ``phi @ rho.reshape(16)`` is the evolved
-    pair state at ``t``. A noiseless step is the closed form at the
-    cumulative pulse areas.
+    Maps are cached by ``(kind, params, noise, duration, n_steps)``.
     """
-    n_steps, dt = _resolve_steps(duration, cfg or IntegratorConfig())
+    n_steps, _ = _resolve_steps(duration, cfg or IntegratorConfig())
     kind, params = gate.kind, gate.params
 
     def build():
         if noise.kind != "none":
-            return _pair_rk4(kind, params, noise, duration, n_steps, observer)
-        if observer is None:
-            u = slot_unitary(kind, params, duration, n_steps)
-            _check_unitary(u)
-            return _kron4(u, u.conj())
-        samples, step = _channel_samples(params, duration, n_steps)
-        steps = _eigen_unitary(kind, np.cumsum(samples, axis=1) * step)
-        _check_unitary(steps[-1])
-        for t, u in zip(dt * np.arange(1, n_steps + 1), steps):
-            phi = _kron4(u, u.conj())
-            observer(t, phi)
-        return phi
+            return _pair_rk4(kind, params, noise, duration, n_steps)
+        u = slot_unitary(kind, params, duration, n_steps)
+        _check_unitary(u)
+        return _kron4(u, u.conj())
 
-    if observer is None:
-        return _PAIR_PROP_CACHE.get((kind, params, noise, float(duration), n_steps), build)
-    observer(0.0, np.eye(16, dtype=complex))
-    return build()
+    return _PAIR_PROP_CACHE.get((kind, params, noise, float(duration), n_steps), build)
+
+
+def gate_step_maps(
+    gate: GateSpec, noise: NoiseModel, duration: float = 1.0, cfg: IntegratorConfig | None = None
+):
+    """The uncached row-major map of :func:`gate_superoperator` after every
+    step, yielded as ``(times, maps)`` chunks of at most
+    ``PAIR_CHUNK_STEPS`` steps, after a first ``([0], [I])``. A noiseless
+    chunk is ``kron(U, U*)`` at the cumulative pulse areas and passes the
+    unitary check; a noisy one is the product so far times its scanned RK4
+    step maps, checked at every level, so no unstable map is handed out.
+    """
+    n_steps, dt = _resolve_steps(duration, cfg or IntegratorConfig())
+    kind, params = gate.kind, gate.params
+    yield np.zeros(1), np.eye(16, dtype=complex)[None]
+    if noise.kind == "none":
+        samples, step = _channel_samples(params, duration, n_steps)
+        areas = np.cumsum(samples, axis=1) * step
+        for first in range(0, n_steps, PAIR_CHUNK_STEPS):
+            u = _eigen_unitary(kind, areas[:, first : first + PAIR_CHUNK_STEPS])
+            _check_unitary(u)
+            yield dt * np.arange(first + 1, first + len(u) + 1), _kron4(u, u.conj())
+        return
+    h, total, first = duration / n_steps, np.zeros((16, 16)), 0
+    for d in _pair_step_maps(kind, params, noise, duration, n_steps):
+        prefix = _then(total, _scan_product(kind, d))
+        _check_pair_maps(kind, prefix)
+        m = np.arange(first, first + len(d))
+        yield m * h + h, _to_row_major(prefix)
+        total, first = prefix[-1].copy(), first + len(d)
 
 
 def _idle_superop(noise: NoiseModel, duration: float) -> np.ndarray:

@@ -25,14 +25,23 @@ class GaussianPulse:
     center: float
 
     def __post_init__(self):
-        if not math.isfinite(self.amplitude):
-            raise ValueError("pulse amplitude must be finite")
-        if not (0.0 < self.width < math.inf):
-            raise ValueError("pulse width must be positive and finite")
+        check_pulse_params(self.amplitude, self.width)
 
     def value(self, t):
         out = gaussian(np.asarray(t, dtype=float), self.amplitude, self.width, self.center)
         return out if out.ndim else float(out)
+
+
+def check_pulse_params(amplitude, width):
+    """Every pulse has a finite amplitude and a positive, finite width.
+    Over arrays of one shape, the first pulse (in C order) that breaks a
+    rule names it in the ``ValueError``, as building them in turn would."""
+    bad_amplitude = ~np.isfinite(amplitude)
+    bad = bad_amplitude | ~(np.greater(width, 0.0) & np.isfinite(width))
+    if np.any(bad):
+        if np.ravel(bad_amplitude)[np.argmax(bad)]:
+            raise ValueError("pulse amplitude must be finite")
+        raise ValueError("pulse width must be positive and finite")
 
 
 def gaussian(t, amplitude, width, center):

@@ -472,6 +472,13 @@ def test_lost_normalisation_aborts_with_exit_4(tmp_path, monkeypatch, capsys):
     code, _ = run(tmp_path, ["duration-sweep", "--noise", "none", "--alpha", "1"])
     assert code == 4
     assert "integrator abort: unitary evolution lost normalisation" in capsys.readouterr().err
+    # the trace stream checks each chunk of step unitaries before it is read
+    monkeypatch.setattr(
+        dynamics, "_eigen_unitary", lambda kind, areas: 2.0 * np.eye(4) * np.ones(areas.shape[1:] + (1, 1))
+    )
+    code, out = run(tmp_path, ["trace", "--noise", "none"])
+    assert code == 4 and not out.exists()
+    assert "integrator abort: unitary evolution lost normalisation" in capsys.readouterr().err
 
 
 def test_generator_that_breaks_hermiticity_exits_4(tmp_path, monkeypatch, capsys):
@@ -513,6 +520,7 @@ def test_default_noisy_ladder_builds_two_maps(tmp_path, monkeypatch):
     [
         ["chain-sweep", "--noise", "dephasing", "--gamma", "5000", "--n", "3"],
         ["trace", "--gate", "cnot", "--noise", "amp", "--gamma", "5000"],
+        ["trace", "--gate", "swap", "--noise", "dephasing", "--gamma", "1e6"],
     ],
     ids=lambda argv: " ".join(argv),
 )

@@ -31,6 +31,7 @@ from spinchain.dynamics import (
     _resolve_steps,
     evolve_lindblad_product,
     gate_fidelity,
+    gate_step_maps,
     gate_superoperator,
     slot_unitary,
 )
@@ -54,6 +55,14 @@ def proj(psi):
 
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+
+
+def step_maps(gate, noise, duration=1.0, cfg=None):
+    """The chunks of :func:`gate_step_maps` joined into ``(times, maps)``;
+    each chunk holds at most ``PAIR_CHUNK_STEPS`` steps."""
+    chunks = list(gate_step_maps(gate, noise, duration, cfg))
+    assert all(len(t) == len(m) <= PAIR_CHUNK_STEPS for t, m in chunks[1:])
+    return np.concatenate([t for t, _ in chunks]), np.concatenate([m for _, m in chunks])
 
 
 def evolve(method, sites, schedule, noise, dt=None):
@@ -259,30 +268,23 @@ def test_overflowing_pair_propagator_aborts_and_is_not_cached():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_overflowing_build_stops_at_the_first_stride():
-    # the trace error passes the tolerance within ~10 steps, so the first
-    # check aborts the build: the observer sees t = 0 and the steps before it
-    steps = []
+def test_overflowing_stream_hands_out_only_the_initial_chunk():
+    # the trace error passes the tolerance within ~10 steps, so a level of
+    # the first chunk's scan aborts the stream before it yields a step map
+    stream = gate_step_maps(swap_gate(1, 2), NoiseModel("amplitude_damping", 5000.0))
+    times, maps = next(stream)
+    assert np.array_equal(times, [0.0]) and np.array_equal(maps, [np.eye(16)])
     with pytest.raises(TraceDriftError, match="swap pair propagator"):
-        gate_superoperator(
-            swap_gate(1, 2),
-            NoiseModel("amplitude_damping", 5000.0),
-            observer=lambda t, phi: steps.append(t),
-        )
-    assert len(steps) == dynamics.TRACE_CHECK_STRIDE
+        next(stream)
 
 
 def test_observed_build_with_exploding_steps_stops_before_the_first_step():
-    # gamma * dt = 1000: one step map already leaves the bound, and 32 of
-    # them would overflow before the first stride's check
-    steps = []
+    # gamma * dt = 1000: one step map already leaves the bound, so the scan
+    # refuses the step maps before its first level
+    chunks = []
     with pytest.raises(TraceDriftError, match="swap pair propagator is not bounded"):
-        gate_superoperator(
-            swap_gate(1, 2),
-            NoiseModel("dephasing", 1e6),
-            observer=lambda t, phi: steps.append(t),
-        )
-    assert steps == [0.0]
+        chunks.extend(gate_step_maps(swap_gate(1, 2), NoiseModel("dephasing", 1e6)))
+    assert [list(t) for t, _ in chunks] == [[0.0]]
 
 
 @pytest.mark.parametrize("gamma", [1e200, 1e308])
@@ -293,8 +295,10 @@ def test_rate_near_the_float_limit_aborts_as_unbounded(gamma):
     noise = NoiseModel("dephasing", gamma)
     with pytest.raises(TraceDriftError, match="swap pair propagator is not bounded"):
         gate_superoperator(swap_gate(1, 2), noise)
+    stream = gate_step_maps(cnot_gate(1, 2), noise)
+    assert list(next(stream)[0]) == [0.0]
     with pytest.raises(TraceDriftError, match="cnot pair propagator is not bounded"):
-        gate_superoperator(cnot_gate(1, 2), noise, observer=lambda t, phi: None)
+        next(stream)
 
 
 def test_pair_letters_are_cached_read_only_per_noise_model():
@@ -343,14 +347,20 @@ def test_pair_build_matches_the_sequential_loop(kind, noise_kind):
 
 
 def test_observed_pair_build_matches_the_sequential_loop_at_every_step():
+    # step counts on both sides of the scan's and the chunks' edges
     gate, noise = cnot_gate(1, 2), NoiseModel("amplitude_damping", 0.01)
-    built, loop = [], []
-    for build, steps in ((dynamics._pair_rk4, built), (pair_rk4_loop, loop)):
-        build(gate.kind, gate.params, noise, 1.0, 50, lambda t, phi: steps.append((t, phi.copy())))
-    assert len(built) == len(loop) == 50
-    for (t, phi), (t_loop, phi_loop) in zip(built, loop):
-        assert t == t_loop
-        assert np.max(np.abs(phi - phi_loop)) <= 1e-12
+    for n_steps in (1, 2, 3, 255, 256, 257, 1000):
+        loop = []
+        pair_rk4_loop(
+            gate.kind, gate.params, noise, 1.0, n_steps,
+            lambda t, phi: loop.append((t, phi.copy())),
+        )
+        times, maps = step_maps(gate, noise, cfg=IntegratorConfig(dt=1.0 / n_steps))
+        assert times[0] == 0.0 and np.array_equal(maps[0], np.eye(16))
+        assert len(times) == len(loop) + 1 == n_steps + 1
+        for t, phi, (t_loop, phi_loop) in zip(times[1:], maps[1:], loop):
+            assert t == t_loop
+            assert np.max(np.abs(phi - phi_loop)) <= 1e-12, (n_steps, t)
 
 
 def test_generator_that_breaks_hermiticity_aborts(monkeypatch):
@@ -363,16 +373,25 @@ def test_generator_that_breaks_hermiticity_aborts(monkeypatch):
 
 
 def test_long_pair_build_runs_in_bounded_memory():
-    # the step maps are made and multiplied in chunks: all 20 000 at once
-    # would take ~230 MiB
-    gate = swap_gate(1, 2)
-    tracemalloc.start()
-    try:
-        dynamics._pair_rk4(gate.kind, gate.params, NoiseModel("dephasing", 0.01), 20.0, 20_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    # the step maps are made, multiplied and streamed in chunks: all 20 000
+    # at once would take ~230 MiB, and 20 000 row-major maps ~80 MiB
+    gate, noise = swap_gate(1, 2), NoiseModel("dephasing", 0.01)
+
+    def drain(noise):
+        stream = gate_step_maps(gate, noise, 20.0, IntegratorConfig(dt=1e-3))
+        assert sum(len(t) for t, _ in stream) == 20_001
+
+    def build():
+        dynamics._pair_rk4(gate.kind, gate.params, noise, 20.0, 20_000)
+
+    for run in (build, lambda: drain(noise), lambda: drain(NOISELESS)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 def test_density_path_rejects_trotter_step():
@@ -423,21 +442,24 @@ def test_noise_model_validation():
 
 
 # ---------------------------------------------------------------------------
-# observers
+# step-map streams
 # ---------------------------------------------------------------------------
 
 
-def test_rk4_observer_sees_every_step():
-    times = []
-    gate_superoperator(
-        swap_gate(1, 2),
-        NoiseModel("dephasing", 0.01),
-        cfg=IntegratorConfig(dt=1.0 / 50),
-        observer=lambda t, phi: times.append(t),
-    )
-    assert len(times) == 51
+def test_rk4_observer_sees_every_step(monkeypatch):
+    builds = []
+    build = dynamics._pair_rk4
+    monkeypatch.setattr(dynamics, "_pair_rk4", lambda *args: builds.append(args) or build(*args))
+    gate, noise = swap_gate(1, 2), NoiseModel("dephasing", 0.01)
+    cfg = IntegratorConfig(dt=1.0 / 50)
+    times, maps = step_maps(gate, noise, cfg=cfg)
+    assert len(times) == len(maps) == 51
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(1.0)
+    # the stream neither fills nor reads the cache, and ends on the slot map
+    phi = gate_superoperator(gate, noise, cfg=cfg)
+    assert len(builds) == 1
+    assert np.max(np.abs(maps[-1] - phi)) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ["dephasing", "amplitude_damping"])
@@ -451,10 +473,8 @@ def test_pair_steps_match_the_full_chain_oracle_at_every_step(kind):
         rho0, schedule_sequence([gate]), noise,
         observer=lambda t, rho: oracle.append((t, rho.copy())),
     )
-    steps = []
-    gate_superoperator(
-        gate, noise, observer=lambda t, phi: steps.append((t, phi @ rho0.reshape(-1)))
-    )
+    times, maps = step_maps(gate, noise)
+    steps = list(zip(times, maps @ rho0.reshape(-1)))
     assert steps[0][0] == 0.0 and np.array_equal(steps[0][1], rho0.reshape(-1))
     assert len(steps) == len(oracle) + 1
     for (t, vec), (t_oracle, rho) in zip(steps[1:], oracle):
@@ -471,11 +491,7 @@ def test_unitary_steps_match_the_expm_product_at_every_step(kind):
     gate = GATE_BUILDERS[kind](1, 2)
     oracle = []
     stepped_unitary(schedule_sequence([gate]), 2, 50, observer=lambda t, u: oracle.append(u))
-    steps = []
-    gate_superoperator(
-        gate, NOISELESS, cfg=IntegratorConfig(dt=1.0 / 50),
-        observer=lambda t, phi: steps.append(phi),
-    )
+    _, steps = step_maps(gate, NOISELESS, cfg=IntegratorConfig(dt=1.0 / 50))
     assert len(oracle) == 50 and len(steps) == 51
     assert np.array_equal(steps[0], np.eye(16))
     for phi, u in zip(steps[1:], oracle):
@@ -530,8 +546,7 @@ def test_pair_propagator_window_is_set_by_step_index(kind, alpha):
 
 
 def test_default_step_count():
-    times = []
-    gate_superoperator(swap_gate(1, 2), NOISELESS, observer=lambda t, phi: times.append(t))
+    times, _ = step_maps(swap_gate(1, 2), NOISELESS)
     assert len(times) == DEFAULT_STEPS_PER_SLOT + 1
     assert times[-1] == pytest.approx(1.0)
 

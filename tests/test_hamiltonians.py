@@ -5,6 +5,7 @@ import pytest
 from oracles import dense_hamiltonian, slot_channels
 from scipy.linalg import expm
 
+from spinchain.dynamics import slot_unitary
 from spinchain.hamiltonians import (
     DEFAULT_CNOT_COUPLING_PARAMS,
     DEFAULT_CNOT_LOCAL_PARAMS,
@@ -263,5 +264,11 @@ def test_dense_assembly_matches_manual_kron():
 
 @pytest.mark.parametrize("alpha", [1e200, 1e-300, 5e-324])
 def test_unrepresentable_pulse_rescaling_is_refused(alpha):
-    with pytest.raises(ValueError, match="pulse (amplitude|width) must be"):
+    with pytest.raises(ValueError, match="pulse (amplitude|width) must be") as built:
         materialize_channel_pulses(((10.0, 0.02),), 0.0, alpha)
+    # the sampled slot unitary rescales the same way and refuses it alike,
+    # alone or anywhere in a batch, without a numpy warning
+    for params in (((10.0, 0.02),), [((1.0, 0.02),), ((10.0, 0.02),)]):
+        with pytest.raises(ValueError) as sampled:
+            slot_unitary("swap", params, alpha)
+        assert str(sampled.value) == str(built.value)
