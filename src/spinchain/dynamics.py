@@ -23,12 +23,23 @@ Noisy slots
     integrated by fixed-step RK4, and closed-form single-site channels on
     the idle sites. A pair propagator is built in the real Pauli-transfer
     basis, where a Hermiticity-preserving generator is real (a complex one
-    raises :class:`NumericalError`): one GEMM of the pulse samples against
-    the generator's letters gives every step's generators, three batched
-    products give every step's RK4 map, and a pairwise tree (Blelloch,
-    CMU-CS-90-190) multiplies them, in chunks of ``PAIR_CHUNK_STEPS``
-    steps. Maps are carried as their difference from the identity, so
-    near-identity steps multiply without losing digits.
+    raises :class:`NumericalError`). There the generator's letters share
+    invariant blocks, the weak symmetries of the noisy pair (Buča &
+    Prosen, New J. Phys. 14, 073007 (2012)): the connected components of
+    their exact nonzero pattern. They are packed into two 8x8 halves
+    where they fit (every gate kind under dephasing, swap and cnot under
+    amplitude damping) and into one 16x16 half otherwise (cnot_rotated
+    under amplitude damping), so every map of a build is a ``(k, b, b)``
+    stack of blocks and an 8x8 half costs an eighth of a 16x16 product.
+    One GEMM of the pulse samples against the packed letters gives every
+    step's generators, three batched products give every step's RK4 map,
+    and a pairwise tree (Blelloch, CMU-CS-90-190) multiplies them, in
+    chunks of ``PAIR_CHUNK_STEPS`` steps. Maps are carried as their
+    difference from the identity, so near-identity steps multiply without
+    losing digits, and scattered back into 16x16 only for the row-major
+    map. Sums and products of block-diagonal maps stay block-diagonal, so
+    the entries left out are exactly zero and the packed build equals the
+    16x16 one bit for bit.
 
 Single gates
     :func:`gate_superoperator` is the one entry point for a gate alone on
@@ -62,7 +73,7 @@ not depend on how accumulated step times round near the slot edge.
 Trace is monitored, never renormalised: drift beyond ``TRACE_ABORT_TOL``
 (a NaN trace included) raises :class:`TraceDriftError`, and so does a
 pair propagator that, while it is built, stops being finite, keeping its
-trace row (the first Pauli-transfer row stays e_0 to ``TRACE_ABORT_TOL``)
+trace row (Pauli 0's packed row stays e_0 to ``TRACE_ABORT_TOL``)
 or bounded (no entry above ``1 / TRACE_ABORT_TOL``; a CPTP map has none
 above 1). A build checks every level of its tree and a stream every
 level of its scan, so an unstable step grid aborts before numpy overflows
@@ -86,11 +97,11 @@ from .hamiltonians import (
     gate_channel_blocks,
     gate_eigensystem,
     ideal_gate_matrix,
-    materialize_channel_pulses,
+    rescale_channel_params,
 )
 from .memo import BuildOnce
 from .operators import check_state, fidelity_to_pure, pauli
-from .pulses import PulseSchedule, check_pulse_params, gaussian
+from .pulses import PulseSchedule, gaussian
 
 DEFAULT_STEPS_PER_SLOT = 1000
 # At the default grid the noisy pair RK4 lies 2.5-4.7e-8 from its converged
@@ -186,21 +197,14 @@ def _channel_samples(params, slot_duration: float, n_steps: int):
     slot starting at 0, and ``dt``. ``params`` holds one (A, W) pair per
     channel, shape ``(C, 2)``, or a batch of them, shape ``(B, C, 2)``; the
     samples are one contiguous row per channel, shape ``(C, n_steps)`` or
-    ``(B, C, n_steps)``, and every pair, rescaled as in
-    ``materialize_channel_pulses``, passes ``check_pulse_params``. The
-    slot-end sample is zero: pulses are truncated to ``[0, slot)``."""
-    if not (slot_duration > 0.0):
-        raise ValueError("gate window must have positive duration")
+    ``(B, C, n_steps)``, with every pair rescaled to the slot by
+    ``rescale_channel_params``. The slot-end sample is zero: pulses are
+    truncated to ``[0, slot)``."""
+    amplitude, width, center = rescale_channel_params(params, 0.0, slot_duration)
     dt = slot_duration / n_steps
     m = np.arange(1, n_steps + 1)
     ts, inside = dt * m, m < n_steps
-    params = np.asarray(params, dtype=float)
-    # a rescaling past the float range gives inf or 0, which the check refuses
-    with np.errstate(all="ignore"):
-        amplitude = params[..., :1] / slot_duration
-        width = params[..., 1:] * (slot_duration * slot_duration)
-    check_pulse_params(amplitude, width)
-    return gaussian(ts, amplitude, width, 0.5 * slot_duration) * inside, dt
+    return gaussian(ts, amplitude, width, center) * inside, dt
 
 
 def discrete_channel_areas(
@@ -280,22 +284,55 @@ _RK4_WEIGHTS = np.array([1.0, 1.0, 2.0, 2.0]) / 6.0
 
 
 def _diagonal(maps: np.ndarray) -> np.ndarray:
-    """A writable view of the diagonals of a contiguous ``(steps, 16, 16)``
-    stack."""
-    return maps.reshape(len(maps), 256)[:, ::17]
+    """A writable view of the block diagonals of a contiguous ``(steps, k,
+    b, b)`` stack."""
+    b = maps.shape[-1]
+    return maps.reshape(*maps.shape[:-2], b * b)[..., :: b + 1]
+
+
+def _pack_halves(pattern: np.ndarray) -> np.ndarray:
+    """The packed layout of a 16x16 nonzero pattern, as a ``(k, b)`` array
+    of Pauli-transfer indices: the pattern's connected components packed
+    first-fit, largest first, into two halves of 8 indices, or one half of
+    all 16 when they do not fit. Each half is in ascending order, so a
+    packed product sums its terms in the order of the 16x16 one, and the
+    half holding Pauli 0 comes first, so Pauli 0's row is packed row
+    ``(0, 0)``."""
+    reach = pattern | pattern.T | np.eye(16, dtype=bool)
+    for _ in range(4):  # paths of up to 16 links
+        reach = reach.astype(np.int64) @ reach > 0
+    components = sorted({tuple(np.flatnonzero(row)) for row in reach}, key=lambda c: (-len(c), c))
+    halves = ([], [])
+    for component in components:
+        half = next((h for h in halves if len(h) + len(component) <= 8), None)
+        if half is None:
+            return np.arange(16)[None]
+        half.extend(component)
+    return np.array(sorted(sorted(h) for h in halves))
+
+
+def _packed_positions(halves: np.ndarray) -> np.ndarray:
+    """The row-major position in a flattened 16x16 map of each entry of the
+    packed ``(k, b, b)`` blocks."""
+    return (16 * halves[:, :, None] + halves[:, None, :]).reshape(-1)
 
 
 @lru_cache(maxsize=64)
-def _pair_letters(kind: str, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+def _pair_letters(kind: str, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The generator letters of one driven pair in the real Pauli-transfer
-    basis, one flattened 16x16 row each (the dissipator sum, then each
-    channel's drive superoperator), and the largest entry of each; both
+    basis (the dissipator sum, then each channel's drive superoperator),
+    the largest entry of each, and their ``(k, b)`` layout from
+    :func:`_pack_halves` over the letters' exact nonzeros. Each letter is
+    one row of its ``(k, b, b)`` blocks, flattened. All three are
     read-only, and cached by ``(kind, noise)``.
 
-    A letter that is not finite raises :class:`TraceDriftError` as not
-    bounded, and a generator that does not preserve Hermiticity has an
-    imaginary part here and raises :class:`NumericalError`; a failed build
-    is not cached, so every call raises again.
+    Every letter maps each block into itself, and so does every sum and
+    product of them, so the entries a packed map leaves out are exactly
+    zero. A letter that is not finite raises :class:`TraceDriftError` as
+    not bounded, and a generator that does not preserve Hermiticity has an
+    imaginary part here, beyond 1e-12 of its letter's largest entry, and
+    raises :class:`NumericalError`; a failed build is not cached, so every
+    call raises again.
     """
     blocks = gate_channel_blocks(kind)
     constant = np.zeros((16, 16), dtype=complex)
@@ -311,33 +348,36 @@ def _pair_letters(kind: str, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]
         raise TraceDriftError(
             f"the {kind} pair propagator is not bounded (a generator letter is not finite)"
         )
-    imag = np.max(np.abs(letters.imag))
-    if not imag <= 1e-12:
+    imag = np.max(np.abs(letters.imag), axis=(1, 2))
+    if not np.all(imag <= 1e-12 * np.max(np.abs(letters), axis=(1, 2))):
         raise NumericalError(
             f"the {kind} pair generator does not preserve Hermiticity "
-            f"(imaginary part {imag:.3e} in the Pauli-transfer basis)"
+            f"(imaginary part {np.max(imag):.3e} in the Pauli-transfer basis)"
         )
-    letters = letters.real.reshape(len(letters), 256)
+    halves = _pack_halves(np.any(letters.real != 0.0, axis=0))
+    letters = letters.real.reshape(len(letters), 256)[:, _packed_positions(halves)]
     letter_sizes = np.max(np.abs(letters), axis=1)
-    letters.flags.writeable = False
-    letter_sizes.flags.writeable = False
-    return letters, letter_sizes
+    for a in (letters, letter_sizes, halves):
+        a.flags.writeable = False
+    return letters, letter_sizes, halves
 
 
 def _pair_step_maps(kind, params, noise, duration, n_steps):
     """The real RK4 step maps of one driven pair across one slot, minus the
-    identity, in the Pauli-transfer basis, yielded in chunks of at most
-    ``PAIR_CHUNK_STEPS`` as ``(steps, 16, 16)`` arrays. Each chunk lives in
-    a workspace that the next chunk overwrites.
+    identity, in the packed Pauli-transfer layout of :func:`_pair_letters`,
+    yielded in chunks of at most ``PAIR_CHUNK_STEPS`` as ``(steps, k, b,
+    b)`` arrays. Each chunk lives in a workspace that the next chunk
+    overwrites.
 
-    The letters come from :func:`_pair_letters`. Every chunk's step
-    generators pass :func:`_check_step_generators` before the RK4 stages
-    use them. Each step samples the drive at its start, midpoint and end
-    (the last step ends on the slot edge, where the truncated pulse is
-    already off), and its map is the RK4 stages applied to the identity.
+    Every chunk's step generators pass :func:`_check_step_generators`
+    before the RK4 stages use them. Each step samples the drive at its
+    start, midpoint and end (the last step ends on the slot edge, where the
+    truncated pulse is already off), and its map is the RK4 stages applied
+    to the identity.
     """
-    pulses = materialize_channel_pulses(params, 0.0, duration)
-    letters, letter_sizes = _pair_letters(kind, noise)
+    amplitude, width, center = rescale_channel_params(params, 0.0, duration)
+    letters, letter_sizes, halves = _pair_letters(kind, noise)
+    k, b = halves.shape
 
     h = duration / n_steps
     size = min(n_steps, PAIR_CHUNK_STEPS)
@@ -347,17 +387,17 @@ def _pair_step_maps(kind, params, noise, duration, n_steps):
     # One workspace serves every chunk. The GEMM fills rows 0-2 with h g_4,
     # h g_m and h g_1 = hk_1; hk_2 and hk_3 go to rows 3-4, and hk_4 to row
     # 1 once h g_m is spent, so one GEMV over rows 1-4 combines the stages.
-    work = np.empty((5, size, 16, 16))
-    x = np.empty((size, 16, 16))
+    work = np.empty((5, size, k, b, b))
+    x = np.empty((size, k, b, b))
     for first in range(0, n_steps, size):
         steps = np.arange(first, min(first + size, n_steps))
         n, t0 = len(steps), steps * h
-        for c, p in enumerate(pulses, start=1):
-            coefs[0, :n, c] = h * p.value(t0 + h) * (steps < n_steps - 1)
-            coefs[1, :n, c] = h * p.value(t0 + 0.5 * h)
-            coefs[2, :n, c] = h * p.value(t0)
+        end = h * gaussian(t0 + h, amplitude, width, center) * (steps < n_steps - 1)
+        coefs[0, :n, 1:] = end.T
+        coefs[1, :n, 1:] = (h * gaussian(t0 + 0.5 * h, amplitude, width, center)).T
+        coefs[2, :n, 1:] = (h * gaussian(t0, amplitude, width, center)).T
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
-            np.matmul(coefs[:, :n], letters, out=work[:3, :n].reshape(3, n, 256))
+            np.matmul(coefs[:, :n], letters, out=work[:3, :n].reshape(3, n, -1))
         # sum_c |coef_c| max|L_c| bounds every entry of h g: only a chunk over
         # the bound is searched entry by entry (searching every chunk cost ~15 %
         # of a build)
@@ -391,14 +431,16 @@ def _check_step_generators(kind: str, hg: np.ndarray):
 
 
 def _check_pair_maps(kind: str, d: np.ndarray):
-    """Every real Pauli-transfer map ``I + d`` of the stack ``d`` must keep
-    its first row at e_0 (trace preservation) and stay finite and bounded.
-    A CPTP map has entries of modulus at most 1; an unstable step grid
-    grows them geometrically, so no entry of ``d`` may pass
-    ``1 / TRACE_ABORT_TOL``. Without the bound such a grid would only show
-    once numpy overflows: in this basis the trace row of every step map
-    stays at e_0, so a drifting trace no longer gives it away."""
-    error = np.max(np.abs(d[..., 0, :]))
+    """Every real Pauli-transfer map ``I + d`` of the packed stack ``d``
+    must keep Pauli 0's row (packed row ``(0, 0)``) at e_0 (trace
+    preservation) and stay finite and bounded. The entries left out of the
+    packing are exactly zero, so the packed blocks decide both. A CPTP map
+    has entries of modulus at most 1; an unstable step grid grows them
+    geometrically, so no entry of ``d`` may pass ``1 / TRACE_ABORT_TOL``.
+    Without the bound such a grid would only show once numpy overflows: in
+    this basis the trace row of every step map stays at e_0, so a drifting
+    trace no longer gives it away."""
+    error = np.max(np.abs(d[..., 0, 0, :]))
     size = max(d.max(), -d.min())
     if not error <= TRACE_ABORT_TOL:  # a NaN map fails too
         raise TraceDriftError(
@@ -442,18 +484,19 @@ def _pair_rk4(
     """16x16 row-major propagator of one driven pair (plus its two sites'
     noise) across one slot of ``n_steps`` fixed RK4 steps.
 
-    Each chunk of step maps from :func:`_pair_step_maps` (real
-    Pauli-transfer basis) is multiplied by a pairwise tree, later steps on
-    the left, and the chunk products are folded in order. Every level and
-    every partial product must pass :func:`_check_pair_maps`, so a map
-    that is not finite, trace-preserving and bounded raises
-    :class:`TraceDriftError` before numpy can overflow.
+    Each chunk of packed step maps from :func:`_pair_step_maps` is
+    multiplied by a pairwise tree, later steps on the left, and the chunk
+    products are folded in order. Every level and every partial product
+    must pass :func:`_check_pair_maps`, so a map that is not finite,
+    trace-preserving and bounded raises :class:`TraceDriftError` before
+    numpy can overflow.
     """
-    total = np.zeros((16, 16))
+    total = None
     for d in _pair_step_maps(kind, params, noise, duration, n_steps):
-        total = _then(total, _tree_product(kind, d))
+        product = _tree_product(kind, d)
+        total = product if total is None else _then(total, product)
         _check_pair_maps(kind, total)
-    return _to_row_major(total)
+    return _to_row_major(total, _pair_letters(kind, noise)[2])
 
 
 def _scan_product(kind: str, d: np.ndarray) -> np.ndarray:
@@ -469,9 +512,14 @@ def _scan_product(kind: str, d: np.ndarray) -> np.ndarray:
     return d
 
 
-def _to_row_major(d: np.ndarray) -> np.ndarray:
-    """The row-major map of each Pauli-transfer map ``I + d``."""
-    out = _PTM @ d @ _PTM_INV
+def _to_row_major(d: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """The row-major map of each packed Pauli-transfer map ``I + d``: its
+    blocks are scattered into 16x16 at ``halves`` (the entries between
+    them are zero) before the change of basis."""
+    lead = d.shape[:-3]
+    full = np.zeros((*lead, 256))
+    full[..., _packed_positions(halves)] = d.reshape(*lead, -1)
+    out = _PTM @ full.reshape(*lead, 16, 16) @ _PTM_INV
     out += _I16
     return out
 
@@ -532,12 +580,14 @@ def gate_step_maps(
             _check_unitary(u)
             yield dt * np.arange(first + 1, first + len(u) + 1), _kron4(u, u.conj())
         return
-    h, total, first = duration / n_steps, np.zeros((16, 16)), 0
+    h, total, first = duration / n_steps, None, 0
     for d in _pair_step_maps(kind, params, noise, duration, n_steps):
-        prefix = _then(total, _scan_product(kind, d))
-        _check_pair_maps(kind, prefix)
+        prefix = _scan_product(kind, d)
+        if total is not None:
+            prefix = _then(total, prefix)
+            _check_pair_maps(kind, prefix)
         m = np.arange(first, first + len(d))
-        yield m * h + h, _to_row_major(prefix)
+        yield m * h + h, _to_row_major(prefix, _pair_letters(kind, noise)[2])
         total, first = prefix[-1].copy(), first + len(d)
 
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import pauli
-from .pulses import GaussianPulse
+from .pulses import GaussianPulse, check_pulse_params
 
 # Amplitude/width defaults (hbar*omega0, tau0^2) realizing each gate in a
 # single slot of duration tau0. The SWAP pulse area is 3*pi/4; the CNOT
@@ -105,25 +105,39 @@ def _two_site(a: str, b: str) -> np.ndarray:
     return np.kron(pauli(a), pauli(b))
 
 
-def materialize_channel_pulses(
-    params: tuple[tuple[float, float], ...], start: float, end: float
-) -> tuple[GaussianPulse, ...]:
-    """Concrete pulses for (A, W) channel parameters in ``[start, end)``.
+def rescale_channel_params(params, start: float, end: float):
+    """The pulse parameters of (A, W) channel parameters in ``[start, end)``.
 
     A window of duration ``alpha`` carries the rescaled parameters
     ``(A/alpha, W*alpha^2)`` centred mid-window, so the analytic pulse area
-    is independent of the slot duration. Rescaled parameters outside the
-    float range fail ``GaussianPulse``'s checks with ``ValueError``.
+    is independent of the slot duration. ``params`` of shape ``(..., C,
+    2)`` give amplitudes and widths of shape ``(..., C, 1)``, which
+    broadcast against a row of sample times, and the centre. Rescaled
+    parameters outside the float range fail ``check_pulse_params`` with
+    ``ValueError``, without a numpy warning.
     """
     alpha = end - start
     if not (alpha > 0.0):
         raise ValueError("gate window must have positive duration")
-    center = 0.5 * (start + end)
-    # alpha * alpha overflows to inf, which GaussianPulse rejects; alpha**2
-    # would raise OverflowError instead
+    params = np.asarray(params, dtype=float)
+    # a rescaling past the float range gives inf or 0, which the check
+    # refuses; alpha**2 of a Python float would raise OverflowError instead
+    with np.errstate(all="ignore"):
+        amplitude = params[..., :1] / alpha
+        width = params[..., 1:] * (alpha * alpha)
+    check_pulse_params(amplitude, width)
+    return amplitude, width, 0.5 * (start + end)
+
+
+def materialize_channel_pulses(
+    params: tuple[tuple[float, float], ...], start: float, end: float
+) -> tuple[GaussianPulse, ...]:
+    """Concrete pulses for (A, W) channel parameters in ``[start, end)``,
+    rescaled by :func:`rescale_channel_params`."""
+    amplitude, width, center = rescale_channel_params(params, start, end)
     return tuple(
-        GaussianPulse(amplitude=a / alpha, width=w * (alpha * alpha), center=center)
-        for a, w in params
+        GaussianPulse(amplitude=float(a), width=float(w), center=center)
+        for a, w in zip(amplitude.ravel(), width.ravel())
     )
 
 

@@ -546,6 +546,15 @@ def test_rate_near_the_float_limit_exits_4_as_unbounded(tmp_path, argv, gamma, c
     assert "pair propagator is not bounded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["1e200", "1e308"])
+def test_amplitude_damping_near_the_float_limit_exits_4_as_unbounded(tmp_path, gamma, capsys):
+    # the letters' roundoff at 1e200 is far below their size: not a
+    # Hermiticity defect, so the build stops on its bound
+    code, out = run(tmp_path, ["trace", "--gate", "cnot", "--noise", "amp", "--gamma", gamma])
+    assert code == 4 and not out.exists()
+    assert "integrator abort: the cnot pair propagator is not bounded" in capsys.readouterr().err
+
+
 def test_the_cli_loads_no_scipy(tmp_path):
     # calibration starts come from an in-house sampler, so neither the
     # import nor a calibrate or noisy sweep run pulls in scipy

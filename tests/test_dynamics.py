@@ -27,6 +27,7 @@ from spinchain.dynamics import (
     IntegratorConfig,
     NoiseModel,
     NumericalError,
+    TRACE_ABORT_TOL,
     TraceDriftError,
     _resolve_steps,
     evolve_lindblad_product,
@@ -35,7 +36,14 @@ from spinchain.dynamics import (
     gate_superoperator,
     slot_unitary,
 )
-from spinchain.hamiltonians import cnot_gate, ideal_gate_matrix, rotated_cnot_gate, swap_gate
+from spinchain.hamiltonians import (
+    cnot_gate,
+    gate_channel_blocks,
+    ideal_gate_matrix,
+    materialize_channel_pulses,
+    rotated_cnot_gate,
+    swap_gate,
+)
 from spinchain.memo import BuildOnce
 from spinchain.pulses import schedule_sequence
 
@@ -303,17 +311,29 @@ def test_rate_near_the_float_limit_aborts_as_unbounded(gamma):
 
 def test_pair_letters_are_cached_read_only_per_noise_model():
     noise = NoiseModel("dephasing", 0.1)
-    letters, sizes = dynamics._pair_letters("cnot", noise)
+    letters, sizes, halves = dynamics._pair_letters("cnot", noise)
     assert dynamics._pair_letters("cnot", NoiseModel("dephasing", 0.1))[0] is letters
-    assert not letters.flags.writeable and not sizes.flags.writeable
+    assert not any(a.flags.writeable for a in (letters, sizes, halves))
     with pytest.raises(ValueError, match="read-only"):
         letters[0, 0] = 1.0
     # the whole model is the key: another rate gets letters of its own
-    other, _ = dynamics._pair_letters("cnot", NoiseModel("dephasing", 0.2))
+    other, _, _ = dynamics._pair_letters("cnot", NoiseModel("dephasing", 0.2))
     assert not np.array_equal(other, letters)
     # a cached build equals a fresh one bit for bit
     dynamics._pair_letters.cache_clear()
     assert np.array_equal(dynamics._pair_letters("cnot", noise)[0], letters)
+
+
+@pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
+def test_amplitude_damping_near_the_float_limit_aborts_as_unbounded(kind):
+    # the letters' roundoff at this rate (an imaginary part ~4e183) is far
+    # below their size, so they pass the Hermiticity check and the build
+    # stops on its bound instead
+    noise = NoiseModel("amplitude_damping", 1e200)
+    letters, _, _ = dynamics._pair_letters(kind, noise)
+    assert np.max(np.abs(letters)) > 1e199
+    with pytest.raises(TraceDriftError, match=f"the {kind} pair propagator is not bounded"):
+        gate_superoperator(GATE_BUILDERS[kind](1, 2), noise)
 
 
 def test_letters_that_are_not_finite_raise_on_every_call():
@@ -372,19 +392,173 @@ def test_generator_that_breaks_hermiticity_aborts(monkeypatch):
         gate_superoperator(cnot_gate(1, 2), NoiseModel("dephasing", 0.01))
 
 
+PAIR_NOISE_KINDS = ("dephasing", "amplitude_damping")
+# the packed layouts as measured; every other (kind, noise kind) is (2, 8)
+UNPACKED = {("cnot_rotated", "amplitude_damping")}
+
+
+def dense_letters(kind, noise):
+    """The pair generator's letters as real 16x16 Pauli-transfer matrices,
+    built as ``_pair_letters`` builds them but never packed."""
+    constant = np.zeros((16, 16), dtype=complex)
+    jump = noise.jump_block()
+    for l4 in (np.kron(jump, np.eye(2)), np.kron(np.eye(2), jump)):
+        constant += noise.gamma * dynamics._dissipator_superop(l4)
+    letters = [constant] + [dynamics._hamiltonian_superop(b) for b in gate_channel_blocks(kind)]
+    return (dynamics._PTM_INV @ np.array(letters) @ dynamics._PTM).real
+
+
+def half_of(halves):
+    """The half of the layout that holds each Pauli-transfer index."""
+    owner = np.empty(16, dtype=int)
+    owner[halves] = np.arange(len(halves))[:, None]
+    return owner
+
+
+@pytest.mark.parametrize("noise_kind", PAIR_NOISE_KINDS)
+@pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
+def test_pair_letters_pack_into_the_measured_halves(kind, noise_kind):
+    noise = NoiseModel(noise_kind, 0.1)
+    letters, sizes, halves = dynamics._pair_letters(kind, noise)
+    assert halves.shape == ((1, 16) if (kind, noise_kind) in UNPACKED else (2, 8))
+    # the halves partition 0..15, each in order, with Pauli 0 first
+    assert sorted(halves.ravel()) == list(range(16))
+    assert all(list(half) == sorted(half) for half in halves) and halves[0, 0] == 0
+    # every nonzero entry of every letter lies inside one half ...
+    dense = dense_letters(kind, noise)
+    rows, cols = np.nonzero(np.any(dense != 0.0, axis=0))
+    assert np.array_equal(half_of(halves)[rows], half_of(halves)[cols])
+    # ... and the packed letters are those halves, exactly
+    k, b = halves.shape
+    blocks = dense[:, halves[:, :, None], halves[:, None, :]]
+    assert np.array_equal(letters.reshape(-1, k, b, b), blocks)
+    assert np.array_equal(sizes, np.max(np.abs(dense), axis=(1, 2)))
+
+
+@pytest.mark.parametrize("noise_kind", PAIR_NOISE_KINDS)
+@pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
+def test_built_maps_are_exactly_zero_between_the_halves(kind, noise_kind, monkeypatch):
+    # a dense 16x16 RK4 in the Pauli-transfer basis, step by step: its
+    # entries between the halves come out exactly 0, so packing drops nothing
+    gate, noise, n_steps = GATE_BUILDERS[kind](1, 2), NoiseModel(noise_kind, 0.1), 40
+    _, _, halves = dynamics._pair_letters(kind, noise)
+    letters = dense_letters(kind, noise)
+    pulses = materialize_channel_pulses(gate.params, 0.0, 1.0)
+    h = 1.0 / n_steps
+
+    def generator(t, driven=True):
+        return letters[0] + sum(driven * p.value(t) * l for p, l in zip(pulses, letters[1:]))
+
+    phi = np.eye(16)
+    for m in range(n_steps):
+        g1, gm = generator(m * h), generator(m * h + 0.5 * h)
+        g4 = generator(m * h + h, m < n_steps - 1)
+        k1 = g1 @ phi
+        k2 = gm @ (phi + 0.5 * h * k1)
+        k3 = gm @ (phi + 0.5 * h * k2)
+        phi = phi + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + g4 @ (phi + h * k3))
+    owner = half_of(halves)
+    assert np.all(phi[owner[:, None] != owner[None, :]] == 0.0)
+    # the packed build holds the same halves
+    packed = []
+    to_row_major = dynamics._to_row_major
+    monkeypatch.setattr(
+        dynamics, "_to_row_major", lambda d, layout: packed.append(d.copy()) or to_row_major(d, layout)
+    )
+    dynamics._pair_rk4(kind, gate.params, noise, 1.0, n_steps)
+    blocks = phi[halves[:, :, None], halves[:, None, :]] - np.eye(halves.shape[1])
+    assert np.max(np.abs(packed[0] - blocks)) <= 1e-14
+
+
+GUARDED_LAYOUTS = [("swap", "dephasing"), ("cnot_rotated", "amplitude_damping")]
+
+
+def broken_steps(monkeypatch, index, value):
+    """Make ``_pair_step_maps`` add ``value`` at packed ``(half, row,
+    column)`` ``index`` of one step map of every chunk."""
+    step_maps = dynamics._pair_step_maps
+
+    def broken(*args):
+        for d in step_maps(*args):
+            d[(len(d) // 2, *index)] += value
+            yield d
+
+    monkeypatch.setattr(dynamics, "_pair_step_maps", broken)
+
+
+def pair_runs(kind, noise):
+    """The build and the drained stream of one 100-step pair map."""
+    gate = GATE_BUILDERS[kind](1, 2)
+    return (
+        lambda: dynamics._pair_rk4(kind, gate.params, noise, 1.0, 100),
+        lambda: list(gate_step_maps(gate, noise, 1.0, IntegratorConfig(dt=0.01))),
+    )
+
+
+@pytest.mark.parametrize("kind, noise_kind", GUARDED_LAYOUTS)
+def test_packed_trace_row_error_is_caught(kind, noise_kind, monkeypatch):
+    noise = NoiseModel(noise_kind, 0.01)
+    b = dynamics._pair_letters(kind, noise)[2].shape[1]
+    # an error in Pauli 0's packed row, away from its diagonal
+    broken_steps(monkeypatch, (0, 0, b - 1), 1e-3)
+    for run in pair_runs(kind, noise):
+        with pytest.raises(TraceDriftError, match=f"the {kind} pair propagator is not trace-preserving"):
+            run()
+
+
+@pytest.mark.parametrize("kind, noise_kind", GUARDED_LAYOUTS)
+def test_packed_error_off_the_trace_row_is_not_a_trace_error(kind, noise_kind, monkeypatch):
+    # the same error in the first row of the other half (the second row of
+    # the only one) changes the map, not its trace row: the build runs through
+    noise = NoiseModel(noise_kind, 0.01)
+    k, b = dynamics._pair_letters(kind, noise)[2].shape
+    broken_steps(monkeypatch, (1, 0, b - 1) if k == 2 else (0, 1, b - 1), 1e-3)
+    for run in pair_runs(kind, noise):
+        run()
+
+
+@pytest.mark.parametrize("kind, noise_kind", GUARDED_LAYOUTS)
+def test_packed_oversized_entry_away_from_pauli_0_is_caught(kind, noise_kind, monkeypatch):
+    # one entry past the bound in the last half, the one without Pauli 0
+    # when there are two
+    noise = NoiseModel(noise_kind, 0.01)
+    broken_steps(monkeypatch, (-1, -1, -1), 2.0 / TRACE_ABORT_TOL)
+    for run in pair_runs(kind, noise):
+        with pytest.raises(TraceDriftError, match=f"the {kind} pair propagator is not bounded"):
+            run()
+
+
+def test_hermiticity_is_held_letter_by_letter(monkeypatch):
+    # a drive letter times i is caught even beside a dissipator 1e200 times
+    # its size: the tolerance scales with each letter's own entries
+    hamiltonian = dynamics._hamiltonian_superop
+    monkeypatch.setattr(dynamics, "_hamiltonian_superop", lambda h4: 1j * hamiltonian(h4))
+    with pytest.raises(NumericalError, match="the cnot pair generator does not preserve Hermiticity"):
+        dynamics._pair_letters("cnot", NoiseModel("amplitude_damping", 1e200))
+
+
 def test_long_pair_build_runs_in_bounded_memory():
     # the step maps are made, multiplied and streamed in chunks: all 20 000
-    # at once would take ~230 MiB, and 20 000 row-major maps ~80 MiB
+    # at once would take ~230 MiB, and 20 000 row-major maps ~80 MiB; the
+    # cnot_rotated build under amplitude damping runs on one 16x16 half
     gate, noise = swap_gate(1, 2), NoiseModel("dephasing", 0.01)
+    amp = NoiseModel("amplitude_damping", 0.01)
+    assert dynamics._pair_letters("cnot_rotated", amp)[2].shape == (1, 16)
 
     def drain(noise):
         stream = gate_step_maps(gate, noise, 20.0, IntegratorConfig(dt=1e-3))
         assert sum(len(t) for t, _ in stream) == 20_001
 
-    def build():
+    def build(gate, noise):
         dynamics._pair_rk4(gate.kind, gate.params, noise, 20.0, 20_000)
 
-    for run in (build, lambda: drain(noise), lambda: drain(NOISELESS)):
+    runs = (
+        lambda: build(gate, noise),
+        lambda: build(rotated_cnot_gate(1, 2), amp),
+        lambda: drain(noise),
+        lambda: drain(NOISELESS),
+    )
+    for run in runs:
         tracemalloc.start()
         try:
             run()

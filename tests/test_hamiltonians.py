@@ -1,5 +1,7 @@
 """Tests for gate Hamiltonian construction and the ideal gate targets."""
 
+import warnings
+
 import numpy as np
 import pytest
 from oracles import dense_hamiltonian, slot_channels
@@ -18,6 +20,7 @@ from spinchain.hamiltonians import (
     gate_eigensystem,
     ideal_gate_matrix,
     materialize_channel_pulses,
+    rescale_channel_params,
     rotated_cnot_gate,
     swap_gate,
 )
@@ -272,3 +275,22 @@ def test_unrepresentable_pulse_rescaling_is_refused(alpha):
         with pytest.raises(ValueError) as sampled:
             slot_unitary("swap", params, alpha)
         assert str(sampled.value) == str(built.value)
+
+
+def test_float64_params_past_the_float_range_are_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="pulse amplitude must be finite"):
+            materialize_channel_pulses(((np.float64(1.0), np.float64(0.1)),), 0.0, 5e-324)
+
+
+def test_rescaled_params_broadcast_over_a_batch_of_channels():
+    # one (A, W) row per channel and batch entry, each the materialised pulse
+    batch = [((9.0, 0.02), (3.0, 0.05)), ((1.5, 0.3), (2.0, 0.01))]
+    amplitude, width, center = rescale_channel_params(batch, 1.0, 3.5)
+    assert amplitude.shape == width.shape == (2, 2, 1) and center == 2.25
+    for params, a, w in zip(batch, amplitude, width):
+        pulses = materialize_channel_pulses(params, 1.0, 3.5)
+        assert [(p.amplitude, p.width, p.center) for p in pulses] == [
+            (x, y, center) for x, y in zip(a.ravel(), w.ravel())
+        ]
