@@ -25,12 +25,16 @@ Comput. 30, 2635 (2008)) with random linear-matrix scrambling and a
 digital shift (Matoušek, J. Complexity 14, 527 (1998)), generated here by
 :func:`_sobol_points`. It reproduces ``scipy.stats.qmc.Sobol(d,
 scramble=True, seed=seed).random_base2(m)`` bit for bit, and a test pins
-it to scipy, but the package itself imports no scipy.
+it to scipy, but the package itself imports no scipy. Its scramble bits
+are those of ``np.random.default_rng(seed)``, drawn by :func:`_pcg64_bits`
+from numpy's SeedSequence and PCG64 (O'Neill, HMC-CS-2014-0905 (2014))
+in integer arithmetic, so calibration never loads ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -252,11 +256,68 @@ _SOBOL_BITS = 30
 _SOBOL_POLYNOMIALS = ((3, (1,)), (7, (1, 3)), (11, (1, 3, 1)))
 
 
+# PCG64's 128-bit multiplier; numpy's SeedSequence hash and mix constants
+# (INIT_A/B, MULT_A/B, MIX_MULT_L/R) are written where they are used.
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value: int, const: int, mult: int = 0x931E8875) -> tuple[int, int]:
+    """numpy's SeedSequence hash of one 32-bit word, and the next constant."""
+    new = const * mult & _MASK32
+    value = (value ^ const) * new & _MASK32
+    return value ^ value >> 16, new
+
+
+def _pcg64_bits(seed, n: int) -> np.ndarray:
+    """The first ``n`` draws of ``np.random.default_rng(seed).integers(2,
+    dtype=np.uint32)``, over any run of consecutive calls, as uint8.
+
+    SeedSequence hashes the 32-bit words of ``seed`` into a mixed pool of 4
+    and the pool into PCG64's 128-bit state and increment. PCG64 steps its
+    LCG before each XSL-RR output, which holds two buffered 32-bit draws,
+    low half first; Lemire's bounded draw of 2 (ACM TOMACS 29, 3 (2019))
+    keeps the top bit of each.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> 32 * k & _MASK32 for k in range(max(1, (seed.bit_length() + 31) // 32))]
+    pool, const = [], 0x43B0D7E5
+    for i in range(4):
+        value, const = _hashmix(words[i] if i < len(words) else 0, const)
+        pool.append(value)
+    # each pool word mixes into the other three, then each word past the
+    # fourth into all four
+    mixes = [(pool, i, j) for i in range(4) for j in range(4) if i != j]
+    mixes += [(words, i, j) for i in range(4, len(words)) for j in range(4)]
+    for source, i, j in mixes:
+        value, const = _hashmix(source[i], const)
+        value = 0xCA01F9DD * pool[j] - 0x4973F715 * value & _MASK32
+        pool[j] = value ^ value >> 16
+    state, const = [], 0x8B51F9DD
+    for i in range(8):
+        value, const = _hashmix(pool[i % 4], const, 0x58F38DED)
+        state.append(value)
+    seed_hi, seed_lo, inc_hi, inc_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+    state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+    out = bytearray()
+    for _ in range((n + 1) // 2):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x, r = (state >> 64 ^ state) & _MASK64, state >> 122
+        x = (x >> r | x << 64 - r) & _MASK64
+        out.append(x >> 31 & 1)
+        out.append(x >> 63)
+    return np.frombuffer(out, dtype=np.uint8)[:n]
+
+
 def _sobol_points(d: int, seed: int, m: int) -> np.ndarray:
     """The first ``2**m`` points of a ``d``-dimensional Sobol sequence with
     linear-matrix scrambling and a digital shift, drawn from
-    ``np.random.default_rng(seed)`` exactly as scipy's ``qmc.Sobol`` draws
-    them, so the two agree bit for bit."""
+    :func:`_pcg64_bits` (the bits of ``np.random.default_rng(seed)``)
+    exactly as scipy's ``qmc.Sobol`` draws them, so the two agree bit for
+    bit."""
     if d > 1 + len(_SOBOL_POLYNOMIALS):
         raise ValueError(
             f"Sobol starts cover at most {1 + len(_SOBOL_POLYNOMIALS)} parameters"
@@ -276,9 +337,10 @@ def _sobol_points(d: int, seed: int, m: int) -> np.ndarray:
             v[k, j] = new
     msb = bits - 1 - np.arange(bits)  # bit weights, most significant first
     v <<= msb  # number j has j + 1 bits, aligned at the top of the word
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(2, size=(d, bits), dtype=np.uint32) @ (1 << np.arange(bits))
-    lms = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32))
+    # scipy draws the (d, bits) shift bits, then the (d, bits, bits) LMS bits
+    draws = _pcg64_bits(seed, d * bits * (1 + bits))
+    shift = draws[: d * bits].reshape(d, bits) @ (1 << np.arange(bits))
+    lms = np.tril(draws[d * bits :].reshape(d, bits, bits))
     lms[:, range(bits), range(bits)] = 1
     # scrambled direction numbers: each LMS matrix times the direction bits
     v_bits = (v[:, None, :] >> msb[:, None]) & 1

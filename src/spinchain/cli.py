@@ -8,8 +8,9 @@ Five subcommands cover the simulator's experiments:
 * ``chain-sweep``     — transport fidelity versus chain length.
 * ``state-map``       — gate-order fidelity difference over payload states.
 
-Settings resolve in precedence order: command-line flags, then the
-``--config`` INI file, then built-in defaults. Every CSV starts with
+Every subcommand takes the same flags, which may come before or after
+its name. Settings resolve in precedence order: command-line flags, then
+the ``--config`` INI file, then built-in defaults. Every CSV starts with
 ``#``-prefixed header comments carrying the fully resolved configuration;
 timestamps and wall time appear only there, so CSV bodies are
 byte-identical across reruns and worker counts.
@@ -42,12 +43,11 @@ trace-preserving and bounded, or lost normalisation), 5 internal error
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
 from typing import Callable
@@ -101,22 +101,7 @@ def _fmt_float(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-# Cell formatters by exact type: CSV bodies are mostly floats, and one dict
-# lookup replaces the isinstance chain below for them. ``np.float64``
-# formats through ``float``, so both spell a value alike.
-_CELL_FORMATS = {
-    float: "{:.12g}".format,
-    np.float64: "{:.12g}".format,
-    int: str,
-    bool: {True: "true", False: "false"}.__getitem__,
-    str: str,
-}
-
-
 def _fmt_cell(value) -> str:
-    fmt = _CELL_FORMATS.get(type(value))
-    if fmt is not None:
-        return fmt(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -274,6 +259,7 @@ class Settings(SimpleNamespace):
 
 
 def load_config_file(path: str) -> dict[str, dict[str, str]]:
+    import configparser  # only ``--config`` runs need it
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -350,6 +336,20 @@ def settings_header(s: Settings) -> list[tuple[str, str]]:
 # CSV emission
 
 
+# ``%`` codes of the exact cell types they format as :func:`_fmt_cell` does
+# (``np.float64`` through ``float``); other cells go through ``_fmt_cell``.
+_TEMPLATE_CODES = {float: "%.12g", np.float64: "%.12g", int: "%d", str: "%s"}
+
+
+@lru_cache(maxsize=128)
+def _row_template(types: tuple) -> tuple[str, frozenset[int]]:
+    """The ``%`` template of a CSV row whose cells have exact ``types``, and
+    the positions of the cells to pass through :func:`_fmt_cell` first."""
+    codes = [_TEMPLATE_CODES.get(t) for t in types]
+    other = frozenset(i for i, code in enumerate(codes) if code is None)
+    return ",".join(code or "%s" for code in codes), other
+
+
 def write_csv(
     path: str,
     header_pairs: list[tuple[str, str]],
@@ -362,7 +362,10 @@ def write_csv(
     lines += [f"# {key} = {value}" for key, value in header_pairs]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join([_fmt_cell(cell) for cell in row]))
+        template, other = _row_template(tuple(map(type, row)))
+        if other:
+            row = [_fmt_cell(cell) if i in other else cell for i, cell in enumerate(row)]
+        lines.append(template % tuple(row))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -378,6 +381,7 @@ def run_jobs(jobs, workers: int) -> list:
     """Run callables on a bounded pool; results keep submission order."""
     if workers <= 1 or len(jobs) <= 1:
         return [job() for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor  # only pools need it
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(job) for job in jobs]
         return [future.result() for future in futures]
@@ -577,13 +581,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="spinchain",
         description="Spin-chain transport simulator: calibration, sweeps, maps.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in RUNNERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="INI config file; flags override it")
-        for row in (row for row in SETTINGS if row.flag):
-            p.add_argument(row.flag, dest=row.name, metavar=row.flag[2:].upper(),
-                           help=row.help)
+    parser.add_argument("command", choices=RUNNERS)
+    parser.add_argument("--config", help="INI config file; flags override it")
+    for row in (row for row in SETTINGS if row.flag):
+        parser.add_argument(row.flag, dest=row.name, metavar=row.flag[2:].upper(),
+                            help=row.help)
     return parser
 
 

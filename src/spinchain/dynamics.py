@@ -514,14 +514,15 @@ def _scan_product(kind: str, d: np.ndarray) -> np.ndarray:
 
 def _to_row_major(d: np.ndarray, halves: np.ndarray) -> np.ndarray:
     """The row-major map of each packed Pauli-transfer map ``I + d``: its
-    blocks are scattered into 16x16 at ``halves`` (the entries between
-    them are zero) before the change of basis."""
+    blocks are scattered into a complex 16x16 stack at ``halves`` (the
+    entries between them are zero), which takes the change of basis."""
     lead = d.shape[:-3]
-    full = np.zeros((*lead, 256))
+    full = np.zeros((*lead, 256), dtype=complex)
     full[..., _packed_positions(halves)] = d.reshape(*lead, -1)
-    out = _PTM @ full.reshape(*lead, 16, 16) @ _PTM_INV
-    out += _I16
-    return out
+    full = full.reshape(*lead, 16, 16)
+    np.matmul(_PTM @ full, _PTM_INV, out=full)
+    full += _I16
+    return full
 
 
 _PAIR_PROP_CACHE = BuildOnce()

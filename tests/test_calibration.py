@@ -17,6 +17,7 @@ from spinchain.calibration import (
     SUCCESS_OBJECTIVE,
     CalibrationProblem,
     _bound_arrays,
+    _pcg64_bits,
     _sobol_points,
     _stock_params,
     analytic_channel_areas,
@@ -212,6 +213,24 @@ def test_sobol_points_equal_scipy_bit_for_bit(d):
         for seed in [*range(20), 2**40 + 3]:
             expected = qmc.Sobol(d=d, scramble=True, seed=seed).random_base2(m)
             assert np.array_equal(_sobol_points(d, seed, m), expected), (m, seed)
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 17, np.int64(123456789)], ids=repr
+)
+@pytest.mark.parametrize("first, second", [(120, 3600), (1, 900), (7, 30), (61, 2), (0, 5)])
+def test_pcg64_bits_equal_numpy_over_two_draws(seed, first, second):
+    # an odd first draw leaves the buffered half of a 64-bit output to the next
+    rng = np.random.default_rng(seed)
+    expected = [rng.integers(2, size=size, dtype=np.uint32) for size in (first, second)]
+    assert np.array_equal(_pcg64_bits(seed, first + second), np.concatenate(expected))
+
+
+def test_pcg64_bits_refuse_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        _pcg64_bits(-1, 4)
 
 
 def test_sobol_points_refuse_more_than_four_dimensions():

@@ -556,18 +556,25 @@ def test_amplitude_damping_near_the_float_limit_exits_4_as_unbounded(tmp_path, g
 
 
 def test_the_cli_loads_no_scipy(tmp_path):
-    # calibration starts come from an in-house sampler, so neither the
-    # import nor a calibrate or noisy sweep run pulls in scipy
+    # calibration starts come from an in-house sampler and bit stream, so
+    # neither the import nor a calibrate or noisy sweep run pulls in scipy or
+    # numpy.random; the thread pool and the INI reader load only when used
     code = """
 import sys
 import spinchain.cli as cli
+
+def loaded(*names):
+    return sorted(k for k in sys.modules for n in names if k == n or k.startswith(n + "."))
+
+assert not loaded("concurrent.futures", "configparser"), loaded("concurrent.futures", "configparser")
 argvs = [
     ["calibrate", "--gate", "cnot"],
     ["duration-sweep", "--gate", "swap", "--alpha", "1", "--noise", "dephasing"],
 ]
 for i, argv in enumerate(argvs):
     assert cli.main(argv + ["--out", f"{sys.argv[1]}/{i}.csv"]) == 0
-print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+    assert not loaded("numpy.random"), (argv, loaded("numpy.random"))
+print(loaded("scipy"))
 """
     src = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -599,7 +606,16 @@ def test_noisy_ladder_body_ignores_workers_and_cache_state(tmp_path, monkeypatch
 def test_missing_subcommand_and_unknown_flag_exit_2(capsys):
     assert cli.main([]) == 2
     assert cli.main(["trace", "--frequency", "3"]) == 2
+    assert cli.main(["transport", "--gate", "swap"]) == 2
     capsys.readouterr()
+
+
+def test_flags_may_come_before_the_subcommand():
+    argv = ["--gate", "cnot", "calibrate", "--seed", "3", "--config", "a.ini"]
+    before = vars(cli._build_parser().parse_args(argv))
+    after = vars(cli._build_parser().parse_args(["calibrate"] + argv[:2] + argv[3:]))
+    assert before == after
+    assert (before["command"], before["gate"], before["seed"]) == ("calibrate", "cnot", "3")
 
 
 def test_help_exits_zero(capsys):
@@ -746,3 +762,19 @@ def test_cell_formats_by_type_equal_the_isinstance_chain():
     ]
     for cell in cells:
         assert cli._fmt_cell(cell) == _fmt_cell_by_isinstance(cell), repr(cell)
+
+
+def test_row_templates_equal_the_cell_formatter(tmp_path):
+    cells = [
+        0.1, -0.0, 1e-300, 5e-324, 2.0**60, 1e22, 123456789012.5, math.pi, math.inf, -math.inf,
+        math.nan, np.float64(1 / 3), np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf),
+        np.float32(0.1), 0, -7, 10**20, np.int64(-3), True, False, "swap", "", "50%", None,
+    ]
+    rng = np.random.default_rng(5)
+    rows = [tuple(cells), tuple(reversed(cells))]
+    rows += [tuple(rng.permutation(np.array(cells, dtype=object))) for _ in range(20)]
+    rows += [tuple(rng.standard_normal(5) * 10.0 ** rng.integers(-30, 30, 5)) for _ in range(50)]
+    rows += [list(map(float, rng.standard_normal(4))), ()]
+    out = tmp_path / "rows.csv"
+    cli.write_csv(str(out), [], ["c"], rows, 0.0)
+    assert body_of(out)[1:] == [",".join(map(cli._fmt_cell, row)) for row in rows]
