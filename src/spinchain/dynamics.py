@@ -26,11 +26,12 @@ Noisy slots
     raises :class:`NumericalError`). There the generator's letters share
     invariant blocks, the weak symmetries of the noisy pair (Buča &
     Prosen, New J. Phys. 14, 073007 (2012)): the connected components of
-    their exact nonzero pattern. They are packed into two 8x8 halves
-    where they fit (every gate kind under dephasing, swap and cnot under
-    amplitude damping) and into one 16x16 half otherwise (cnot_rotated
-    under amplitude damping), so every map of a build is a ``(k, b, b)``
-    stack of blocks and an 8x8 half costs an eighth of a 16x16 product.
+    their exact nonzero pattern. They are packed into the smallest
+    uniform blocks that hold them: four 4x4 blocks for every gate kind
+    under dephasing, two 8x8 blocks for swap and cnot under amplitude
+    damping and one 16x16 block for cnot_rotated under it. Every map of a
+    build is a ``(k, b, b)`` stack of blocks, and four 4x4 blocks cost a
+    16th of a 16x16 product.
     One GEMM of the pulse samples against the packed letters gives every
     step's generators, three batched products give every step's RK4 map,
     and a pairwise tree (Blelloch, CMU-CS-90-190) multiplies them, in
@@ -73,16 +74,19 @@ not depend on how accumulated step times round near the slot edge.
 Trace is monitored, never renormalised: drift beyond ``TRACE_ABORT_TOL``
 (a NaN trace included) raises :class:`TraceDriftError`, and so does a
 pair propagator that, while it is built, stops being finite, keeping its
-trace row (Pauli 0's packed row stays e_0 to ``TRACE_ABORT_TOL``)
-or bounded (no entry above ``1 / TRACE_ABORT_TOL``; a CPTP map has none
-above 1). A build checks every level of its tree and a stream every
-level of its scan, so an unstable step grid aborts before numpy overflows
-and before a stream hands out a step map. The step generators are held to
-the same bound before the RK4 stages use them, and a generator letter
-that is not finite (a decay rate near the float limit) fails as not
-bounded, so no rate reaches a numpy overflow either. A slot unitary more
-than 1e-9 away from unitary raises :class:`NumericalError` when its map,
-or its stream chunk, is built. Integrator bugs cannot hide.
+trace row (Pauli 0's packed row stays e_0 to ``TRACE_ABORT_TOL``) or
+bounded (no entry above ``1 / TRACE_ABORT_TOL``; a CPTP map has none
+above 1). The step maps are searched; every later level of a build's
+tree, a stream's scan and their chunk folds is certified by an a-priori
+bound on its entries, or searched once that bound passes a tolerance, so
+an unstable step grid aborts, at the level where a search of every level
+would, before numpy overflows and before a stream hands out a step map.
+The step generators are held to the same bound before the RK4 stages use
+them, and a generator letter that is not finite (a decay rate near the
+float limit) fails as not bounded, so no rate reaches a numpy overflow
+either. A slot unitary more than 1e-9 away from unitary raises
+:class:`NumericalError` when its map, or its stream chunk, is built.
+Integrator bugs cannot hide.
 """
 
 from __future__ import annotations
@@ -276,45 +280,40 @@ _PAULI_BASIS = [pauli(k) for k in ("identity", "x", "y", "z")]
 _PTM = np.array([np.kron(a, b).reshape(16) / 2 for a in _PAULI_BASIS for b in _PAULI_BASIS]).T
 _PTM_INV = _PTM.conj().T
 _I16 = np.eye(16, dtype=complex)
-# Steps per batch of step maps: bounds a build's transient memory (~3.5 MiB
-# at 20 000 steps, against ~230 MiB for all of them at once).
+# Steps per batch of step maps: bounds a build's transient memory (~4.7 MiB
+# at 20 000 steps, ~1 MiB of it pulse samples, against ~230 MiB at once).
 PAIR_CHUNK_STEPS = 256
 # RK4 weights of the workspace rows (hk_4, hk_1, hk_2, hk_3)
 _RK4_WEIGHTS = np.array([1.0, 1.0, 2.0, 2.0]) / 6.0
 
 
-def _diagonal(maps: np.ndarray) -> np.ndarray:
-    """A writable view of the block diagonals of a contiguous ``(steps, k,
-    b, b)`` stack."""
-    b = maps.shape[-1]
-    return maps.reshape(*maps.shape[:-2], b * b)[..., :: b + 1]
-
-
-def _pack_halves(pattern: np.ndarray) -> np.ndarray:
+def _pack_blocks(pattern: np.ndarray) -> np.ndarray:
     """The packed layout of a 16x16 nonzero pattern, as a ``(k, b)`` array
     of Pauli-transfer indices: the pattern's connected components packed
-    first-fit, largest first, into two halves of 8 indices, or one half of
-    all 16 when they do not fit. Each half is in ascending order, so a
-    packed product sums its terms in the order of the 16x16 one, and the
-    half holding Pauli 0 comes first, so Pauli 0's row is packed row
-    ``(0, 0)``."""
+    first-fit, largest first, into ``k = 16 / b`` blocks of the smallest
+    size b of 4, 8 and 16 that holds them. Each block is in ascending
+    order, so a packed product sums its terms in the order of the 16x16
+    one, and the block holding Pauli 0 comes first, so Pauli 0's row is
+    packed row ``(0, 0)``."""
     reach = pattern | pattern.T | np.eye(16, dtype=bool)
     for _ in range(4):  # paths of up to 16 links
         reach = reach.astype(np.int64) @ reach > 0
     components = sorted({tuple(np.flatnonzero(row)) for row in reach}, key=lambda c: (-len(c), c))
-    halves = ([], [])
-    for component in components:
-        half = next((h for h in halves if len(h) + len(component) <= 8), None)
-        if half is None:
-            return np.arange(16)[None]
-        half.extend(component)
-    return np.array(sorted(sorted(h) for h in halves))
+    for b in (4, 8, 16):
+        blocks = [[] for _ in range(16 // b)]
+        for component in components:
+            block = next((c for c in blocks if len(c) + len(component) <= b), None)
+            if block is None:
+                break
+            block.extend(component)
+        else:
+            return np.array(sorted(sorted(c) for c in blocks))
 
 
-def _packed_positions(halves: np.ndarray) -> np.ndarray:
+def _packed_positions(blocks: np.ndarray) -> np.ndarray:
     """The row-major position in a flattened 16x16 map of each entry of the
     packed ``(k, b, b)`` blocks."""
-    return (16 * halves[:, :, None] + halves[:, None, :]).reshape(-1)
+    return (16 * blocks[:, :, None] + blocks[:, None, :]).reshape(-1)
 
 
 @lru_cache(maxsize=64)
@@ -322,7 +321,7 @@ def _pair_letters(kind: str, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray,
     """The generator letters of one driven pair in the real Pauli-transfer
     basis (the dissipator sum, then each channel's drive superoperator),
     the largest entry of each, and their ``(k, b)`` layout from
-    :func:`_pack_halves` over the letters' exact nonzeros. Each letter is
+    :func:`_pack_blocks` over the letters' exact nonzeros. Each letter is
     one row of its ``(k, b, b)`` blocks, flattened. All three are
     read-only, and cached by ``(kind, noise)``.
 
@@ -354,12 +353,12 @@ def _pair_letters(kind: str, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray,
             f"the {kind} pair generator does not preserve Hermiticity "
             f"(imaginary part {np.max(imag):.3e} in the Pauli-transfer basis)"
         )
-    halves = _pack_halves(np.any(letters.real != 0.0, axis=0))
-    letters = letters.real.reshape(len(letters), 256)[:, _packed_positions(halves)]
+    layout = _pack_blocks(np.any(letters.real != 0.0, axis=0))
+    letters = letters.real.reshape(len(letters), 256)[:, _packed_positions(layout)]
     letter_sizes = np.max(np.abs(letters), axis=1)
-    for a in (letters, letter_sizes, halves):
+    for a in (letters, letter_sizes, layout):
         a.flags.writeable = False
-    return letters, letter_sizes, halves
+    return letters, letter_sizes, layout
 
 
 def _pair_step_maps(kind, params, noise, duration, n_steps):
@@ -376,26 +375,31 @@ def _pair_step_maps(kind, params, noise, duration, n_steps):
     to the identity.
     """
     amplitude, width, center = rescale_channel_params(params, 0.0, duration)
-    letters, letter_sizes, halves = _pair_letters(kind, noise)
-    k, b = halves.shape
+    letters, letter_sizes, layout = _pair_letters(kind, noise)
+    k, b = layout.shape
 
     h = duration / n_steps
     size = min(n_steps, PAIR_CHUNK_STEPS)
     # Coefficients of (L_0, L_c...) for h g at each step's end, midpoint and
-    # start.
+    # start; the drive's are sampled over the whole slot at once.
+    steps = np.arange(n_steps)
+    t0 = steps * h
+    samples = (
+        h * gaussian(t0 + h, amplitude, width, center) * (steps < n_steps - 1),
+        h * gaussian(t0 + 0.5 * h, amplitude, width, center),
+        h * gaussian(t0, amplitude, width, center),
+    )
     coefs = np.full((3, size, len(letters)), h)
     # One workspace serves every chunk. The GEMM fills rows 0-2 with h g_4,
     # h g_m and h g_1 = hk_1; hk_2 and hk_3 go to rows 3-4, and hk_4 to row
     # 1 once h g_m is spent, so one GEMV over rows 1-4 combines the stages.
     work = np.empty((5, size, k, b, b))
     x = np.empty((size, k, b, b))
+    eye = np.eye(b)
     for first in range(0, n_steps, size):
-        steps = np.arange(first, min(first + size, n_steps))
-        n, t0 = len(steps), steps * h
-        end = h * gaussian(t0 + h, amplitude, width, center) * (steps < n_steps - 1)
-        coefs[0, :n, 1:] = end.T
-        coefs[1, :n, 1:] = (h * gaussian(t0 + 0.5 * h, amplitude, width, center)).T
-        coefs[2, :n, 1:] = (h * gaussian(t0, amplitude, width, center)).T
+        n = min(size, n_steps - first)
+        for coef, sample in zip(coefs, samples):
+            coef[:n, 1:] = sample[:, first : first + n].T
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
             np.matmul(coefs[:, :n], letters, out=work[:3, :n].reshape(3, n, -1))
         # sum_c |coef_c| max|L_c| bounds every entry of h g: only a chunk over
@@ -410,7 +414,7 @@ def _pair_step_maps(kind, params, noise, duration, n_steps):
         stages = ((hgm, hk1, 0.5, hk2), (hgm, hk2, 0.5, hk3), (hg4, hk3, 1.0, hk4))
         for g, prev, scale, out in stages:
             np.multiply(prev, scale, out=x[:n])
-            _diagonal(x[:n])[:] += 1.0
+            np.add(x[:n], eye, out=x[:n])
             np.matmul(g, x[:n], out=out)
         # the step maps minus the identity, (hk_1 + 2 hk_2 + 2 hk_3 + hk_4) / 6
         np.matmul(_RK4_WEIGHTS, work[1:, :n].reshape(4, -1), out=x[:n].reshape(-1))
@@ -430,7 +434,7 @@ def _check_step_generators(kind: str, hg: np.ndarray):
         )
 
 
-def _check_pair_maps(kind: str, d: np.ndarray):
+def _check_pair_maps(kind: str, d: np.ndarray) -> tuple[float, float]:
     """Every real Pauli-transfer map ``I + d`` of the packed stack ``d``
     must keep Pauli 0's row (packed row ``(0, 0)``) at e_0 (trace
     preservation) and stay finite and bounded. The entries left out of the
@@ -439,7 +443,8 @@ def _check_pair_maps(kind: str, d: np.ndarray):
     geometrically, so no entry of ``d`` may pass ``1 / TRACE_ABORT_TOL``.
     Without the bound such a grid would only show once numpy overflows: in
     this basis the trace row of every step map stays at e_0, so a drifting
-    trace no longer gives it away."""
+    trace no longer gives it away. Returns the stack's trace-row error and
+    largest entry, the bound that :func:`_certify` carries on."""
     error = np.max(np.abs(d[..., 0, 0, :]))
     size = max(d.max(), -d.min())
     if not error <= TRACE_ABORT_TOL:  # a NaN map fails too
@@ -451,6 +456,33 @@ def _check_pair_maps(kind: str, d: np.ndarray):
             f"the {kind} pair propagator is not bounded "
             f"(an entry {size:.3e} away from the identity's)"
         )
+    return error, size
+
+
+def _then_bound(b: int, first: tuple, next_: tuple) -> tuple[float, float]:
+    """A bound on the trace-row error and the largest entry of
+    :func:`_then`'s computed entries, over ``b x b`` blocks, from such
+    bounds on ``d_first`` and ``d_next``: the a-priori inner-product bound
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    §3.1), whose rounding factor for b + 2 terms lies far below 1 + 1e-12."""
+    (e_first, s_first), (e_next, s_next) = first, next_
+    return (
+        (b * e_next * s_first + e_first + e_next) * (1.0 + 1e-12),
+        (b * s_next * s_first + s_first + s_next) * (1.0 + 1e-12),
+    )
+
+
+def _certify(kind: str, d: np.ndarray, first: tuple, next_: tuple) -> tuple[float, float]:
+    """The bound of a stack ``d`` that :func:`_then` made from stacks
+    bounded by ``first`` and ``next_``, while it stays within
+    ``TRACE_ABORT_TOL`` and ``1 / TRACE_ABORT_TOL``; past either, ``d`` is
+    searched by :func:`_check_pair_maps` and its measured values replace
+    the bound. So a stack that fails is always searched, and a build aborts
+    where, and as, a search of every level would."""
+    bound = _then_bound(d.shape[-1], first, next_)
+    if bound[0] <= TRACE_ABORT_TOL and bound[1] <= 1.0 / TRACE_ABORT_TOL:
+        return bound
+    return _check_pair_maps(kind, d)
 
 
 def _then(d_first: np.ndarray, d_next: np.ndarray) -> np.ndarray:
@@ -462,16 +494,17 @@ def _then(d_first: np.ndarray, d_next: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tree_product(kind: str, d: np.ndarray) -> np.ndarray:
+def _tree_product(kind: str, d: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
     """The product of the maps ``I + d[i]``, later steps on the left, as a
-    pairwise tree, minus the identity; every level is checked."""
-    _check_pair_maps(kind, d)
+    pairwise tree, minus the identity, and its bound. The step maps are
+    searched and every level is certified by bound or searched."""
+    bound = _check_pair_maps(kind, d)
     while len(d) > 1:
         even = len(d) - len(d) % 2
         pairs = _then(d[0:even:2], d[1:even:2])
         d = np.concatenate([pairs, d[even:]]) if even < len(d) else pairs
-        _check_pair_maps(kind, d)
-    return d[0]
+        bound = _certify(kind, d, bound, bound)
+    return d[0], bound
 
 
 def _pair_rk4(
@@ -487,38 +520,41 @@ def _pair_rk4(
     Each chunk of packed step maps from :func:`_pair_step_maps` is
     multiplied by a pairwise tree, later steps on the left, and the chunk
     products are folded in order. Every level and every partial product
-    must pass :func:`_check_pair_maps`, so a map that is not finite,
-    trace-preserving and bounded raises :class:`TraceDriftError` before
-    numpy can overflow.
+    is certified by bound or searched (:func:`_certify`), so a map that is
+    not finite, trace-preserving and bounded raises
+    :class:`TraceDriftError` before numpy can overflow.
     """
     total = None
     for d in _pair_step_maps(kind, params, noise, duration, n_steps):
-        product = _tree_product(kind, d)
-        total = product if total is None else _then(total, product)
-        _check_pair_maps(kind, total)
+        product, bound = _tree_product(kind, d)
+        if total is not None:
+            product = _then(total, product)
+            bound = _certify(kind, product, total_bound, bound)
+        total, total_bound = product, bound
     return _to_row_major(total, _pair_letters(kind, noise)[2])
 
 
-def _scan_product(kind: str, d: np.ndarray) -> np.ndarray:
+def _scan_product(kind: str, d: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
     """The prefix products of the maps ``I + d[i]``, later steps on the
     left, minus the identity, by a Hillis-Steele scan (CACM 29, 1170
-    (1986)) that overwrites ``d``; every level is checked."""
-    _check_pair_maps(kind, d)
+    (1986)) that overwrites ``d``, and their bound. The step maps are
+    searched and every level is certified by bound or searched."""
+    bound = _check_pair_maps(kind, d)
     span = 1
     while span < len(d):
         d[span:] = _then(d[:-span], d[span:])
-        _check_pair_maps(kind, d)
+        bound = _certify(kind, d, bound, bound)
         span *= 2
-    return d
+    return d, bound
 
 
-def _to_row_major(d: np.ndarray, halves: np.ndarray) -> np.ndarray:
+def _to_row_major(d: np.ndarray, layout: np.ndarray) -> np.ndarray:
     """The row-major map of each packed Pauli-transfer map ``I + d``: its
-    blocks are scattered into a complex 16x16 stack at ``halves`` (the
+    blocks are scattered into a complex 16x16 stack at ``layout`` (the
     entries between them are zero), which takes the change of basis."""
     lead = d.shape[:-3]
     full = np.zeros((*lead, 256), dtype=complex)
-    full[..., _packed_positions(halves)] = d.reshape(*lead, -1)
+    full[..., _packed_positions(layout)] = d.reshape(*lead, -1)
     full = full.reshape(*lead, 16, 16)
     np.matmul(_PTM @ full, _PTM_INV, out=full)
     full += _I16
@@ -568,7 +604,8 @@ def gate_step_maps(
     ``PAIR_CHUNK_STEPS`` steps, after a first ``([0], [I])``. A noiseless
     chunk is ``kron(U, U*)`` at the cumulative pulse areas and passes the
     unitary check; a noisy one is the product so far times its scanned RK4
-    step maps, checked at every level, so no unstable map is handed out.
+    step maps, certified by bound or searched at every level, so no
+    unstable map is handed out.
     """
     n_steps, dt = _resolve_steps(duration, cfg or IntegratorConfig())
     kind, params = gate.kind, gate.params
@@ -583,13 +620,13 @@ def gate_step_maps(
         return
     h, total, first = duration / n_steps, None, 0
     for d in _pair_step_maps(kind, params, noise, duration, n_steps):
-        prefix = _scan_product(kind, d)
+        prefix, bound = _scan_product(kind, d)
         if total is not None:
             prefix = _then(total, prefix)
-            _check_pair_maps(kind, prefix)
+            bound = _certify(kind, prefix, total_bound, bound)
         m = np.arange(first, first + len(d))
         yield m * h + h, _to_row_major(prefix, _pair_letters(kind, noise)[2])
-        total, first = prefix[-1].copy(), first + len(d)
+        total, total_bound, first = prefix[-1].copy(), bound, first + len(d)
 
 
 def _idle_superop(noise: NoiseModel, duration: float) -> np.ndarray:

@@ -393,7 +393,9 @@ def test_generator_that_breaks_hermiticity_aborts(monkeypatch):
 
 
 PAIR_NOISE_KINDS = ("dephasing", "amplitude_damping")
-# the packed layouts as measured; every other (kind, noise kind) is (2, 8)
+# the packed layouts as measured: four 4x4 blocks under dephasing, two 8x8
+# blocks under amplitude damping but for cnot_rotated's one 16x16 block
+MEASURED_LAYOUTS = {"dephasing": (4, 4), "amplitude_damping": (2, 8)}
 UNPACKED = {("cnot_rotated", "amplitude_damping")}
 
 
@@ -408,10 +410,10 @@ def dense_letters(kind, noise):
     return (dynamics._PTM_INV @ np.array(letters) @ dynamics._PTM).real
 
 
-def half_of(halves):
-    """The half of the layout that holds each Pauli-transfer index."""
+def block_of(layout):
+    """The block of the layout that holds each Pauli-transfer index."""
     owner = np.empty(16, dtype=int)
-    owner[halves] = np.arange(len(halves))[:, None]
+    owner[layout] = np.arange(len(layout))[:, None]
     return owner
 
 
@@ -419,18 +421,19 @@ def half_of(halves):
 @pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
 def test_pair_letters_pack_into_the_measured_halves(kind, noise_kind):
     noise = NoiseModel(noise_kind, 0.1)
-    letters, sizes, halves = dynamics._pair_letters(kind, noise)
-    assert halves.shape == ((1, 16) if (kind, noise_kind) in UNPACKED else (2, 8))
-    # the halves partition 0..15, each in order, with Pauli 0 first
-    assert sorted(halves.ravel()) == list(range(16))
-    assert all(list(half) == sorted(half) for half in halves) and halves[0, 0] == 0
-    # every nonzero entry of every letter lies inside one half ...
+    letters, sizes, layout = dynamics._pair_letters(kind, noise)
+    unpacked = (kind, noise_kind) in UNPACKED
+    assert layout.shape == ((1, 16) if unpacked else MEASURED_LAYOUTS[noise_kind])
+    # the blocks partition 0..15, each in order, with Pauli 0 first
+    assert sorted(layout.ravel()) == list(range(16))
+    assert all(list(block) == sorted(block) for block in layout) and layout[0, 0] == 0
+    # every nonzero entry of every letter lies inside one block ...
     dense = dense_letters(kind, noise)
     rows, cols = np.nonzero(np.any(dense != 0.0, axis=0))
-    assert np.array_equal(half_of(halves)[rows], half_of(halves)[cols])
-    # ... and the packed letters are those halves, exactly
-    k, b = halves.shape
-    blocks = dense[:, halves[:, :, None], halves[:, None, :]]
+    assert np.array_equal(block_of(layout)[rows], block_of(layout)[cols])
+    # ... and the packed letters are those blocks, exactly
+    k, b = layout.shape
+    blocks = dense[:, layout[:, :, None], layout[:, None, :]]
     assert np.array_equal(letters.reshape(-1, k, b, b), blocks)
     assert np.array_equal(sizes, np.max(np.abs(dense), axis=(1, 2)))
 
@@ -439,9 +442,9 @@ def test_pair_letters_pack_into_the_measured_halves(kind, noise_kind):
 @pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
 def test_built_maps_are_exactly_zero_between_the_halves(kind, noise_kind, monkeypatch):
     # a dense 16x16 RK4 in the Pauli-transfer basis, step by step: its
-    # entries between the halves come out exactly 0, so packing drops nothing
+    # entries between the blocks come out exactly 0, so packing drops nothing
     gate, noise, n_steps = GATE_BUILDERS[kind](1, 2), NoiseModel(noise_kind, 0.1), 40
-    _, _, halves = dynamics._pair_letters(kind, noise)
+    _, _, layout = dynamics._pair_letters(kind, noise)
     letters = dense_letters(kind, noise)
     pulses = materialize_channel_pulses(gate.params, 0.0, 1.0)
     h = 1.0 / n_steps
@@ -457,41 +460,73 @@ def test_built_maps_are_exactly_zero_between_the_halves(kind, noise_kind, monkey
         k2 = gm @ (phi + 0.5 * h * k1)
         k3 = gm @ (phi + 0.5 * h * k2)
         phi = phi + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + g4 @ (phi + h * k3))
-    owner = half_of(halves)
+    owner = block_of(layout)
     assert np.all(phi[owner[:, None] != owner[None, :]] == 0.0)
-    # the packed build holds the same halves
+    # the packed build holds the same blocks
     packed = []
     to_row_major = dynamics._to_row_major
     monkeypatch.setattr(
         dynamics, "_to_row_major", lambda d, layout: packed.append(d.copy()) or to_row_major(d, layout)
     )
     dynamics._pair_rk4(kind, gate.params, noise, 1.0, n_steps)
-    blocks = phi[halves[:, :, None], halves[:, None, :]] - np.eye(halves.shape[1])
+    blocks = phi[layout[:, :, None], layout[:, None, :]] - np.eye(layout.shape[1])
     assert np.max(np.abs(packed[0] - blocks)) <= 1e-14
+
+
+def merged_layout(layout, k):
+    """``layout`` with its blocks merged, in order, into ``k`` blocks."""
+    return np.array(sorted(sorted(np.concatenate(c)) for c in np.split(layout, k)))
+
+
+@pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
+def test_coarser_layouts_build_the_same_maps_bit_for_bit(kind, monkeypatch):
+    # the (4, 4) dephasing layout merged into (2, 8) and (1, 16): a bigger
+    # block only adds exact zeros to each sum, so packing drops nothing
+    gate, noise = GATE_BUILDERS[kind](1, 2), NoiseModel("dephasing", 0.01)
+    layout = dynamics._pair_letters(kind, noise)[2]
+    assert layout.shape == (4, 4)
+
+    def maps():
+        for alpha in (1.0, 10.0, 100.0):
+            for n_steps in (1, 2, 3, 255, 256, 257, 1000):
+                yield dynamics._pair_rk4(kind, gate.params, noise, alpha, n_steps)
+                cfg = IntegratorConfig(dt=alpha / n_steps)
+                yield from (m for _, m in gate_step_maps(gate, noise, alpha, cfg))
+
+    fine = list(maps())
+    for k in (2, 1):
+        monkeypatch.setattr(dynamics, "_pack_blocks", lambda pattern, k=k: merged_layout(layout, k))
+        dynamics._pair_letters.cache_clear()
+        assert dynamics._pair_letters(kind, noise)[2].shape == (k, 16 // k)
+        coarse = list(maps())
+        assert len(coarse) == len(fine)
+        assert all(np.array_equal(a, b) for a, b in zip(coarse, fine)), k
 
 
 GUARDED_LAYOUTS = [("swap", "dephasing"), ("cnot_rotated", "amplitude_damping")]
 
 
-def broken_steps(monkeypatch, index, value):
-    """Make ``_pair_step_maps`` add ``value`` at packed ``(half, row,
-    column)`` ``index`` of one step map of every chunk."""
+def broken_steps(monkeypatch, index, value, offsets=(0,)):
+    """Make ``_pair_step_maps`` add ``value`` at packed ``(block, row,
+    column)`` ``index`` of the middle step map of every chunk and of the
+    steps ``offsets`` after it."""
     step_maps = dynamics._pair_step_maps
 
     def broken(*args):
         for d in step_maps(*args):
-            d[(len(d) // 2, *index)] += value
+            for offset in offsets:
+                d[(len(d) // 2 + offset, *index)] += value
             yield d
 
     monkeypatch.setattr(dynamics, "_pair_step_maps", broken)
 
 
-def pair_runs(kind, noise):
-    """The build and the drained stream of one 100-step pair map."""
+def pair_runs(kind, noise, n_steps=100):
+    """The build and the drained stream of one ``n_steps``-step pair map."""
     gate = GATE_BUILDERS[kind](1, 2)
     return (
-        lambda: dynamics._pair_rk4(kind, gate.params, noise, 1.0, 100),
-        lambda: list(gate_step_maps(gate, noise, 1.0, IntegratorConfig(dt=0.01))),
+        lambda: dynamics._pair_rk4(kind, gate.params, noise, 1.0, n_steps),
+        lambda: list(gate_step_maps(gate, noise, 1.0, IntegratorConfig(dt=1.0 / n_steps))),
     )
 
 
@@ -508,24 +543,100 @@ def test_packed_trace_row_error_is_caught(kind, noise_kind, monkeypatch):
 
 @pytest.mark.parametrize("kind, noise_kind", GUARDED_LAYOUTS)
 def test_packed_error_off_the_trace_row_is_not_a_trace_error(kind, noise_kind, monkeypatch):
-    # the same error in the first row of the other half (the second row of
+    # the same error in the first row of another block (the second row of
     # the only one) changes the map, not its trace row: the build runs through
     noise = NoiseModel(noise_kind, 0.01)
     k, b = dynamics._pair_letters(kind, noise)[2].shape
-    broken_steps(monkeypatch, (1, 0, b - 1) if k == 2 else (0, 1, b - 1), 1e-3)
+    broken_steps(monkeypatch, (1, 0, b - 1) if k > 1 else (0, 1, b - 1), 1e-3)
     for run in pair_runs(kind, noise):
         run()
 
 
 @pytest.mark.parametrize("kind, noise_kind", GUARDED_LAYOUTS)
 def test_packed_oversized_entry_away_from_pauli_0_is_caught(kind, noise_kind, monkeypatch):
-    # one entry past the bound in the last half, the one without Pauli 0
-    # when there are two
+    # one entry past the bound in the last block, one without Pauli 0 when
+    # there are several
     noise = NoiseModel(noise_kind, 0.01)
     broken_steps(monkeypatch, (-1, -1, -1), 2.0 / TRACE_ABORT_TOL)
     for run in pair_runs(kind, noise):
         with pytest.raises(TraceDriftError, match=f"the {kind} pair propagator is not bounded"):
             run()
+
+
+def always_searched(monkeypatch):
+    """Make every tree level, scan level and chunk fold search its stack."""
+    monkeypatch.setattr(dynamics, "_then_bound", lambda b, first, next_: (np.inf, np.inf))
+
+
+def abort_message(run):
+    """The message of the ``TraceDriftError`` that ``run()`` raises."""
+    with pytest.raises(TraceDriftError) as caught:
+        run()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("kind, noise_kind", GUARDED_LAYOUTS)
+def test_growth_past_level_0_falls_back_to_a_search(kind, noise_kind, monkeypatch):
+    # entries of 2e3 pass level 0, but the product of two adjacent step maps
+    # (a tree pair, a scan step) passes 1e6, and a chunk product holding one
+    # passes it only in the fold with the next chunk: each level's bound
+    # passes the tolerance, so the level is searched and aborts as it does
+    # when every level is searched
+    noise = NoiseModel(noise_kind, 0.01)
+    faults = [((0, 1), 100), ((0,), 300)]
+    with monkeypatch.context() as m:
+        broken_steps(m, (-1, -1, -1), 2e3)
+        for run in pair_runs(kind, noise, 256):
+            run()  # one such step map in a lone chunk is fine
+    for offsets, n_steps in faults:
+        with monkeypatch.context() as m:
+            broken_steps(m, (-1, -1, -1), 2e3, offsets)
+            messages = [abort_message(run) for run in pair_runs(kind, noise, n_steps)]
+            always_searched(m)
+            searched = [abort_message(run) for run in pair_runs(kind, noise, n_steps)]
+        assert messages == searched, offsets
+        assert all(f"the {kind} pair propagator is not bounded" in s for s in messages)
+
+
+def measured(d):
+    """The trace-row error and the largest entry of a packed stack."""
+    return np.max(np.abs(d[..., 0, 0, :])), np.max(np.abs(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=st.sampled_from([4, 8, 16]),
+    scales=st.tuples(st.floats(1e-9, 1e4), st.floats(1e-9, 1e4)),
+    entries=st.sampled_from(["uniform", "signs", "equal"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_then_never_exceeds_its_bound(b, scales, entries, seed):
+    # "equal" stacks attain the bound's sum exactly, so only its rounding
+    # factor covers the rounding of the computed entries
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, 3, 16 // b, b, b))
+    u = {"uniform": u, "signs": np.sign(u), "equal": np.ones_like(u)}[entries]
+    first, next_ = (scale * v for scale, v in zip(scales, u))
+    error, size = dynamics._then_bound(b, measured(first), measured(next_))
+    out_error, out_size = measured(dynamics._then(first, next_))
+    assert out_error <= error and out_size <= size
+
+
+@pytest.mark.parametrize("noise_kind", PAIR_NOISE_KINDS)
+@pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
+def test_default_builds_search_few_levels(kind, noise_kind, monkeypatch):
+    # the step maps of each of the four chunks are searched, and a later
+    # level only once its bound passes a tolerance: 6-7 searches per build
+    # or stream, against ~40 when every level was searched
+    searches = []
+    check = dynamics._check_pair_maps
+    monkeypatch.setattr(dynamics, "_check_pair_maps", lambda *a: searches.append(1) or check(*a))
+    gate = GATE_BUILDERS[kind](1, 2)
+    for gamma in (0.001, 0.01, 0.1):
+        noise = NoiseModel(noise_kind, gamma)
+        for run in (lambda: gate_superoperator(gate, noise), lambda: list(gate_step_maps(gate, noise))):
+            searches.clear()
+            run()
+            assert 4 <= len(searches) <= 12, gamma
 
 
 def test_hermiticity_is_held_letter_by_letter(monkeypatch):
@@ -540,7 +651,7 @@ def test_hermiticity_is_held_letter_by_letter(monkeypatch):
 def test_long_pair_build_runs_in_bounded_memory():
     # the step maps are made, multiplied and streamed in chunks: all 20 000
     # at once would take ~230 MiB, and 20 000 row-major maps ~80 MiB; the
-    # cnot_rotated build under amplitude damping runs on one 16x16 half
+    # cnot_rotated build under amplitude damping runs on one 16x16 block
     gate, noise = swap_gate(1, 2), NoiseModel("dephasing", 0.01)
     amp = NoiseModel("amplitude_damping", 0.01)
     assert dynamics._pair_letters("cnot_rotated", amp)[2].shape == (1, 16)
