@@ -18,9 +18,11 @@ byte-identical across reruns and worker counts.
 Single-gate runs act on their pair alone, through the gate's 16x16 slot
 map from ``dynamics.gate_superoperator``: ``kron(U, U*)`` of the
 closed-form slot unitary when noiseless, pair RK4 when noisy, cached by
-gate, noise, duration and step count. ``duration-sweep`` applies the
-cached map to the input. ``trace`` reads the map after every step from
-the stream ``dynamics.gate_step_maps``, for all three inputs at once;
+gate, noise, duration and step count. ``duration-sweep`` builds the
+maps of each (gate, gamma) row of durations together
+(``dynamics.gate_superoperators``) and applies each to the input.
+``trace`` reads the map after every step from the stream
+``dynamics.gate_step_maps``, for all three inputs at once;
 its noiseless steps are the closed form at cumulative pulse areas.
 Transport contracts the circuit site by site (the same cached maps plus
 idle-site channels), so a chain of any length runs in time linear in
@@ -71,6 +73,7 @@ from .dynamics import (
     _resolve_steps,
     gate_fidelity,
     gate_step_maps,
+    gate_superoperators,
 )
 from .hamiltonians import (
     GATE_KINDS,
@@ -455,17 +458,20 @@ def run_duration_sweep(s: Settings):
     gates = _swept_kinds(s)
     psi0 = np.kron(_KET_PLUS, _KET_ZERO)
     cfg = IntegratorConfig(dt=s.dt)
-    cases = list(product(gates, s.gammas, s.alphas))
+    sweeps = list(product(gates, s.gammas))
 
-    def job(kind, gamma, alpha):
-        gate = GATE_BUILDERS[kind](1, 2)
-        return gate_fidelity(psi0, gate, s.noise(gamma), alpha, cfg)
+    def job(kind, gamma):
+        # one (gate, gamma) row of durations shares its pair builds
+        gate, noise = GATE_BUILDERS[kind](1, 2), s.noise(gamma)
+        gate_superoperators(gate, noise, s.alphas, cfg)
+        return [gate_fidelity(psi0, gate, noise, alpha, cfg) for alpha in s.alphas]
 
-    values = run_jobs([lambda c=c: job(*c) for c in cases], s.workers)
+    values = run_jobs([lambda r=r: job(*r) for r in sweeps], s.workers)
     columns = ["duration", "gamma", "gate", "fidelity", "dt"]
     rows = [
         (alpha, gamma, kind, value, _resolve_steps(alpha, cfg)[1])
-        for (kind, gamma, alpha), value in zip(cases, values)
+        for (kind, gamma), row in zip(sweeps, values)
+        for alpha, value in zip(s.alphas, row)
     ]
     return [("", [], columns, rows)], EXIT_OK
 

@@ -32,15 +32,26 @@ Noisy slots
     damping and one 16x16 block for cnot_rotated under it. Every map of a
     build is a ``(k, b, b)`` stack of blocks, and four 4x4 blocks cost a
     16th of a 16x16 product.
-    One GEMM of the pulse samples against the packed letters gives every
-    step's generators, three batched products give every step's RK4 map,
-    and a pairwise tree (Blelloch, CMU-CS-90-190) multiplies them, in
-    chunks of ``PAIR_CHUNK_STEPS`` steps. Maps are carried as their
-    difference from the identity, so near-identity steps multiply without
-    losing digits, and scattered back into 16x16 only for the row-major
-    map. Sums and products of block-diagonal maps stay block-diagonal, so
-    the entries left out are exactly zero and the packed build equals the
-    16x16 one bit for bit.
+    The step maps of every duration on one step grid come from one series
+    in the duration. A stretched gate keeps its pulse shapes in rescaled
+    time s = t / alpha, so each step generator ``h g`` is the unit slot's
+    drive plus the dissipator sum times z, alpha times a fixed scale.
+    RK4's step map minus the identity is a fixed polynomial in its three
+    stage generators (Hairer, Norsett & Wanner, Solving ODEs I, §II.1);
+    expanded over words of the letters and grouped by their number p of
+    dissipator letters, it is ``sum_p z^p Q_p``, p = 0..4, and ``Q_p``
+    depends only on the kind, parameters, noise and step count. Per chunk
+    of ``PAIR_CHUNK_STEPS`` steps, one small GEMM per power gives the
+    ``Q_p`` from the steps' word coefficients and a cached word table;
+    each duration then takes one GEMV for its own step maps, and a
+    pairwise tree (Blelloch, CMU-CS-90-190) multiplies them. A map's bits
+    depend only on its own duration, so a map built in a row of durations
+    equals its build alone. Maps are carried as their difference from the
+    identity, so near-identity steps multiply without losing digits, and
+    scattered back into 16x16 only for the row-major map. Sums and
+    products of block-diagonal maps stay block-diagonal, so the entries
+    left out are exactly zero and the packed build equals the 16x16 one
+    bit for bit.
 
 Single gates
     :func:`gate_superoperator` is the one entry point for a gate alone on
@@ -48,8 +59,10 @@ Single gates
     map: ``kron(U, U*)`` of the slot unitary when noiseless, pair RK4
     otherwise. Maps are cached by ``(kind, params, noise, duration,
     n_steps)``: an explicit ``dt`` and the default grid share a build
-    when they give the same step count. :func:`gate_fidelity` and
-    transport read these maps; the ``trace`` command reads
+    when they give the same step count. :func:`gate_superoperators`
+    builds the missing maps of a row of durations together, one series
+    per step count. :func:`gate_fidelity` and transport read these maps;
+    the ``trace`` command reads
     :func:`gate_step_maps`, an uncached stream of the map after every
     step: the closed form at cumulative areas, or the prefix products of
     each chunk of RK4 step maps, taken by a scan.
@@ -81,12 +94,12 @@ tree, a stream's scan and their chunk folds is certified by an a-priori
 bound on its entries, or searched once that bound passes a tolerance, so
 an unstable step grid aborts, at the level where a search of every level
 would, before numpy overflows and before a stream hands out a step map.
-The step generators are held to the same bound before the RK4 stages use
-them, and a generator letter that is not finite (a decay rate near the
-float limit) fails as not bounded, so no rate reaches a numpy overflow
-either. A slot unitary more than 1e-9 away from unitary raises
-:class:`NumericalError` when its map, or its stream chunk, is built.
-Integrator bugs cannot hide.
+The step generators are held to the same bound before the series takes
+powers of z, which the bound caps, and a generator letter that is not
+finite (a decay rate near the float limit) fails as not bounded, so no
+rate reaches a numpy overflow either. A slot unitary more than 1e-9
+away from unitary raises :class:`NumericalError` when its map, or its
+stream chunk, is built. Integrator bugs cannot hide.
 """
 
 from __future__ import annotations
@@ -280,11 +293,14 @@ _PAULI_BASIS = [pauli(k) for k in ("identity", "x", "y", "z")]
 _PTM = np.array([np.kron(a, b).reshape(16) / 2 for a in _PAULI_BASIS for b in _PAULI_BASIS]).T
 _PTM_INV = _PTM.conj().T
 _I16 = np.eye(16, dtype=complex)
-# Steps per batch of step maps: bounds a build's transient memory (~4.7 MiB
-# at 20 000 steps, ~1 MiB of it pulse samples, against ~230 MiB at once).
+# Steps per batch of pulse samples and step maps: bounds a build's transient
+# memory at any step count. At the MAX_STEPS_PER_SLOT ceiling, tracemalloc
+# peaks at 2.2 MiB for a cnot build and 3.8 MiB for a cnot_rotated one under
+# amplitude damping, and at 3.9 MiB for a drained dephasing swap stream.
 PAIR_CHUNK_STEPS = 256
-# RK4 weights of the workspace rows (hk_4, hk_1, hk_2, hk_3)
-_RK4_WEIGHTS = np.array([1.0, 1.0, 2.0, 2.0]) / 6.0
+# The powers z^p of the RK4 series, one per number of constant letters in a
+# word of up to four letters
+_POWERS = np.arange(5)
 
 
 def _pack_blocks(pattern: np.ndarray) -> np.ndarray:
@@ -361,71 +377,160 @@ def _pair_letters(kind: str, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray,
     return letters, letter_sizes, layout
 
 
-def _pair_step_maps(kind, params, noise, duration, n_steps):
-    """The real RK4 step maps of one driven pair across one slot, minus the
-    identity, in the packed Pauli-transfer layout of :func:`_pair_letters`,
-    yielded in chunks of at most ``PAIR_CHUNK_STEPS`` as ``(steps, k, b,
-    b)`` arrays. Each chunk lives in a workspace that the next chunk
-    overwrites.
+@lru_cache(maxsize=64)
+def _pair_words(kind: str, noise: NoiseModel) -> tuple:
+    """The word tables of the RK4 series, cached by ``(kind, noise)``
+    beside :func:`_pair_letters`: ``(letters, tables, order, scale)``, all
+    read-only.
 
-    Every chunk's step generators pass :func:`_check_step_generators`
-    before the RK4 stages use them. Each step samples the drive at its
-    start, midpoint and end (the last step ends on the slot edge, where the
-    truncated pulse is already off), and its map is the RK4 stages applied
-    to the identity.
+    ``letters`` are the packed letters with the constant one divided by
+    ``scale``, its largest entry (1 if it has none). Every product of 1 to
+    4 letters is a word, listed per degree with the leftmost letter most
+    significant, as :func:`_word_features` lists them; ``order`` sorts the
+    words by their number p of constant letters, and ``tables[p]`` holds
+    those with p, one flattened ``(k, b, b)`` row each. Tables that are not
+    finite raise :class:`TraceDriftError` as not bounded.
     """
-    amplitude, width, center = rescale_channel_params(params, 0.0, duration)
     letters, letter_sizes, layout = _pair_letters(kind, noise)
     k, b = layout.shape
+    scale = float(letter_sizes[0]) or 1.0
+    letters = letters.copy()
+    letters[0] /= scale
+    blocks = letters.reshape(len(letters), k, b, b)
+    constant = (np.arange(len(letters)) == 0).astype(int)
+    words, powers = [blocks], [constant]
+    with np.errstate(all="ignore"):  # checked next
+        for _ in range(len(_POWERS) - 2):
+            words.append((blocks[:, None] @ words[-1][None]).reshape(-1, k, b, b))
+            powers.append(np.add.outer(constant, powers[-1]).reshape(-1))
+    words = np.concatenate(words).reshape(-1, k * b * b)
+    if not np.isfinite(words).all():
+        raise TraceDriftError(
+            f"the {kind} pair propagator is not bounded (an RK4 word is not finite)"
+        )
+    powers = np.concatenate(powers)
+    order = np.argsort(powers, kind="stable")
+    tables = tuple(words[powers == p] for p in _POWERS)
+    for a in (letters, order, *tables):
+        a.flags.writeable = False
+    return letters, tables, order, scale
 
-    h = duration / n_steps
+
+def _word_features(x: np.ndarray) -> np.ndarray:
+    """The coefficient of every word of the RK4 series at each step, shape
+    ``(words, steps)``, from the letters' coefficients in the stage
+    generators G_1, G_m and G_4 at the step's start, midpoint and end,
+    ``x`` of shape ``(3, letters, steps)``.
+
+    RK4's step map minus the identity is (G_1 + 4 G_m + G_4)/6 + (G_m G_1
+    + G_m^2 + G_4 G_m)/6 + (G_m^2 G_1 + G_4 G_m^2)/12 + G_4 G_m^2 G_1/24
+    (Hairer, Norsett & Wanner, Solving ODEs I, §II.1), and each G is the
+    sum of its letters times their coefficients; expanding the products
+    gives each word's coefficient.
+    """
+    x1, xm, x4 = x
+    n = x.shape[-1]
+
+    def outer(a, b):  # the words of a followed by those of b
+        return (a[:, None] * b[None]).reshape(-1, n)
+
+    mm = outer(xm, xm)
+    mm1 = outer(mm, x1)
+    return np.concatenate([
+        (x1 + 4.0 * xm + x4) / 6.0,
+        (outer(xm, x1) + mm + outer(x4, xm)) / 6.0,
+        (mm1 + outer(x4, mm)) / 12.0,
+        outer(x4, mm1) / 24.0,
+    ])
+
+
+def _series_terms(x, tables, order, q):
+    """Write each ``Q_p`` into ``q[p]``: the word features of the steps'
+    letter coefficients ``x`` (:func:`_word_features`) against the words
+    with p constant letters, ``tables[p]``, one GEMM per power."""
+    features = _word_features(x)[order]
+    first = 0
+    for table, out in zip(tables, q):
+        np.matmul(features[first : first + len(table)].T, table, out=out.reshape(len(out), -1))
+        first += len(table)
+
+
+def _constant_coefficient(kind, params, noise, duration, n_steps) -> float:
+    """The coefficient z of :func:`_pair_words`' constant letter in each
+    step generator ``h g`` of a slot of ``duration``: ``h`` times the
+    largest entry of the dissipator sum, the part of the existing generator
+    bound that grows with the duration. Raises ``ValueError`` for a
+    duration the pulses cannot be rescaled to."""
+    rescale_channel_params(params, 0.0, duration)
+    # Python floats: a product past the float range is inf, and the
+    # generator bound refuses it, without a numpy warning
+    return float(duration) / n_steps * _pair_words(kind, noise)[3]
+
+
+def _pair_series(kind, params, noise, n_steps):
+    """The RK4 step maps of one driven pair on an ``n_steps`` grid as a
+    series in the slot duration, shared by every duration of that grid
+    (see the module docstring), in chunks of at most ``PAIR_CHUNK_STEPS``
+    steps.
+
+    Each chunk is ``(q, x, drive_bound, d)``: the ``(5, steps, k, b, b)``
+    stack of the ``Q_p``; the letters' coefficients in the stage
+    generators, shape ``(3, letters, steps)``, the constant letter's set
+    to 1; the largest ``sum_c |x_c| max|L_c|`` over them, which bounds the
+    drive's part of every entry of ``h g``; and the workspace of
+    :func:`_pair_step_maps`. The next chunk overwrites ``q`` and ``d``.
+    The drive is sampled per chunk, on the unit slot, at each step's start,
+    midpoint and end (the last step ends on the slot edge, where the
+    truncated pulse is already off).
+    """
+    amplitude, width, center = rescale_channel_params(params, 0.0, 1.0)
+    letters, tables, order, _ = _pair_words(kind, noise)
+    _, letter_sizes, layout = _pair_letters(kind, noise)
+    k, b = layout.shape
+    h = 1.0 / n_steps
     size = min(n_steps, PAIR_CHUNK_STEPS)
-    # Coefficients of (L_0, L_c...) for h g at each step's end, midpoint and
-    # start; the drive's are sampled over the whole slot at once.
-    steps = np.arange(n_steps)
-    t0 = steps * h
-    samples = (
-        h * gaussian(t0 + h, amplitude, width, center) * (steps < n_steps - 1),
-        h * gaussian(t0 + 0.5 * h, amplitude, width, center),
-        h * gaussian(t0, amplitude, width, center),
-    )
-    coefs = np.full((3, size, len(letters)), h)
-    # One workspace serves every chunk. The GEMM fills rows 0-2 with h g_4,
-    # h g_m and h g_1 = hk_1; hk_2 and hk_3 go to rows 3-4, and hk_4 to row
-    # 1 once h g_m is spent, so one GEMV over rows 1-4 combines the stages.
-    work = np.empty((5, size, k, b, b))
-    x = np.empty((size, k, b, b))
-    eye = np.eye(b)
+    # one workspace serves every chunk: a row per Q_p, then one for the step maps
+    work = np.empty((len(tables) + 1, size * k * b * b))
     for first in range(0, n_steps, size):
-        n = min(size, n_steps - first)
-        for coef, sample in zip(coefs, samples):
-            coef[:n, 1:] = sample[:, first : first + n].T
+        steps = np.arange(first, min(first + size, n_steps))
+        q = work[:-1, : len(steps) * k * b * b].reshape(-1, len(steps), k, b, b)
+        d = work[-1, : len(steps) * k * b * b].reshape(len(steps), k, b, b)
+        t0 = steps * h
+        x = np.ones((3, len(letters), len(steps)))
+        x[0, 1:] = h * gaussian(t0, amplitude, width, center)
+        x[1, 1:] = h * gaussian(t0 + 0.5 * h, amplitude, width, center)
+        x[2, 1:] = h * gaussian(t0 + h, amplitude, width, center) * (steps < n_steps - 1)
+        _series_terms(x, tables, order, q)
+        yield q, x, float(np.max(letter_sizes[1:] @ np.abs(x[:, 1:]))), d
+
+
+def _pair_step_maps(kind: str, noise: NoiseModel, chunk, z: float) -> np.ndarray:
+    """The RK4 step maps minus the identity of one chunk of
+    :func:`_pair_series`, for the slot whose constant letter has the
+    coefficient ``z``: ``sum_p z^p Q_p``, one GEMV, as a ``(steps, k, b,
+    b)`` array in the chunk's workspace, which the next call overwrites.
+    Its bits depend only on the chunk and on ``z``.
+
+    The step generators pass :func:`_check_step_generators` first: ``z``
+    plus the chunk's drive bound bounds their entries, and only a chunk
+    over the bound builds its generators and searches them, so no power of
+    ``z`` is taken past the bound.
+    """
+    q, x, drive_bound, d = chunk
+    if not z + drive_bound <= 1.0 / TRACE_ABORT_TOL:
+        coefs = x.swapaxes(1, 2).copy()
+        coefs[..., 0] = z
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
-            np.matmul(coefs[:, :n], letters, out=work[:3, :n].reshape(3, n, -1))
-        # sum_c |coef_c| max|L_c| bounds every entry of h g: only a chunk over
-        # the bound is searched entry by entry (searching every chunk cost ~15 %
-        # of a build)
-        if not np.max(np.abs(coefs[:, :n]) @ letter_sizes) <= 1.0 / TRACE_ABORT_TOL:
-            _check_step_generators(kind, work[:3, :n])
-        hg4, hgm, hk1, hk2, hk3 = work[:, :n]
-        hk4 = hgm
-        # the RK4 stages applied to the identity: hk_2 = h g_m (I + hk_1 / 2),
-        # hk_3 = h g_m (I + hk_2 / 2), hk_4 = h g_4 (I + hk_3)
-        stages = ((hgm, hk1, 0.5, hk2), (hgm, hk2, 0.5, hk3), (hg4, hk3, 1.0, hk4))
-        for g, prev, scale, out in stages:
-            np.multiply(prev, scale, out=x[:n])
-            np.add(x[:n], eye, out=x[:n])
-            np.matmul(g, x[:n], out=out)
-        # the step maps minus the identity, (hk_1 + 2 hk_2 + 2 hk_3 + hk_4) / 6
-        np.matmul(_RK4_WEIGHTS, work[1:, :n].reshape(4, -1), out=x[:n].reshape(-1))
-        yield x[:n]
+            _check_step_generators(kind, coefs @ _pair_words(kind, noise)[0])
+    np.matmul(z**_POWERS, q.reshape(len(q), -1), out=d.reshape(-1))
+    return d
 
 
 def _check_step_generators(kind: str, hg: np.ndarray):
     """The step generators ``h g`` must be finite and have no entry above
     ``1 / TRACE_ABORT_TOL``, the bound :func:`_check_pair_maps` holds the
-    step maps to. Checked before the RK4 stage products, which cannot
-    overflow below it."""
+    step maps to. Checked before the series takes powers of ``z``, which
+    cannot overflow below it."""
     size = max(hg.max(), -hg.min())
     if not size <= 1.0 / TRACE_ABORT_TOL:  # a NaN generator fails too
         raise TraceDriftError(
@@ -496,42 +601,57 @@ def _then(d_first: np.ndarray, d_next: np.ndarray) -> np.ndarray:
 
 def _tree_product(kind: str, d: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
     """The product of the maps ``I + d[i]``, later steps on the left, as a
-    pairwise tree, minus the identity, and its bound. The step maps are
-    searched and every level is certified by bound or searched."""
+    pairwise tree, minus the identity, as a new array (``d`` may be a
+    workspace), and its bound. The step maps are searched and every level
+    is certified by bound or searched."""
     bound = _check_pair_maps(kind, d)
     while len(d) > 1:
         even = len(d) - len(d) % 2
         pairs = _then(d[0:even:2], d[1:even:2])
         d = np.concatenate([pairs, d[even:]]) if even < len(d) else pairs
         bound = _certify(kind, d, bound, bound)
-    return d[0], bound
+    return d[0].copy(), bound
 
 
 def _pair_rk4(
     kind: str,
     params: tuple[tuple[float, float], ...],
     noise: NoiseModel,
-    duration: float,
+    durations,
     n_steps: int,
-) -> np.ndarray:
-    """16x16 row-major propagator of one driven pair (plus its two sites'
-    noise) across one slot of ``n_steps`` fixed RK4 steps.
+) -> list:
+    """16x16 row-major propagators of one driven pair (plus its two sites'
+    noise), one across a slot of each of ``durations``, each of
+    ``n_steps`` fixed RK4 steps. A duration whose build aborts gets its
+    :class:`TraceDriftError` in place of its map; a duration the pulses
+    cannot be rescaled to raises ``ValueError`` for the whole call.
 
-    Each chunk of packed step maps from :func:`_pair_step_maps` is
-    multiplied by a pairwise tree, later steps on the left, and the chunk
-    products are folded in order. Every level and every partial product
-    is certified by bound or searched (:func:`_certify`), so a map that is
-    not finite, trace-preserving and bounded raises
-    :class:`TraceDriftError` before numpy can overflow.
+    Every chunk of :func:`_pair_series` serves every duration: its step
+    maps (:func:`_pair_step_maps`) are multiplied by a pairwise tree, later
+    steps on the left, and the chunk products are folded in order. Every
+    level and every partial product is certified by bound or searched
+    (:func:`_certify`), so a map that is not finite, trace-preserving and
+    bounded aborts before numpy can overflow. The series is the only thing
+    the durations share, so each map's bits depend only on its own
+    duration: a build alone is a row of one.
     """
-    total = None
-    for d in _pair_step_maps(kind, params, noise, duration, n_steps):
-        product, bound = _tree_product(kind, d)
-        if total is not None:
-            product = _then(total, product)
-            bound = _certify(kind, product, total_bound, bound)
-        total, total_bound = product, bound
-    return _to_row_major(total, _pair_letters(kind, noise)[2])
+    zs = [_constant_coefficient(kind, params, noise, duration, n_steps) for duration in durations]
+    totals: list = [None] * len(zs)
+    for chunk in _pair_series(kind, params, noise, n_steps):
+        for i, z in enumerate(zs):
+            if isinstance(totals[i], TraceDriftError):
+                continue
+            try:
+                product, bound = _tree_product(kind, _pair_step_maps(kind, noise, chunk, z))
+                if totals[i] is not None:
+                    total, total_bound = totals[i]
+                    product = _then(total, product)
+                    bound = _certify(kind, product, total_bound, bound)
+                totals[i] = product, bound
+            except TraceDriftError as error:
+                totals[i] = error
+    layout = _pair_letters(kind, noise)[2]
+    return [t if isinstance(t, TraceDriftError) else _to_row_major(t[0], layout) for t in totals]
 
 
 def _scan_product(kind: str, d: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
@@ -588,12 +708,54 @@ def gate_superoperator(
 
     def build():
         if noise.kind != "none":
-            return _pair_rk4(kind, params, noise, duration, n_steps)
+            (phi,) = _pair_rk4(kind, params, noise, [duration], n_steps)
+            if isinstance(phi, TraceDriftError):
+                raise phi
+            return phi
         u = slot_unitary(kind, params, duration, n_steps)
         _check_unitary(u)
         return _kron4(u, u.conj())
 
-    return _PAIR_PROP_CACHE.get((kind, params, noise, float(duration), n_steps), build)
+    return _PAIR_PROP_CACHE.get(_map_key(gate, noise, duration, n_steps), build)
+
+
+def _map_key(gate: GateSpec, noise: NoiseModel, duration: float, n_steps: int) -> tuple:
+    return gate.kind, gate.params, noise, float(duration), n_steps
+
+
+def gate_superoperators(
+    gate: GateSpec,
+    noise: NoiseModel,
+    durations,
+    cfg: IntegratorConfig | None = None,
+) -> list[np.ndarray]:
+    """:func:`gate_superoperator` for each of ``durations``, in order. The
+    noisy maps not cached yet are built first, one :func:`_pair_rk4` row
+    per step count, and each is cached under its own key, so they equal
+    the maps built alone bit for bit. A duration whose map cannot be built
+    is left to its own call, which raises: the first such duration in
+    order raises, after the row's good maps are cached.
+    """
+    cfg = cfg or IntegratorConfig()
+    if noise.kind != "none":
+        rows: dict[int, list] = {}
+        for duration in durations:
+            try:
+                n_steps, _ = _resolve_steps(duration, cfg)
+            except ValueError:
+                continue
+            rows.setdefault(n_steps, []).append(_map_key(gate, noise, duration, n_steps))
+
+        def build(keys):
+            maps = _pair_rk4(gate.kind, gate.params, noise, [key[3] for key in keys], keys[0][4])
+            return {key: phi for key, phi in zip(keys, maps) if not isinstance(phi, TraceDriftError)}
+
+        for keys in rows.values():
+            try:
+                _PAIR_PROP_CACHE.build_many(keys, build)
+            except (NumericalError, ValueError):
+                pass  # a failure of the whole row: the calls below raise it in order
+    return [gate_superoperator(gate, noise, duration, cfg) for duration in durations]
 
 
 def gate_step_maps(
@@ -618,8 +780,10 @@ def gate_step_maps(
             _check_unitary(u)
             yield dt * np.arange(first + 1, first + len(u) + 1), _kron4(u, u.conj())
         return
+    z = _constant_coefficient(kind, params, noise, duration, n_steps)
     h, total, first = duration / n_steps, None, 0
-    for d in _pair_step_maps(kind, params, noise, duration, n_steps):
+    for chunk in _pair_series(kind, params, noise, n_steps):
+        d = _pair_step_maps(kind, noise, chunk, z)
         prefix, bound = _scan_product(kind, d)
         if total is not None:
             prefix = _then(total, prefix)

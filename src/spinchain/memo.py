@@ -35,3 +35,12 @@ class BuildOnce:
             if value is _MISSING:
                 value = self._values[key] = build()
         return value
+
+    def build_many(self, keys, build):
+        """Build the ``keys`` not held yet in one call: ``build(missing)``
+        gets them in order, without repeats, and returns a dict of the
+        values it made. A key it leaves out stays missing."""
+        with self._lock:
+            missing = [key for key in dict.fromkeys(keys) if key not in self._values]
+            if missing:
+                self._values.update(build(missing))

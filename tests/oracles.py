@@ -34,6 +34,7 @@ from spinchain.calibration import (
     analytic_channel_areas,
 )
 from spinchain.circuits import _input_sites
+from spinchain import dynamics
 from spinchain.dynamics import (
     DEFAULT_STEPS_PER_SLOT,
     IntegratorConfig,
@@ -51,9 +52,10 @@ from spinchain.hamiltonians import (
     gate_eigensystem,
     ideal_gate_matrix,
     materialize_channel_pulses,
+    rescale_channel_params,
 )
 from spinchain.operators import check_state, num_qubits
-from spinchain.pulses import PulseSchedule
+from spinchain.pulses import PulseSchedule, gaussian
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,6 +335,42 @@ def pair_rk4_loop(kind, params, noise, duration, n_steps, observer=None):
         if observer is not None:
             observer(m * dt + dt, phi)
     return phi
+
+
+def pair_step_maps_stages(kind, params, noise, duration, n_steps):
+    """The packed RK4 step maps minus the identity of one driven pair
+    across one slot, chunk by chunk as ``dynamics._pair_step_maps`` gives
+    them, by the three RK4 stage products of every step.
+
+    The reference for the series of ``dynamics._pair_series``: the same
+    packed letters (``dynamics._pair_letters``) times the drive sampled at
+    each step's start, midpoint and end of the slot itself, then the
+    stages applied to the identity, hk_2 = h g_m (I + hk_1 / 2), hk_3 =
+    h g_m (I + hk_2 / 2), hk_4 = h g_4 (I + hk_3), combined as (hk_1 +
+    2 hk_2 + 2 hk_3 + hk_4) / 6.
+    """
+    amplitude, width, center = rescale_channel_params(params, 0.0, duration)
+    letters, _, layout = dynamics._pair_letters(kind, noise)
+    k, b = layout.shape
+    h = duration / n_steps
+    eye = np.eye(b)
+    for first in range(0, n_steps, dynamics.PAIR_CHUNK_STEPS):
+        steps = np.arange(first, min(first + dynamics.PAIR_CHUNK_STEPS, n_steps))
+        t0 = steps * h
+        samples = (
+            h * gaussian(t0, amplitude, width, center),
+            h * gaussian(t0 + 0.5 * h, amplitude, width, center),
+            h * gaussian(t0 + h, amplitude, width, center) * (steps < n_steps - 1),
+        )
+        hg1, hgm, hg4 = (
+            (np.column_stack([np.full(len(steps), h), *sample]) @ letters).reshape(-1, k, b, b)
+            for sample in samples
+        )
+        hk1 = hg1
+        hk2 = hgm @ (eye + 0.5 * hk1)
+        hk3 = hgm @ (eye + 0.5 * hk2)
+        hk4 = hg4 @ (eye + hk3)
+        yield (hk1 + 2.0 * hk2 + 2.0 * hk3 + hk4) / 6.0
 
 
 def stepped_unitary(schedule, n, n_steps, observer=None):

@@ -139,6 +139,20 @@ def test_worker_count_does_not_change_the_rows(tmp_path):
     assert body_of(serial) == body_of(pooled)
 
 
+def test_default_duration_sweep_body_ignores_workers(tmp_path, monkeypatch):
+    # each (gate, gamma) row of 30 durations builds as one series, on a
+    # cold cache both times
+    bodies = []
+    for workers in ("1", "2"):
+        monkeypatch.setattr(dynamics, "_PAIR_PROP_CACHE", BuildOnce())
+        code, out = run(tmp_path, ["duration-sweep", "--workers", workers], f"w{workers}.csv")
+        assert code == 0
+        lines = out.read_bytes().splitlines(keepends=True)
+        bodies.append(b"".join(line for line in lines if not line.startswith(b"#")))
+    assert len(bodies[0].splitlines()) == 181
+    assert bodies[0] == bodies[1]
+
+
 def test_csv_is_newline_terminated_without_carriage_returns(tmp_path):
     _, out = run(tmp_path, SWEEP_ARGS)
     text = out.read_text()
@@ -492,7 +506,7 @@ def test_generator_that_breaks_hermiticity_exits_4(tmp_path, monkeypatch, capsys
 
 def test_broken_transport_gate_aborts_on_the_final_trace(tmp_path, monkeypatch, capsys):
     # a noisy pair map that is not trace-preserving, past the build's own check
-    monkeypatch.setattr(dynamics, "_pair_rk4", lambda *args: 2.0 * np.eye(16))
+    monkeypatch.setattr(dynamics, "_pair_rk4", lambda *args: [2.0 * np.eye(16)] * len(args[3]))
     code, _ = run(tmp_path, ["chain-sweep", "--noise", "dephasing", "--n", "3"])
     assert code == 4
     err = capsys.readouterr().err

@@ -12,6 +12,7 @@ from oracles import (
     evolve_unitary,
     idle_schedule,
     pair_rk4_loop,
+    pair_step_maps_stages,
     reduced_state,
     rk4_lindblad,
     stepped_unitary,
@@ -34,6 +35,7 @@ from spinchain.dynamics import (
     gate_fidelity,
     gate_step_maps,
     gate_superoperator,
+    gate_superoperators,
     slot_unitary,
 )
 from spinchain.hamiltonians import (
@@ -361,9 +363,30 @@ def test_pair_build_matches_the_sequential_loop(kind, noise_kind):
     params, noise = GATE_BUILDERS[kind](1, 2).params, NoiseModel(noise_kind, 0.01)
     for alpha in (1.0, 10.0, 100.0):
         for n_steps in (1, 2, 3, 255, 256, 257, 1000):
-            built = dynamics._pair_rk4(kind, params, noise, alpha, n_steps)
+            (built,) = dynamics._pair_rk4(kind, params, noise, [alpha], n_steps)
             loop = pair_rk4_loop(kind, params, noise, alpha, n_steps)
             assert np.max(np.abs(built - loop)) <= 1e-12, (alpha, n_steps)
+
+
+@pytest.mark.parametrize("noise_kind", ["dephasing", "amplitude_damping"])
+@pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
+def test_series_step_maps_match_the_stage_products(kind, noise_kind):
+    # the duration series of one grid, evaluated at each duration, against
+    # the three RK4 stage products of the slot itself, chunk by chunk
+    params, noise = GATE_BUILDERS[kind](1, 2).params, NoiseModel(noise_kind, 0.01)
+    alphas = EDGE_ALPHAS + (1.0, 10.0, 100.0)
+    for n_steps in (1, 2, 3, 255, 256, 257, 1000):
+        zs = [dynamics._constant_coefficient(kind, params, noise, a, n_steps) for a in alphas]
+        stages = [pair_step_maps_stages(kind, params, noise, a, n_steps) for a in alphas]
+        chunks = 0
+        # each chunk lives in a workspace that the next one overwrites
+        for chunk in dynamics._pair_series(kind, params, noise, n_steps):
+            for alpha, z, reference in zip(alphas, zs, stages):
+                d = dynamics._pair_step_maps(kind, noise, chunk, z)
+                assert np.max(np.abs(d - next(reference))) <= 1e-13, (alpha, n_steps)
+            chunks += 1
+        assert chunks == -(-n_steps // PAIR_CHUNK_STEPS)
+        assert all(next(reference, None) is None for reference in stages)
 
 
 def test_observed_pair_build_matches_the_sequential_loop_at_every_step():
@@ -468,7 +491,7 @@ def test_built_maps_are_exactly_zero_between_the_halves(kind, noise_kind, monkey
     monkeypatch.setattr(
         dynamics, "_to_row_major", lambda d, layout: packed.append(d.copy()) or to_row_major(d, layout)
     )
-    dynamics._pair_rk4(kind, gate.params, noise, 1.0, n_steps)
+    dynamics._pair_rk4(kind, gate.params, noise, [1.0], n_steps)
     blocks = phi[layout[:, :, None], layout[:, None, :]] - np.eye(layout.shape[1])
     assert np.max(np.abs(packed[0] - blocks)) <= 1e-14
 
@@ -489,7 +512,7 @@ def test_coarser_layouts_build_the_same_maps_bit_for_bit(kind, monkeypatch):
     def maps():
         for alpha in (1.0, 10.0, 100.0):
             for n_steps in (1, 2, 3, 255, 256, 257, 1000):
-                yield dynamics._pair_rk4(kind, gate.params, noise, alpha, n_steps)
+                yield from dynamics._pair_rk4(kind, gate.params, noise, [alpha], n_steps)
                 cfg = IntegratorConfig(dt=alpha / n_steps)
                 yield from (m for _, m in gate_step_maps(gate, noise, alpha, cfg))
 
@@ -497,6 +520,7 @@ def test_coarser_layouts_build_the_same_maps_bit_for_bit(kind, monkeypatch):
     for k in (2, 1):
         monkeypatch.setattr(dynamics, "_pack_blocks", lambda pattern, k=k: merged_layout(layout, k))
         dynamics._pair_letters.cache_clear()
+        dynamics._pair_words.cache_clear()
         assert dynamics._pair_letters(kind, noise)[2].shape == (k, 16 // k)
         coarse = list(maps())
         assert len(coarse) == len(fine)
@@ -513,10 +537,10 @@ def broken_steps(monkeypatch, index, value, offsets=(0,)):
     step_maps = dynamics._pair_step_maps
 
     def broken(*args):
-        for d in step_maps(*args):
-            for offset in offsets:
-                d[(len(d) // 2 + offset, *index)] += value
-            yield d
+        d = step_maps(*args)
+        for offset in offsets:
+            d[(len(d) // 2 + offset, *index)] += value
+        return d
 
     monkeypatch.setattr(dynamics, "_pair_step_maps", broken)
 
@@ -525,7 +549,7 @@ def pair_runs(kind, noise, n_steps=100):
     """The build and the drained stream of one ``n_steps``-step pair map."""
     gate = GATE_BUILDERS[kind](1, 2)
     return (
-        lambda: dynamics._pair_rk4(kind, gate.params, noise, 1.0, n_steps),
+        lambda: gate_superoperator(gate, noise, 1.0, IntegratorConfig(dt=1.0 / n_steps)),
         lambda: list(gate_step_maps(gate, noise, 1.0, IntegratorConfig(dt=1.0 / n_steps))),
     )
 
@@ -649,24 +673,28 @@ def test_hermiticity_is_held_letter_by_letter(monkeypatch):
 
 
 def test_long_pair_build_runs_in_bounded_memory():
-    # the step maps are made, multiplied and streamed in chunks: all 20 000
-    # at once would take ~230 MiB, and 20 000 row-major maps ~80 MiB; the
-    # cnot_rotated build under amplitude damping runs on one 16x16 block
+    # the pulses are sampled and the step maps made, multiplied and streamed
+    # in chunks: all 20 000 at once would take ~230 MiB, and 20 000
+    # row-major maps ~80 MiB; the cnot_rotated build under amplitude damping
+    # runs on one 16x16 block, and MAX_STEPS_PER_SLOT steps hold no more
     gate, noise = swap_gate(1, 2), NoiseModel("dephasing", 0.01)
     amp = NoiseModel("amplitude_damping", 0.01)
     assert dynamics._pair_letters("cnot_rotated", amp)[2].shape == (1, 16)
 
-    def drain(noise):
-        stream = gate_step_maps(gate, noise, 20.0, IntegratorConfig(dt=1e-3))
-        assert sum(len(t) for t, _ in stream) == 20_001
+    def drain(noise, n_steps=20_000):
+        stream = gate_step_maps(gate, noise, n_steps * 1e-3, IntegratorConfig(dt=1e-3))
+        assert sum(len(t) for t, _ in stream) == n_steps + 1
 
-    def build(gate, noise):
-        dynamics._pair_rk4(gate.kind, gate.params, noise, 20.0, 20_000)
+    def build(gate, noise, n_steps=20_000):
+        (phi,) = dynamics._pair_rk4(gate.kind, gate.params, noise, [n_steps * 1e-3], n_steps)
+        assert isinstance(phi, np.ndarray)
 
     runs = (
         lambda: build(gate, noise),
         lambda: build(rotated_cnot_gate(1, 2), amp),
+        lambda: build(rotated_cnot_gate(1, 2), amp, MAX_STEPS_PER_SLOT),
         lambda: drain(noise),
+        lambda: drain(noise, MAX_STEPS_PER_SLOT),
         lambda: drain(NOISELESS),
     )
     for run in runs:
@@ -813,6 +841,62 @@ def test_maps_are_cached_by_step_count(monkeypatch):
     assert len(builds) == 1 and len(values) == 1
     gate_fidelity(psi, swap_gate(1, 2), noise, alpha, IntegratorConfig(dt=alpha / 500))
     assert len(builds) == 2
+
+
+SWEPT_ALPHAS = tuple(float(a) for a in np.geomspace(1.0, 100.0, 30))
+
+
+def built_alone(gate, noise, alpha, cfg):
+    """The map of one duration built alone, on a cold cache."""
+    cache = dynamics._PAIR_PROP_CACHE
+    dynamics._PAIR_PROP_CACHE = BuildOnce()
+    try:
+        return gate_superoperator(gate, noise, alpha, cfg)
+    finally:
+        dynamics._PAIR_PROP_CACHE = cache
+
+
+@pytest.mark.parametrize(
+    "alphas, dt",
+    [(SWEPT_ALPHAS, None), (tuple(0.1 * m for m in range(1, 31)), 0.01)],
+    ids=["default grid", "dt grid"],
+)
+@pytest.mark.parametrize("kind, noise_kind", [("swap", "dephasing"), ("cnot", "amplitude_damping")])
+def test_each_map_of_a_row_equals_its_build_alone(kind, noise_kind, alphas, dt, monkeypatch):
+    # the default grid builds the 30 durations as one row; the dt grid
+    # gives each its own step count, so a row of one per duration
+    builds = []
+    build = dynamics._pair_rk4
+    monkeypatch.setattr(
+        dynamics, "_pair_rk4", lambda *args: builds.append(len(args[3])) or build(*args)
+    )
+    gate, noise = GATE_BUILDERS[kind](1, 2), NoiseModel(noise_kind, 0.1)
+    cfg = IntegratorConfig(dt=dt)
+    maps = gate_superoperators(gate, noise, alphas, cfg)
+    assert builds == ([30] if dt is None else [1] * 30)
+    assert len(maps) == len(alphas)
+    for alpha, phi in zip(alphas, maps):
+        assert phi is gate_superoperator(gate, noise, alpha, cfg)  # cached under its own key
+        assert np.array_equal(phi, built_alone(gate, noise, alpha, cfg)), alpha
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # neither abort reaches a numpy overflow
+def test_a_row_raises_its_first_unstable_duration_and_keeps_the_good_maps():
+    # at gamma = 1e7 a slot of 1e-6 is stable; at alpha = 1 the step maps
+    # grow past the bound, and at alpha = 100 the step generators already do
+    gate, noise = swap_gate(1, 2), NoiseModel("dephasing", 1e7)
+    alphas = (1e-6, 100.0, 1.0, 2e-6)
+    alone = {
+        alpha: abort_message(lambda a=alpha: built_alone(gate, noise, a, None))
+        for alpha in (1.0, 100.0)
+    }
+    assert "a step generator entry" in alone[100.0] and "an entry" in alone[1.0]
+    assert abort_message(lambda: gate_superoperators(gate, noise, alphas)) == alone[100.0]
+    # the good maps of the row are cached, and equal their builds alone
+    cached = {key[3]: phi for key, phi in dynamics._PAIR_PROP_CACHE._values.items()}
+    assert sorted(cached) == [1e-6, 2e-6]
+    for alpha, phi in cached.items():
+        assert np.array_equal(phi, built_alone(gate, noise, alpha, None))
 
 
 @pytest.mark.parametrize("alpha", EDGE_ALPHAS + (1.0,))

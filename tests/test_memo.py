@@ -55,3 +55,31 @@ def test_failed_build_stores_nothing():
         cache.get("key", broken)
     assert cache.get("key", lambda: 1) == 1
     assert cache.get("key", lambda: 2) == 1
+
+
+def test_concurrent_rows_build_each_missing_key_once():
+    # overlapping rows from many threads: each key is built by one row
+    # only, a key a build leaves out stays missing, and repeats are asked once
+    cache = BuildOnce()
+    built = []
+    barrier = threading.Barrier(8)
+
+    def build(keys):
+        built.extend(keys)
+        time.sleep(0.01)
+        return {key: ("value", key) for key in keys if key != 3}
+
+    def worker(row):
+        barrier.wait(timeout=5)
+        cache.build_many(row, build)
+
+    rows = [[i % 4, (i + 1) % 4, i % 4, 4 + i] for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_threads([lambda row=row: worker(row) for row in rows])
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(k for k in built if k != 3) == [0, 1, 2] + list(range(4, 12))
+    assert all(cache.get(key, lambda: None) == ("value", key) for key in [0, 1, 2, *range(4, 12)])
+    assert cache.get(3, lambda: "built alone") == "built alone"
