@@ -21,6 +21,7 @@ from .circuits import (
     TransportCircuit,
     build_transport_circuit,
     default_map_grid,
+    evolve_lindblad_product,
     fidelity_difference_map,
     fit_cos_two_phi,
     transport_fidelity,
@@ -32,7 +33,6 @@ from .dynamics import (
     NoiseModel,
     NumericalError,
     TraceDriftError,
-    evolve_lindblad_product,
     gate_fidelity,
     slot_unitary,
 )

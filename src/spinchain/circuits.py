@@ -16,9 +16,18 @@ Layouts:
   so the whole circuit takes N/2 slots instead of 2(N-2) + 1.
 
 Every run, noisy or not, contracts the circuit site by site from the
-product input (:func:`spinchain.dynamics.evolve_lindblad_product`). On
-both layouts the contraction frontier peaks at 1024 entries whatever the
-length, so a run costs time linear in N and never forms a 2^N state.
+product input (:func:`evolve_lindblad_product`). Transport from product
+inputs is a tensor network with one wire per site: its input, the
+closed-form idle channel over each gap between its gates (the idle
+channels form a semigroup), its gates in slot order, then a trace, or an
+open leg for a readout site. Each gate is its cached slot map
+(:func:`spinchain.dynamics.gate_superoperator`) read as a (4, 4, 4, 4)
+tensor. The contraction cuts that network by site instead of by time
+(Markov & Shi, SIAM J. Comput. 38, 963 (2008)): sites join one frontier
+tensor in index order, a gate's first site brings in the whole gate and
+its second site closes the gate's legs. On both layouts the frontier
+peaks at 1024 entries whatever the length, so a run costs time linear in
+N and never forms a 2^N state.
 """
 
 from __future__ import annotations
@@ -32,7 +41,9 @@ from .dynamics import (
     NOISELESS,
     IntegratorConfig,
     NoiseModel,
-    evolve_lindblad_product,
+    _check_trace,
+    _idle_superop,
+    gate_superoperator,
 )
 from .hamiltonians import GateSpec, cnot_gate, ideal_gate_matrix, swap_gate
 from .operators import fidelity_to_pure
@@ -183,6 +194,156 @@ def build_transport_circuit(
         gates=tuple(gates),
         schedule=schedule,
     )
+
+
+# ---------------------------------------------------------------------------
+# Transport from product inputs: contraction along the chain (see the
+# module docstring)
+
+FRONTIER_MAX_ENTRIES = 4**11  # 64 MiB of complex128
+_VEC_I2 = np.eye(2, dtype=complex).reshape(4)
+
+
+def _gate_tensor(
+    spec: GateSpec, noise: NoiseModel, tau: float, cfg: IntegratorConfig | None
+) -> np.ndarray:
+    """A gate's cached slot map (:func:`gate_superoperator`) as a
+    ``(4, 4, 4, 4)`` tensor with legs (out_a, out_b, in_a, in_b), one
+    row-major 2x2 leg per site of ``spec.qubits``."""
+    phi = gate_superoperator(spec, noise, tau, cfg)
+    return phi.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(4, 4, 4, 4)
+
+
+def _check_frontier(entries: int):
+    if entries > FRONTIER_MAX_ENTRIES:
+        raise ValueError(
+            f"the contraction frontier would hold {entries} entries, over the "
+            f"limit of {FRONTIER_MAX_ENTRIES}"
+        )
+
+
+def evolve_lindblad_product(
+    site_states,
+    schedule: PulseSchedule,
+    noise: NoiseModel,
+    keep,
+    cfg: IntegratorConfig | None = None,
+) -> np.ndarray:
+    """The state of the sites ``keep`` (1-based, in that order) after
+    running ``schedule`` on the product of the 2x2 ``site_states``.
+
+    Equal to integrating the master equation on the Kronecker product of
+    the inputs and taking a partial trace, but contracted site by site
+    (see the module docstring). A frontier over ``FRONTIER_MAX_ENTRIES`` entries raises
+    ``ValueError``; the trace of the result is checked, never
+    renormalised.
+    """
+    states = [np.asarray(s, dtype=complex) for s in site_states]
+    n = len(states)
+    keep = tuple(int(s) for s in keep)
+    if len(set(keep)) != len(keep) or any(not 1 <= s <= n for s in keep):
+        raise ValueError("keep must list distinct sites of the chain")
+    for state in states:
+        if state.shape != (2, 2):
+            raise ValueError("site states must be 2x2 density matrices")
+        _check_trace(state, "in the initial state")
+    tau = schedule.slot_duration
+
+    # Blocks: gates on one pair that no other gate on either site separates
+    # compose into one tensor, so a pair's repeated gates cost no more
+    # frontier legs than one. Each block is [qubits, first slot, last slot,
+    # tensor].
+    blocks: list[list] = []
+    events: list[list[int]] = [[] for _ in range(n + 1)]  # site -> its blocks
+    for entry in sorted(schedule.entries, key=lambda e: e.slot):
+        spec: GateSpec = entry.gate
+        if max(spec.qubits) > n:
+            raise ValueError("gate addresses a qubit outside the chain")
+        g = _gate_tensor(spec, noise, tau, cfg)
+        a, b = spec.qubits
+        if events[a] and events[b] and events[a][-1] == events[b][-1]:
+            block = blocks[events[a][-1]]
+            if block[0] != spec.qubits:
+                g = g.transpose(1, 0, 3, 2)
+            m = _idle_superop(noise, (entry.slot - block[2] - 1) * tau)
+            block[3] = np.einsum("abcd,ce,df,efgh->abgh", g, m, m, block[3])
+            block[2] = entry.slot
+        else:
+            events[a].append(len(blocks))
+            events[b].append(len(blocks))
+            blocks.append([spec.qubits, entry.slot, entry.slot, g])
+
+    # One axis per open leg, labelled: "wire" (the site being absorbed),
+    # ("in"|"out", block index, site) for a block whose second site is
+    # still to come, and ("keep", site) for a readout site. A site's wire
+    # stays a loose vector until it meets the frontier.
+    frontier = np.ones((), dtype=complex)
+    legs: list = []
+    loose = None
+
+    def join():
+        nonlocal frontier, loose
+        _check_frontier(4 * frontier.size)
+        frontier = np.multiply.outer(frontier, loose)
+        legs.append("wire")
+        loose = None
+
+    def idle(slots: int):
+        nonlocal frontier, loose
+        if not slots or noise.kind == "none":
+            return
+        m = _idle_superop(noise, slots * tau)
+        if loose is not None:
+            loose = m @ loose
+        else:
+            wire = legs.index("wire")
+            frontier = np.tensordot(frontier, m, axes=([wire], [1]))
+            legs.append(legs.pop(wire))
+
+    for site in range(1, n + 1):
+        loose = states[site - 1].reshape(4)
+        slot = 0
+        for index in events[site]:
+            qubits, first, last, tensor = blocks[index]
+            idle(first - slot)
+            slot = last + 1
+            if site == min(qubits):  # the block joins the frontier
+                if loose is not None:
+                    join()
+                own = qubits.index(site)
+                wire = legs.index("wire")
+                legs.remove("wire")
+                _check_frontier(16 * frontier.size)
+                frontier = np.tensordot(frontier, tensor, axes=([wire], [2 + own]))
+                legs += [("out", index, q) for q in qubits] + [("in", index, qubits[1 - own])]
+            else:  # the wire closes the block's input leg on this site
+                leg = legs.index(("in", index, site))
+                if loose is not None:
+                    frontier = np.tensordot(frontier, loose, axes=([leg], [0]))
+                    loose = None
+                else:
+                    wire = legs.index("wire")
+                    frontier = np.trace(frontier, axis1=wire, axis2=leg)
+                    legs.remove("wire")
+                legs.remove(("in", index, site))
+            legs[legs.index(("out", index, site))] = "wire"
+        idle(schedule.num_slots - slot)
+        if loose is not None:  # no gate touched the site
+            join()
+        wire = legs.index("wire")
+        if site in keep:
+            legs[wire] = ("keep", site)
+        else:
+            frontier = np.tensordot(frontier, _VEC_I2, axes=([wire], [0]))
+            legs.remove("wire")
+
+    w = len(keep)
+    order = [legs.index(("keep", site)) for site in keep]
+    t = frontier.transpose(order).reshape((2,) * (2 * w))
+    t = t.transpose(list(range(0, 2 * w, 2)) + list(range(1, 2 * w, 2)))
+    rho = np.ascontiguousarray(t).reshape(2**w, 2**w)
+    _check_trace(rho, "in the final state")
+    return rho
 
 
 def _as_qubit_vector(state) -> np.ndarray:

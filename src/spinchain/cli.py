@@ -19,7 +19,7 @@ Single-gate runs act on their pair alone, through the gate's 16x16 slot
 map from ``dynamics.gate_superoperator``: ``kron(U, U*)`` of the
 closed-form slot unitary when noiseless, pair RK4 when noisy, cached by
 gate, noise, duration and step count. ``duration-sweep`` builds the
-maps of each (gate, gamma) row of durations together
+maps of each gate's (gamma, duration) cases together
 (``dynamics.gate_superoperators``) and applies each to the input.
 ``trace`` reads the map after every step from the stream
 ``dynamics.gate_step_maps``, for all three inputs at once;
@@ -458,20 +458,22 @@ def run_duration_sweep(s: Settings):
     gates = _swept_kinds(s)
     psi0 = np.kron(_KET_PLUS, _KET_ZERO)
     cfg = IntegratorConfig(dt=s.dt)
-    sweeps = list(product(gates, s.gammas))
+    cases = list(product(s.gammas, s.alphas))
 
-    def job(kind, gamma):
-        # one (gate, gamma) row of durations shares its pair builds
-        gate, noise = GATE_BUILDERS[kind](1, 2), s.noise(gamma)
-        gate_superoperators(gate, noise, s.alphas, cfg)
-        return [gate_fidelity(psi0, gate, noise, alpha, cfg) for alpha in s.alphas]
+    def job(kind):
+        # every (gamma, alpha) case of one gate shares its pair builds
+        gate, noises = GATE_BUILDERS[kind](1, 2), [s.noise(gamma) for gamma in s.gammas]
+        gate_superoperators(gate, noises, s.alphas, cfg)
+        return [
+            gate_fidelity(psi0, gate, noise, alpha, cfg) for noise in noises for alpha in s.alphas
+        ]
 
-    values = run_jobs([lambda r=r: job(*r) for r in sweeps], s.workers)
+    values = run_jobs([lambda k=k: job(k) for k in gates], s.workers)
     columns = ["duration", "gamma", "gate", "fidelity", "dt"]
     rows = [
         (alpha, gamma, kind, value, _resolve_steps(alpha, cfg)[1])
-        for (kind, gamma), row in zip(sweeps, values)
-        for alpha, value in zip(s.alphas, row)
+        for kind, row in zip(gates, values)
+        for (gamma, alpha), value in zip(cases, row)
     ]
     return [("", [], columns, rows)], EXIT_OK
 

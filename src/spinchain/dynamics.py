@@ -1,5 +1,4 @@
-"""Time evolution: closed-form unitary slots, pair propagators and the
-contraction along the chain.
+"""Time evolution: closed-form unitary slots and pair propagators.
 
 Each gate drives its qubit pair with a Gaussian exchange pulse inside its
 own slot, and the Pauli terms of one gate commute. Every kernel uses that
@@ -32,26 +31,32 @@ Noisy slots
     damping and one 16x16 block for cnot_rotated under it. Every map of a
     build is a ``(k, b, b)`` stack of blocks, and four 4x4 blocks cost a
     16th of a 16x16 product.
-    The step maps of every duration on one step grid come from one series
-    in the duration. A stretched gate keeps its pulse shapes in rescaled
-    time s = t / alpha, so each step generator ``h g`` is the unit slot's
-    drive plus the dissipator sum times z, alpha times a fixed scale.
-    RK4's step map minus the identity is a fixed polynomial in its three
-    stage generators (Hairer, Norsett & Wanner, Solving ODEs I, §II.1);
-    expanded over words of the letters and grouped by their number p of
-    dissipator letters, it is ``sum_p z^p Q_p``, p = 0..4, and ``Q_p``
-    depends only on the kind, parameters, noise and step count. Per chunk
-    of ``PAIR_CHUNK_STEPS`` steps, one small GEMM per power gives the
-    ``Q_p`` from the steps' word coefficients and a cached word table;
-    each duration then takes one GEMV for its own step maps, and a
-    pairwise tree (Blelloch, CMU-CS-90-190) multiplies them. A map's bits
-    depend only on its own duration, so a map built in a row of durations
-    equals its build alone. Maps are carried as their difference from the
-    identity, so near-identity steps multiply without losing digits, and
-    scattered back into 16x16 only for the row-major map. Sums and
-    products of block-diagonal maps stay block-diagonal, so the entries
-    left out are exactly zero and the packed build equals the 16x16 one
-    bit for bit.
+    The step maps of every case on one step grid come from one series in
+    the duration and the decay rate. A stretched gate keeps its pulse
+    shapes in rescaled time s = t / alpha, so each step generator ``h g``
+    is the unit slot's drive plus the dissipator sum times z = h gamma
+    scale, where the dissipator is normalised at gamma = 1 and scale is
+    its largest entry. RK4's step map minus the identity is a fixed
+    polynomial in its three stage generators (Hairer, Norsett & Wanner,
+    Solving ODEs I, §II.1); expanded over words of the letters and grouped
+    by their number p of dissipator letters, it is ``sum_p z^p Q_p``, p =
+    0..4, and ``Q_p`` depends only on the kind, parameters, noise kind and
+    step count. The word tables are kept per (kind, noise kind), so every
+    rate of a noise kind shares them. Per chunk of ``PAIR_CHUNK_STEPS``
+    steps, one small GEMM per power gives the ``Q_p`` from the steps' word
+    coefficients; each case then takes one GEMV for its own step maps, and
+    a pairwise tree (Blelloch, CMU-CS-90-190) multiplies them. A build's
+    chunk holds its steps in bit-reversed order, padded to a power of two
+    with steps whose coefficients are all zero, so their step maps are
+    exactly 0, the identity: each tree level multiplies the contiguous
+    halves of the last, and its entries cover the same runs of steps, with
+    the same products, as a tree in time order. A map's bits depend only on its
+    own z, so a map built in a row of cases equals its build alone. Maps
+    are carried as their difference from the identity, so near-identity
+    steps multiply without losing digits, and scattered back into 16x16
+    only for the row-major map. Sums and products of block-diagonal maps
+    stay block-diagonal, so the entries left out are exactly zero and the
+    packed build equals the 16x16 one bit for bit.
 
 Single gates
     :func:`gate_superoperator` is the one entry point for a gate alone on
@@ -60,25 +65,13 @@ Single gates
     otherwise. Maps are cached by ``(kind, params, noise, duration,
     n_steps)``: an explicit ``dt`` and the default grid share a build
     when they give the same step count. :func:`gate_superoperators`
-    builds the missing maps of a row of durations together, one series
-    per step count. :func:`gate_fidelity` and transport read these maps;
-    the ``trace`` command reads
-    :func:`gate_step_maps`, an uncached stream of the map after every
-    step: the closed form at cumulative areas, or the prefix products of
-    each chunk of RK4 step maps, taken by a scan.
-
-Contraction along the chain
-    Transport from product inputs is a tensor network with one wire per
-    site: its input, the closed-form idle channel over each gap between
-    its gates (the idle channels form a semigroup), its gates in slot
-    order, then a trace, or an open leg for a readout site. Each gate is
-    its cached slot map read as a (4, 4, 4, 4) tensor.
-    :func:`evolve_lindblad_product` cuts that network by site instead of
-    by time (Markov & Shi, SIAM J. Comput. 38, 963 (2008)): sites join
-    one frontier tensor in index order, a gate's first site brings in the
-    whole gate and its second site closes the gate's legs. On the
-    transport circuits the frontier never exceeds 1024 entries, so the
-    cost is linear in the length.
+    builds the missing maps of a gate's (noise, duration) cases together,
+    one series per noise kind and step count. :func:`gate_fidelity` and
+    transport (:mod:`spinchain.circuits`) read these maps; the ``trace``
+    command reads :func:`gate_step_maps`, an uncached stream of the map
+    after every step: the closed form at cumulative areas, or the prefix
+    products of each chunk of RK4 step maps, taken by a scan over the
+    chunk in time order.
 
 Pulses are truncated to their slot. Whether a grid point carries drive is
 decided by its step index (the slot-end point never does), so results do
@@ -89,23 +82,28 @@ Trace is monitored, never renormalised: drift beyond ``TRACE_ABORT_TOL``
 pair propagator that, while it is built, stops being finite, keeping its
 trace row (Pauli 0's packed row stays e_0 to ``TRACE_ABORT_TOL``) or
 bounded (no entry above ``1 / TRACE_ABORT_TOL``; a CPTP map has none
-above 1). The step maps are searched; every later level of a build's
-tree, a stream's scan and their chunk folds is certified by an a-priori
-bound on its entries, or searched once that bound passes a tolerance, so
-an unstable step grid aborts, at the level where a search of every level
-would, before numpy overflows and before a stream hands out a step map.
-The step generators are held to the same bound before the series takes
+above 1). The step maps are certified from the series before they are
+made: each chunk records the largest entry of each ``Q_p`` and of its
+trace row (exactly 0 while every letter preserves trace), and ``sum_p
+z^p`` times them bounds the step maps of each z. Every later level of a
+build's tree, a stream's scan and their chunk folds is certified by an
+a-priori bound on its entries, from the bound of the level below. A
+stack whose bound passes a tolerance is searched instead, so an unstable
+step grid aborts, at the level where a search of every level would,
+before numpy overflows and before a stream hands out a step map. The
+step generators are held to the same bound before the series takes
 powers of z, which the bound caps, and a generator letter that is not
-finite (a decay rate near the float limit) fails as not bounded, so no
-rate reaches a numpy overflow either. A slot unitary more than 1e-9
-away from unitary raises :class:`NumericalError` when its map, or its
-stream chunk, is built. Integrator bugs cannot hide.
+finite at the case's own rate (a decay rate near the float limit) fails
+as not bounded, so no rate reaches a numpy overflow either. A slot
+unitary more than 1e-9 away from unitary raises :class:`NumericalError`
+when its map, or its stream chunk, is built. Integrator bugs cannot hide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,7 +116,7 @@ from .hamiltonians import (
 )
 from .memo import BuildOnce
 from .operators import check_state, fidelity_to_pure, pauli
-from .pulses import PulseSchedule, gaussian
+from .pulses import gaussian
 
 DEFAULT_STEPS_PER_SLOT = 1000
 # At the default grid the noisy pair RK4 lies 2.5-4.7e-8 from its converged
@@ -293,11 +291,18 @@ _PAULI_BASIS = [pauli(k) for k in ("identity", "x", "y", "z")]
 _PTM = np.array([np.kron(a, b).reshape(16) / 2 for a in _PAULI_BASIS for b in _PAULI_BASIS]).T
 _PTM_INV = _PTM.conj().T
 _I16 = np.eye(16, dtype=complex)
-# Steps per batch of pulse samples and step maps: bounds a build's transient
-# memory at any step count. At the MAX_STEPS_PER_SLOT ceiling, tracemalloc
-# peaks at 2.2 MiB for a cnot build and 3.8 MiB for a cnot_rotated one under
-# amplitude damping, and at 3.9 MiB for a drained dephasing swap stream.
+# Steps per chunk of pulse samples, series terms and step maps: bounds a
+# build's transient memory at any step count. A build holds a chunk's steps
+# in bit-reversed order, padded to a power of two, so its tree halves
+# contiguous stacks. At the MAX_STEPS_PER_SLOT ceiling, with the word
+# tables cached, tracemalloc peaks at 2.2 MiB for a cnot build and 3.7 MiB
+# for a cnot_rotated one under amplitude damping, and at 3.9 MiB for a
+# drained dephasing swap stream.
 PAIR_CHUNK_STEPS = 256
+# Maps per stacked row-major conversion: a stack of 16 keeps its temporaries
+# at 64 KiB, where one stack of a 90-case row raised the peak RSS of a
+# default duration-sweep by 0.9 MiB
+_ROW_MAJOR_STACK = 16
 # The powers z^p of the RK4 series, one per number of constant letters in a
 # word of up to four letters
 _POWERS = np.arange(5)
@@ -377,21 +382,24 @@ def _pair_letters(kind: str, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray,
     return letters, letter_sizes, layout
 
 
-@lru_cache(maxsize=64)
-def _pair_words(kind: str, noise: NoiseModel) -> tuple:
-    """The word tables of the RK4 series, cached by ``(kind, noise)``
-    beside :func:`_pair_letters`: ``(letters, tables, order, scale)``, all
-    read-only.
+@lru_cache(maxsize=8)
+def _pair_words(kind: str, noise_kind: str) -> tuple:
+    """The word tables of the RK4 series of one gate kind under one noise
+    kind, shared by every decay rate: ``(letters, tables, rows, scale,
+    layout)``, all read-only, cached by ``(kind, noise_kind)`` beside
+    :func:`_pair_letters`, whose ``(k, b)`` layout at rate 1 they share.
 
-    ``letters`` are the packed letters with the constant one divided by
-    ``scale``, its largest entry (1 if it has none). Every product of 1 to
-    4 letters is a word, listed per degree with the leftmost letter most
-    significant, as :func:`_word_features` lists them; ``order`` sorts the
-    words by their number p of constant letters, and ``tables[p]`` holds
-    those with p, one flattened ``(k, b, b)`` row each. Tables that are not
-    finite raise :class:`TraceDriftError` as not bounded.
+    ``letters`` are the packed letters at rate 1 with the dissipator sum
+    divided by ``scale``, its largest entry (1 if it has none); a rate
+    gamma puts ``gamma * scale`` into z (:func:`_constant_coefficients`).
+    Every product of 1 to 4 letters is a word, listed per degree with the
+    leftmost letter most significant, as :func:`_word_features` forms
+    them. Sorted by their number p of constant letters, ``tables[p]``
+    holds the words with p, one flattened ``(k, b, b)`` row each, and
+    ``rows[degree]`` is the sorted row of each word of that degree. Tables
+    that are not finite raise :class:`TraceDriftError` as not bounded.
     """
-    letters, letter_sizes, layout = _pair_letters(kind, noise)
+    letters, letter_sizes, layout = _pair_letters(kind, NoiseModel(noise_kind, 1.0))
     k, b = layout.shape
     scale = float(letter_sizes[0]) or 1.0
     letters = letters.copy()
@@ -403,6 +411,7 @@ def _pair_words(kind: str, noise: NoiseModel) -> tuple:
         for _ in range(len(_POWERS) - 2):
             words.append((blocks[:, None] @ words[-1][None]).reshape(-1, k, b, b))
             powers.append(np.add.outer(constant, powers[-1]).reshape(-1))
+    sizes = np.cumsum([0] + [len(p) for p in powers])
     words = np.concatenate(words).reshape(-1, k * b * b)
     if not np.isfinite(words).all():
         raise TraceDriftError(
@@ -410,14 +419,18 @@ def _pair_words(kind: str, noise: NoiseModel) -> tuple:
         )
     powers = np.concatenate(powers)
     order = np.argsort(powers, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    rows = tuple(rank[start:end] for start, end in zip(sizes[:-1], sizes[1:]))
     tables = tuple(words[powers == p] for p in _POWERS)
-    for a in (letters, order, *tables):
+    for a in (letters, *rows, *tables):
         a.flags.writeable = False
-    return letters, tables, order, scale
+    return letters, tables, rows, scale, layout
 
 
-def _word_features(x: np.ndarray) -> np.ndarray:
-    """The coefficient of every word of the RK4 series at each step, shape
+def _word_features(x: np.ndarray, rows: tuple, out: np.ndarray):
+    """Write the coefficient of every word of the RK4 series at each step
+    into its row of ``out`` (``rows``, from :func:`_pair_words`), shape
     ``(words, steps)``, from the letters' coefficients in the stage
     generators G_1, G_m and G_4 at the step's start, midpoint and end,
     ``x`` of shape ``(3, letters, steps)``.
@@ -436,94 +449,156 @@ def _word_features(x: np.ndarray) -> np.ndarray:
 
     mm = outer(xm, xm)
     mm1 = outer(mm, x1)
-    return np.concatenate([
-        (x1 + 4.0 * xm + x4) / 6.0,
-        (outer(xm, x1) + mm + outer(x4, xm)) / 6.0,
-        (mm1 + outer(x4, mm)) / 12.0,
-        outer(x4, mm1) / 24.0,
-    ])
+    out[rows[0]] = (x1 + 4.0 * xm + x4) / 6.0
+    out[rows[1]] = (outer(xm, x1) + mm + outer(x4, xm)) / 6.0
+    out[rows[2]] = (mm1 + outer(x4, mm)) / 12.0
+    out[rows[3]] = outer(x4, mm1) / 24.0
 
 
-def _series_terms(x, tables, order, q):
+def _series_terms(x, rows, tables, q):
     """Write each ``Q_p`` into ``q[p]``: the word features of the steps'
-    letter coefficients ``x`` (:func:`_word_features`) against the words
-    with p constant letters, ``tables[p]``, one GEMM per power."""
-    features = _word_features(x)[order]
+    letter coefficients ``x``, written by :func:`_word_features` straight
+    into rows sorted by p, against the words with p constant letters,
+    ``tables[p]``, one GEMM per power."""
+    features = np.empty((sum(len(table) for table in tables), x.shape[-1]))
+    _word_features(x, rows, features)
     first = 0
     for table, out in zip(tables, q):
         np.matmul(features[first : first + len(table)].T, table, out=out.reshape(len(out), -1))
         first += len(table)
 
 
-def _constant_coefficient(kind, params, noise, duration, n_steps) -> float:
+def _constant_coefficients(kind, params, noises, durations, n_steps) -> list[float]:
     """The coefficient z of :func:`_pair_words`' constant letter in each
-    step generator ``h g`` of a slot of ``duration``: ``h`` times the
-    largest entry of the dissipator sum, the part of the existing generator
-    bound that grows with the duration. Raises ``ValueError`` for a
-    duration the pulses cannot be rescaled to."""
-    rescale_channel_params(params, 0.0, duration)
+    step generator ``h g`` of each (noise, duration) case on an
+    ``n_steps`` grid: ``h`` times the largest entry of the dissipator sum
+    at that rate, ``gamma * scale``, the part of the generator bound that
+    grows with the duration. Raises ``ValueError`` for a duration the
+    pulses cannot be rescaled to, checked for all durations at once, and
+    :func:`_pair_letters`' error for a rate whose own letters fail."""
+    rescale_channel_params(params, 0.0, np.asarray(durations, dtype=float)[:, None, None])
+    for noise in dict.fromkeys(noises):
+        _pair_letters(kind, noise)
+    scale = _pair_words(kind, noises[0].kind)[3]
     # Python floats: a product past the float range is inf, and the
     # generator bound refuses it, without a numpy warning
-    return float(duration) / n_steps * _pair_words(kind, noise)[3]
+    return [float(d) / n_steps * (noise.gamma * scale) for noise, d in zip(noises, durations)]
 
 
-def _pair_series(kind, params, noise, n_steps):
+@lru_cache(maxsize=16)
+def _bit_reversed(size: int) -> np.ndarray:
+    """The bit-reversal permutation of ``range(size)``, ``size`` a power of
+    two: its first half holds the even entries and its second half the odd
+    ones, each again bit-reversed."""
+    perm = np.zeros(1, dtype=np.intp)
+    while len(perm) < size:
+        perm = np.concatenate([2 * perm, 2 * perm + 1])
+    perm.flags.writeable = False
+    return perm
+
+
+class _SeriesChunk(NamedTuple):
+    """One chunk of :func:`_pair_series`. For a tree its steps sit in the
+    bit-reversed order of the chunk padded to a power of two, and a
+    padding step has all coefficients zero, so its step map is exactly 0
+    (the identity); for a scan they sit in time order. ``time_order``
+    holds the position of each step in time order."""
+
+    q: np.ndarray  # (5, pad, k, b, b): the Q_p
+    x: np.ndarray  # (3, letters, pad): the letters' coefficients per stage
+    drive_bound: float  # the largest sum_c |x_c| max|L_c|
+    certificate: np.ndarray  # (2, 5): max|Q_p| on Pauli 0's row, and over all
+    time_order: np.ndarray
+    d: np.ndarray  # the workspace of _pair_step_maps
+
+
+def _pair_series(kind, params, noise_kind, n_steps, tree=True):
     """The RK4 step maps of one driven pair on an ``n_steps`` grid as a
-    series in the slot duration, shared by every duration of that grid
-    (see the module docstring), in chunks of at most ``PAIR_CHUNK_STEPS``
-    steps.
+    series in the slot duration and the decay rate, shared by every
+    (rate, duration) case of that grid and noise kind (see the module
+    docstring), in :class:`_SeriesChunk` chunks of at most
+    ``PAIR_CHUNK_STEPS`` steps, laid out for :func:`_tree_product` or,
+    without ``tree``, in time order for :func:`_scan_product`. The
+    constant letter's coefficient in ``x`` is 1 (0 on padding steps).
 
-    Each chunk is ``(q, x, drive_bound, d)``: the ``(5, steps, k, b, b)``
-    stack of the ``Q_p``; the letters' coefficients in the stage
-    generators, shape ``(3, letters, steps)``, the constant letter's set
-    to 1; the largest ``sum_c |x_c| max|L_c|`` over them, which bounds the
-    drive's part of every entry of ``h g``; and the workspace of
-    :func:`_pair_step_maps`. The next chunk overwrites ``q`` and ``d``.
-    The drive is sampled per chunk, on the unit slot, at each step's start,
-    midpoint and end (the last step ends on the slot edge, where the
-    truncated pulse is already off).
+    The next chunk overwrites ``q`` and ``d``. The drive is sampled per
+    chunk, on the unit slot, at each step's start, midpoint and end (the
+    last step ends on the slot edge, where the truncated pulse is already
+    off). The certificate bounds the step maps of every z before they are
+    made (:func:`_step_bound`).
     """
     amplitude, width, center = rescale_channel_params(params, 0.0, 1.0)
-    letters, tables, order, _ = _pair_words(kind, noise)
-    _, letter_sizes, layout = _pair_letters(kind, noise)
+    letters, tables, rows, _, layout = _pair_words(kind, noise_kind)
+    drive_sizes = np.max(np.abs(letters[1:]), axis=1)
     k, b = layout.shape
     h = 1.0 / n_steps
     size = min(n_steps, PAIR_CHUNK_STEPS)
-    # one workspace serves every chunk: a row per Q_p, then one for the step maps
-    work = np.empty((len(tables) + 1, size * k * b * b))
+    widest = 1 << (size - 1).bit_length() if tree else size
+    # one workspace serves every chunk: a row per Q_p, then one for the
+    # step maps
+    work = np.empty((len(tables) + 1, widest * k * b * b))
     for first in range(0, n_steps, size):
-        steps = np.arange(first, min(first + size, n_steps))
-        q = work[:-1, : len(steps) * k * b * b].reshape(-1, len(steps), k, b, b)
-        d = work[-1, : len(steps) * k * b * b].reshape(len(steps), k, b, b)
+        count = min(size, n_steps - first)
+        pad = 1 << (count - 1).bit_length() if tree else count
+        perm = _bit_reversed(pad) if tree else np.arange(count)
+        q = work[:-1, : pad * k * b * b].reshape(-1, pad, k, b, b)
+        d = work[-1, : pad * k * b * b].reshape(pad, k, b, b)
+        steps = first + perm
         t0 = steps * h
-        x = np.ones((3, len(letters), len(steps)))
+        x = np.empty((3, len(letters), pad))
+        x[:, 0] = 1.0
         x[0, 1:] = h * gaussian(t0, amplitude, width, center)
         x[1, 1:] = h * gaussian(t0 + 0.5 * h, amplitude, width, center)
         x[2, 1:] = h * gaussian(t0 + h, amplitude, width, center) * (steps < n_steps - 1)
-        _series_terms(x, tables, order, q)
-        yield q, x, float(np.max(letter_sizes[1:] @ np.abs(x[:, 1:]))), d
+        x[..., perm >= count] = 0.0
+        _series_terms(x, rows, tables, q)
+        drive_bound = float(np.max(drive_sizes @ np.abs(x[:, 1:])))
+        yield _SeriesChunk(q, x, drive_bound, _series_certificate(q), perm[:count], d)
 
 
-def _pair_step_maps(kind: str, noise: NoiseModel, chunk, z: float) -> np.ndarray:
+def _series_certificate(q: np.ndarray) -> np.ndarray:
+    """The certificate of a chunk's ``Q_p``: the largest modulus on Pauli
+    0's packed row, which is exactly 0 while every letter preserves trace,
+    and over all entries, one column per p."""
+    flat = q.reshape(len(q), -1)
+    return np.array([
+        np.max(np.abs(q[:, :, 0, 0, :]).reshape(len(q), -1), axis=1),
+        np.maximum(flat.max(axis=1), -flat.min(axis=1)),
+    ])
+
+
+def _pair_step_maps(kind: str, noise_kind: str, chunk: _SeriesChunk, z: float):
     """The RK4 step maps minus the identity of one chunk of
-    :func:`_pair_series`, for the slot whose constant letter has the
-    coefficient ``z``: ``sum_p z^p Q_p``, one GEMV, as a ``(steps, k, b,
-    b)`` array in the chunk's workspace, which the next call overwrites.
-    Its bits depend only on the chunk and on ``z``.
+    :func:`_pair_series`, for the case whose constant letter has the
+    coefficient ``z``, and their bound: ``sum_p z^p Q_p``, one GEMV, as a
+    ``(pad, k, b, b)`` array in the chunk's workspace, which the next call
+    overwrites. Its bits depend only on the chunk and on ``z``.
 
     The step generators pass :func:`_check_step_generators` first: ``z``
     plus the chunk's drive bound bounds their entries, and only a chunk
     over the bound builds its generators and searches them, so no power of
-    ``z`` is taken past the bound.
+    ``z`` is taken past the bound. The step maps are then certified by
+    :func:`_step_bound`, or searched once it passes a tolerance
+    (:func:`_certify`).
     """
-    q, x, drive_bound, d = chunk
-    if not z + drive_bound <= 1.0 / TRACE_ABORT_TOL:
-        coefs = x.swapaxes(1, 2).copy()
+    if not z + chunk.drive_bound <= 1.0 / TRACE_ABORT_TOL:
+        coefs = chunk.x.swapaxes(1, 2)[:, chunk.time_order]
         coefs[..., 0] = z
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
-            _check_step_generators(kind, coefs @ _pair_words(kind, noise)[0])
-    np.matmul(z**_POWERS, q.reshape(len(q), -1), out=d.reshape(-1))
-    return d
+            _check_step_generators(kind, coefs @ _pair_words(kind, noise_kind)[0])
+    np.matmul(z**_POWERS, chunk.q.reshape(len(chunk.q), -1), out=chunk.d.reshape(-1))
+    return chunk.d, _certify(kind, chunk.d, _step_bound(chunk, z))
+
+
+def _step_bound(chunk: _SeriesChunk, z: float) -> tuple[float, float]:
+    """A bound on the trace-row error and the largest entry of the step
+    maps ``sum_p z^p Q_p`` of a chunk, from its certificate: ``sum_p z^p
+    max|Q_p|``, the a-priori inner-product bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., §3.1) that
+    :func:`_then_bound` uses, whose rounding factor for five terms lies far
+    below 1 + 1e-12."""
+    error, size = chunk.certificate @ z**_POWERS
+    return float(error) * (1.0 + 1e-12), float(size) * (1.0 + 1e-12)
 
 
 def _check_step_generators(kind: str, hg: np.ndarray):
@@ -577,14 +652,13 @@ def _then_bound(b: int, first: tuple, next_: tuple) -> tuple[float, float]:
     )
 
 
-def _certify(kind: str, d: np.ndarray, first: tuple, next_: tuple) -> tuple[float, float]:
-    """The bound of a stack ``d`` that :func:`_then` made from stacks
-    bounded by ``first`` and ``next_``, while it stays within
-    ``TRACE_ABORT_TOL`` and ``1 / TRACE_ABORT_TOL``; past either, ``d`` is
-    searched by :func:`_check_pair_maps` and its measured values replace
-    the bound. So a stack that fails is always searched, and a build aborts
-    where, and as, a search of every level would."""
-    bound = _then_bound(d.shape[-1], first, next_)
+def _certify(kind: str, d: np.ndarray, bound: tuple) -> tuple[float, float]:
+    """``bound``, an a-priori bound on the trace-row error and the largest
+    entry of a stack ``d``, while it stays within ``TRACE_ABORT_TOL`` and
+    ``1 / TRACE_ABORT_TOL``; past either, ``d`` is searched by
+    :func:`_check_pair_maps` and its measured values replace the bound. So
+    a stack that fails is always searched, and a build aborts where, and
+    as, a search of every level would."""
     if bound[0] <= TRACE_ABORT_TOL and bound[1] <= 1.0 / TRACE_ABORT_TOL:
         return bound
     return _check_pair_maps(kind, d)
@@ -592,78 +666,94 @@ def _certify(kind: str, d: np.ndarray, first: tuple, next_: tuple) -> tuple[floa
 
 def _then(d_first: np.ndarray, d_next: np.ndarray) -> np.ndarray:
     """``d`` of ``(I + d_next)(I + d_first)``, kept away from the identity
-    so that near-identity steps multiply without losing digits."""
+    so that near-identity steps multiply without losing digits. A zero
+    factor gives the other one back."""
     out = d_next @ d_first
     out += d_first
     out += d_next
     return out
 
 
-def _tree_product(kind: str, d: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
-    """The product of the maps ``I + d[i]``, later steps on the left, as a
-    pairwise tree, minus the identity, as a new array (``d`` may be a
-    workspace), and its bound. The step maps are searched and every level
-    is certified by bound or searched."""
-    bound = _check_pair_maps(kind, d)
+def _tree_product(kind: str, d: np.ndarray, bound: tuple) -> tuple[np.ndarray, tuple[float, float]]:
+    """The product of the maps ``I + d[i]`` of a bit-reversed chunk of
+    :func:`_pair_series`, later steps on the left, as a pairwise tree,
+    minus the identity, and its bound, from the step maps' ``bound``. The
+    first half of each level holds the even entries of the level in time
+    order and the second half the odd ones, so each level multiplies
+    contiguous halves into the next, again bit-reversed: level L's entry
+    holds the steps of the same run of 2^L as a tree in time order, and a
+    padding step (exactly 0) leaves its partner as it is. Every level is
+    certified by bound or searched. The result is a new array, as ``d``
+    may be a workspace."""
+    if len(d) == 1:
+        d = d.copy()
     while len(d) > 1:
-        even = len(d) - len(d) % 2
-        pairs = _then(d[0:even:2], d[1:even:2])
-        d = np.concatenate([pairs, d[even:]]) if even < len(d) else pairs
-        bound = _certify(kind, d, bound, bound)
-    return d[0].copy(), bound
+        half = len(d) // 2
+        d = _then(d[:half], d[half:])
+        bound = _certify(kind, d, _then_bound(d.shape[-1], bound, bound))
+    return d[0], bound
 
 
 def _pair_rk4(
     kind: str,
     params: tuple[tuple[float, float], ...],
-    noise: NoiseModel,
+    noises,
     durations,
     n_steps: int,
 ) -> list:
     """16x16 row-major propagators of one driven pair (plus its two sites'
-    noise), one across a slot of each of ``durations``, each of
-    ``n_steps`` fixed RK4 steps. A duration whose build aborts gets its
-    :class:`TraceDriftError` in place of its map; a duration the pulses
-    cannot be rescaled to raises ``ValueError`` for the whole call.
+    noise), one per case: ``noises[i]`` (all of one kind) across a slot of
+    ``durations[i]``, each of ``n_steps`` fixed RK4 steps. A case whose
+    build aborts gets its :class:`TraceDriftError` in place of its map; a
+    duration the pulses cannot be rescaled to raises ``ValueError`` for
+    the whole call.
 
-    Every chunk of :func:`_pair_series` serves every duration: its step
-    maps (:func:`_pair_step_maps`) are multiplied by a pairwise tree, later
-    steps on the left, and the chunk products are folded in order. Every
-    level and every partial product is certified by bound or searched
-    (:func:`_certify`), so a map that is not finite, trace-preserving and
-    bounded aborts before numpy can overflow. The series is the only thing
-    the durations share, so each map's bits depend only on its own
-    duration: a build alone is a row of one.
+    Every chunk of :func:`_pair_series` serves every case: its step maps
+    (:func:`_pair_step_maps`) are multiplied by a pairwise tree
+    (:func:`_tree_product`), later steps on the left, and the chunk
+    products are folded in order. Every level and every partial product is
+    certified by bound or searched (:func:`_certify`), so a map that is not
+    finite, trace-preserving and bounded aborts before numpy can overflow.
+    The series is the only thing the cases share, so each map's bits
+    depend only on its own z: a build alone is a row of one.
     """
-    zs = [_constant_coefficient(kind, params, noise, duration, n_steps) for duration in durations]
+    noise_kind = noises[0].kind
+    zs = _constant_coefficients(kind, params, noises, durations, n_steps)
     totals: list = [None] * len(zs)
-    for chunk in _pair_series(kind, params, noise, n_steps):
+    for chunk in _pair_series(kind, params, noise_kind, n_steps):
         for i, z in enumerate(zs):
             if isinstance(totals[i], TraceDriftError):
                 continue
             try:
-                product, bound = _tree_product(kind, _pair_step_maps(kind, noise, chunk, z))
+                product, bound = _tree_product(kind, *_pair_step_maps(kind, noise_kind, chunk, z))
                 if totals[i] is not None:
                     total, total_bound = totals[i]
                     product = _then(total, product)
-                    bound = _certify(kind, product, total_bound, bound)
+                    bound = _then_bound(product.shape[-1], total_bound, bound)
+                    bound = _certify(kind, product, bound)
                 totals[i] = product, bound
             except TraceDriftError as error:
                 totals[i] = error
-    layout = _pair_letters(kind, noise)[2]
-    return [t if isinstance(t, TraceDriftError) else _to_row_major(t[0], layout) for t in totals]
+    built = [i for i, total in enumerate(totals) if not isinstance(total, TraceDriftError)]
+    if built:
+        layout = _pair_words(kind, noise_kind)[4]
+        for first in range(0, len(built), _ROW_MAJOR_STACK):
+            stack = built[first : first + _ROW_MAJOR_STACK]
+            maps = _to_row_major(np.array([totals[i][0] for i in stack]), layout)
+            for i, phi in zip(stack, maps):
+                totals[i] = phi
+    return totals
 
 
-def _scan_product(kind: str, d: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+def _scan_product(kind: str, d: np.ndarray, bound: tuple) -> tuple[np.ndarray, tuple[float, float]]:
     """The prefix products of the maps ``I + d[i]``, later steps on the
     left, minus the identity, by a Hillis-Steele scan (CACM 29, 1170
-    (1986)) that overwrites ``d``, and their bound. The step maps are
-    searched and every level is certified by bound or searched."""
-    bound = _check_pair_maps(kind, d)
+    (1986)) that overwrites ``d``, and their bound, from the step maps'
+    ``bound``. Every level is certified by bound or searched."""
     span = 1
     while span < len(d):
         d[span:] = _then(d[:-span], d[span:])
-        bound = _certify(kind, d, bound, bound)
+        bound = _certify(kind, d, _then_bound(d.shape[-1], bound, bound))
         span *= 2
     return d, bound
 
@@ -708,7 +798,7 @@ def gate_superoperator(
 
     def build():
         if noise.kind != "none":
-            (phi,) = _pair_rk4(kind, params, noise, [duration], n_steps)
+            (phi,) = _pair_rk4(kind, params, [noise], [duration], n_steps)
             if isinstance(phi, TraceDriftError):
                 raise phi
             return phi
@@ -725,37 +815,41 @@ def _map_key(gate: GateSpec, noise: NoiseModel, duration: float, n_steps: int) -
 
 def gate_superoperators(
     gate: GateSpec,
-    noise: NoiseModel,
+    noises,
     durations,
     cfg: IntegratorConfig | None = None,
 ) -> list[np.ndarray]:
-    """:func:`gate_superoperator` for each of ``durations``, in order. The
-    noisy maps not cached yet are built first, one :func:`_pair_rk4` row
-    per step count, and each is cached under its own key, so they equal
-    the maps built alone bit for bit. A duration whose map cannot be built
-    is left to its own call, which raises: the first such duration in
-    order raises, after the row's good maps are cached.
+    """:func:`gate_superoperator` for each case of ``noises`` times
+    ``durations``, noise by noise. The noisy maps not cached yet are built
+    first, one :func:`_pair_rk4` row per noise kind and step count, so
+    every rate of a kind shares one series; each map is cached under its
+    own key, so it equals the map built alone bit for bit. A case whose map
+    cannot be built is left to its own call, which raises: the first such
+    case in order raises, after the row's good maps are cached.
     """
     cfg = cfg or IntegratorConfig()
-    if noise.kind != "none":
-        rows: dict[int, list] = {}
-        for duration in durations:
-            try:
-                n_steps, _ = _resolve_steps(duration, cfg)
-            except ValueError:
-                continue
-            rows.setdefault(n_steps, []).append(_map_key(gate, noise, duration, n_steps))
+    cases = [(noise, duration) for noise in noises for duration in durations]
+    rows: dict[tuple, list] = {}
+    for noise, duration in cases:
+        if noise.kind == "none":
+            continue
+        try:
+            n_steps, _ = _resolve_steps(duration, cfg)
+        except ValueError:
+            continue
+        rows.setdefault((noise.kind, n_steps), []).append(_map_key(gate, noise, duration, n_steps))
 
-        def build(keys):
-            maps = _pair_rk4(gate.kind, gate.params, noise, [key[3] for key in keys], keys[0][4])
-            return {key: phi for key, phi in zip(keys, maps) if not isinstance(phi, TraceDriftError)}
+    def build(keys):
+        noises, durations = [key[2] for key in keys], [key[3] for key in keys]
+        maps = _pair_rk4(gate.kind, gate.params, noises, durations, keys[0][4])
+        return {key: phi for key, phi in zip(keys, maps) if not isinstance(phi, TraceDriftError)}
 
-        for keys in rows.values():
-            try:
-                _PAIR_PROP_CACHE.build_many(keys, build)
-            except (NumericalError, ValueError):
-                pass  # a failure of the whole row: the calls below raise it in order
-    return [gate_superoperator(gate, noise, duration, cfg) for duration in durations]
+    for keys in rows.values():
+        try:
+            _PAIR_PROP_CACHE.build_many(keys, build)
+        except (NumericalError, ValueError):
+            pass  # a failure of the whole row: the calls below raise it in order
+    return [gate_superoperator(gate, noise, duration, cfg) for noise, duration in cases]
 
 
 def gate_step_maps(
@@ -765,9 +859,9 @@ def gate_step_maps(
     step, yielded as ``(times, maps)`` chunks of at most
     ``PAIR_CHUNK_STEPS`` steps, after a first ``([0], [I])``. A noiseless
     chunk is ``kron(U, U*)`` at the cumulative pulse areas and passes the
-    unitary check; a noisy one is the product so far times its scanned RK4
-    step maps, certified by bound or searched at every level, so no
-    unstable map is handed out.
+    unitary check; a noisy one is the product so far times its RK4 step
+    maps, scanned and certified by bound or searched at every level, so
+    no unstable map is handed out.
     """
     n_steps, dt = _resolve_steps(duration, cfg or IntegratorConfig())
     kind, params = gate.kind, gate.params
@@ -780,17 +874,17 @@ def gate_step_maps(
             _check_unitary(u)
             yield dt * np.arange(first + 1, first + len(u) + 1), _kron4(u, u.conj())
         return
-    z = _constant_coefficient(kind, params, noise, duration, n_steps)
+    (z,) = _constant_coefficients(kind, params, [noise], [duration], n_steps)
+    layout = _pair_words(kind, noise.kind)[4]
     h, total, first = duration / n_steps, None, 0
-    for chunk in _pair_series(kind, params, noise, n_steps):
-        d = _pair_step_maps(kind, noise, chunk, z)
-        prefix, bound = _scan_product(kind, d)
+    for chunk in _pair_series(kind, params, noise.kind, n_steps, tree=False):
+        prefix, bound = _scan_product(kind, *_pair_step_maps(kind, noise.kind, chunk, z))
         if total is not None:
             prefix = _then(total, prefix)
-            bound = _certify(kind, prefix, total_bound, bound)
-        m = np.arange(first, first + len(d))
-        yield m * h + h, _to_row_major(prefix, _pair_letters(kind, noise)[2])
-        total, total_bound, first = prefix[-1].copy(), bound, first + len(d)
+            bound = _certify(kind, prefix, _then_bound(prefix.shape[-1], total_bound, bound))
+        m = np.arange(first, first + len(prefix))
+        yield m * h + h, _to_row_major(prefix, layout)
+        total, total_bound, first = prefix[-1].copy(), bound, first + len(prefix)
 
 
 def _idle_superop(noise: NoiseModel, duration: float) -> np.ndarray:
@@ -805,155 +899,6 @@ def _idle_superop(noise: NoiseModel, duration: float) -> np.ndarray:
     m = np.diag([e, r, r, 1.0]).astype(complex)
     m[3, 0] = 1.0 - e
     return m
-
-
-# ---------------------------------------------------------------------------
-# Transport from product inputs: contraction along the chain
-
-FRONTIER_MAX_ENTRIES = 4**11  # 64 MiB of complex128
-_VEC_I2 = np.eye(2, dtype=complex).reshape(4)
-
-
-def _gate_tensor(
-    spec: GateSpec, noise: NoiseModel, tau: float, cfg: IntegratorConfig | None
-) -> np.ndarray:
-    """A gate's cached slot map (:func:`gate_superoperator`) as a
-    ``(4, 4, 4, 4)`` tensor with legs (out_a, out_b, in_a, in_b), one
-    row-major 2x2 leg per site of ``spec.qubits``."""
-    phi = gate_superoperator(spec, noise, tau, cfg)
-    return phi.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(4, 4, 4, 4)
-
-
-def _check_frontier(entries: int):
-    if entries > FRONTIER_MAX_ENTRIES:
-        raise ValueError(
-            f"the contraction frontier would hold {entries} entries, over the "
-            f"limit of {FRONTIER_MAX_ENTRIES}"
-        )
-
-
-def evolve_lindblad_product(
-    site_states,
-    schedule: PulseSchedule,
-    noise: NoiseModel,
-    keep,
-    cfg: IntegratorConfig | None = None,
-) -> np.ndarray:
-    """The state of the sites ``keep`` (1-based, in that order) after
-    running ``schedule`` on the product of the 2x2 ``site_states``.
-
-    Equal to integrating the master equation on the Kronecker product of
-    the inputs and taking a partial trace, but contracted site by site
-    (see the module docstring). A frontier over ``FRONTIER_MAX_ENTRIES`` entries raises
-    ``ValueError``; the trace of the result is checked, never
-    renormalised.
-    """
-    states = [np.asarray(s, dtype=complex) for s in site_states]
-    n = len(states)
-    keep = tuple(int(s) for s in keep)
-    if len(set(keep)) != len(keep) or any(not 1 <= s <= n for s in keep):
-        raise ValueError("keep must list distinct sites of the chain")
-    for state in states:
-        if state.shape != (2, 2):
-            raise ValueError("site states must be 2x2 density matrices")
-        _check_trace(state, "in the initial state")
-    tau = schedule.slot_duration
-
-    # Blocks: gates on one pair that no other gate on either site separates
-    # compose into one tensor, so a pair's repeated gates cost no more
-    # frontier legs than one. Each block is [qubits, first slot, last slot,
-    # tensor].
-    blocks: list[list] = []
-    events: list[list[int]] = [[] for _ in range(n + 1)]  # site -> its blocks
-    for entry in sorted(schedule.entries, key=lambda e: e.slot):
-        spec: GateSpec = entry.gate
-        if max(spec.qubits) > n:
-            raise ValueError("gate addresses a qubit outside the chain")
-        g = _gate_tensor(spec, noise, tau, cfg)
-        a, b = spec.qubits
-        if events[a] and events[b] and events[a][-1] == events[b][-1]:
-            block = blocks[events[a][-1]]
-            if block[0] != spec.qubits:
-                g = g.transpose(1, 0, 3, 2)
-            m = _idle_superop(noise, (entry.slot - block[2] - 1) * tau)
-            block[3] = np.einsum("abcd,ce,df,efgh->abgh", g, m, m, block[3])
-            block[2] = entry.slot
-        else:
-            events[a].append(len(blocks))
-            events[b].append(len(blocks))
-            blocks.append([spec.qubits, entry.slot, entry.slot, g])
-
-    # One axis per open leg, labelled: "wire" (the site being absorbed),
-    # ("in"|"out", block index, site) for a block whose second site is
-    # still to come, and ("keep", site) for a readout site. A site's wire
-    # stays a loose vector until it meets the frontier.
-    frontier = np.ones((), dtype=complex)
-    legs: list = []
-    loose = None
-
-    def join():
-        nonlocal frontier, loose
-        _check_frontier(4 * frontier.size)
-        frontier = np.multiply.outer(frontier, loose)
-        legs.append("wire")
-        loose = None
-
-    def idle(slots: int):
-        nonlocal frontier, loose
-        if not slots or noise.kind == "none":
-            return
-        m = _idle_superop(noise, slots * tau)
-        if loose is not None:
-            loose = m @ loose
-        else:
-            wire = legs.index("wire")
-            frontier = np.tensordot(frontier, m, axes=([wire], [1]))
-            legs.append(legs.pop(wire))
-
-    for site in range(1, n + 1):
-        loose = states[site - 1].reshape(4)
-        slot = 0
-        for index in events[site]:
-            qubits, first, last, tensor = blocks[index]
-            idle(first - slot)
-            slot = last + 1
-            if site == min(qubits):  # the block joins the frontier
-                if loose is not None:
-                    join()
-                own = qubits.index(site)
-                wire = legs.index("wire")
-                legs.remove("wire")
-                _check_frontier(16 * frontier.size)
-                frontier = np.tensordot(frontier, tensor, axes=([wire], [2 + own]))
-                legs += [("out", index, q) for q in qubits] + [("in", index, qubits[1 - own])]
-            else:  # the wire closes the block's input leg on this site
-                leg = legs.index(("in", index, site))
-                if loose is not None:
-                    frontier = np.tensordot(frontier, loose, axes=([leg], [0]))
-                    loose = None
-                else:
-                    wire = legs.index("wire")
-                    frontier = np.trace(frontier, axis1=wire, axis2=leg)
-                    legs.remove("wire")
-                legs.remove(("in", index, site))
-            legs[legs.index(("out", index, site))] = "wire"
-        idle(schedule.num_slots - slot)
-        if loose is not None:  # no gate touched the site
-            join()
-        wire = legs.index("wire")
-        if site in keep:
-            legs[wire] = ("keep", site)
-        else:
-            frontier = np.tensordot(frontier, _VEC_I2, axes=([wire], [0]))
-            legs.remove("wire")
-
-    w = len(keep)
-    order = [legs.index(("keep", site)) for site in keep]
-    t = frontier.transpose(order).reshape((2,) * (2 * w))
-    t = t.transpose(list(range(0, 2 * w, 2)) + list(range(1, 2 * w, 2)))
-    rho = np.ascontiguousarray(t).reshape(2**w, 2**w)
-    _check_trace(rho, "in the final state")
-    return rho
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Each test starts from an empty slot-map cache and empty letter and
-word-table caches, so a test that breaks a kernel with ``monkeypatch``
-sees that kernel run instead of a map, letters or word tables an earlier
-test left in a cache, and leaves nothing broken behind."""
+"""Each test starts from an empty slot-map cache, an empty letter cache
+(keyed by gate kind and noise model) and an empty word-table cache (keyed
+by gate kind and noise kind, so shared by every rate), so a test that
+breaks a kernel with ``monkeypatch`` sees that kernel run instead of a
+map, letters or word tables an earlier test left in a cache, at any
+rate, and leaves nothing broken behind."""
 
 import pytest
 

@@ -26,6 +26,7 @@ from spinchain.calibration import CALIBRATION_STATES, CalibrationProblem, calibr
 from spinchain.circuits import (
     ChainTopology,
     build_transport_circuit,
+    evolve_lindblad_product,
     fidelity_difference_map,
     transport_fidelity,
     zero_contour,
@@ -33,7 +34,6 @@ from spinchain.circuits import (
 from spinchain.dynamics import (
     IntegratorConfig,
     NoiseModel,
-    evolve_lindblad_product,
     gate_fidelity,
 )
 from spinchain.hamiltonians import (

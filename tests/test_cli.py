@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinchain import cli, dynamics
+from spinchain import circuits, cli, dynamics
 from spinchain.memo import BuildOnce
 
 
@@ -459,7 +459,7 @@ def test_large_noisy_chain_runs_without_an_override(tmp_path):
 
 def test_long_noisy_chains_contract_within_1024_entries(tmp_path, monkeypatch):
     # the line's frontier stays at 4 * 16**2 entries at any length
-    monkeypatch.setattr(dynamics, "FRONTIER_MAX_ENTRIES", 1024)
+    monkeypatch.setattr(circuits, "FRONTIER_MAX_ENTRIES", 1024)
     argv = ["chain-sweep", "--topology", "1d", "--noise", "amp", "--n", "200"]
     code, out = run(tmp_path, argv)
     assert code == 0
@@ -471,7 +471,7 @@ def test_long_noisy_chains_contract_within_1024_entries(tmp_path, monkeypatch):
 def test_noisy_ladder_size_guard_reads_the_live_width(tmp_path, monkeypatch):
     # the size guard is the frontier limit, not the number of sites: the
     # ladder's frontier stays at 4 * 16**2 entries, whatever its length
-    monkeypatch.setattr(dynamics, "FRONTIER_MAX_ENTRIES", 1024)
+    monkeypatch.setattr(circuits, "FRONTIER_MAX_ENTRIES", 1024)
     code, out = run(
         tmp_path, ["chain-sweep", "--topology", "2d", "--noise", "amp", "--n", "100"]
     )

@@ -12,6 +12,7 @@ from oracles import (
     evolve_unitary,
     idle_schedule,
     pair_rk4_loop,
+    pair_rk4_natural,
     pair_step_maps_stages,
     reduced_state,
     rk4_lindblad,
@@ -19,7 +20,13 @@ from oracles import (
 )
 
 from spinchain import dynamics
-from spinchain.circuits import GATE_ORDERS, ChainTopology, build_transport_circuit
+from spinchain import circuits
+from spinchain.circuits import (
+    GATE_ORDERS,
+    ChainTopology,
+    build_transport_circuit,
+    evolve_lindblad_product,
+)
 from spinchain.dynamics import (
     DEFAULT_STEPS_PER_SLOT,
     MAX_STEPS_PER_SLOT,
@@ -31,7 +38,6 @@ from spinchain.dynamics import (
     TRACE_ABORT_TOL,
     TraceDriftError,
     _resolve_steps,
-    evolve_lindblad_product,
     gate_fidelity,
     gate_step_maps,
     gate_superoperator,
@@ -363,7 +369,7 @@ def test_pair_build_matches_the_sequential_loop(kind, noise_kind):
     params, noise = GATE_BUILDERS[kind](1, 2).params, NoiseModel(noise_kind, 0.01)
     for alpha in (1.0, 10.0, 100.0):
         for n_steps in (1, 2, 3, 255, 256, 257, 1000):
-            (built,) = dynamics._pair_rk4(kind, params, noise, [alpha], n_steps)
+            (built,) = dynamics._pair_rk4(kind, params, [noise], [alpha], n_steps)
             loop = pair_rk4_loop(kind, params, noise, alpha, n_steps)
             assert np.max(np.abs(built - loop)) <= 1e-12, (alpha, n_steps)
 
@@ -376,14 +382,17 @@ def test_series_step_maps_match_the_stage_products(kind, noise_kind):
     params, noise = GATE_BUILDERS[kind](1, 2).params, NoiseModel(noise_kind, 0.01)
     alphas = EDGE_ALPHAS + (1.0, 10.0, 100.0)
     for n_steps in (1, 2, 3, 255, 256, 257, 1000):
-        zs = [dynamics._constant_coefficient(kind, params, noise, a, n_steps) for a in alphas]
+        zs = dynamics._constant_coefficients(kind, params, [noise] * len(alphas), alphas, n_steps)
         stages = [pair_step_maps_stages(kind, params, noise, a, n_steps) for a in alphas]
         chunks = 0
-        # each chunk lives in a workspace that the next one overwrites
-        for chunk in dynamics._pair_series(kind, params, noise, n_steps):
+        # each chunk lives in a workspace that the next one overwrites; its
+        # steps are bit-reversed and padded with exact zeros
+        for chunk in dynamics._pair_series(kind, params, noise_kind, n_steps):
+            padding = np.delete(np.arange(len(chunk.d)), chunk.time_order)
             for alpha, z, reference in zip(alphas, zs, stages):
-                d = dynamics._pair_step_maps(kind, noise, chunk, z)
-                assert np.max(np.abs(d - next(reference))) <= 1e-13, (alpha, n_steps)
+                d, _ = dynamics._pair_step_maps(kind, noise_kind, chunk, z)
+                assert np.max(np.abs(d[chunk.time_order] - next(reference))) <= 1e-13, (alpha, n_steps)
+                assert not np.any(d[padding])
             chunks += 1
         assert chunks == -(-n_steps // PAIR_CHUNK_STEPS)
         assert all(next(reference, None) is None for reference in stages)
@@ -491,7 +500,7 @@ def test_built_maps_are_exactly_zero_between_the_halves(kind, noise_kind, monkey
     monkeypatch.setattr(
         dynamics, "_to_row_major", lambda d, layout: packed.append(d.copy()) or to_row_major(d, layout)
     )
-    dynamics._pair_rk4(kind, gate.params, noise, [1.0], n_steps)
+    dynamics._pair_rk4(kind, gate.params, [noise], [1.0], n_steps)
     blocks = phi[layout[:, :, None], layout[:, None, :]] - np.eye(layout.shape[1])
     assert np.max(np.abs(packed[0] - blocks)) <= 1e-14
 
@@ -512,7 +521,7 @@ def test_coarser_layouts_build_the_same_maps_bit_for_bit(kind, monkeypatch):
     def maps():
         for alpha in (1.0, 10.0, 100.0):
             for n_steps in (1, 2, 3, 255, 256, 257, 1000):
-                yield from dynamics._pair_rk4(kind, gate.params, noise, [alpha], n_steps)
+                yield from dynamics._pair_rk4(kind, gate.params, [noise], [alpha], n_steps)
                 cfg = IntegratorConfig(dt=alpha / n_steps)
                 yield from (m for _, m in gate_step_maps(gate, noise, alpha, cfg))
 
@@ -527,22 +536,56 @@ def test_coarser_layouts_build_the_same_maps_bit_for_bit(kind, monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(coarse, fine)), k
 
 
+def same_bits(a, b):
+    """Equal under ``np.array_equal`` and in every sign bit, zeros too."""
+    signs = (np.signbit(m.view(float)) for m in (a, b))
+    return np.array_equal(a, b) and np.array_equal(*signs)
+
+
+@pytest.mark.parametrize("noise_kind", PAIR_NOISE_KINDS)
+@pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
+def test_builds_equal_the_natural_order_tree_bit_for_bit(kind, noise_kind):
+    # bit-reversed chunks padded with exact zeros against the tree in time
+    # order, with its strided pairs and carried odd entries: each level's
+    # entry covers the same steps, so the maps agree in every bit, and a
+    # build that aborts does so with the same message
+    params = GATE_BUILDERS[kind](1, 2).params
+    aborted = 0
+    for gamma in (0.001, 0.1, 3000.0):
+        noise = NoiseModel(noise_kind, gamma)
+        for alpha in (1.0, 0.01):
+            for n_steps in (1, 2, 3, 100, 255, 256, 257, 1000, 1172, 2049):
+                (built,) = dynamics._pair_rk4(kind, params, [noise], [alpha], n_steps)
+                case = (gamma, alpha, n_steps)
+                try:
+                    reference = pair_rk4_natural(kind, params, noise, alpha, n_steps)
+                except TraceDriftError as error:
+                    assert isinstance(built, TraceDriftError), case
+                    assert str(built) == str(error), case
+                    aborted += 1
+                    continue
+                assert same_bits(built, reference), case
+    assert 0 < aborted < 60
+
+
 GUARDED_LAYOUTS = [("swap", "dephasing"), ("cnot_rotated", "amplitude_damping")]
 
 
 def broken_steps(monkeypatch, index, value, offsets=(0,)):
-    """Make ``_pair_step_maps`` add ``value`` at packed ``(block, row,
-    column)`` ``index`` of the middle step map of every chunk and of the
-    steps ``offsets`` after it."""
-    step_maps = dynamics._pair_step_maps
+    """Make ``_pair_series`` add ``value`` to ``Q_0`` at packed ``(block,
+    row, column)`` ``index`` of the middle step of every chunk, in time
+    order, and of the steps ``offsets`` after it, and certify the broken
+    series as the program does. Each of those step maps then carries the
+    fault."""
+    series = dynamics._pair_series
 
-    def broken(*args):
-        d = step_maps(*args)
-        for offset in offsets:
-            d[(len(d) // 2 + offset, *index)] += value
-        return d
+    def broken(*args, **kwargs):
+        for chunk in series(*args, **kwargs):
+            for offset in offsets:
+                chunk.q[(0, chunk.time_order[len(chunk.time_order) // 2 + offset], *index)] += value
+            yield chunk._replace(certificate=dynamics._series_certificate(chunk.q))
 
-    monkeypatch.setattr(dynamics, "_pair_step_maps", broken)
+    monkeypatch.setattr(dynamics, "_pair_series", broken)
 
 
 def pair_runs(kind, noise, n_steps=100):
@@ -560,9 +603,15 @@ def test_packed_trace_row_error_is_caught(kind, noise_kind, monkeypatch):
     b = dynamics._pair_letters(kind, noise)[2].shape[1]
     # an error in Pauli 0's packed row, away from its diagonal
     broken_steps(monkeypatch, (0, 0, b - 1), 1e-3)
+    products = []
+    then = dynamics._then
+    monkeypatch.setattr(dynamics, "_then", lambda *a: products.append(1) or then(*a))
     for run in pair_runs(kind, noise):
         with pytest.raises(TraceDriftError, match=f"the {kind} pair propagator is not trace-preserving"):
             run()
+    # the series certificate carries the error, so the step maps are
+    # searched and refused before any product is taken
+    assert not products
 
 
 @pytest.mark.parametrize("kind, noise_kind", GUARDED_LAYOUTS)
@@ -645,15 +694,47 @@ def test_then_never_exceeds_its_bound(b, scales, entries, seed):
     assert out_error <= error and out_size <= size
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["swap", "cnot", "cnot_rotated"]),
+    noise_kind=st.sampled_from(PAIR_NOISE_KINDS),
+    gamma=st.floats(1e-3, 3e3),
+    alpha=st.floats(0.01, 100.0),
+    n_steps=st.sampled_from([1, 2, 3, 100, 255, 256, 257, 1000]),
+)
+def test_series_certificate_bounds_every_step_map(kind, noise_kind, gamma, alpha, n_steps):
+    # each chunk's certificate bounds the trace-row error (exactly 0 while
+    # every letter preserves trace) and the largest entry of its step maps
+    # before they are made, padding included
+    params, noise = GATE_BUILDERS[kind](1, 2).params, NoiseModel(noise_kind, gamma)
+    (z,) = dynamics._constant_coefficients(kind, params, [noise], [alpha], n_steps)
+    for chunk in dynamics._pair_series(kind, params, noise_kind, n_steps):
+        assert not np.any(chunk.certificate[0])
+        if not z + chunk.drive_bound <= 1.0 / TRACE_ABORT_TOL:
+            event("step generators past their bound")
+            continue
+        error, size = dynamics._step_bound(chunk, z)
+        try:
+            d, _ = dynamics._pair_step_maps(kind, noise_kind, chunk, z)
+        except TraceDriftError:
+            d = chunk.d  # made, then searched and refused
+            event("step maps refused")
+        out_error, out_size = measured(d)
+        assert out_error <= error and out_size <= size
+
+
 @pytest.mark.parametrize("noise_kind", PAIR_NOISE_KINDS)
 @pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
 def test_default_builds_search_few_levels(kind, noise_kind, monkeypatch):
-    # the step maps of each of the four chunks are searched, and a later
-    # level only once its bound passes a tolerance: 6-7 searches per build
-    # or stream, against ~40 when every level was searched
+    # the step maps of each of the four chunks are certified from the
+    # series (a failed certificate adds its search), and a later level is
+    # searched only once its bound passes a tolerance: 4 certificates and
+    # 0-4 searches per build or stream, against ~40 searches when every
+    # level was searched
     searches = []
-    check = dynamics._check_pair_maps
+    check, step_maps = dynamics._check_pair_maps, dynamics._pair_step_maps
     monkeypatch.setattr(dynamics, "_check_pair_maps", lambda *a: searches.append(1) or check(*a))
+    monkeypatch.setattr(dynamics, "_pair_step_maps", lambda *a: searches.append(0) or step_maps(*a))
     gate = GATE_BUILDERS[kind](1, 2)
     for gamma in (0.001, 0.01, 0.1):
         noise = NoiseModel(noise_kind, gamma)
@@ -686,7 +767,7 @@ def test_long_pair_build_runs_in_bounded_memory():
         assert sum(len(t) for t, _ in stream) == n_steps + 1
 
     def build(gate, noise, n_steps=20_000):
-        (phi,) = dynamics._pair_rk4(gate.kind, gate.params, noise, [n_steps * 1e-3], n_steps)
+        (phi,) = dynamics._pair_rk4(gate.kind, gate.params, [noise], [n_steps * 1e-3], n_steps)
         assert isinstance(phi, np.ndarray)
 
     runs = (
@@ -872,7 +953,7 @@ def test_each_map_of_a_row_equals_its_build_alone(kind, noise_kind, alphas, dt, 
     )
     gate, noise = GATE_BUILDERS[kind](1, 2), NoiseModel(noise_kind, 0.1)
     cfg = IntegratorConfig(dt=dt)
-    maps = gate_superoperators(gate, noise, alphas, cfg)
+    maps = gate_superoperators(gate, [noise], alphas, cfg)
     assert builds == ([30] if dt is None else [1] * 30)
     assert len(maps) == len(alphas)
     for alpha, phi in zip(alphas, maps):
@@ -891,7 +972,7 @@ def test_a_row_raises_its_first_unstable_duration_and_keeps_the_good_maps():
         for alpha in (1.0, 100.0)
     }
     assert "a step generator entry" in alone[100.0] and "an entry" in alone[1.0]
-    assert abort_message(lambda: gate_superoperators(gate, noise, alphas)) == alone[100.0]
+    assert abort_message(lambda: gate_superoperators(gate, [noise], alphas)) == alone[100.0]
     # the good maps of the row are cached, and equal their builds alone
     cached = {key[3]: phi for key, phi in dynamics._PAIR_PROP_CACHE._values.items()}
     assert sorted(cached) == [1e-6, 2e-6]
@@ -1077,7 +1158,7 @@ def test_repeated_pair_gates_compose_into_one_block(monkeypatch):
     # pairs (1,4), (2,5) and (3,6) repeated over 4 slots: 24 gate legs would
     # cross the cut after site 3, but each pair's gates compose into one
     # block with two legs per site, whichever way round each gate is given
-    monkeypatch.setattr(dynamics, "FRONTIER_MAX_ENTRIES", 4**8)
+    monkeypatch.setattr(circuits, "FRONTIER_MAX_ENTRIES", 4**8)
     slots = [
         [swap_gate(1, 4), cnot_gate(5, 2), swap_gate(3, 6)],
         [swap_gate(4, 1), cnot_gate(2, 5), swap_gate(3, 6)],
@@ -1097,12 +1178,12 @@ def test_ladder_live_width_is_four_at_any_length(monkeypatch):
     # 4 * 16**2 entries runs every length, one entry less refuses the first
     sites = [proj(ket(0))] * 100
     noise = NoiseModel("amplitude_damping", 0.1)
-    monkeypatch.setattr(dynamics, "FRONTIER_MAX_ENTRIES", 4 * 16**2)
+    monkeypatch.setattr(circuits, "FRONTIER_MAX_ENTRIES", 4 * 16**2)
     for n in range(4, 101, 2):
         for order in GATE_ORDERS:
             circuit = build_transport_circuit(ChainTopology("square_2d", n), order)
             evolve_lindblad_product(sites[:n], circuit.schedule, noise, (n - 1, n))
-    monkeypatch.setattr(dynamics, "FRONTIER_MAX_ENTRIES", 4 * 16**2 - 1)
+    monkeypatch.setattr(circuits, "FRONTIER_MAX_ENTRIES", 4 * 16**2 - 1)
     circuit = build_transport_circuit(ChainTopology("square_2d", 4), "cnot_first")
     with pytest.raises(ValueError, match="would hold 1024 entries"):
         evolve_lindblad_product(sites[:4], circuit.schedule, noise, (3, 4))
