@@ -13,7 +13,9 @@ its name. Settings resolve in precedence order: command-line flags, then
 the ``--config`` INI file, then built-in defaults. Every CSV starts with
 ``#``-prefixed header comments carrying the fully resolved configuration;
 timestamps and wall time appear only there, so CSV bodies are
-byte-identical across reruns and worker counts.
+byte-identical across reruns. Every run is serial; ``--workers`` (and
+``[run] workers``) is still parsed and checked, for compatibility with
+existing command lines and INI files, but selects nothing.
 
 Single-gate runs act on their pair alone, through the gate's 16x16 slot
 map from ``dynamics.gate_superoperator``: ``kron(U, U*)`` of the
@@ -234,7 +236,7 @@ SETTINGS = (
             "integrator step (slot units; must divide every slot)"),
     Setting("workers", "workers", "run", "workers", "--workers", 1,
             _parser(int, "workers", lambda w: w >= 1, "must be at least 1"),
-            "parallel worker count"),
+            "accepted for compatibility; every run is serial"),
     Setting("seed", "seed", "run", "seed", "--seed", 0,
             _parser(int, "seed", lambda seed: seed >= 0, "must be nonnegative"),
             "seed for calibration starts"),
@@ -380,16 +382,6 @@ def output_path(out: str, suffix: str) -> str:
     return (out[: -len(".csv")] if out.endswith(".csv") else out) + suffix + ".csv"
 
 
-def run_jobs(jobs, workers: int) -> list:
-    """Run callables on a bounded pool; results keep submission order."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    from concurrent.futures import ThreadPoolExecutor  # only pools need it
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [future.result() for future in futures]
-
-
 # ---------------------------------------------------------------------------
 # subcommand runners
 
@@ -455,26 +447,18 @@ def run_trace(s: Settings):
 
 def run_duration_sweep(s: Settings):
     """Gate fidelity for stretched gates, over gates x gammas x alphas."""
-    gates = _swept_kinds(s)
     psi0 = np.kron(_KET_PLUS, _KET_ZERO)
     cfg = IntegratorConfig(dt=s.dt)
-    cases = list(product(s.gammas, s.alphas))
-
-    def job(kind):
+    rows = []
+    for kind in _swept_kinds(s):
         # every (gamma, alpha) case of one gate shares its pair builds
         gate, noises = GATE_BUILDERS[kind](1, 2), [s.noise(gamma) for gamma in s.gammas]
         gate_superoperators(gate, noises, s.alphas, cfg)
-        return [
-            gate_fidelity(psi0, gate, noise, alpha, cfg) for noise in noises for alpha in s.alphas
-        ]
-
-    values = run_jobs([lambda k=k: job(k) for k in gates], s.workers)
+        for gamma, noise in zip(s.gammas, noises):
+            for alpha in s.alphas:
+                value = gate_fidelity(psi0, gate, noise, alpha, cfg)
+                rows.append((alpha, gamma, kind, value, _resolve_steps(alpha, cfg)[1]))
     columns = ["duration", "gamma", "gate", "fidelity", "dt"]
-    rows = [
-        (alpha, gamma, kind, value, _resolve_steps(alpha, cfg)[1])
-        for kind, row in zip(gates, values)
-        for (gamma, alpha), value in zip(cases, row)
-    ]
     return [("", [], columns, rows)], EXIT_OK
 
 
@@ -492,19 +476,12 @@ def run_chain_sweep(s: Settings):
             circuits[(n, order)] = build_transport_circuit(topology, order)
 
     cfg = IntegratorConfig(dt=s.dt)
-    cases = list(product(s.ns, s.orders, s.gammas))
-
-    def job(n, order, gamma):
-        return transport_fidelity(
-            circuits[(n, order)], _KET_ZERO, noise=s.noise(gamma), cfg=cfg
-        )
-
-    values = run_jobs([lambda c=c: job(*c) for c in cases], s.workers)
+    dt = _resolve_steps(1.0, cfg)[1]
+    rows = []
+    for n, order, gamma in product(s.ns, s.orders, s.gammas):
+        value = transport_fidelity(circuits[(n, order)], _KET_ZERO, noise=s.noise(gamma), cfg=cfg)
+        rows.append((n, topology_kind, order, gamma, s.noise_kind, value, dt))
     columns = ["n", "topology", "order", "gamma", "noise", "fidelity", "dt"]
-    rows = [
-        (n, topology_kind, order, gamma, s.noise_kind, value, _resolve_steps(1.0, cfg)[1])
-        for (n, order, gamma), value in zip(cases, values)
-    ]
     return [("", [], columns, rows)], EXIT_OK
 
 

@@ -114,7 +114,6 @@ from .hamiltonians import (
     ideal_gate_matrix,
     rescale_channel_params,
 )
-from .memo import BuildOnce
 from .operators import check_state, fidelity_to_pure, pauli
 from .pulses import gaussian
 
@@ -150,8 +149,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.gamma < 0.0:
-            raise ValueError("decay rate gamma must be non-negative")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError("decay rate gamma must be finite and non-negative")
         if self.kind == "none" or self.gamma == 0.0:
             object.__setattr__(self, "kind", "none")
             object.__setattr__(self, "gamma", 0.0)
@@ -771,7 +770,7 @@ def _to_row_major(d: np.ndarray, layout: np.ndarray) -> np.ndarray:
     return full
 
 
-_PAIR_PROP_CACHE = BuildOnce()
+_PAIR_PROP_CACHE: dict = {}
 
 
 def _check_unitary(u: np.ndarray):
@@ -794,19 +793,20 @@ def gate_superoperator(
     Maps are cached by ``(kind, params, noise, duration, n_steps)``.
     """
     n_steps, _ = _resolve_steps(duration, cfg or IntegratorConfig())
-    kind, params = gate.kind, gate.params
-
-    def build():
+    key = _map_key(gate, noise, duration, n_steps)
+    phi = _PAIR_PROP_CACHE.get(key)
+    if phi is None:
+        kind, params = gate.kind, gate.params
         if noise.kind != "none":
             (phi,) = _pair_rk4(kind, params, [noise], [duration], n_steps)
             if isinstance(phi, TraceDriftError):
                 raise phi
-            return phi
-        u = slot_unitary(kind, params, duration, n_steps)
-        _check_unitary(u)
-        return _kron4(u, u.conj())
-
-    return _PAIR_PROP_CACHE.get(_map_key(gate, noise, duration, n_steps), build)
+        else:
+            u = slot_unitary(kind, params, duration, n_steps)
+            _check_unitary(u)
+            phi = _kron4(u, u.conj())
+        _PAIR_PROP_CACHE[key] = phi
+    return phi
 
 
 def _map_key(gate: GateSpec, noise: NoiseModel, duration: float, n_steps: int) -> tuple:
@@ -839,16 +839,18 @@ def gate_superoperators(
             continue
         rows.setdefault((noise.kind, n_steps), []).append(_map_key(gate, noise, duration, n_steps))
 
-    def build(keys):
-        noises, durations = [key[2] for key in keys], [key[3] for key in keys]
-        maps = _pair_rk4(gate.kind, gate.params, noises, durations, keys[0][4])
-        return {key: phi for key, phi in zip(keys, maps) if not isinstance(phi, TraceDriftError)}
-
     for keys in rows.values():
+        missing = [key for key in dict.fromkeys(keys) if key not in _PAIR_PROP_CACHE]
+        if not missing:
+            continue
+        noises, durations = [key[2] for key in missing], [key[3] for key in missing]
         try:
-            _PAIR_PROP_CACHE.build_many(keys, build)
+            maps = _pair_rk4(gate.kind, gate.params, noises, durations, missing[0][4])
         except (NumericalError, ValueError):
-            pass  # a failure of the whole row: the calls below raise it in order
+            continue  # a failure of the whole row: the calls below raise it in order
+        for key, phi in zip(missing, maps):
+            if not isinstance(phi, TraceDriftError):
+                _PAIR_PROP_CACHE[key] = phi
     return [gate_superoperator(gate, noise, duration, cfg) for noise, duration in cases]
 
 

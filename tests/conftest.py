@@ -17,9 +17,7 @@ def _clear_letter_caches():
 
 @pytest.fixture(autouse=True)
 def _cold_slot_map_cache(monkeypatch):
-    # a fresh instance of the module's own cache class, so tests of that
-    # class (thread safety) still see what the module builds
-    monkeypatch.setattr(dynamics, "_PAIR_PROP_CACHE", type(dynamics._PAIR_PROP_CACHE)())
+    monkeypatch.setattr(dynamics, "_PAIR_PROP_CACHE", {})
     _clear_letter_caches()
     yield
     _clear_letter_caches()

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from spinchain import circuits, cli, dynamics
-from spinchain.memo import BuildOnce
 
 
 def run(tmp_path, argv, name="out.csv"):
@@ -144,7 +143,7 @@ def test_default_duration_sweep_body_ignores_workers(tmp_path, monkeypatch):
     # cold cache both times
     bodies = []
     for workers in ("1", "2"):
-        monkeypatch.setattr(dynamics, "_PAIR_PROP_CACHE", BuildOnce())
+        monkeypatch.setattr(dynamics, "_PAIR_PROP_CACHE", {})
         code, out = run(tmp_path, ["duration-sweep", "--workers", workers], f"w{workers}.csv")
         assert code == 0
         lines = out.read_bytes().splitlines(keepends=True)
@@ -572,7 +571,8 @@ def test_amplitude_damping_near_the_float_limit_exits_4_as_unbounded(tmp_path, g
 def test_the_cli_loads_no_scipy(tmp_path):
     # calibration starts come from an in-house sampler and bit stream, so
     # neither the import nor a calibrate or noisy sweep run pulls in scipy or
-    # numpy.random; the thread pool and the INI reader load only when used
+    # numpy.random; the INI reader loads only when used, and every run is
+    # serial, so no --workers count starts a thread pool
     code = """
 import sys
 import spinchain.cli as cli
@@ -584,10 +584,12 @@ assert not loaded("concurrent.futures", "configparser"), loaded("concurrent.futu
 argvs = [
     ["calibrate", "--gate", "cnot"],
     ["duration-sweep", "--gate", "swap", "--alpha", "1", "--noise", "dephasing"],
+    ["chain-sweep", "--n", "3,4", "--workers", "3"],
 ]
 for i, argv in enumerate(argvs):
     assert cli.main(argv + ["--out", f"{sys.argv[1]}/{i}.csv"]) == 0
     assert not loaded("numpy.random"), (argv, loaded("numpy.random"))
+    assert not loaded("concurrent.futures"), (argv, loaded("concurrent.futures"))
 print(loaded("scipy"))
 """
     src = str(Path(cli.__file__).parents[1])
@@ -608,7 +610,7 @@ def test_noisy_ladder_body_ignores_workers_and_cache_state(tmp_path, monkeypatch
     bodies = []
     for workers in ("1", "2"):
         # a cold propagator cache, then the same run on the warm one
-        monkeypatch.setattr(dynamics, "_PAIR_PROP_CACHE", BuildOnce())
+        monkeypatch.setattr(dynamics, "_PAIR_PROP_CACHE", {})
         for state in ("cold", "warm"):
             code, out = run(tmp_path, argv + ["--workers", workers], f"{workers}-{state}.csv")
             assert code == 0

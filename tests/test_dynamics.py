@@ -52,7 +52,6 @@ from spinchain.hamiltonians import (
     rotated_cnot_gate,
     swap_gate,
 )
-from spinchain.memo import BuildOnce
 from spinchain.pulses import schedule_sequence
 
 
@@ -823,6 +822,13 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=-1e-3)
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+def test_noise_model_rejects_a_rate_that_is_not_finite_and_non_negative(gamma):
+    # bad input, refused before any build could abort on it
+    with pytest.raises(ValueError, match="decay rate gamma must be finite and non-negative"):
+        NoiseModel("dephasing", gamma)
+
+
 def test_noise_model_validation():
     with pytest.raises(ValueError):
         NoiseModel("depolarising", 0.1)
@@ -930,7 +936,7 @@ SWEPT_ALPHAS = tuple(float(a) for a in np.geomspace(1.0, 100.0, 30))
 def built_alone(gate, noise, alpha, cfg):
     """The map of one duration built alone, on a cold cache."""
     cache = dynamics._PAIR_PROP_CACHE
-    dynamics._PAIR_PROP_CACHE = BuildOnce()
+    dynamics._PAIR_PROP_CACHE = {}
     try:
         return gate_superoperator(gate, noise, alpha, cfg)
     finally:
@@ -961,6 +967,20 @@ def test_each_map_of_a_row_equals_its_build_alone(kind, noise_kind, alphas, dt, 
         assert np.array_equal(phi, built_alone(gate, noise, alpha, cfg)), alpha
 
 
+def test_repeated_cases_of_a_row_are_built_once(monkeypatch):
+    builds = []
+    build = dynamics._pair_rk4
+    monkeypatch.setattr(
+        dynamics, "_pair_rk4", lambda *args: builds.append(list(args[3])) or build(*args)
+    )
+    gate, noise = swap_gate(1, 2), NoiseModel("dephasing", 0.1)
+    maps = gate_superoperators(gate, [noise, noise], [1.0, 1.0, 2.0])
+    assert builds == [[1.0, 2.0]]
+    assert len(maps) == 6
+    assert all(phi is maps[0] for phi in maps[0::3] + maps[1::3])
+    assert all(phi is maps[2] for phi in maps[2::3]) and maps[2] is not maps[0]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # neither abort reaches a numpy overflow
 def test_a_row_raises_its_first_unstable_duration_and_keeps_the_good_maps():
     # at gamma = 1e7 a slot of 1e-6 is stable; at alpha = 1 the step maps
@@ -974,7 +994,7 @@ def test_a_row_raises_its_first_unstable_duration_and_keeps_the_good_maps():
     assert "a step generator entry" in alone[100.0] and "an entry" in alone[1.0]
     assert abort_message(lambda: gate_superoperators(gate, [noise], alphas)) == alone[100.0]
     # the good maps of the row are cached, and equal their builds alone
-    cached = {key[3]: phi for key, phi in dynamics._PAIR_PROP_CACHE._values.items()}
+    cached = {key[3]: phi for key, phi in dynamics._PAIR_PROP_CACHE.items()}
     assert sorted(cached) == [1e-6, 2e-6]
     for alpha, phi in cached.items():
         assert np.array_equal(phi, built_alone(gate, noise, alpha, None))
@@ -1199,8 +1219,3 @@ def test_density_entries_validate_their_inputs():
             evolve_lindblad_product(sites, schedule, NOISELESS, keep)
     with pytest.raises(ValueError):
         evolve_lindblad_product([proj(ket(0, 0))] * 2, schedule, NOISELESS, (1,))
-
-
-def test_propagator_cache_builds_once_under_threads():
-    # the build-once property itself is tested in test_memo.py
-    assert isinstance(dynamics._PAIR_PROP_CACHE, BuildOnce)
