@@ -20,9 +20,10 @@ product input (:func:`evolve_lindblad_product`). Transport from product
 inputs is a tensor network with one wire per site: its input, the
 closed-form idle channel over each gap between its gates (the idle
 channels form a semigroup), its gates in slot order, then a trace, or an
-open leg for a readout site. Each gate is its cached slot map
-(:func:`spinchain.dynamics.gate_superoperator`) read as a (4, 4, 4, 4)
-tensor. The contraction cuts that network by site instead of by time
+open leg for a readout site. Every leg is a real Pauli vector ``tr(P
+rho)``, P = I, X, Y, Z, whose Pauli 0 component is the trace; each gate is
+its cached slot map (:func:`spinchain.dynamics.gate_superoperator`) read
+as a (4, 4, 4, 4) tensor. The contraction cuts that network by site instead of by time
 (Markov & Shi, SIAM J. Comput. 38, 963 (2008)): sites join one frontier
 tensor in index order, a gate's first site brings in the whole gate and
 its second site closes the gate's legs. On both layouts the frontier
@@ -39,10 +40,12 @@ import numpy as np
 from .calibration import calibrated_gate_params
 from .dynamics import (
     NOISELESS,
+    _PAULI_BASIS,
     IntegratorConfig,
     NoiseModel,
     _check_trace,
     _idle_superop,
+    _pauli_vector,
     gate_superoperator,
 )
 from .hamiltonians import GateSpec, cnot_gate, ideal_gate_matrix, swap_gate
@@ -200,18 +203,7 @@ def build_transport_circuit(
 # Transport from product inputs: contraction along the chain (see the
 # module docstring)
 
-FRONTIER_MAX_ENTRIES = 4**11  # 64 MiB of complex128
-_VEC_I2 = np.eye(2, dtype=complex).reshape(4)
-
-
-def _gate_tensor(
-    spec: GateSpec, noise: NoiseModel, tau: float, cfg: IntegratorConfig | None
-) -> np.ndarray:
-    """A gate's cached slot map (:func:`gate_superoperator`) as a
-    ``(4, 4, 4, 4)`` tensor with legs (out_a, out_b, in_a, in_b), one
-    row-major 2x2 leg per site of ``spec.qubits``."""
-    phi = gate_superoperator(spec, noise, tau, cfg)
-    return phi.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(4, 4, 4, 4)
+FRONTIER_MAX_ENTRIES = 4**11  # 32 MiB of float64
 
 
 def _check_frontier(entries: int):
@@ -234,9 +226,10 @@ def evolve_lindblad_product(
 
     Equal to integrating the master equation on the Kronecker product of
     the inputs and taking a partial trace, but contracted site by site
-    (see the module docstring). A frontier over ``FRONTIER_MAX_ENTRIES`` entries raises
-    ``ValueError``; the trace of the result is checked, never
-    renormalised.
+    (see the module docstring). A frontier over ``FRONTIER_MAX_ENTRIES``
+    entries, or a site state that is not Hermitian, raises ``ValueError``.
+    The result's trace and trace norm are checked, never renormalised: an
+    unstable step grid leaves the states, keeping every trace exact.
     """
     states = [np.asarray(s, dtype=complex) for s in site_states]
     n = len(states)
@@ -246,7 +239,10 @@ def evolve_lindblad_product(
     for state in states:
         if state.shape != (2, 2):
             raise ValueError("site states must be 2x2 density matrices")
-        _check_trace(state, "in the initial state")
+        _check_trace(np.trace(state), "in the initial state")
+        if not np.max(np.abs(state - state.conj().T)) <= 1e-12:
+            raise ValueError("site states must be Hermitian")
+    vectors = _pauli_vector(np.array(states).reshape(n, 2, 2))
     tau = schedule.slot_duration
 
     # Blocks: gates on one pair that no other gate on either site separates
@@ -259,7 +255,8 @@ def evolve_lindblad_product(
         spec: GateSpec = entry.gate
         if max(spec.qubits) > n:
             raise ValueError("gate addresses a qubit outside the chain")
-        g = _gate_tensor(spec, noise, tau, cfg)
+        # legs (out_a, out_b, in_a, in_b), one Pauli index per site
+        g = gate_superoperator(spec, noise, tau, cfg).reshape(4, 4, 4, 4)
         a, b = spec.qubits
         if events[a] and events[b] and events[a][-1] == events[b][-1]:
             block = blocks[events[a][-1]]
@@ -277,7 +274,7 @@ def evolve_lindblad_product(
     # ("in"|"out", block index, site) for a block whose second site is
     # still to come, and ("keep", site) for a readout site. A site's wire
     # stays a loose vector until it meets the frontier.
-    frontier = np.ones((), dtype=complex)
+    frontier = np.ones(())
     legs: list = []
     loose = None
 
@@ -301,7 +298,7 @@ def evolve_lindblad_product(
             legs.append(legs.pop(wire))
 
     for site in range(1, n + 1):
-        loose = states[site - 1].reshape(4)
+        loose = vectors[site - 1]
         slot = 0
         for index in events[site]:
             qubits, first, last, tensor = blocks[index]
@@ -334,15 +331,18 @@ def evolve_lindblad_product(
         if site in keep:
             legs[wire] = ("keep", site)
         else:
-            frontier = np.tensordot(frontier, _VEC_I2, axes=([wire], [0]))
+            frontier = np.take(frontier, 0, axis=wire)
             legs.remove("wire")
 
     w = len(keep)
-    order = [legs.index(("keep", site)) for site in keep]
-    t = frontier.transpose(order).reshape((2,) * (2 * w))
+    t = frontier.transpose([legs.index(("keep", site)) for site in keep])
+    _check_trace(t[(0,) * w], "in the final state")
+    # rho = sum_a t_a (P_a1 kron ... kron P_aw) / 2^w, a (row, column) per leg
+    for _ in range(w):
+        t = np.tensordot(t, _PAULI_BASIS / 2.0, axes=([0], [0]))
     t = t.transpose(list(range(0, 2 * w, 2)) + list(range(1, 2 * w, 2)))
     rho = np.ascontiguousarray(t).reshape(2**w, 2**w)
-    _check_trace(rho, "in the final state")
+    _check_trace(np.sum(np.abs(np.linalg.eigvalsh(rho))), "in trace norm in the final state")
     return rho
 
 
@@ -407,11 +407,6 @@ _MAP_BASIS = (
     np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
     np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
 )
-
-
-def _map_basis_matrix() -> np.ndarray:
-    cols = [np.outer(b, b.conj()).reshape(-1) for b in _MAP_BASIS]
-    return np.linalg.inv(np.stack(cols, axis=1))
 
 
 @dataclass(frozen=True)
@@ -479,11 +474,9 @@ def fidelity_difference_map(
     )
     targets = np.einsum("ab,...b->...a", ideal_gate_matrix("cnot"), pair_in)
 
-    basis_inverse = _map_basis_matrix()
-    projectors = np.einsum("...a,...b->...ab", payload, payload.conj()).reshape(
-        theta_grid.shape + (4,)
-    )
-    coefficients = np.einsum("kv,...v->...k", basis_inverse, projectors)
+    basis = _pauli_vector(np.array([np.outer(b, b.conj()) for b in _MAP_BASIS]))
+    projectors = np.einsum("...a,...b->...ab", payload, payload.conj())
+    coefficients = _pauli_vector(projectors) @ np.linalg.inv(basis)
     results = {}
     for order, circuit in circuits.items():
         reduced_basis = np.stack(

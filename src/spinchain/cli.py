@@ -17,11 +17,12 @@ byte-identical across reruns. Every run is serial; ``--workers`` (and
 ``[run] workers``) is still parsed and checked, for compatibility with
 existing command lines and INI files, but selects nothing.
 
-Single-gate runs act on their pair alone, through the gate's 16x16 slot
-map from ``dynamics.gate_superoperator``: ``kron(U, U*)`` of the
-closed-form slot unitary when noiseless, pair RK4 when noisy, cached by
-gate, noise, duration and step count. ``duration-sweep`` builds the
-maps of each gate's (gamma, duration) cases together
+Single-gate runs act on their pair alone, through the gate's real 16x16
+Pauli-transfer slot map from ``dynamics.gate_superoperator``: ``kron(U,
+U*)`` of the closed-form slot unitary, converted once per build, when
+noiseless, pair RK4 when noisy, cached by gate, noise, duration and step
+count; a fidelity is a dot product of Pauli vectors. ``duration-sweep``
+builds the maps of each gate's (gamma, duration) cases together
 (``dynamics.gate_superoperators``) and applies each to the input.
 ``trace`` reads the map after every step from the stream
 ``dynamics.gate_step_maps``, for all three inputs at once;
@@ -72,6 +73,7 @@ from .dynamics import (
     IntegratorConfig,
     NoiseModel,
     NumericalError,
+    _pauli_vector,
     _resolve_steps,
     gate_fidelity,
     gate_step_maps,
@@ -426,16 +428,15 @@ def run_trace(s: Settings):
     noise = s.noise(_single_gamma(s))
     pulses = materialize_channel_pulses(gate.params, 0.0, 1.0)
     ideal = ideal_gate_matrix(gate.kind)
-    inputs = [np.kron(control, _KET_ZERO) for _, control in TRACE_INPUTS]
-    # one column per input: its density matrix and its ideal output
-    rho0 = np.stack([np.outer(p, p.conj()).reshape(-1) for p in inputs], axis=1)
-    targets = np.stack([ideal @ psi0 for psi0 in inputs], axis=1)
+    kets = np.array([np.kron(control, _KET_ZERO) for _, control in TRACE_INPUTS])
+    p0, targets = (_pauli_vector(k[:, :, None] * k[:, None].conj()) for k in (kets, kets @ ideal.T))
+    # a fidelity target . (map @ p0) / 4 is linear in the map: one column per input
+    readout = (targets[:, :, None] * p0[:, None, :]).reshape(len(kets), 256).T / 4.0
 
     times, fidelities = [], []
     for ts, maps in gate_step_maps(gate, noise, cfg=IntegratorConfig(dt=s.dt)):
-        rhos = (maps @ rho0).reshape(len(ts), 4, 4, len(inputs))
         times.append(ts)
-        fidelities.append(np.einsum("ik,nijk,jk->nk", targets.conj(), rhos, targets).real)
+        fidelities.append(maps.reshape(len(ts), 256) @ readout)
     times = np.concatenate(times)
 
     columns = ["t"] + [name for name, _ in TRACE_INPUTS]

@@ -54,20 +54,22 @@ Noisy slots
     back into time order for its scan. A map's bits depend only on its
     own z, so a map built in a row of cases equals its build alone. Maps
     are carried as their difference from the identity, so near-identity
-    steps multiply without losing digits, and scattered back into 16x16
-    only for the row-major map. Sums and products of block-diagonal maps
-    stay block-diagonal, so the entries left out are exactly zero and the
-    packed build equals the 16x16 one bit for bit.
+    steps multiply without losing digits, and scattered into the real 16x16
+    map only at the end. Sums and products of block-diagonal maps stay
+    block-diagonal, so the entries left out are exactly zero and the packed
+    build equals the 16x16 one bit for bit.
 
 Single gates
-    :func:`gate_superoperators` is the one builder of a gate's 16x16 slot
-    maps, alone on its pair, and :func:`gate_superoperator` its one-case
-    call: ``kron(U, U*)`` of the slot unitary when noiseless, else one
-    pair RK4 row per noise kind and step count. Maps are cached by
-    ``(kind, params, noise, duration, n_steps)``: an explicit ``dt`` and
-    the default grid share a build when they give the same step count. A
-    row names its failures per case, so a bad case neither breaks up its
-    row nor is built twice. :func:`gate_fidelity` and transport
+    A slot map is a real 16x16 Pauli-transfer matrix, index 4a + b with a
+    the Pauli on the gate's first site, acting on a pair's Pauli vector
+    (:func:`_pauli_vector`). :func:`gate_superoperators` is its one builder,
+    for a gate alone on its pair, and :func:`gate_superoperator` its
+    one-case call: ``kron(U, U*)`` of the slot unitary, converted once, when
+    noiseless, else one pair RK4 row per noise kind and step count. Maps
+    are cached by ``(kind, params, noise, duration, n_steps)``: an explicit
+    ``dt`` and the default grid share a build when they give the same step
+    count. A row names its failures per case, so a bad case neither breaks
+    up its row nor is built twice. :func:`gate_fidelity` and transport
     (:mod:`spinchain.circuits`) read these maps; the ``trace`` command
     reads :func:`gate_step_maps`, an uncached stream of the map after
     every step: the closed form at cumulative areas, or the prefix
@@ -114,7 +116,7 @@ from .hamiltonians import (
     ideal_gate_matrix,
     rescale_channel_params,
 )
-from .operators import check_state, fidelity_to_pure, pauli
+from .operators import check_state, pauli
 from .pulses import gaussian
 
 DEFAULT_STEPS_PER_SLOT = 1000
@@ -196,8 +198,8 @@ def _resolve_steps(slot_duration: float, cfg: IntegratorConfig) -> tuple[int, fl
     return n, cfg.dt
 
 
-def _check_trace(rho: np.ndarray, where: str):
-    drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
+def _check_trace(trace, where: str):
+    drift = abs(trace.real - 1.0) + abs(trace.imag)
     if not drift <= TRACE_ABORT_TOL:  # a NaN trace fails too
         raise TraceDriftError(f"trace drifted by {drift:.3e} {where}")
 
@@ -286,10 +288,9 @@ def _dissipator_superop(l4: np.ndarray) -> np.ndarray:
 # Pauli-transfer basis: column 4a + b is the row-major vec(P_a kron P_b) / 2
 # over P = (I, X, Y, Z). It is unitary, and a map that preserves
 # Hermiticity is real in it, with first row e_0 when it preserves trace.
-_PAULI_BASIS = [pauli(k) for k in ("identity", "x", "y", "z")]
+_PAULI_BASIS = np.array([pauli(k) for k in ("identity", "x", "y", "z")])
 _PTM = np.array([np.kron(a, b).reshape(16) / 2 for a in _PAULI_BASIS for b in _PAULI_BASIS]).T
 _PTM_INV = _PTM.conj().T
-_I16 = np.eye(16, dtype=complex)
 # Steps per chunk of pulse samples, series terms and step maps: bounds a
 # build's transient memory at any step count. A chunk holds its steps in
 # bit-reversed order, padded to a power of two, so a build's tree halves
@@ -298,13 +299,15 @@ _I16 = np.eye(16, dtype=complex)
 # for a cnot_rotated one under amplitude damping, and at 3.9 MiB for a
 # drained dephasing swap stream.
 PAIR_CHUNK_STEPS = 256
-# Maps per stacked row-major conversion: a stack of 16 keeps its temporaries
-# at 64 KiB, where one stack of a 90-case row raised the peak RSS of a
-# default duration-sweep by 0.9 MiB
-_ROW_MAJOR_STACK = 16
 # The powers z^p of the RK4 series, one per number of constant letters in a
 # word of up to four letters
 _POWERS = np.arange(5)
+
+
+def _pauli_vector(rho: np.ndarray) -> np.ndarray:
+    """The real vector ``tr(P rho)`` of Hermitian one-site or pair states."""
+    basis = _PAULI_BASIS if rho.shape[-1] == 2 else 2.0 * _PTM.T.reshape(16, 4, 4)
+    return np.einsum("aji,...ij->...a", basis, rho).real
 
 
 def _pack_blocks(pattern: np.ndarray) -> np.ndarray:
@@ -331,7 +334,7 @@ def _pack_blocks(pattern: np.ndarray) -> np.ndarray:
 
 
 def _packed_positions(blocks: np.ndarray) -> np.ndarray:
-    """The row-major position in a flattened 16x16 map of each entry of the
+    """The position in a flattened 16x16 map of each entry of the
     packed ``(k, b, b)`` blocks."""
     return (16 * blocks[:, :, None] + blocks[:, None, :]).reshape(-1)
 
@@ -714,9 +717,9 @@ def _pair_rk4(
     durations,
     n_steps: int,
 ) -> list:
-    """16x16 row-major propagators of one driven pair (plus its two sites'
-    noise), one per case: ``noises[i]`` (all of one kind) across a slot of
-    ``durations[i]``, each of ``n_steps`` fixed RK4 steps. A case that
+    """Real Pauli-transfer propagators of one driven pair (plus its two
+    sites' noise), one per case: ``noises[i]`` (all of one kind) across a
+    slot of ``durations[i]``, each of ``n_steps`` fixed RK4 steps. A case that
     cannot be built gets, in place of its map, the exact error its build
     alone raises: a duration or rate that :func:`_constant_coefficients`
     refuses, or the :class:`TraceDriftError` of a build that aborts.
@@ -743,14 +746,8 @@ def _pair_rk4(
                 totals[i] = product if totals[i] is None else _then_certified(kind, totals[i], product)
             except TraceDriftError as error:
                 totals[i] = error
-    built = [i for i in live if not isinstance(totals[i], TraceDriftError)]
-    for first in range(0, len(built), _ROW_MAJOR_STACK):
-        stack = built[first : first + _ROW_MAJOR_STACK]
-        layout = _pair_words(kind, noise_kind)[4]
-        maps = _to_row_major(np.array([totals[i][0] for i in stack]), layout)
-        for i, phi in zip(stack, maps):
-            totals[i] = phi
-    return totals
+    layout = _pair_words(kind, noise_kind)[4] if live else None
+    return [t if isinstance(t, Exception) else _unpacked(t[0], layout) for t in totals]
 
 
 def _scan_product(kind: str, d: np.ndarray, bound: tuple) -> tuple[np.ndarray, tuple[float, float]]:
@@ -766,17 +763,14 @@ def _scan_product(kind: str, d: np.ndarray, bound: tuple) -> tuple[np.ndarray, t
     return d, bound
 
 
-def _to_row_major(d: np.ndarray, layout: np.ndarray) -> np.ndarray:
-    """The row-major map of each packed Pauli-transfer map ``I + d``: its
-    blocks are scattered into a complex 16x16 stack at ``layout`` (the
-    entries between them are zero), which takes the change of basis."""
+def _unpacked(d: np.ndarray, layout: np.ndarray) -> np.ndarray:
+    """The real 16x16 Pauli-transfer map ``I + d`` of each packed stack
+    ``d``: its blocks scattered to ``layout``, exact zeros between them."""
     lead = d.shape[:-3]
-    full = np.zeros((*lead, 256), dtype=complex)
+    full = np.zeros((*lead, 256))
     full[..., _packed_positions(layout)] = d.reshape(*lead, -1)
-    full = full.reshape(*lead, 16, 16)
-    np.matmul(_PTM @ full, _PTM_INV, out=full)
-    full += _I16
-    return full
+    full[..., ::17] += 1.0
+    return full.reshape(*lead, 16, 16)
 
 
 _PAIR_PROP_CACHE: dict = {}
@@ -797,14 +791,15 @@ def _map_key(gate: GateSpec, noise: NoiseModel, duration: float, n_steps: int) -
 def gate_superoperators(
     gate: GateSpec, noises, durations, cfg: IntegratorConfig | None = None
 ) -> list[np.ndarray]:
-    """Row-major 16x16 maps of one gate alone on its pair across one slot,
-    one per case of ``noises`` times ``durations``, noise by noise:
-    ``kron(U, U*)`` of the closed-form slot unitary when noiseless, else
-    the pair RK4 propagator. The only builder of these maps, cached by
-    ``(kind, params, noise, duration, n_steps)``. Missing noisy maps are
-    built first, one :func:`_pair_rk4` row per noise kind and step count,
-    each equal to its build alone bit for bit; the row's good maps are all
-    cached, then the first case in order that fails raises its own error.
+    """Real 16x16 Pauli-transfer maps of one gate alone on its pair across
+    one slot, one per case of ``noises`` times ``durations``, noise by
+    noise: ``kron(U, U*)`` of the closed-form slot unitary, converted, when
+    noiseless, else the pair RK4 propagator. The only builder of these
+    maps, cached by ``(kind, params, noise, duration, n_steps)``. Missing
+    noisy maps are built first, one :func:`_pair_rk4` row per noise kind
+    and step count, each equal to its build alone bit for bit; the row's
+    good maps are all cached, then the first case in order that fails
+    raises its own error.
     """
     cfg = cfg or IntegratorConfig()
     cases = [(noise, duration) for noise in noises for duration in durations]
@@ -834,7 +829,7 @@ def gate_superoperators(
         if key not in _PAIR_PROP_CACHE:  # a noiseless map
             u = slot_unitary(gate.kind, gate.params, duration, n_steps)
             _check_unitary(u)
-            _PAIR_PROP_CACHE[key] = _kron4(u, u.conj())
+            _PAIR_PROP_CACHE[key] = (_PTM_INV @ _kron4(u, u.conj()) @ _PTM).real
         maps.append(_PAIR_PROP_CACHE[key])
     return maps
 
@@ -851,25 +846,35 @@ def gate_superoperator(
 def gate_step_maps(
     gate: GateSpec, noise: NoiseModel, duration: float = 1.0, cfg: IntegratorConfig | None = None
 ):
-    """The uncached row-major map of :func:`gate_superoperator` after every
-    step, yielded as ``(times, maps)`` chunks of at most
-    ``PAIR_CHUNK_STEPS`` steps, after a first ``([0], [I])``. A noiseless
-    chunk is ``kron(U, U*)`` at the cumulative pulse areas and passes the
-    unitary check; a noisy one is the product so far times its RK4 step
-    maps, gathered into time order in the chunk's workspace and scanned,
+    """The uncached map of :func:`gate_superoperator` after every step,
+    yielded as ``(times, maps)`` chunks of at most ``PAIR_CHUNK_STEPS``
+    steps, after a first ``([0], [I])``. A noiseless chunk is ``kron(U,
+    U*)`` at the cumulative pulse areas, whose unitaries pass the unitary
+    check; a noisy one is the product so far times its RK4 step maps,
+    gathered into time order in the chunk's workspace and scanned,
     certified by bound or searched at every level, so no unstable map is
     handed out.
     """
     n_steps, dt = _resolve_steps(duration, cfg or IntegratorConfig())
     kind, params = gate.kind, gate.params
-    yield np.zeros(1), np.eye(16, dtype=complex)[None]
+    yield np.zeros(1), np.eye(16)[None]
     if noise.kind == "none":
         samples, step = _channel_samples(params, duration, n_steps)
         areas = np.cumsum(samples, axis=1) * step
+        # kron(U, U*) = B diag(e_j e_k*) B^dag, e = diag(V^dag U V), B = kron(V,
+        # V*): a map is Re(phases @ w), row m of w column m of A = _PTM_INV B
+        # times row m of A^dag, one real GEMM over interleaved parts
+        v, _ = gate_eigensystem(kind)
+        a = (_PTM_INV @ np.kron(v, v.conj())).T
+        w = (a[:, :, None] * a.conj()[:, None, :]).reshape(16, 256)
+        weights = np.stack([w.real, -w.imag], axis=1).reshape(32, 256)
         for first in range(0, n_steps, PAIR_CHUNK_STEPS):
             u = _eigen_unitary(kind, areas[:, first : first + PAIR_CHUNK_STEPS])
             _check_unitary(u)
-            yield dt * np.arange(first + 1, first + len(u) + 1), _kron4(u, u.conj())
+            e = np.sum(v.conj() * (u.reshape(-1, 4) @ v).reshape(u.shape), axis=1)
+            phases = (e[:, :, None] * e[:, None, :].conj()).reshape(-1, 16)
+            maps = (phases.view(float) @ weights).reshape(-1, 16, 16)
+            yield dt * np.arange(first + 1, first + len(u) + 1), maps
         return
     (z,) = _constant_coefficients(kind, params, [noise], [duration], n_steps)
     if isinstance(z, Exception):
@@ -882,21 +887,21 @@ def gate_step_maps(
         d, bound = _scan_product(kind, d[: len(chunk.time_order)], bound)
         if total is not None:
             d, bound = _then_certified(kind, total, (d, bound))
-        yield np.arange(first, first + len(d)) * h + h, _to_row_major(d, layout)
+        yield np.arange(first, first + len(d)) * h + h, _unpacked(d, layout)
         total, first = (d[-1].copy(), bound), first + len(d)
 
 
 def _idle_superop(noise: NoiseModel, duration: float) -> np.ndarray:
-    """Row-major 4x4 map of one site idling for ``duration``, in closed
-    form; the idle channels form a semigroup, so any gap is one map."""
+    """Real 4x4 Pauli-transfer map of one site idling for ``duration``, in
+    closed form; the idle channels form a semigroup, so any gap is one map."""
     if noise.kind == "dephasing":
         f = np.exp(-2.0 * noise.gamma * duration)
-        return np.diag([1.0, f, f, 1.0]).astype(complex)
-    # amplitude damping: sigma_- = |1><0| drains the |0> population
+        return np.diag([1.0, f, f, 1.0])
+    # amplitude damping: sigma_- = |1><0| drains |0>, so <Z> relaxes to -1
     e = np.exp(-noise.gamma * duration)
     r = np.exp(-0.5 * noise.gamma * duration)
-    m = np.diag([e, r, r, 1.0]).astype(complex)
-    m[3, 0] = 1.0 - e
+    m = np.diag([1.0, r, r, e])
+    m[3, 0] = e - 1.0
     return m
 
 
@@ -913,16 +918,16 @@ def gate_fidelity(
     """Fidelity of one stretched gate on (1, 2) against its ideal action.
 
     The gate's pulses are rescaled to a slot of duration ``alpha * tau0``;
-    the density matrix of the normalised 2-qubit input goes through the
-    gate's cached slot map (:func:`gate_superoperator`), and the result is
-    compared with the ideal gate output.
+    the Pauli vector of the normalised 2-qubit input goes through the
+    gate's cached slot map (:func:`gate_superoperator`), and its dot
+    product with the ideal output's, over 4, is the fidelity.
     """
     if not (alpha > 0.0):
         raise ValueError("duration factor alpha must be positive")
     psi0 = check_state(np.asarray(input_state, dtype=complex))
     if psi0.shape != (4,) or gate.qubits != (1, 2):
         raise ValueError("gate_fidelity runs one gate on qubits (1, 2) of a 2-qubit input")
-    phi = gate_superoperator(gate, noise, alpha, cfg)
-    rho = (phi @ np.outer(psi0, psi0.conj()).reshape(16)).reshape(4, 4)
-    _check_trace(rho, "in the final state")
-    return fidelity_to_pure(rho, ideal_gate_matrix(gate.kind) @ psi0)
+    out = gate_superoperator(gate, noise, alpha, cfg) @ _pauli_vector(np.outer(psi0, psi0.conj()))
+    _check_trace(out[0], "in the final state")
+    target = ideal_gate_matrix(gate.kind) @ psi0
+    return float(out @ _pauli_vector(np.outer(target, target.conj()))) / 4.0

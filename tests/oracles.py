@@ -8,6 +8,10 @@ row-major vectorised generator on the whole chain. As in the package,
 pulses are truncated to their slot by step index: the grid point on a
 slot's end carries no drive.
 
+The package's maps are real Pauli-transfer matrices;
+``row_major_from_pauli`` is the reference change of basis that compares
+them with the row-major references here.
+
 The full-register integrators ``evolve_unitary`` and ``evolve_lindblad``
 run a schedule slot by slot on a ``2^N`` register, applying the package's
 own 4x4 slot unitaries and 16x16 pair propagators in place: they share
@@ -54,7 +58,7 @@ from spinchain.hamiltonians import (
     materialize_channel_pulses,
     rescale_channel_params,
 )
-from spinchain.operators import check_state, num_qubits
+from spinchain.operators import check_state, num_qubits, pauli
 from spinchain.pulses import PulseSchedule, gaussian
 
 
@@ -134,6 +138,19 @@ def idle_schedule(num_slots, slot_duration=1.0):
     return PulseSchedule(entries=(), slot_duration=slot_duration, num_slots=num_slots)
 
 
+_PAULIS = [pauli(k) for k in ("identity", "x", "y", "z")]
+
+
+def row_major_from_pauli(phi):
+    """The row-major map of a real Pauli-transfer map of one site (4x4) or
+    one pair (16x16, index 4a + b), or of a stack of them: ``B phi
+    B^dag``, where column a of the unitary B is the row-major vec of Pauli
+    string a (P_a, or P_a kron P_b at 4a + b) over its norm."""
+    strings = _PAULIS if phi.shape[-1] == 4 else [np.kron(a, b) for a in _PAULIS for b in _PAULIS]
+    basis = np.array([s.reshape(-1) for s in strings]).T / np.sqrt(len(strings[0]))
+    return basis @ phi @ basis.conj().T
+
+
 def apply_pair_matrix_to_state(u4, qubits, psi_tensor):
     """Apply a 4x4 block on ``qubits`` of a ``(2,) * n`` state tensor."""
     axes = (qubits[0] - 1, qubits[1] - 1)
@@ -185,11 +202,11 @@ def evolve_unitary(psi, schedule, cfg=None):
 def evolve_lindblad(rho, schedule, noise, cfg=None):
     """The master equation across a schedule on the full register, slot by
     slot: each gate's cached slot map, then the closed-form idle
-    channel of every site no gate touches; the trace is checked after
-    every slot."""
+    channel of every site no gate touches, each in row-major form; the
+    trace is checked after every slot."""
     rho = np.asarray(rho, dtype=complex).copy()
     n = num_qubits(rho.shape[0])
-    _check_trace(rho, "in the initial state")
+    _check_trace(np.trace(rho), "in the initial state")
     if schedule.num_slots == 0:
         return rho
     tau = schedule.slot_duration
@@ -197,15 +214,15 @@ def evolve_lindblad(rho, schedule, noise, cfg=None):
         active = set()
         for entry in _checked_entries(schedule, k, n):
             gate = entry.gate
-            phi = gate_superoperator(gate, noise, tau, cfg)
+            phi = row_major_from_pauli(gate_superoperator(gate, noise, tau, cfg))
             rho = apply_superop(rho, phi, gate.qubits, n)
             active.update(gate.qubits)
         if noise.kind != "none":
-            idle = _idle_superop(noise, tau)
+            idle = row_major_from_pauli(_idle_superop(noise, tau))
             for site in range(1, n + 1):
                 if site not in active:
                     rho = apply_superop(rho, idle, (site,), n)
-        _check_trace(rho, f"after slot {k}")
+        _check_trace(np.trace(rho), f"after slot {k}")
     return rho
 
 
@@ -297,9 +314,10 @@ def pair_rk4_loop(kind, params, noise, duration, n_steps, observer=None):
     noise) across one slot, by fixed-step RK4 on the propagator itself, one
     Python iteration per step; ``observer(t, phi)`` sees every step.
 
-    The reference for ``dynamics._pair_rk4``: the same generator letters
-    and sample points, summed and multiplied in the complex row-major
-    basis, step after step.
+    The reference for ``dynamics._pair_rk4``, through
+    :func:`row_major_from_pauli`: the same generator letters and sample
+    points, summed and multiplied in the complex row-major basis, step
+    after step.
     """
     pulses = materialize_channel_pulses(params, 0.0, duration)
     drive_superops = [_hamiltonian_superop(b) for b in gate_channel_blocks(kind)]
@@ -393,8 +411,8 @@ def tree_product_natural(kind, d):
 
 
 def pair_rk4_natural(kind, params, noise, duration, n_steps):
-    """The 16x16 row-major map of ``dynamics._pair_rk4`` for one case, with
-    each chunk's step maps put back in time order and multiplied by
+    """The real Pauli-transfer map of ``dynamics._pair_rk4`` for one case,
+    with each chunk's step maps put back in time order and multiplied by
     :func:`tree_product_natural`, then folded in order as the package
     folds them. Raises the ``TraceDriftError`` of an aborting build."""
     (z,) = dynamics._constant_coefficients(kind, params, [noise], [duration], n_steps)
@@ -409,7 +427,7 @@ def pair_rk4_natural(kind, params, noise, duration, n_steps):
             )
         total = product, bound
     layout = dynamics._pair_words(kind, noise.kind)[4]
-    return dynamics._to_row_major(total[0], layout)
+    return dynamics._unpacked(total[0], layout)
 
 
 def stepped_unitary(schedule, n, n_steps, observer=None):

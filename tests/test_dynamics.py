@@ -1,5 +1,6 @@
 """Tests for the unitary and master-equation evolution engines."""
 
+import sys
 import tracemalloc
 from functools import reduce
 
@@ -16,6 +17,7 @@ from oracles import (
     pair_step_maps_stages,
     reduced_state,
     rk4_lindblad,
+    row_major_from_pauli,
     stepped_unitary,
 )
 
@@ -26,6 +28,7 @@ from spinchain.circuits import (
     ChainTopology,
     build_transport_circuit,
     evolve_lindblad_product,
+    transport_fidelity,
 )
 from spinchain.dynamics import (
     DEFAULT_STEPS_PER_SLOT,
@@ -37,6 +40,7 @@ from spinchain.dynamics import (
     NumericalError,
     TRACE_ABORT_TOL,
     TraceDriftError,
+    _idle_superop,
     _resolve_steps,
     gate_fidelity,
     gate_step_maps,
@@ -261,14 +265,15 @@ def test_initial_trace_drift_raises():
 def test_unstable_step_size_raises_trace_drift():
     schedule = schedule_sequence([swap_gate(1, 2)] * 6, slot_duration=1.0)
     noise, cfg = NoiseModel("amplitude_damping", 0.1), IntegratorConfig(dt=1.0)
-    # the contraction checks the trace of its result
+    # every map keeps its trace row exact, so the contraction's check of
+    # its result's trace norm catches it
     with pytest.raises(TraceDriftError, match="in the final state"):
         evolve_lindblad_product([proj(PLUS), proj(ket(0))], schedule, noise, (1, 2), cfg)
 
 
 def test_nan_trace_aborts():
     with pytest.raises(TraceDriftError, match="nan"):
-        dynamics._check_trace(np.full((2, 2), np.nan), "in the final state")
+        dynamics._check_trace(np.trace(np.full((2, 2), np.nan)), "in the final state")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # the build stops before numpy overflows
@@ -370,7 +375,7 @@ def test_pair_build_matches_the_sequential_loop(kind, noise_kind):
         for n_steps in (1, 2, 3, 255, 256, 257, 1000):
             (built,) = dynamics._pair_rk4(kind, params, [noise], [alpha], n_steps)
             loop = pair_rk4_loop(kind, params, noise, alpha, n_steps)
-            assert np.max(np.abs(built - loop)) <= 1e-12, (alpha, n_steps)
+            assert np.max(np.abs(row_major_from_pauli(built) - loop)) <= 1e-12, (alpha, n_steps)
 
 
 @pytest.mark.parametrize("noise_kind", ["dephasing", "amplitude_damping"])
@@ -411,7 +416,7 @@ def test_observed_pair_build_matches_the_sequential_loop_at_every_step():
         assert len(times) == len(loop) + 1 == n_steps + 1
         for t, phi, (t_loop, phi_loop) in zip(times[1:], maps[1:], loop):
             assert t == t_loop
-            assert np.max(np.abs(phi - phi_loop)) <= 1e-12, (n_steps, t)
+            assert np.max(np.abs(row_major_from_pauli(phi) - phi_loop)) <= 1e-12, (n_steps, t)
 
 
 def test_generator_that_breaks_hermiticity_aborts(monkeypatch):
@@ -471,7 +476,7 @@ def test_pair_letters_pack_into_the_measured_halves(kind, noise_kind):
 
 @pytest.mark.parametrize("noise_kind", PAIR_NOISE_KINDS)
 @pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
-def test_built_maps_are_exactly_zero_between_the_halves(kind, noise_kind, monkeypatch):
+def test_built_maps_are_exactly_zero_between_the_halves(kind, noise_kind):
     # a dense 16x16 RK4 in the Pauli-transfer basis, step by step: its
     # entries between the blocks come out exactly 0, so packing drops nothing
     gate, noise, n_steps = GATE_BUILDERS[kind](1, 2), NoiseModel(noise_kind, 0.1), 40
@@ -491,17 +496,12 @@ def test_built_maps_are_exactly_zero_between_the_halves(kind, noise_kind, monkey
         k2 = gm @ (phi + 0.5 * h * k1)
         k3 = gm @ (phi + 0.5 * h * k2)
         phi = phi + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + g4 @ (phi + h * k3))
-    owner = block_of(layout)
-    assert np.all(phi[owner[:, None] != owner[None, :]] == 0.0)
-    # the packed build holds the same blocks
-    packed = []
-    to_row_major = dynamics._to_row_major
-    monkeypatch.setattr(
-        dynamics, "_to_row_major", lambda d, layout: packed.append(d.copy()) or to_row_major(d, layout)
-    )
-    dynamics._pair_rk4(kind, gate.params, [noise], [1.0], n_steps)
-    blocks = phi[layout[:, :, None], layout[:, None, :]] - np.eye(layout.shape[1])
-    assert np.max(np.abs(packed[0] - blocks)) <= 1e-14
+    between = block_of(layout)[:, None] != block_of(layout)[None, :]
+    assert np.all(phi[between] == 0.0)
+    # the packed build holds the same blocks, and exact zeros between them
+    (built,) = dynamics._pair_rk4(kind, gate.params, [noise], [1.0], n_steps)
+    assert np.all(built[between] == 0.0)
+    assert np.max(np.abs(built - phi)) <= 1e-14
 
 
 def merged_layout(layout, k):
@@ -755,7 +755,7 @@ def test_hermiticity_is_held_letter_by_letter(monkeypatch):
 def test_long_pair_build_runs_in_bounded_memory():
     # the pulses are sampled and the step maps made, multiplied and streamed
     # in chunks: all 20 000 at once would take ~230 MiB, and 20 000
-    # row-major maps ~80 MiB; the cnot_rotated build under amplitude damping
+    # 16x16 maps ~40 MiB; the cnot_rotated build under amplitude damping
     # runs on one 16x16 block, and MAX_STEPS_PER_SLOT steps hold no more
     gate, noise = swap_gate(1, 2), NoiseModel("dephasing", 0.01)
     amp = NoiseModel("amplitude_damping", 0.01)
@@ -874,7 +874,7 @@ def test_pair_steps_match_the_full_chain_oracle_at_every_step(kind):
         observer=lambda t, rho: oracle.append((t, rho.copy())),
     )
     times, maps = step_maps(gate, noise)
-    steps = list(zip(times, maps @ rho0.reshape(-1)))
+    steps = list(zip(times, row_major_from_pauli(maps) @ rho0.reshape(-1)))
     assert steps[0][0] == 0.0 and np.array_equal(steps[0][1], rho0.reshape(-1))
     assert len(steps) == len(oracle) + 1
     for (t, vec), (t_oracle, rho) in zip(steps[1:], oracle):
@@ -895,15 +895,36 @@ def test_unitary_steps_match_the_expm_product_at_every_step(kind):
     assert len(oracle) == 50 and len(steps) == 51
     assert np.array_equal(steps[0], np.eye(16))
     for phi, u in zip(steps[1:], oracle):
-        assert np.max(np.abs(phi - np.kron(u, u.conj()))) < 1e-12
+        assert np.max(np.abs(row_major_from_pauli(phi) - np.kron(u, u.conj()))) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
 def test_noiseless_map_is_the_closed_form(kind):
     gate = GATE_BUILDERS[kind](1, 2)
     u = slot_unitary(gate.kind, gate.params)
-    phi = gate_superoperator(gate, NOISELESS)
+    phi = row_major_from_pauli(gate_superoperator(gate, NOISELESS))
     assert np.max(np.abs(phi - np.kron(u, u.conj()))) < 1e-15
+
+
+def choi_min_eigenvalue(phi):
+    """The smallest eigenvalue of the Choi matrix sum_kl |k><l| kron
+    Phi(|k><l|) of a pair map, which is >= 0 when the map is completely
+    positive (Choi, Linear Algebra Appl. 10, 285 (1975))."""
+    m = row_major_from_pauli(phi).reshape(4, 4, 4, 4)
+    return np.linalg.eigvalsh(m.transpose(2, 0, 3, 1).reshape(16, 16))[0]
+
+
+@pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
+def test_cached_maps_are_completely_positive(kind):
+    # RK4 is not exactly completely positive: at alpha = 1 the noisy maps
+    # reach -3.5e-8 (cnot_rotated under dephasing at gamma = 1e-4), within
+    # the default grid's RK4 error ceiling of 4.7e-8
+    gate = GATE_BUILDERS[kind](1, 2)
+    assert choi_min_eigenvalue(gate_superoperator(gate, NOISELESS)) >= -1e-14
+    for noise_kind in PAIR_NOISE_KINDS:
+        noises = [NoiseModel(noise_kind, gamma) for gamma in (1e-4, 1e-3, 1e-2, 0.1, 1.0)]
+        for noise, phi in zip(noises, gate_superoperators(gate, noises, [1.0])):
+            assert choi_min_eigenvalue(phi) >= -5e-8, noise
 
 
 def test_zero_rate_is_noiseless():
@@ -1049,7 +1070,7 @@ def test_pair_propagator_window_is_set_by_step_index(kind, alpha):
     gate = swap_gate(1, 2) if kind == "swap" else cnot_gate(1, 2)
     noise = NoiseModel("dephasing", 0.01)
     dt = alpha / DEFAULT_STEPS_PER_SLOT
-    phi = gate_superoperator(gate, noise, alpha)
+    phi = row_major_from_pauli(gate_superoperator(gate, noise, alpha))
     schedule = schedule_sequence([gate], slot_duration=alpha)
     units = np.eye(16, dtype=complex).reshape(4, 4, 16)
     oracle = rk4_lindblad(units, schedule, noise, dt).reshape(16, 16)
@@ -1248,6 +1269,51 @@ def test_ladder_live_width_is_four_at_any_length(monkeypatch):
     circuit = build_transport_circuit(ChainTopology("square_2d", 4), "cnot_first")
     with pytest.raises(ValueError, match="would hold 1024 entries"):
         evolve_lindblad_product(sites[:4], circuit.schedule, noise, (3, 4))
+
+
+def test_a_site_state_that_is_not_hermitian_is_refused():
+    # a real Pauli vector cannot carry its anti-Hermitian part
+    state = np.array([[0.5, 0.5], [0.0, 0.5]])
+    schedule = schedule_sequence([swap_gate(1, 2)])
+    with pytest.raises(ValueError, match="site states must be Hermitian"):
+        evolve_lindblad_product([state, proj(ket(0))], schedule, NOISELESS, (1, 2))
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [NOISELESS, NoiseModel("dephasing", 0.1), NoiseModel("amplitude_damping", 0.1)],
+    ids=lambda noise: noise.kind,
+)
+@pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
+def test_every_map_is_real(kind, noise):
+    gate = GATE_BUILDERS[kind](1, 2)
+    maps = gate_superoperators(gate, [noise], [1.0, 2.5])
+    maps += [m for _, m in gate_step_maps(gate, noise, 1.0, IntegratorConfig(dt=1.0 / 300))]
+    maps.append(_idle_superop(noise, 0.7))
+    assert [m.dtype for m in maps] == [np.float64] * len(maps)
+
+
+def test_transport_frontier_is_real():
+    # the frontier, each site's loose vector and every gate tensor of a
+    # noisy ladder, at every line the contraction runs
+    seen = set()
+
+    def local(frame, event, arg):
+        for name in ("frontier", "loose"):
+            if frame.f_locals.get(name) is not None:
+                seen.add((name, frame.f_locals[name].dtype))
+        seen.update(("gate", block[3].dtype) for block in frame.f_locals.get("blocks", ()))
+        return local
+
+    code = circuits.evolve_lindblad_product.__code__
+    circuit = build_transport_circuit(ChainTopology("square_2d", 8), "cnot_first")
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        transport_fidelity(circuit, ket(0), noise=NoiseModel("amplitude_damping", 0.1))
+    finally:
+        sys.settrace(before)
+    assert seen == {(name, np.dtype(np.float64)) for name in ("frontier", "loose", "gate")}
 
 
 def test_density_entries_validate_their_inputs():
