@@ -19,14 +19,16 @@ existing command lines and INI files, but selects nothing.
 
 Single-gate runs act on their pair alone, through the gate's real 16x16
 Pauli-transfer slot map from ``dynamics.gate_superoperator``: ``kron(U,
-U*)`` of the closed-form slot unitary, converted once per build, when
+U*)`` of the closed-form slot unitary, through one eigenbasis kernel, when
 noiseless, pair RK4 when noisy, cached by gate, noise, duration and step
 count; a fidelity is a dot product of Pauli vectors. ``duration-sweep``
 builds the maps of each gate's (gamma, duration) cases together
 (``dynamics.gate_superoperators``) and applies each to the input.
 ``trace`` reads the map after every step from the stream
 ``dynamics.gate_step_maps``, for all three inputs at once;
-its noiseless steps are the closed form at cumulative pulse areas.
+its noiseless steps are the closed form at cumulative pulse areas. A
+slot or step map with an entry above 1, which no CPTP map has, is an
+unstable step grid and aborts the run.
 Transport contracts the circuit site by site (the same cached maps plus
 idle-site channels), so a chain of any length runs in time linear in
 its length.
@@ -41,7 +43,8 @@ or a ``dt`` or duration factor whose step grid or rescaled pulses the
 library cannot represent),
 3 calibration failure, 4 integrator abort (trace drift, a pair generator
 that breaks Hermiticity, a pair propagator that is not finite,
-trace-preserving and bounded, or lost normalisation), 5 internal error
+trace-preserving and bounded, a single-gate map with an entry above 1,
+or lost normalisation), 5 internal error
 (any other library ``ValueError``).
 """
 
@@ -73,6 +76,7 @@ from .dynamics import (
     IntegratorConfig,
     NoiseModel,
     NumericalError,
+    _check_map_entries,
     _pauli_vector,
     _resolve_steps,
     gate_fidelity,
@@ -435,6 +439,7 @@ def run_trace(s: Settings):
 
     times, fidelities = [], []
     for ts, maps in gate_step_maps(gate, noise, cfg=IntegratorConfig(dt=s.dt)):
+        _check_map_entries(maps, f"a {gate.kind} step map up to t = {ts[-1]:.6g}")
         times.append(ts)
         fidelities.append(maps.reshape(len(ts), 256) @ readout)
     times = np.concatenate(times)

@@ -41,8 +41,9 @@ Noisy slots
     Solving ODEs I, §II.1); expanded over words of the letters and grouped
     by their number p of dissipator letters, it is ``sum_p z^p Q_p``, p =
     0..4, and ``Q_p`` depends only on the kind, parameters, noise kind and
-    step count. The word tables are kept per (kind, noise kind), so every
-    rate of a noise kind shares them. Per chunk of ``PAIR_CHUNK_STEPS``
+    step count. The letters and their word tables are built once per
+    (kind, noise kind), at rate 1, and a case's rate enters only its z
+    (:func:`_pair_z`). Per chunk of ``PAIR_CHUNK_STEPS``
     steps, one small GEMM per power gives the ``Q_p`` from the steps' word
     coefficients; each case then takes one GEMV for its own step maps.
     Each chunk holds its steps in one layout, bit-reversed and padded to
@@ -64,15 +65,16 @@ Single gates
     the Pauli on the gate's first site, acting on a pair's Pauli vector
     (:func:`_pauli_vector`). :func:`gate_superoperators` is its one builder,
     for a gate alone on its pair, and :func:`gate_superoperator` its
-    one-case call: ``kron(U, U*)`` of the slot unitary, converted once, when
-    noiseless, else one pair RK4 row per noise kind and step count. Maps
+    one-case call: ``kron(U, U*)`` of the slot unitary when noiseless, else
+    one pair RK4 row per noise kind and step count, and every noiseless
+    map comes from one eigenbasis kernel, :func:`_unitary_maps`. Maps
     are cached by ``(kind, params, noise, duration, n_steps)``: an explicit
     ``dt`` and the default grid share a build when they give the same step
     count. A row names its failures per case, so a bad case neither breaks
     up its row nor is built twice. :func:`gate_fidelity` and transport
     (:mod:`spinchain.circuits`) read these maps; the ``trace`` command
     reads :func:`gate_step_maps`, an uncached stream of the map after
-    every step: the closed form at cumulative areas, or the prefix
+    every step: the same kernel at cumulative areas, or the prefix
     products of each chunk of RK4 step maps, taken by a scan.
 
 Pulses are truncated to their slot. Whether a grid point carries drive is
@@ -94,11 +96,13 @@ stack whose bound passes a tolerance is searched instead, so an unstable
 step grid aborts, at the level where a search of every level would,
 before numpy overflows and before a stream hands out a step map. The
 step generators are held to the same bound before the series takes
-powers of z, which the bound caps, and a generator letter that is not
-finite at the case's own rate (a decay rate near the float limit) fails
-as not bounded, so no rate reaches a numpy overflow either. A slot
-unitary more than 1e-9 away from unitary raises :class:`NumericalError`
-when its map, or its stream chunk, is built. Integrator bugs cannot hide.
+powers of z, which the bound caps, and a rate whose z is not finite (a
+decay rate near the float limit) fails as not bounded before any build,
+so no rate reaches a numpy overflow either. A grid unstable within that
+bound is refused where a single-gate map is read, at an entry above 1
+(:func:`_check_map_entries`). A slot unitary more than 1e-9 away from
+unitary raises :class:`NumericalError` when its map, or its stream chunk,
+is built. Integrator bugs cannot hide.
 """
 
 from __future__ import annotations
@@ -202,6 +206,17 @@ def _check_trace(trace, where: str):
     drift = abs(trace.real - 1.0) + abs(trace.imag)
     if not drift <= TRACE_ABORT_TOL:  # a NaN trace fails too
         raise TraceDriftError(f"trace drifted by {drift:.3e} {where}")
+
+
+def _check_map_entries(maps: np.ndarray, what: str):
+    """A real Pauli-transfer map of a CPTP map has no entry of modulus above
+    1, so an entry of ``maps`` past 1 + ``TRACE_ABORT_TOL`` (a NaN
+    included) raises :class:`TraceDriftError`: an unstable step grid
+    shows there, while the map's trace row may stay exact. ``what`` names
+    the maps in the message."""
+    size = max(maps.max(), -maps.min())
+    if not size <= 1.0 + TRACE_ABORT_TOL:
+        raise TraceDriftError(f"{what} has an entry {size:.3e} above 1, which no CPTP map has")
 
 
 # ---------------------------------------------------------------------------
@@ -339,37 +354,37 @@ def _packed_positions(blocks: np.ndarray) -> np.ndarray:
     return (16 * blocks[:, :, None] + blocks[:, None, :]).reshape(-1)
 
 
-@lru_cache(maxsize=64)
-def _pair_letters(kind: str, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The generator letters of one driven pair in the real Pauli-transfer
-    basis (the dissipator sum, then each channel's drive superoperator),
-    the largest entry of each, and their ``(k, b)`` layout from
-    :func:`_pack_blocks` over the letters' exact nonzeros. Each letter is
-    one row of its ``(k, b, b)`` blocks, flattened. All three are
-    read-only, and cached by ``(kind, noise)``.
+@lru_cache(maxsize=8)
+def _pair_words(kind: str, noise_kind: str) -> tuple:
+    """The generator letters of one driven pair under one noise kind at
+    rate 1, in the real Pauli-transfer basis, and the word tables of their
+    RK4 series: ``(letters, tables, rows, scale, layout)``, all read-only,
+    cached by ``(kind, noise_kind)`` and shared by every decay rate, which
+    enters a build only through z (:func:`_pair_z`).
 
-    Every letter maps each block into itself, and so does every sum and
-    product of them, so the entries a packed map leaves out are exactly
-    zero. A letter that is not finite raises :class:`TraceDriftError` as
-    not bounded, and a generator that does not preserve Hermiticity has an
+    The letters are the dissipator sum, then each channel's drive
+    superoperator. A generator that does not preserve Hermiticity has an
     imaginary part here, beyond 1e-12 of its letter's largest entry, and
-    raises :class:`NumericalError`; a failed build is not cached, so every
-    call raises again.
+    raises :class:`NumericalError`. ``layout`` is :func:`_pack_blocks`
+    over the letters' exact nonzeros; every letter maps each block into
+    itself, and so does every sum and product of them, so the entries a
+    packed map leaves out are exactly zero. ``letters`` are the packed
+    letters, each one row of its ``(k, b, b)`` blocks, flattened, with the
+    dissipator sum divided by ``scale``, its largest entry (1 if it has
+    none). Every product of 1 to 4 letters is a word, listed per degree
+    with the leftmost letter most significant, as :func:`_word_features`
+    forms them. Sorted by their number p of constant letters, ``tables[p]``
+    holds the words with p, one flattened ``(k, b, b)`` row each, and
+    ``rows[degree]`` is the sorted row of each word of that degree. Tables
+    that are not finite raise :class:`TraceDriftError` as not bounded. A
+    failed build is not cached, so every call raises again.
     """
-    blocks = gate_channel_blocks(kind)
     constant = np.zeros((16, 16), dtype=complex)
-    jump = noise.jump_block()
-    # a rate near the float limit overflows here; the check below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        if jump is not None:
-            for l4 in (np.kron(jump, np.eye(2)), np.kron(np.eye(2), jump)):
-                constant += noise.gamma * _dissipator_superop(l4)
-        letters = [constant] + [_hamiltonian_superop(b) for b in blocks]
-        letters = _PTM_INV @ np.array(letters) @ _PTM
-    if not np.isfinite(letters).all():
-        raise TraceDriftError(
-            f"the {kind} pair propagator is not bounded (a generator letter is not finite)"
-        )
+    jump = NoiseModel(noise_kind, 1.0).jump_block()
+    for l4 in (np.kron(jump, np.eye(2)), np.kron(np.eye(2), jump)):
+        constant += _dissipator_superop(l4)
+    letters = [constant] + [_hamiltonian_superop(b) for b in gate_channel_blocks(kind)]
+    letters = _PTM_INV @ np.array(letters) @ _PTM
     imag = np.max(np.abs(letters.imag), axis=(1, 2))
     if not np.all(imag <= 1e-12 * np.max(np.abs(letters), axis=(1, 2))):
         raise NumericalError(
@@ -377,34 +392,9 @@ def _pair_letters(kind: str, noise: NoiseModel) -> tuple[np.ndarray, np.ndarray,
             f"(imaginary part {np.max(imag):.3e} in the Pauli-transfer basis)"
         )
     layout = _pack_blocks(np.any(letters.real != 0.0, axis=0))
-    letters = letters.real.reshape(len(letters), 256)[:, _packed_positions(layout)]
-    letter_sizes = np.max(np.abs(letters), axis=1)
-    for a in (letters, letter_sizes, layout):
-        a.flags.writeable = False
-    return letters, letter_sizes, layout
-
-
-@lru_cache(maxsize=8)
-def _pair_words(kind: str, noise_kind: str) -> tuple:
-    """The word tables of the RK4 series of one gate kind under one noise
-    kind, shared by every decay rate: ``(letters, tables, rows, scale,
-    layout)``, all read-only, cached by ``(kind, noise_kind)`` beside
-    :func:`_pair_letters`, whose ``(k, b)`` layout at rate 1 they share.
-
-    ``letters`` are the packed letters at rate 1 with the dissipator sum
-    divided by ``scale``, its largest entry (1 if it has none); a rate
-    gamma puts ``gamma * scale`` into z (:func:`_constant_coefficients`).
-    Every product of 1 to 4 letters is a word, listed per degree with the
-    leftmost letter most significant, as :func:`_word_features` forms
-    them. Sorted by their number p of constant letters, ``tables[p]``
-    holds the words with p, one flattened ``(k, b, b)`` row each, and
-    ``rows[degree]`` is the sorted row of each word of that degree. Tables
-    that are not finite raise :class:`TraceDriftError` as not bounded.
-    """
-    letters, letter_sizes, layout = _pair_letters(kind, NoiseModel(noise_kind, 1.0))
     k, b = layout.shape
-    scale = float(letter_sizes[0]) or 1.0
-    letters = letters.copy()
+    letters = letters.real.reshape(len(letters), 256)[:, _packed_positions(layout)]
+    scale = float(np.max(np.abs(letters[0]))) or 1.0
     letters[0] /= scale
     blocks = letters.reshape(len(letters), k, b, b)
     constant = (np.arange(len(letters)) == 0).astype(int)
@@ -425,7 +415,7 @@ def _pair_words(kind: str, noise_kind: str) -> tuple:
     rank[order] = np.arange(len(order))
     rows = tuple(rank[start:end] for start, end in zip(sizes[:-1], sizes[1:]))
     tables = tuple(words[powers == p] for p in _POWERS)
-    for a in (letters, *rows, *tables):
+    for a in (letters, *rows, *tables, layout):
         a.flags.writeable = False
     return letters, tables, rows, scale, layout
 
@@ -470,31 +460,26 @@ def _series_terms(x, rows, tables, q):
         first += len(table)
 
 
-def _constant_coefficients(kind, params, noises, durations, n_steps) -> list:
-    """The coefficient z of :func:`_pair_words`' constant letter in each
-    step generator ``h g`` of each (noise, duration) case on an
-    ``n_steps`` grid: ``h`` times the largest entry of the dissipator sum
-    at that rate, ``gamma * scale``, the part of the generator bound that
-    grows with the duration. A case that cannot be built gets, in place of
-    its z, the error its build alone raises: ``ValueError`` for a duration
-    the pulses cannot be rescaled to, else :func:`_pair_letters`' error
-    for a rate whose own letters fail, or :func:`_pair_words`' for its
-    noise kind. Each distinct duration is rescaled once."""
-    zs, rescaled = [], set()
-    for noise, duration in zip(noises, durations):
-        try:
-            if duration not in rescaled:
-                rescale_channel_params(params, 0.0, float(duration))
-                rescaled.add(duration)
-            _pair_letters(kind, noise)
-            scale = _pair_words(kind, noise.kind)[3]
-        except (NumericalError, ValueError) as error:
-            zs.append(error)
-            continue
-        # Python floats: a product past the float range is inf, and the
-        # generator bound refuses it, without a numpy warning
-        zs.append(float(duration) / n_steps * (noise.gamma * scale))
-    return zs
+def _pair_z(kind, params, noise: NoiseModel, duration, n_steps: int) -> float:
+    """The coefficient z = h gamma scale of :func:`_pair_words`' constant
+    letter in each step generator ``h g`` of one (noise, duration) case on
+    an ``n_steps`` grid, the part of the generator bound that grows with
+    the duration, or the error that case raises alone: ``ValueError`` for
+    a duration the pulses cannot be rescaled to, :func:`_pair_words`'
+    error for its noise kind, or :class:`TraceDriftError`, as not bounded,
+    for a rate whose z overflows the float range."""
+    rescale_channel_params(params, 0.0, float(duration))
+    scale = _pair_words(kind, noise.kind)[3]
+    # Python floats: a product past the float range is inf, without a
+    # numpy warning
+    h = float(duration) / n_steps
+    z = h * (float(noise.gamma) * scale)
+    if not z < np.inf:
+        raise TraceDriftError(
+            f"the {kind} pair propagator is not bounded (z = h gamma scale = "
+            f"{h:.3e} * {noise.gamma:.3e} * {scale:.3e} overflows the float range)"
+        )
+    return z
 
 
 @lru_cache(maxsize=16)
@@ -710,19 +695,12 @@ def _tree_product(kind: str, d: np.ndarray, bound: tuple) -> tuple[np.ndarray, t
     return d[0], bound
 
 
-def _pair_rk4(
-    kind: str,
-    params: tuple[tuple[float, float], ...],
-    noises,
-    durations,
-    n_steps: int,
-) -> list:
+def _pair_rk4(kind: str, params, noise_kind: str, zs: dict, n_steps: int, aborted: dict) -> list:
     """Real Pauli-transfer propagators of one driven pair (plus its two
-    sites' noise), one per case: ``noises[i]`` (all of one kind) across a
-    slot of ``durations[i]``, each of ``n_steps`` fixed RK4 steps. A case that
-    cannot be built gets, in place of its map, the exact error its build
-    alone raises: a duration or rate that :func:`_constant_coefficients`
-    refuses, or the :class:`TraceDriftError` of a build that aborts.
+    sites' noise of ``noise_kind``) across one slot of ``n_steps`` fixed
+    RK4 steps, one per case of ``zs``, which maps each case's key to its z
+    (:func:`_pair_z`). A case whose build aborts gets None in place of its
+    map and its :class:`TraceDriftError` in ``aborted[key]``.
 
     Every chunk of :func:`_pair_series` serves every case: its step maps
     (:func:`_pair_step_maps`) are multiplied by a pairwise tree
@@ -733,21 +711,18 @@ def _pair_rk4(
     The series is the only thing the cases share, so each map's bits
     depend only on its own z: a build alone is a row of one.
     """
-    noise_kind = noises[0].kind
-    zs = _constant_coefficients(kind, params, noises, durations, n_steps)
-    totals: list = [z if isinstance(z, Exception) else None for z in zs]
-    live = [i for i, total in enumerate(totals) if total is None]
-    for chunk in _pair_series(kind, params, noise_kind, n_steps) if live else ():
-        for i in live:
-            if isinstance(totals[i], TraceDriftError):
+    totals = dict.fromkeys(zs)
+    for chunk in _pair_series(kind, params, noise_kind, n_steps):
+        for key, z in zs.items():
+            if key in aborted:
                 continue
             try:
-                product = _tree_product(kind, *_pair_step_maps(kind, noise_kind, chunk, zs[i]))
-                totals[i] = product if totals[i] is None else _then_certified(kind, totals[i], product)
+                product = _tree_product(kind, *_pair_step_maps(kind, noise_kind, chunk, z))
+                totals[key] = product if totals[key] is None else _then_certified(kind, totals[key], product)
             except TraceDriftError as error:
-                totals[i] = error
-    layout = _pair_words(kind, noise_kind)[4] if live else None
-    return [t if isinstance(t, Exception) else _unpacked(t[0], layout) for t in totals]
+                aborted[key] = error
+    layout = _pair_words(kind, noise_kind)[4]
+    return [None if key in aborted else _unpacked(t[0], layout) for key, t in totals.items()]
 
 
 def _scan_product(kind: str, d: np.ndarray, bound: tuple) -> tuple[np.ndarray, tuple[float, float]]:
@@ -776,12 +751,35 @@ def _unpacked(d: np.ndarray, layout: np.ndarray) -> np.ndarray:
 _PAIR_PROP_CACHE: dict = {}
 
 
-def _check_unitary(u: np.ndarray):
+@lru_cache(maxsize=None)
+def _eigen_weights(kind: str) -> np.ndarray:
+    """The weights of :func:`_unitary_maps` for a gate kind, read-only. With
+    ``V`` the kind's eigenbasis, ``kron(U, U*) = B diag(e_j e_k*) B^dag``,
+    ``e = diag(V^dag U V)``, ``B = kron(V, V*)``: a map is Re(phases @ w),
+    row m of w column m of A = _PTM_INV B times row m of A^dag, stored as
+    the interleaved real and imaginary rows of one real GEMM."""
+    v, _ = gate_eigensystem(kind)
+    a = (_PTM_INV @ np.kron(v, v.conj())).T
+    w = (a[:, :, None] * a.conj()[:, None, :]).reshape(16, 256)
+    weights = np.stack([w.real, -w.imag], axis=1).reshape(32, 256)
+    weights.flags.writeable = False
+    return weights
+
+
+def _unitary_maps(kind: str, u: np.ndarray) -> np.ndarray:
+    """The real Pauli-transfer maps ``kron(U, U*)`` of a ``(..., 4, 4)``
+    stack of the closed-form unitaries of a gate kind, which must pass the
+    unitary check: the phases ``e_j e_k*`` of each, one real GEMM against
+    :func:`_eigen_weights`."""
     # Each closed-form unitary is exact to roundoff, so anything past 1e-9
     # means a genuine defect.
     error = np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - _I4))
     if not error <= 1e-9:
         raise NumericalError(f"unitary evolution lost normalisation ({error:.3e})")
+    v, _ = gate_eigensystem(kind)
+    e = np.sum(v.conj() * (u.reshape(-1, 4) @ v).reshape(u.shape), axis=-2)
+    phases = (e[..., :, None] * e[..., None, :].conj()).reshape(-1, 16)
+    return (phases.view(float) @ _eigen_weights(kind)).reshape(*u.shape[:-2], 16, 16)
 
 
 def _map_key(gate: GateSpec, noise: NoiseModel, duration: float, n_steps: int) -> tuple:
@@ -793,33 +791,36 @@ def gate_superoperators(
 ) -> list[np.ndarray]:
     """Real 16x16 Pauli-transfer maps of one gate alone on its pair across
     one slot, one per case of ``noises`` times ``durations``, noise by
-    noise: ``kron(U, U*)`` of the closed-form slot unitary, converted, when
+    noise: :func:`_unitary_maps` of the closed-form slot unitary when
     noiseless, else the pair RK4 propagator. The only builder of these
     maps, cached by ``(kind, params, noise, duration, n_steps)``. Missing
     noisy maps are built first, one :func:`_pair_rk4` row per noise kind
-    and step count, each equal to its build alone bit for bit; the row's
-    good maps are all cached, then the first case in order that fails
-    raises its own error.
+    and step count, each equal to its build alone bit for bit; a case whose
+    z (:func:`_pair_z`) or build fails is recorded with its error, the
+    row's good maps are all cached, then the first case in order that
+    fails raises its own error.
     """
     cfg = cfg or IntegratorConfig()
     cases = [(noise, duration) for noise in noises for duration in durations]
     rows: dict[tuple, dict] = {}
+    failed = {}
     for noise, duration in cases:
         try:
             n_steps, _ = _resolve_steps(duration, cfg)
         except ValueError:
             continue  # raised in case order below
         key = _map_key(gate, noise, duration, n_steps)
-        if noise.kind != "none" and key not in _PAIR_PROP_CACHE:
-            rows.setdefault((noise.kind, n_steps), {})[key] = None
-    failed = {}
-    for (_, n_steps), keys in rows.items():
-        noises, durations = [key[2] for key in keys], [key[3] for key in keys]
-        for key, phi in zip(keys, _pair_rk4(gate.kind, gate.params, noises, durations, n_steps)):
-            if isinstance(phi, Exception):
-                failed[key] = phi
-            else:
-                _PAIR_PROP_CACHE[key] = phi
+        if noise.kind == "none" or key in _PAIR_PROP_CACHE:
+            continue
+        try:
+            z = _pair_z(gate.kind, gate.params, noise, duration, n_steps)
+        except (NumericalError, ValueError) as error:
+            failed[key] = error
+        else:
+            rows.setdefault((noise.kind, n_steps), {})[key] = z
+    for (noise_kind, n_steps), row in rows.items():
+        maps = _pair_rk4(gate.kind, gate.params, noise_kind, row, n_steps, failed)
+        _PAIR_PROP_CACHE.update((key, phi) for key, phi in zip(row, maps) if key not in failed)
     maps = []
     for noise, duration in cases:
         n_steps, _ = _resolve_steps(duration, cfg)
@@ -828,8 +829,7 @@ def gate_superoperators(
             raise failed[key]
         if key not in _PAIR_PROP_CACHE:  # a noiseless map
             u = slot_unitary(gate.kind, gate.params, duration, n_steps)
-            _check_unitary(u)
-            _PAIR_PROP_CACHE[key] = (_PTM_INV @ _kron4(u, u.conj()) @ _PTM).real
+            _PAIR_PROP_CACHE[key] = _unitary_maps(gate.kind, u)
         maps.append(_PAIR_PROP_CACHE[key])
     return maps
 
@@ -848,9 +848,9 @@ def gate_step_maps(
 ):
     """The uncached map of :func:`gate_superoperator` after every step,
     yielded as ``(times, maps)`` chunks of at most ``PAIR_CHUNK_STEPS``
-    steps, after a first ``([0], [I])``. A noiseless chunk is ``kron(U,
-    U*)`` at the cumulative pulse areas, whose unitaries pass the unitary
-    check; a noisy one is the product so far times its RK4 step maps,
+    steps, after a first ``([0], [I])``. A noiseless chunk is
+    :func:`_unitary_maps` of the unitaries at the cumulative pulse areas; a
+    noisy one is the product so far times its RK4 step maps,
     gathered into time order in the chunk's workspace and scanned,
     certified by bound or searched at every level, so no unstable map is
     handed out.
@@ -861,24 +861,11 @@ def gate_step_maps(
     if noise.kind == "none":
         samples, step = _channel_samples(params, duration, n_steps)
         areas = np.cumsum(samples, axis=1) * step
-        # kron(U, U*) = B diag(e_j e_k*) B^dag, e = diag(V^dag U V), B = kron(V,
-        # V*): a map is Re(phases @ w), row m of w column m of A = _PTM_INV B
-        # times row m of A^dag, one real GEMM over interleaved parts
-        v, _ = gate_eigensystem(kind)
-        a = (_PTM_INV @ np.kron(v, v.conj())).T
-        w = (a[:, :, None] * a.conj()[:, None, :]).reshape(16, 256)
-        weights = np.stack([w.real, -w.imag], axis=1).reshape(32, 256)
         for first in range(0, n_steps, PAIR_CHUNK_STEPS):
-            u = _eigen_unitary(kind, areas[:, first : first + PAIR_CHUNK_STEPS])
-            _check_unitary(u)
-            e = np.sum(v.conj() * (u.reshape(-1, 4) @ v).reshape(u.shape), axis=1)
-            phases = (e[:, :, None] * e[:, None, :].conj()).reshape(-1, 16)
-            maps = (phases.view(float) @ weights).reshape(-1, 16, 16)
-            yield dt * np.arange(first + 1, first + len(u) + 1), maps
+            maps = _unitary_maps(kind, _eigen_unitary(kind, areas[:, first : first + PAIR_CHUNK_STEPS]))
+            yield dt * np.arange(first + 1, first + len(maps) + 1), maps
         return
-    (z,) = _constant_coefficients(kind, params, [noise], [duration], n_steps)
-    if isinstance(z, Exception):
-        raise z
+    z = _pair_z(kind, params, noise, duration, n_steps)
     layout = _pair_words(kind, noise.kind)[4]
     h, total, first = duration / n_steps, None, 0
     for chunk in _pair_series(kind, params, noise.kind, n_steps):
@@ -920,14 +907,18 @@ def gate_fidelity(
     The gate's pulses are rescaled to a slot of duration ``alpha * tau0``;
     the Pauli vector of the normalised 2-qubit input goes through the
     gate's cached slot map (:func:`gate_superoperator`), and its dot
-    product with the ideal output's, over 4, is the fidelity.
+    product with the ideal output's, over 4, is the fidelity. A slot map
+    with an entry past 1 (:func:`_check_map_entries`) raises
+    :class:`TraceDriftError`.
     """
     if not (alpha > 0.0):
         raise ValueError("duration factor alpha must be positive")
     psi0 = check_state(np.asarray(input_state, dtype=complex))
     if psi0.shape != (4,) or gate.qubits != (1, 2):
         raise ValueError("gate_fidelity runs one gate on qubits (1, 2) of a 2-qubit input")
-    out = gate_superoperator(gate, noise, alpha, cfg) @ _pauli_vector(np.outer(psi0, psi0.conj()))
+    phi = gate_superoperator(gate, noise, alpha, cfg)
+    _check_map_entries(phi, f"the {gate.kind} slot map")
+    out = phi @ _pauli_vector(np.outer(psi0, psi0.conj()))
     _check_trace(out[0], "in the final state")
     target = ideal_gate_matrix(gate.kind) @ psi0
     return float(out @ _pauli_vector(np.outer(target, target.conj()))) / 4.0

@@ -361,14 +361,17 @@ def pair_step_maps_stages(kind, params, noise, duration, n_steps):
     them, by the three RK4 stage products of every step.
 
     The reference for the series of ``dynamics._pair_series``: the same
-    packed letters (``dynamics._pair_letters``) times the drive sampled at
-    each step's start, midpoint and end of the slot itself, then the
-    stages applied to the identity, hk_2 = h g_m (I + hk_1 / 2), hk_3 =
-    h g_m (I + hk_2 / 2), hk_4 = h g_4 (I + hk_3), combined as (hk_1 +
-    2 hk_2 + 2 hk_3 + hk_4) / 6.
+    packed letters (``dynamics._pair_words``' rate-1 table, its constant
+    letter times gamma * scale, so at the case's own rate) times the drive
+    sampled at each step's start, midpoint and end of the slot itself,
+    then the stages applied to the identity, hk_2 = h g_m (I + hk_1 / 2),
+    hk_3 = h g_m (I + hk_2 / 2), hk_4 = h g_4 (I + hk_3), combined as
+    (hk_1 + 2 hk_2 + 2 hk_3 + hk_4) / 6.
     """
     amplitude, width, center = rescale_channel_params(params, 0.0, duration)
-    letters, _, layout = dynamics._pair_letters(kind, noise)
+    letters, _, _, scale, layout = dynamics._pair_words(kind, noise.kind)
+    letters = letters.copy()
+    letters[0] *= noise.gamma * scale
     k, b = layout.shape
     h = duration / n_steps
     eye = np.eye(b)
@@ -415,7 +418,7 @@ def pair_rk4_natural(kind, params, noise, duration, n_steps):
     with each chunk's step maps put back in time order and multiplied by
     :func:`tree_product_natural`, then folded in order as the package
     folds them. Raises the ``TraceDriftError`` of an aborting build."""
-    (z,) = dynamics._constant_coefficients(kind, params, [noise], [duration], n_steps)
+    z = dynamics._pair_z(kind, params, noise, duration, n_steps)
     total = None
     for chunk in dynamics._pair_series(kind, params, noise.kind, n_steps):
         d, _ = dynamics._pair_step_maps(kind, noise.kind, chunk, z)

@@ -559,6 +559,26 @@ def test_rate_near_the_float_limit_exits_4_as_unbounded(tmp_path, argv, gamma, c
     assert "pair propagator is not bounded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["duration-sweep", "--gate", "cnot", "--noise", "dephasing", "--gamma", "0.1",
+         "--alpha", "1", "--dt", "0.25"],
+        ["duration-sweep", "--gate", "swap", "--alpha", "1,2", "--dt", "0.5"],
+        ["trace", "--gate", "cnot", "--noise", "dephasing", "--gamma", "0.1", "--dt", "0.25"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_unstable_step_grid_of_a_single_gate_exits_4(tmp_path, argv, capsys):
+    # these grids keep every map's trace row exact, but grow entries of 4.5
+    # to 51, which no CPTP Pauli-transfer map has; read, they would give
+    # fidelities far outside [0, 1]
+    code, out = run(tmp_path, argv)
+    assert code == 4 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("integrator abort: ") and "above 1, which no CPTP map has" in err
+
+
 @pytest.mark.parametrize("gamma", ["1e200", "1e308"])
 def test_amplitude_damping_near_the_float_limit_exits_4_as_unbounded(tmp_path, gamma, capsys):
     # the letters' roundoff at 1e200 is far below their size: not a

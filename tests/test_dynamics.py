@@ -321,40 +321,59 @@ def test_rate_near_the_float_limit_aborts_as_unbounded(gamma):
         next(stream)
 
 
-def test_pair_letters_are_cached_read_only_per_noise_model():
-    noise = NoiseModel("dephasing", 0.1)
-    letters, sizes, halves = dynamics._pair_letters("cnot", noise)
-    assert dynamics._pair_letters("cnot", NoiseModel("dephasing", 0.1))[0] is letters
-    assert not any(a.flags.writeable for a in (letters, sizes, halves))
+def test_pair_words_are_cached_read_only_per_noise_kind():
+    words = dynamics._pair_words("cnot", "dephasing")
+    letters, tables, rows, _, layout = words
+    assert dynamics._pair_words("cnot", "dephasing") is words
+    assert not any(a.flags.writeable for a in (letters, *tables, *rows, layout))
     with pytest.raises(ValueError, match="read-only"):
         letters[0, 0] = 1.0
-    # the whole model is the key: another rate gets letters of its own
-    other, _, _ = dynamics._pair_letters("cnot", NoiseModel("dephasing", 0.2))
-    assert not np.array_equal(other, letters)
+    # the noise kind is the key: every rate of it reads the same table
+    gate_superoperators(cnot_gate(1, 2), [NoiseModel("dephasing", g) for g in (0.1, 0.2)], [1.0])
+    assert dynamics._pair_words("cnot", "dephasing") is words
     # a cached build equals a fresh one bit for bit
-    dynamics._pair_letters.cache_clear()
-    assert np.array_equal(dynamics._pair_letters("cnot", noise)[0], letters)
+    dynamics._pair_words.cache_clear()
+    fresh = dynamics._pair_words("cnot", "dephasing")
+    assert fresh[3] == words[3]
+    for a, b in zip((letters, *tables, *rows, layout), (fresh[0], *fresh[1], *fresh[2], fresh[4])):
+        assert np.array_equal(a, b)
+
+
+def test_a_row_builds_the_letters_once_per_noise_kind(monkeypatch):
+    # three rates and two durations: the letters are built once, at rate
+    # 1, from one dissipator per site of the pair
+    calls = []
+    dissipator = dynamics._dissipator_superop
+    monkeypatch.setattr(dynamics, "_dissipator_superop", lambda l4: calls.append(1) or dissipator(l4))
+    noises = [NoiseModel("dephasing", g) for g in (0.01, 0.1, 1.0)]
+    maps = gate_superoperators(swap_gate(1, 2), noises, [1.0, 2.0])
+    assert len(maps) == 6 and len(calls) == 2
 
 
 @pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
 def test_amplitude_damping_near_the_float_limit_aborts_as_unbounded(kind):
-    # the letters' roundoff at this rate (an imaginary part ~4e183) is far
-    # below their size, so they pass the Hermiticity check and the build
-    # stops on its bound instead
+    # the rate reaches the build only through z, so the letters' Hermiticity
+    # check, made at rate 1, cannot fail on it, and the build and the
+    # stream stop on their bound instead
     noise = NoiseModel("amplitude_damping", 1e200)
-    letters, _, _ = dynamics._pair_letters(kind, noise)
-    assert np.max(np.abs(letters)) > 1e199
+    gate = GATE_BUILDERS[kind](1, 2)
     with pytest.raises(TraceDriftError, match=f"the {kind} pair propagator is not bounded"):
-        gate_superoperator(GATE_BUILDERS[kind](1, 2), noise)
+        gate_superoperator(gate, noise)
+    stream = gate_step_maps(gate, noise)
+    next(stream)
+    with pytest.raises(TraceDriftError, match=f"the {kind} pair propagator is not bounded"):
+        next(stream)
 
 
-def test_letters_that_are_not_finite_raise_on_every_call():
+def test_rate_whose_z_overflows_raises_on_every_call():
+    # gamma * scale passes the float range: refused before any build, and
+    # nothing is cached, so every call raises again
     noise = NoiseModel("amplitude_damping", 1e308)
+    overflow = r"swap pair propagator is not bounded \(z = h gamma scale = .* overflows the float range\)"
     for _ in range(2):
-        with pytest.raises(TraceDriftError, match="a generator letter is not finite"):
-            dynamics._pair_letters("swap", noise)
-        with pytest.raises(TraceDriftError, match="swap pair propagator is not bounded"):
+        with pytest.raises(TraceDriftError, match=overflow):
             gate_superoperator(swap_gate(1, 2), noise)
+        assert not dynamics._PAIR_PROP_CACHE
 
 
 def test_pair_propagator_that_loses_trace_aborts(monkeypatch):
@@ -365,6 +384,16 @@ def test_pair_propagator_that_loses_trace_aborts(monkeypatch):
         gate_superoperator(swap_gate(1, 2), NoiseModel("amplitude_damping", 0.1))
 
 
+def pair_map(kind, params, noise, duration, n_steps):
+    """The map of ``dynamics._pair_rk4`` for one case, a row of one, at
+    the z of :func:`dynamics._pair_z`; a build that aborts raises."""
+    z, aborted = dynamics._pair_z(kind, params, noise, duration, n_steps), {}
+    (phi,) = dynamics._pair_rk4(kind, params, noise.kind, {"case": z}, n_steps, aborted)
+    if aborted:
+        raise aborted["case"]
+    return phi
+
+
 @pytest.mark.parametrize("noise_kind", ["dephasing", "amplitude_damping"])
 @pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
 def test_pair_build_matches_the_sequential_loop(kind, noise_kind):
@@ -373,7 +402,7 @@ def test_pair_build_matches_the_sequential_loop(kind, noise_kind):
     params, noise = GATE_BUILDERS[kind](1, 2).params, NoiseModel(noise_kind, 0.01)
     for alpha in (1.0, 10.0, 100.0):
         for n_steps in (1, 2, 3, 255, 256, 257, 1000):
-            (built,) = dynamics._pair_rk4(kind, params, [noise], [alpha], n_steps)
+            built = pair_map(kind, params, noise, alpha, n_steps)
             loop = pair_rk4_loop(kind, params, noise, alpha, n_steps)
             assert np.max(np.abs(row_major_from_pauli(built) - loop)) <= 1e-12, (alpha, n_steps)
 
@@ -386,7 +415,7 @@ def test_series_step_maps_match_the_stage_products(kind, noise_kind):
     params, noise = GATE_BUILDERS[kind](1, 2).params, NoiseModel(noise_kind, 0.01)
     alphas = EDGE_ALPHAS + (1.0, 10.0, 100.0)
     for n_steps in (1, 2, 3, 255, 256, 257, 1000):
-        zs = dynamics._constant_coefficients(kind, params, [noise] * len(alphas), alphas, n_steps)
+        zs = [dynamics._pair_z(kind, params, noise, alpha, n_steps) for alpha in alphas]
         stages = [pair_step_maps_stages(kind, params, noise, a, n_steps) for a in alphas]
         chunks = 0
         # each chunk lives in a workspace that the next one overwrites; its
@@ -436,8 +465,9 @@ UNPACKED = {("cnot_rotated", "amplitude_damping")}
 
 
 def dense_letters(kind, noise):
-    """The pair generator's letters as real 16x16 Pauli-transfer matrices,
-    built as ``_pair_letters`` builds them but never packed."""
+    """The pair generator's letters at the rate of ``noise`` as real 16x16
+    Pauli-transfer matrices, built as ``_pair_words`` builds them at rate
+    1 but never packed."""
     constant = np.zeros((16, 16), dtype=complex)
     jump = noise.jump_block()
     for l4 in (np.kron(jump, np.eye(2)), np.kron(np.eye(2), jump)):
@@ -456,8 +486,8 @@ def block_of(layout):
 @pytest.mark.parametrize("noise_kind", PAIR_NOISE_KINDS)
 @pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
 def test_pair_letters_pack_into_the_measured_halves(kind, noise_kind):
-    noise = NoiseModel(noise_kind, 0.1)
-    letters, sizes, layout = dynamics._pair_letters(kind, noise)
+    noise = NoiseModel(noise_kind, 1.0)
+    letters, _, _, scale, layout = dynamics._pair_words(kind, noise_kind)
     unpacked = (kind, noise_kind) in UNPACKED
     assert layout.shape == ((1, 16) if unpacked else MEASURED_LAYOUTS[noise_kind])
     # the blocks partition 0..15, each in order, with Pauli 0 first
@@ -467,11 +497,13 @@ def test_pair_letters_pack_into_the_measured_halves(kind, noise_kind):
     dense = dense_letters(kind, noise)
     rows, cols = np.nonzero(np.any(dense != 0.0, axis=0))
     assert np.array_equal(block_of(layout)[rows], block_of(layout)[cols])
-    # ... and the packed letters are those blocks, exactly
+    # ... and the packed letters are those blocks, exactly, the dissipator
+    # sum divided by its largest entry
     k, b = layout.shape
     blocks = dense[:, layout[:, :, None], layout[:, None, :]]
+    assert scale == np.max(np.abs(dense[0]))
+    blocks[0] /= scale
     assert np.array_equal(letters.reshape(-1, k, b, b), blocks)
-    assert np.array_equal(sizes, np.max(np.abs(dense), axis=(1, 2)))
 
 
 @pytest.mark.parametrize("noise_kind", PAIR_NOISE_KINDS)
@@ -480,7 +512,7 @@ def test_built_maps_are_exactly_zero_between_the_halves(kind, noise_kind):
     # a dense 16x16 RK4 in the Pauli-transfer basis, step by step: its
     # entries between the blocks come out exactly 0, so packing drops nothing
     gate, noise, n_steps = GATE_BUILDERS[kind](1, 2), NoiseModel(noise_kind, 0.1), 40
-    _, _, layout = dynamics._pair_letters(kind, noise)
+    layout = dynamics._pair_words(kind, noise_kind)[4]
     letters = dense_letters(kind, noise)
     pulses = materialize_channel_pulses(gate.params, 0.0, 1.0)
     h = 1.0 / n_steps
@@ -499,7 +531,7 @@ def test_built_maps_are_exactly_zero_between_the_halves(kind, noise_kind):
     between = block_of(layout)[:, None] != block_of(layout)[None, :]
     assert np.all(phi[between] == 0.0)
     # the packed build holds the same blocks, and exact zeros between them
-    (built,) = dynamics._pair_rk4(kind, gate.params, [noise], [1.0], n_steps)
+    built = pair_map(kind, gate.params, noise, 1.0, n_steps)
     assert np.all(built[between] == 0.0)
     assert np.max(np.abs(built - phi)) <= 1e-14
 
@@ -514,22 +546,21 @@ def test_coarser_layouts_build_the_same_maps_bit_for_bit(kind, monkeypatch):
     # the (4, 4) dephasing layout merged into (2, 8) and (1, 16): a bigger
     # block only adds exact zeros to each sum, so packing drops nothing
     gate, noise = GATE_BUILDERS[kind](1, 2), NoiseModel("dephasing", 0.01)
-    layout = dynamics._pair_letters(kind, noise)[2]
+    layout = dynamics._pair_words(kind, "dephasing")[4]
     assert layout.shape == (4, 4)
 
     def maps():
         for alpha in (1.0, 10.0, 100.0):
             for n_steps in (1, 2, 3, 255, 256, 257, 1000):
-                yield from dynamics._pair_rk4(kind, gate.params, [noise], [alpha], n_steps)
+                yield pair_map(kind, gate.params, noise, alpha, n_steps)
                 cfg = IntegratorConfig(dt=alpha / n_steps)
                 yield from (m for _, m in gate_step_maps(gate, noise, alpha, cfg))
 
     fine = list(maps())
     for k in (2, 1):
         monkeypatch.setattr(dynamics, "_pack_blocks", lambda pattern, k=k: merged_layout(layout, k))
-        dynamics._pair_letters.cache_clear()
         dynamics._pair_words.cache_clear()
-        assert dynamics._pair_letters(kind, noise)[2].shape == (k, 16 // k)
+        assert dynamics._pair_words(kind, "dephasing")[4].shape == (k, 16 // k)
         coarse = list(maps())
         assert len(coarse) == len(fine)
         assert all(np.array_equal(a, b) for a, b in zip(coarse, fine)), k
@@ -554,16 +585,14 @@ def test_builds_equal_the_natural_order_tree_bit_for_bit(kind, noise_kind):
         noise = NoiseModel(noise_kind, gamma)
         for alpha in (1.0, 0.01):
             for n_steps in (1, 2, 3, 100, 255, 256, 257, 1000, 1172, 2049):
-                (built,) = dynamics._pair_rk4(kind, params, [noise], [alpha], n_steps)
                 case = (gamma, alpha, n_steps)
                 try:
                     reference = pair_rk4_natural(kind, params, noise, alpha, n_steps)
                 except TraceDriftError as error:
-                    assert isinstance(built, TraceDriftError), case
-                    assert str(built) == str(error), case
+                    assert abort_message(lambda: pair_map(kind, params, noise, alpha, n_steps)) == str(error), case
                     aborted += 1
                     continue
-                assert same_bits(built, reference), case
+                assert same_bits(pair_map(kind, params, noise, alpha, n_steps), reference), case
     assert 0 < aborted < 60
 
 
@@ -599,7 +628,7 @@ def pair_runs(kind, noise, n_steps=100):
 @pytest.mark.parametrize("kind, noise_kind", GUARDED_LAYOUTS)
 def test_packed_trace_row_error_is_caught(kind, noise_kind, monkeypatch):
     noise = NoiseModel(noise_kind, 0.01)
-    b = dynamics._pair_letters(kind, noise)[2].shape[1]
+    b = dynamics._pair_words(kind, noise_kind)[4].shape[1]
     # an error in Pauli 0's packed row, away from its diagonal
     broken_steps(monkeypatch, (0, 0, b - 1), 1e-3)
     products = []
@@ -618,7 +647,7 @@ def test_packed_error_off_the_trace_row_is_not_a_trace_error(kind, noise_kind, m
     # the same error in the first row of another block (the second row of
     # the only one) changes the map, not its trace row: the build runs through
     noise = NoiseModel(noise_kind, 0.01)
-    k, b = dynamics._pair_letters(kind, noise)[2].shape
+    k, b = dynamics._pair_words(kind, noise_kind)[4].shape
     broken_steps(monkeypatch, (1, 0, b - 1) if k > 1 else (0, 1, b - 1), 1e-3)
     for run in pair_runs(kind, noise):
         run()
@@ -706,7 +735,7 @@ def test_series_certificate_bounds_every_step_map(kind, noise_kind, gamma, alpha
     # every letter preserves trace) and the largest entry of its step maps
     # before they are made, padding included
     params, noise = GATE_BUILDERS[kind](1, 2).params, NoiseModel(noise_kind, gamma)
-    (z,) = dynamics._constant_coefficients(kind, params, [noise], [alpha], n_steps)
+    z = dynamics._pair_z(kind, params, noise, alpha, n_steps)
     for chunk in dynamics._pair_series(kind, params, noise_kind, n_steps):
         assert not np.any(chunk.certificate[0])
         if not z + chunk.drive_bound <= 1.0 / TRACE_ABORT_TOL:
@@ -746,10 +775,11 @@ def test_default_builds_search_few_levels(kind, noise_kind, monkeypatch):
 def test_hermiticity_is_held_letter_by_letter(monkeypatch):
     # a drive letter times i is caught even beside a dissipator 1e200 times
     # its size: the tolerance scales with each letter's own entries
-    hamiltonian = dynamics._hamiltonian_superop
+    hamiltonian, dissipator = dynamics._hamiltonian_superop, dynamics._dissipator_superop
     monkeypatch.setattr(dynamics, "_hamiltonian_superop", lambda h4: 1j * hamiltonian(h4))
+    monkeypatch.setattr(dynamics, "_dissipator_superop", lambda l4: 1e200 * dissipator(l4))
     with pytest.raises(NumericalError, match="the cnot pair generator does not preserve Hermiticity"):
-        dynamics._pair_letters("cnot", NoiseModel("amplitude_damping", 1e200))
+        dynamics._pair_words("cnot", "amplitude_damping")
 
 
 def test_long_pair_build_runs_in_bounded_memory():
@@ -759,15 +789,15 @@ def test_long_pair_build_runs_in_bounded_memory():
     # runs on one 16x16 block, and MAX_STEPS_PER_SLOT steps hold no more
     gate, noise = swap_gate(1, 2), NoiseModel("dephasing", 0.01)
     amp = NoiseModel("amplitude_damping", 0.01)
-    assert dynamics._pair_letters("cnot_rotated", amp)[2].shape == (1, 16)
+    assert dynamics._pair_words("cnot_rotated", amp.kind)[4].shape == (1, 16)
 
     def drain(noise, n_steps=20_000):
         stream = gate_step_maps(gate, noise, n_steps * 1e-3, IntegratorConfig(dt=1e-3))
         assert sum(len(t) for t, _ in stream) == n_steps + 1
 
     def build(gate, noise, n_steps=20_000):
-        (phi,) = dynamics._pair_rk4(gate.kind, gate.params, [noise], [n_steps * 1e-3], n_steps)
-        assert isinstance(phi, np.ndarray)
+        phi = pair_map(gate.kind, gate.params, noise, n_steps * 1e-3, n_steps)
+        assert phi.shape == (16, 16)
 
     runs = (
         lambda: build(gate, noise),
@@ -992,11 +1022,11 @@ def test_repeated_cases_of_a_row_are_built_once(monkeypatch):
     builds = []
     build = dynamics._pair_rk4
     monkeypatch.setattr(
-        dynamics, "_pair_rk4", lambda *args: builds.append(list(args[3])) or build(*args)
+        dynamics, "_pair_rk4", lambda *args: builds.append(list(args[3].values())) or build(*args)
     )
     gate, noise = swap_gate(1, 2), NoiseModel("dephasing", 0.1)
     maps = gate_superoperators(gate, [noise, noise], [1.0, 1.0, 2.0])
-    assert builds == [[1.0, 2.0]]
+    assert builds == [[dynamics._pair_z("swap", gate.params, noise, a, 1000) for a in (1.0, 2.0)]]
     assert len(maps) == 6
     assert all(phi is maps[0] for phi in maps[0::3] + maps[1::3])
     assert all(phi is maps[2] for phi in maps[2::3]) and maps[2] is not maps[0]
@@ -1016,9 +1046,9 @@ def test_a_row_raises_its_first_unstable_duration_and_keeps_the_good_maps(monkey
     # the row names each failure, so no case is built a second time alone
     builds = []
     build = dynamics._pair_rk4
-    monkeypatch.setattr(dynamics, "_pair_rk4", lambda *args: builds.append(args[3]) or build(*args))
+    monkeypatch.setattr(dynamics, "_pair_rk4", lambda *args: builds.append(list(args[3].values())) or build(*args))
     assert abort_message(lambda: gate_superoperators(gate, [noise], alphas)) == alone[100.0]
-    assert builds == [list(alphas)]
+    assert builds == [[dynamics._pair_z("swap", gate.params, noise, a, 1000) for a in alphas]]
     # the good maps of the row are cached, and equal their builds alone
     cached = {key[3]: phi for key, phi in dynamics._PAIR_PROP_CACHE.items()}
     assert sorted(cached) == [1e-6, 2e-6]
@@ -1029,35 +1059,30 @@ def test_a_row_raises_its_first_unstable_duration_and_keeps_the_good_maps(monkey
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", ["rate", "duration"])
 def test_one_bad_case_does_not_break_up_its_row(bad, monkeypatch):
-    # the middle case has a rate whose own letters fail, or a duration the
+    # the middle case has a rate whose z overflows, or a duration the
     # pulses cannot be rescaled to (the CLI refuses that one before any
-    # case runs, with exit 2): the good cases are still built in one row
-    # with it, and it raises, in case order, what it raises alone
+    # case runs, with exit 2): the good cases are still built in one row,
+    # and it raises, in case order, what it raises alone
     gate = swap_gate(1, 2)
     if bad == "rate":
-        noises, durations = [NoiseModel("dephasing", g) for g in (0.1, 0.2, 0.3)], [1.0]
-        for noise in (noises[0], noises[2]):
-            dynamics._pair_letters("swap", noise)  # cached before the letters break
-        dynamics._pair_words("swap", "dephasing")
-        dissipator = dynamics._dissipator_superop
-        monkeypatch.setattr(dynamics, "_dissipator_superop", lambda l4: 1j * dissipator(l4))
-        error, message = NumericalError, "does not preserve Hermiticity"
+        noises, durations = [NoiseModel("dephasing", g) for g in (0.1, 1e308, 0.3)], [1.0]
+        error, message = TraceDriftError, "not bounded .* overflows the float range"
     else:
         noises, durations = [NoiseModel("dephasing", 0.1)], [1.0, 1e200, 2.0]
         error, message = ValueError, "pulse width must be positive and finite"
     cases = [(noise, duration) for noise in noises for duration in durations]
     with pytest.raises(error, match=message) as alone:
         built_alone(gate, *cases[1], None)
+    assert "nan" not in str(alone.value)
     builds = []
     build = dynamics._pair_rk4
-    monkeypatch.setattr(
-        dynamics, "_pair_rk4", lambda *args: builds.append(list(zip(*args[2:4]))) or build(*args)
-    )
+    monkeypatch.setattr(dynamics, "_pair_rk4", lambda *args: builds.append(list(args[3].values())) or build(*args))
     with pytest.raises(error) as caught:
         gate_superoperators(gate, noises, durations)
     assert str(caught.value) == str(alone.value)
-    assert builds == [cases]
-    for noise, duration in (cases[0], cases[2]):
+    good = (cases[0], cases[2])
+    assert builds == [[dynamics._pair_z("swap", gate.params, *case, 1000) for case in good]]
+    for noise, duration in good:
         phi = dynamics._PAIR_PROP_CACHE[gate.kind, gate.params, noise, duration, 1000]
         assert np.array_equal(phi, built_alone(gate, noise, duration, None)), (noise, duration)
 
@@ -1106,6 +1131,17 @@ def test_gate_fidelity_with_noise_is_reduced():
         noise=NoiseModel("dephasing", 0.01),
     )
     assert 0.9 < noisy < noiseless
+
+
+def test_gate_fidelity_refuses_a_slot_map_with_an_entry_above_1():
+    # an unstable grid keeps the trace row, so only the entries show it; the
+    # build itself hands the map out, as its bound is 1 / TRACE_ABORT_TOL
+    gate, noise, cfg = cnot_gate(1, 2), NoiseModel("dephasing", 0.1), IntegratorConfig(dt=0.25)
+    phi = gate_superoperator(gate, noise, cfg=cfg)
+    assert 1.0 + TRACE_ABORT_TOL < np.max(np.abs(phi)) <= 1.0 / TRACE_ABORT_TOL
+    assert phi[0, 0] == 1.0 and not np.any(phi[0, 1:])
+    with pytest.raises(TraceDriftError, match="the cnot slot map has an entry .* above 1"):
+        gate_fidelity(np.kron(PLUS, ket(0)), gate, noise, cfg=cfg)
 
 
 def test_gate_fidelity_validation():
