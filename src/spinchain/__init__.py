@@ -52,9 +52,7 @@ from .operators import (
     pauli,
 )
 from .pulses import (
-    GaussianPulse,
     PulseSchedule,
-    pulse_area,
     schedule_sequence,
 )
 
@@ -71,7 +69,6 @@ __all__ = [
     "FidelityMap",
     "GATE_KINDS",
     "GateSpec",
-    "GaussianPulse",
     "IntegratorConfig",
     "NOISELESS",
     "NoiseModel",
@@ -94,7 +91,6 @@ __all__ = [
     "nelder_mead",
     "objective",
     "pauli",
-    "pulse_area",
     "rotated_cnot_gate",
     "schedule_sequence",
     "slot_unitary",

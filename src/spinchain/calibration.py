@@ -110,6 +110,8 @@ class CalibrationResult:
 def analytic_channel_areas(
     pairs: tuple[tuple[float, float], ...]
 ) -> tuple[float, ...]:
+    """Full-line analytic area ``A * sqrt(pi * W)`` of each (A, W) channel
+    (units of hbar); slot rescaling leaves it unchanged."""
     return tuple(a * math.sqrt(math.pi * w) for a, w in pairs)
 
 

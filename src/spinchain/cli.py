@@ -39,8 +39,9 @@ dephasing/damping rates in inverse slots.
 
 Exit codes: 0 success, 2 configuration error (a bad flag or INI value,
 an unknown INI key, a ``[experiment] kind`` that is not the subcommand,
-or a ``dt`` or duration factor whose step grid or rescaled pulses the
-library cannot represent),
+a ``dt`` or duration factor whose step grid or rescaled pulses the
+library cannot represent, an output path whose directory does not exist
+or that is a directory, or an output file that cannot be written),
 3 calibration failure, 4 integrator abort (trace drift, a pair generator
 that breaks Hermiticity, a pair propagator that is not finite,
 trace-preserving and bounded, a single-gate map with an entry above 1,
@@ -51,6 +52,7 @@ or lost normalisation), 5 internal error
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -88,10 +90,11 @@ from .hamiltonians import (
     GateSpec,
     cnot_gate,
     ideal_gate_matrix,
-    materialize_channel_pulses,
+    rescale_channel_params,
     rotated_cnot_gate,
     swap_gate,
 )
+from .pulses import gaussian
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -327,11 +330,19 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
         for slot in slots:
             _resolve_steps(slot, IntegratorConfig(dt=s.dt))
             for kind in swept:
-                materialize_channel_pulses(GATE_BUILDERS[kind](1, 2).params, 0.0, slot)
+                rescale_channel_params(GATE_BUILDERS[kind](1, 2).params, 0.0, slot)
         for n in chains:
             ChainTopology(s.topology_kind, n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # every file the command writes must have a place to go before it runs
+    for suffix in ("", ".contour") if s.command == "state-map" else ("",):
+        path = output_path(s.out, suffix)
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"output directory {folder!r} does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"output path {path!r} is a directory")
     return s
 
 
@@ -377,8 +388,11 @@ def write_csv(
         if other:
             row = [_fmt_cell(cell) if i in other else cell for i, cell in enumerate(row)]
         lines.append(template % tuple(row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def output_path(out: str, suffix: str) -> str:
@@ -427,10 +441,14 @@ TRACE_INPUTS = (
 
 
 def run_trace(s: Settings):
-    """Per-step fidelity toward the ideal gate output, plus drive values."""
+    """Per-step fidelity toward the ideal gate output, plus drive values.
+
+    The ``j_channel_*`` columns sample each channel's Gaussian at every
+    step time without the cut at the slot edge: the t = 1 row prints the
+    pulse tail, though no kernel applies drive at the slot-end point.
+    """
     gate = _single_gate(s)
     noise = s.noise(_single_gamma(s))
-    pulses = materialize_channel_pulses(gate.params, 0.0, 1.0)
     ideal = ideal_gate_matrix(gate.kind)
     kets = np.array([np.kron(control, _KET_ZERO) for _, control in TRACE_INPUTS])
     p0, targets = (_pauli_vector(k[:, :, None] * k[:, None].conj()) for k in (kets, kets @ ideal.T))
@@ -445,8 +463,8 @@ def run_trace(s: Settings):
     times = np.concatenate(times)
 
     columns = ["t"] + [name for name, _ in TRACE_INPUTS]
-    columns += [f"j_channel_{i + 1}" for i in range(len(pulses))]
-    drives = [pulse.value(times) for pulse in pulses]
+    columns += [f"j_channel_{i + 1}" for i in range(len(gate.params))]
+    drives = gaussian(times, *rescale_channel_params(gate.params, 0.0, 1.0))
     rows = np.column_stack([times, np.concatenate(fidelities), *drives]).tolist()
     return [("", [], columns, rows)], EXIT_OK
 
@@ -567,7 +585,9 @@ RUNNERS = {
 # entry point
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process; ``parse_args`` does not change it."""
     parser = argparse.ArgumentParser(
         prog="spinchain",
         description="Spin-chain transport simulator: calibration, sweeps, maps.",

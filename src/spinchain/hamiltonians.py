@@ -1,7 +1,9 @@
 """Gate drives for exchange-coupled qubit pairs.
 
 Each gate kind is a set of pulse channels, a Gaussian pulse multiplying a
-constant 4x4 block on the pair (``gate_channel_blocks``). The SWAP drive
+constant 4x4 block on the pair (``gate_channel_blocks``). A channel's
+pulse is its (A, W) parameters, placed in a slot by
+``rescale_channel_params`` and sampled by ``pulses.gaussian``. The SWAP drive
 is ``J(t) * (XX + YY + ZZ)``; the CNOT drive is
 ``J1(t) * (IX + ZI) + J2(t) * (ZX)`` (single-qubit X on the target,
 single-qubit Z on the control, plus a ZX coupling). Its x-basis frame —
@@ -26,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operators import pauli
-from .pulses import GaussianPulse, check_pulse_params
+from .pulses import check_pulse_params
 
 # Amplitude/width defaults (hbar*omega0, tau0^2) realizing each gate in a
 # single slot of duration tau0. The SWAP pulse area is 3*pi/4; the CNOT
@@ -129,18 +131,6 @@ def rescale_channel_params(params, start: float, end: float):
         width = params[..., 1:] * (alpha * alpha)
     check_pulse_params(amplitude, width)
     return amplitude, width, 0.5 * (start + end)
-
-
-def materialize_channel_pulses(
-    params: tuple[tuple[float, float], ...], start: float, end: float
-) -> tuple[GaussianPulse, ...]:
-    """Concrete pulses for (A, W) channel parameters in ``[start, end)``,
-    rescaled by :func:`rescale_channel_params`."""
-    amplitude, width, center = rescale_channel_params(params, start, end)
-    return tuple(
-        GaussianPulse(amplitude=float(a), width=float(w), center=center)
-        for a, w in zip(amplitude.ravel(), width.ravel())
-    )
 
 
 def gate_channel_blocks(kind: str) -> tuple[np.ndarray, ...]:

@@ -1,4 +1,8 @@
-"""Gaussian exchange pulses, analytic areas and slot scheduling.
+"""The Gaussian pulse formula and slot scheduling.
+
+A pulse is only its (A, W) channel parameters: ``rescale_channel_params``
+(in ``hamiltonians``) places them in a slot and :func:`gaussian` samples
+them; their analytic area is ``calibration.analytic_channel_areas``.
 
 Units: energies in ``hbar*omega0``, times in ``tau0``, widths in ``tau0^2``.
 A gate occupies one slot of duration ``alpha*tau0`` (``alpha = 1`` by
@@ -9,33 +13,17 @@ slot window: outside it they contribute nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class GaussianPulse:
-    """``J(t) = amplitude * exp(-(t - center)^2 / width)``."""
-
-    amplitude: float
-    width: float
-    center: float
-
-    def __post_init__(self):
-        check_pulse_params(self.amplitude, self.width)
-
-    def value(self, t):
-        out = gaussian(np.asarray(t, dtype=float), self.amplitude, self.width, self.center)
-        return out if out.ndim else float(out)
-
-
 def check_pulse_params(amplitude, width):
     """Every pulse has a finite amplitude and a positive, finite width.
     Over arrays of one shape, the first pulse (in C order) that breaks a
-    rule names it in the ``ValueError``, as building them in turn would."""
+    rule names it in the ``ValueError``, so a batch fails as its first bad
+    pulse would alone."""
     bad_amplitude = ~np.isfinite(amplitude)
     bad = bad_amplitude | ~(np.greater(width, 0.0) & np.isfinite(width))
     if np.any(bad):
@@ -48,11 +36,6 @@ def gaussian(t, amplitude, width, center):
     """``amplitude * exp(-(t - center)^2 / width)``, broadcast over array
     arguments: the one formula behind every pulse sample."""
     return amplitude * np.exp(-((t - center) ** 2) / width)
-
-
-def pulse_area(pulse: GaussianPulse) -> float:
-    """Full-line analytic area ``A * sqrt(pi * W)`` (units of hbar)."""
-    return pulse.amplitude * math.sqrt(math.pi * pulse.width)
 
 
 @dataclass(frozen=True, eq=False)

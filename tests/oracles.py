@@ -2,8 +2,9 @@
 
 The dense references are built independently of the package's kernels:
 the chain Hamiltonian comes from the gate channel blocks (pinned to their
-Pauli strings by ``test_channel_blocks_match_kron_oracle``), the
-materialised pulses and ``embed``; the master equation is a dense
+Pauli strings by ``test_channel_blocks_match_kron_oracle``), the pulses
+(each channel's rescaled ``(amplitude, width, center)``, sampled by
+``gaussian``) and ``embed``; the master equation is a dense
 row-major vectorised generator on the whole chain. As in the package,
 pulses are truncated to their slot by step index: the grid point on a
 slot's end carries no drive.
@@ -55,7 +56,6 @@ from spinchain.hamiltonians import (
     gate_channel_blocks,
     gate_eigensystem,
     ideal_gate_matrix,
-    materialize_channel_pulses,
     rescale_channel_params,
 )
 from spinchain.operators import check_state, num_qubits, pauli
@@ -227,14 +227,15 @@ def evolve_lindblad(rho, schedule, noise, cfg=None):
 
 
 def slot_channels(schedule, slot, n):
-    """(pulse, dense channel operator) for every channel of the slot's gates."""
+    """(pulse, dense channel operator) for every channel of the slot's gates,
+    a pulse being its rescaled ``(amplitude, width, center)``."""
     channels = []
     start, end = schedule.slot_window(slot)
     for entry in schedule.slot_entries(slot):
         gate = entry.gate
-        pulses = materialize_channel_pulses(gate.params, start, end)
-        for pulse, block in zip(pulses, gate_channel_blocks(gate.kind)):
-            channels.append((pulse, embed(LocalOperator(gate.qubits, block), n)))
+        amplitude, width, center = rescale_channel_params(gate.params, start, end)
+        for a, w, block in zip(amplitude.ravel(), width.ravel(), gate_channel_blocks(gate.kind)):
+            channels.append(((a, w, center), embed(LocalOperator(gate.qubits, block), n)))
     return channels
 
 
@@ -243,7 +244,7 @@ def dense_hamiltonian(channels, t, n):
     ignoring the window (callers decide which grid points carry drive)."""
     h = np.zeros((2**n, 2**n), dtype=complex)
     for pulse, op in channels:
-        h += pulse.value(t) * op
+        h += gaussian(t, *pulse) * op
     return h
 
 
@@ -294,7 +295,7 @@ def rk4_lindblad(rho, schedule, noise, dt=None, observer=None):
             out = dissipator @ v
             if driven:
                 for pulse, sup in drive:
-                    out += pulse.value(t) * (sup @ v)
+                    out += gaussian(t, *pulse) * (sup @ v)
             return out
 
         for m in range(n_steps):
@@ -319,7 +320,7 @@ def pair_rk4_loop(kind, params, noise, duration, n_steps, observer=None):
     points, summed and multiplied in the complex row-major basis, step
     after step.
     """
-    pulses = materialize_channel_pulses(params, 0.0, duration)
+    amplitude, width, center = rescale_channel_params(params, 0.0, duration)
     drive_superops = [_hamiltonian_superop(b) for b in gate_channel_blocks(kind)]
     constant = np.zeros((16, 16), dtype=complex)
     jump = noise.jump_block()
@@ -330,9 +331,9 @@ def pair_rk4_loop(kind, params, noise, duration, n_steps, observer=None):
     dt = duration / n_steps
     steps = np.arange(n_steps)
     t0 = steps * dt
-    starts = np.array([p.value(t0) for p in pulses]).T
-    mids = np.array([p.value(t0 + 0.5 * dt) for p in pulses]).T
-    ends = np.array([p.value(t0 + dt) * (steps < n_steps - 1) for p in pulses]).T
+    starts = gaussian(t0, amplitude, width, center).T
+    mids = gaussian(t0 + 0.5 * dt, amplitude, width, center).T
+    ends = (gaussian(t0 + dt, amplitude, width, center) * (steps < n_steps - 1)).T
 
     def generator(values):
         gen = constant.copy()
@@ -528,12 +529,13 @@ def point_fidelities(params, problem):
     """The five calibration-state fidelities of one parameter point, scored
     alone: each channel's pulse sampled on the default unit-slot grid and
     summed as one float, then one closed-form 4x4 slot unitary."""
-    pulses = materialize_channel_pulses(problem.parameter_pairs(params), 0.0, 1.0)
+    amplitude, width, center = rescale_channel_params(problem.parameter_pairs(params), 0.0, 1.0)
     n = DEFAULT_STEPS_PER_SLOT
     dt = 1.0 / n
     m = np.arange(1, n + 1)
     ts, inside = dt * m, m < n
-    areas = [float(np.sum(p.value(ts) * inside) * dt) for p in pulses]
+    samples = gaussian(ts, amplitude, width, center)
+    areas = [float(np.sum(row * inside) * dt) for row in samples]
     v, diags = gate_eigensystem(problem.kind)
     phase = sum(np.multiply.outer(s, d) for s, d in zip(areas, diags))
     u = (v * np.exp(-1j * phase)[None, :]) @ v.conj().T

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from spinchain import circuits, cli, dynamics
+from spinchain.hamiltonians import rescale_channel_params
+from spinchain.pulses import gaussian
 
 
 def run(tmp_path, argv, name="out.csv"):
@@ -90,6 +92,34 @@ def test_trace_with_noise_runs_the_reference_integrator(tmp_path):
     assert len(rows) == 1001
     final = float(rows[-1]["f_q1_plus"])
     assert 0.9 < final < 0.999999  # dephasing must cost something
+
+
+@pytest.mark.parametrize("gate", ["swap", "cnot", "cnot_rotated"])
+def test_trace_drive_columns_are_the_rescaled_gaussian(tmp_path, monkeypatch, gate):
+    # the drive columns are each channel's rescaled Gaussian at the step
+    # times, untruncated at the slot end, bit for bit in the rows written
+    times, written = [], []
+    step_maps, write_csv = cli.gate_step_maps, cli.write_csv
+
+    def recorded_step_maps(*args, **kwargs):
+        for ts, maps in step_maps(*args, **kwargs):
+            times.append(ts)
+            yield ts, maps
+
+    monkeypatch.setattr(cli, "gate_step_maps", recorded_step_maps)
+    monkeypatch.setattr(cli, "write_csv", lambda *args: written.append(args[3]) or write_csv(*args))
+    code, out = run(tmp_path, ["trace", "--gate", gate])
+    assert code == 0
+    ts = np.concatenate(times)
+    params = cli.GATE_BUILDERS[gate](1, 2).params
+    want = gaussian(ts, *rescale_channel_params(params, 0, 1))
+    assert want.shape == (len(params), 1001) and want[:, -1].min() > 0.0
+    (rows,) = written
+    assert np.array_equal(np.array(rows)[:, 0], ts)
+    assert np.array_equal(np.array(rows)[:, -len(params):], want.T)
+    _, cells = rows_of(out)
+    for i, drive in enumerate(want, start=1):
+        assert [r[f"j_channel_{i}"] for r in cells] == [f"{v:.12g}" for v in drive]
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +410,55 @@ def test_bad_dt_is_refused_before_any_case_runs(tmp_path, monkeypatch, capsys):
     assert "does not divide the slot duration" in capsys.readouterr().err
 
 
+def test_unrepresentable_duration_names_the_same_pulse_error(tmp_path, monkeypatch, capsys):
+    # the width underflows at 1e-300 and overflows at 1e300: the config-time
+    # rescale check refuses both alike, before the sweep runs
+    monkeypatch.setitem(cli.RUNNERS, "duration-sweep", lambda s: pytest.fail("ran"))
+    for alpha in ("1e-300", "1e300"):
+        code, out = run(tmp_path, ["duration-sweep", "--alpha", alpha])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == "config error: pulse width must be positive and finite\n"
+
+
+LINE_ARGV = ["chain-sweep", "--topology", "1d", "--n", "3", "--noise", "none"]
+
+
+@pytest.mark.parametrize(
+    "argv, out, made",
+    [
+        (LINE_ARGV, "missing/x.csv", None),
+        (LINE_ARGV, "folder", "folder"),
+        (["state-map"], "missing/map.csv", None),
+        (["state-map"], "map.csv", "map.contour.csv"),  # the contour sibling
+    ],
+)
+def test_unwritable_out_is_refused_before_any_case_runs(tmp_path, monkeypatch, capsys,
+                                                       argv, out, made):
+    if made:
+        (tmp_path / made).mkdir()
+    monkeypatch.setitem(cli.RUNNERS, argv[0], lambda s: pytest.fail("ran"))
+    code = cli.main(argv + ["--out", str(tmp_path / out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert [p.name for p in tmp_path.iterdir()] == ([made] if made else [])
+
+
+def test_a_failed_write_exits_2(tmp_path, monkeypatch, capsys):
+    # the directory is gone by the time the runner returns
+    folder = tmp_path / "gone"
+    folder.mkdir()
+
+    def runner(s):
+        folder.rmdir()
+        return [("", [], ["n"], [(3,)])], cli.EXIT_OK
+
+    monkeypatch.setitem(cli.RUNNERS, "chain-sweep", runner)
+    code = cli.main(["chain-sweep", "--out", str(folder / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_library_value_error_is_an_internal_error(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("broken invariant")
@@ -652,6 +731,10 @@ def test_flags_may_come_before_the_subcommand():
     after = vars(cli._build_parser().parse_args(["calibrate"] + argv[:2] + argv[3:]))
     assert before == after
     assert (before["command"], before["gate"], before["seed"]) == ("calibrate", "cnot", "3")
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_help_exits_zero(capsys):

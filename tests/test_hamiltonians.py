@@ -19,12 +19,12 @@ from spinchain.hamiltonians import (
     gate_channel_blocks,
     gate_eigensystem,
     ideal_gate_matrix,
-    materialize_channel_pulses,
     rescale_channel_params,
     rotated_cnot_gate,
     swap_gate,
 )
-from spinchain.pulses import GaussianPulse, pulse_area, schedule_sequence
+from spinchain.calibration import analytic_channel_areas
+from spinchain.pulses import gaussian, schedule_sequence
 
 # Independent Pauli literals so the oracle does not share code with the
 # module under test.
@@ -206,29 +206,32 @@ def test_gate_spec_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# pulse materialisation and window masking
+# pulse rescaling and window masking
 # ---------------------------------------------------------------------------
 
 
-def test_materialize_rescales_and_centres():
-    (p,) = materialize_channel_pulses(((6.0, 0.04),), 2.0, 5.0)
-    assert p.amplitude == pytest.approx(6.0 / 3.0)
-    assert p.width == pytest.approx(0.04 * 9.0)
-    assert p.center == pytest.approx(3.5)
+def test_rescale_stretches_and_centres():
+    amplitude, width, center = rescale_channel_params(((6.0, 0.04),), 2.0, 5.0)
+    assert amplitude.shape == width.shape == (1, 1)
+    assert amplitude.item() == pytest.approx(6.0 / 3.0)
+    assert width.item() == pytest.approx(0.04 * 9.0)
+    assert center == pytest.approx(3.5)
     # slot duration drops out of the analytic area
-    assert pulse_area(p) == pytest.approx(pulse_area(GaussianPulse(6.0, 0.04, 0.0)))
+    (rescaled,) = analytic_channel_areas(((amplitude.item(), width.item()),))
+    assert rescaled == pytest.approx(analytic_channel_areas(((6.0, 0.04),))[0])
 
 
-def test_materialize_rejects_empty_window():
+def test_rescale_rejects_empty_window():
     with pytest.raises(ValueError):
-        materialize_channel_pulses(((1.0, 0.1),), 1.0, 1.0)
+        rescale_channel_params(((1.0, 0.1),), 1.0, 1.0)
 
 
 def test_cnot_terms_bind_local_then_coupling_pulses():
     gate = cnot_gate(1, 2, (4.0, 0.01), (2.0, 0.02))
-    local, coupling = materialize_channel_pulses(gate.params, 0.0, 1.0)
-    assert local.amplitude == pytest.approx(4.0)
-    assert coupling.amplitude == pytest.approx(2.0)
+    amplitude, _, _ = rescale_channel_params(gate.params, 0.0, 1.0)
+    local, coupling = amplitude.ravel()
+    assert local == pytest.approx(4.0)
+    assert coupling == pytest.approx(2.0)
     # the local channel drives IX + ZI together, the coupling channel ZX
     b_local, b_coupling = gate_channel_blocks("cnot")
     assert np.array_equal(b_local, kron2(I2, SX) + kron2(SZ, I2))
@@ -243,14 +246,16 @@ def test_cnot_terms_bind_local_then_coupling_pulses():
 def test_assemble_selects_only_the_active_slot():
     """The dense test oracle drives each slot with that slot's gate only."""
     schedule = schedule_sequence([cnot_gate(1, 2), swap_gate(2, 3)], slot_duration=1.0)
-    local, coupling = materialize_channel_pulses(cnot_gate(1, 2).params, 0.0, 1.0)
-    (exchange,) = materialize_channel_pulses((DEFAULT_SWAP_PARAMS,), 1.0, 2.0)
+    cnot_pulses = rescale_channel_params(cnot_gate(1, 2).params, 0.0, 1.0)
+    swap_pulse = rescale_channel_params((DEFAULT_SWAP_PARAMS,), 1.0, 2.0)
     for t in (0.25, 0.5):
-        pair = local.value(t) * (kron2(I2, SX) + kron2(SZ, I2)) + coupling.value(t) * kron2(SZ, SX)
+        local, coupling = gaussian(t, *cnot_pulses).ravel()
+        pair = local * (kron2(I2, SX) + kron2(SZ, I2)) + coupling * kron2(SZ, SX)
         h = dense_hamiltonian(slot_channels(schedule, 0, 3), t, 3)
         assert np.max(np.abs(h - np.kron(pair, I2))) < 1e-12
     for t in (1.1, 1.9):
-        pair = exchange.value(t) * (kron2(SX, SX) + kron2(SY, SY) + kron2(SZ, SZ))
+        (exchange,) = gaussian(t, *swap_pulse).ravel()
+        pair = exchange * (kron2(SX, SX) + kron2(SY, SY) + kron2(SZ, SZ))
         h = dense_hamiltonian(slot_channels(schedule, 1, 3), t, 3)
         assert np.max(np.abs(h - np.kron(I2, pair))) < 1e-12
 
@@ -259,16 +264,16 @@ def test_dense_assembly_matches_manual_kron():
     schedule = schedule_sequence([swap_gate(1, 2)], slot_duration=1.0)
     t = 0.4
     h = dense_hamiltonian(slot_channels(schedule, 0, 3), t, 3)
-    (pulse,) = materialize_channel_pulses((DEFAULT_SWAP_PARAMS,), 0.0, 1.0)
+    (exchange,) = gaussian(t, *rescale_channel_params((DEFAULT_SWAP_PARAMS,), 0.0, 1.0)).ravel()
     coupling = kron2(SX, SX) + kron2(SY, SY) + kron2(SZ, SZ)
-    want = pulse.value(t) * np.kron(coupling, I2)
+    want = exchange * np.kron(coupling, I2)
     assert np.max(np.abs(h - want)) < 1e-12
 
 
 @pytest.mark.parametrize("alpha", [1e200, 1e-300, 5e-324])
 def test_unrepresentable_pulse_rescaling_is_refused(alpha):
     with pytest.raises(ValueError, match="pulse (amplitude|width) must be") as built:
-        materialize_channel_pulses(((10.0, 0.02),), 0.0, alpha)
+        rescale_channel_params(((10.0, 0.02),), 0.0, alpha)
     # the sampled slot unitary rescales the same way and refuses it alike,
     # alone or anywhere in a batch, without a numpy warning
     for params in (((10.0, 0.02),), [((1.0, 0.02),), ((10.0, 0.02),)]):
@@ -281,16 +286,15 @@ def test_float64_params_past_the_float_range_are_refused_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="pulse amplitude must be finite"):
-            materialize_channel_pulses(((np.float64(1.0), np.float64(0.1)),), 0.0, 5e-324)
+            rescale_channel_params(((np.float64(1.0), np.float64(0.1)),), 0.0, 5e-324)
 
 
 def test_rescaled_params_broadcast_over_a_batch_of_channels():
-    # one (A, W) row per channel and batch entry, each the materialised pulse
+    # one (A, W) row per channel and batch entry, each the entry rescaled alone
     batch = [((9.0, 0.02), (3.0, 0.05)), ((1.5, 0.3), (2.0, 0.01))]
     amplitude, width, center = rescale_channel_params(batch, 1.0, 3.5)
     assert amplitude.shape == width.shape == (2, 2, 1) and center == 2.25
     for params, a, w in zip(batch, amplitude, width):
-        pulses = materialize_channel_pulses(params, 1.0, 3.5)
-        assert [(p.amplitude, p.width, p.center) for p in pulses] == [
-            (x, y, center) for x, y in zip(a.ravel(), w.ravel())
-        ]
+        alone = rescale_channel_params(params, 1.0, 3.5)
+        assert np.array_equal(alone[0], a) and np.array_equal(alone[1], w)
+        assert alone[2] == center

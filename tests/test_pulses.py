@@ -7,62 +7,78 @@ from hypothesis import strategies as st
 from oracles import idle_schedule
 from scipy.integrate import quad
 
-from spinchain.hamiltonians import cnot_gate, materialize_channel_pulses, swap_gate
+from spinchain.calibration import analytic_channel_areas
+from spinchain.hamiltonians import cnot_gate, rescale_channel_params, swap_gate
 from spinchain.pulses import (
-    GaussianPulse,
     PulseSchedule,
     ScheduledGate,
-    pulse_area,
+    check_pulse_params,
+    gaussian,
     schedule_sequence,
 )
 
 
-def windowed_area(pulse, start, end):
-    """Numerical area over ``[start, end]`` by adaptive quadrature."""
-    val, _ = quad(pulse.value, start, end, epsabs=1e-14, epsrel=1e-12)
+def windowed_area(amplitude, width, center, start, end):
+    """Numerical area of one pulse over ``[start, end]`` by adaptive quadrature."""
+    val, _ = quad(gaussian, start, end, args=(amplitude, width, center),
+                  epsabs=1e-14, epsrel=1e-12)
     return val
 
 
+def area(amplitude, width):
+    (value,) = analytic_channel_areas(((amplitude, width),))
+    return value
+
+
 def stretched(amplitude, width, alpha):
-    """A one-slot (A, W) channel placed in a slot of duration ``alpha``."""
-    (pulse,) = materialize_channel_pulses(((amplitude, width),), 0.0, alpha)
-    return pulse
+    """A one-slot (A, W) channel placed in a slot of duration ``alpha``, as
+    its rescaled ``(amplitude, width, center)``."""
+    a, w, center = rescale_channel_params(((amplitude, width),), 0.0, alpha)
+    return a.item(), w.item(), center
 
 
 def test_pulse_value_peaks_at_center():
-    p = GaussianPulse(amplitude=2.0, width=0.05, center=0.4)
-    assert p.value(0.4) == pytest.approx(2.0)
-    assert p.value(0.4 + 0.1) == pytest.approx(2.0 * math.exp(-0.01 / 0.05))
+    assert gaussian(0.4, 2.0, 0.05, 0.4) == pytest.approx(2.0)
+    assert gaussian(0.4 + 0.1, 2.0, 0.05, 0.4) == pytest.approx(2.0 * math.exp(-0.01 / 0.05))
     ts = np.array([0.0, 0.4, 1.0])
-    vals = p.value(ts)
+    vals = gaussian(ts, 2.0, 0.05, 0.4)
     assert vals.shape == (3,)
     assert vals[1] == max(vals)
 
 
 def test_pulse_validation():
-    with pytest.raises(ValueError):
-        GaussianPulse(amplitude=1.0, width=0.0, center=0.5)
-    with pytest.raises(ValueError):
-        GaussianPulse(amplitude=1.0, width=-0.1, center=0.5)
-    with pytest.raises(ValueError):
-        GaussianPulse(amplitude=1.0, width=float("inf"), center=0.5)
-    with pytest.raises(ValueError):
-        GaussianPulse(amplitude=float("nan"), width=0.1, center=0.5)
+    with pytest.raises(ValueError, match="width"):
+        check_pulse_params(1.0, 0.0)
+    with pytest.raises(ValueError, match="width"):
+        check_pulse_params(1.0, -0.1)
+    with pytest.raises(ValueError, match="width"):
+        check_pulse_params(1.0, float("inf"))
+    with pytest.raises(ValueError, match="amplitude"):
+        check_pulse_params(float("nan"), 0.1)
+    check_pulse_params(1.0, 0.1)
+
+
+def test_first_bad_pulse_in_c_order_names_the_error():
+    amplitude = np.array([[1.0, float("nan")], [1.0, 1.0]])
+    width = np.array([[0.1, 0.1], [-1.0, 0.1]])
+    with pytest.raises(ValueError, match="pulse amplitude must be finite"):
+        check_pulse_params(amplitude, width)
+    with pytest.raises(ValueError, match="pulse width must be positive and finite"):
+        check_pulse_params(amplitude.T, width.T)
+    check_pulse_params(np.ones((2, 2)), np.full((2, 2), 0.1))
 
 
 def test_analytic_area_matches_quadrature_over_wide_window():
-    p = GaussianPulse(amplitude=3.2, width=0.013, center=0.5)
-    assert pulse_area(p) == pytest.approx(3.2 * math.sqrt(math.pi * 0.013), rel=1e-12)
-    wide = windowed_area(p, -50.0, 50.0)
-    assert wide == pytest.approx(pulse_area(p), rel=1e-10)
+    assert area(3.2, 0.013) == pytest.approx(3.2 * math.sqrt(math.pi * 0.013), rel=1e-12)
+    wide = windowed_area(3.2, 0.013, 0.5, -50.0, 50.0)
+    assert wide == pytest.approx(area(3.2, 0.013), rel=1e-10)
 
 
 def test_window_truncation_loss_is_small_for_slot_sized_window():
     # A slot-centred pulse with the stock width keeps all but ~1e-6 of its
     # area inside the slot: the tails at distance 0.5 carry the rest.
-    p = GaussianPulse(amplitude=9.36309696, width=0.020165, center=0.5)
-    inside = windowed_area(p, 0.0, 1.0)
-    loss = 1.0 - inside / pulse_area(p)
+    inside = windowed_area(9.36309696, 0.020165, 0.5, 0.0, 1.0)
+    loss = 1.0 - inside / area(9.36309696, 0.020165)
     assert 0.0 < loss < 1e-6
 
 
@@ -73,19 +89,17 @@ def test_window_truncation_loss_is_small_for_slot_sized_window():
     alpha=st.floats(0.1, 120.0),
 )
 def test_rescaling_preserves_the_pulse_area(amplitude, width, alpha):
-    p = GaussianPulse(amplitude=amplitude, width=width, center=0.5)
-    q = stretched(amplitude, width, alpha)
-    assert q.amplitude == pytest.approx(amplitude / alpha)
-    assert q.width == pytest.approx(width * alpha**2)
-    assert q.center == pytest.approx(0.5 * alpha)
-    assert pulse_area(q) == pytest.approx(pulse_area(p), rel=1e-12)
+    a, w, center = stretched(amplitude, width, alpha)
+    assert a == pytest.approx(amplitude / alpha)
+    assert w == pytest.approx(width * alpha**2)
+    assert center == pytest.approx(0.5 * alpha)
+    assert area(a, w) == pytest.approx(area(amplitude, width), rel=1e-12)
 
 
 def test_rescaled_pulse_is_the_time_stretched_profile():
-    p = GaussianPulse(amplitude=5.0, width=0.02, center=0.5)
     q = stretched(5.0, 0.02, 7.0)
     for t in (0.1, 0.45, 0.8):
-        assert q.value(7.0 * t) == pytest.approx(p.value(t) / 7.0)
+        assert gaussian(7.0 * t, *q) == pytest.approx(gaussian(t, 5.0, 0.02, 0.5) / 7.0)
 
 
 def test_rescale_rejects_nonpositive_factor():
