@@ -43,9 +43,9 @@ a ``dt`` or duration factor whose step grid or rescaled pulses the
 library cannot represent, an output path whose directory does not exist
 or that is a directory, or an output file that cannot be written),
 3 calibration failure, 4 integrator abort (trace drift, a pair generator
-that breaks Hermiticity, a pair propagator that is not finite,
-trace-preserving and bounded, a single-gate map with an entry above 1,
-or lost normalisation), 5 internal error
+that breaks Hermiticity or trace preservation, a pair propagator that is
+not finite and bounded, a single-gate map with an entry above 1, or lost
+normalisation), 5 internal error
 (any other library ``ValueError``).
 """
 

@@ -82,27 +82,30 @@ decided by its step index (the slot-end point never does), so results do
 not depend on how accumulated step times round near the slot edge.
 
 Trace is monitored, never renormalised: drift beyond ``TRACE_ABORT_TOL``
-(a NaN trace included) raises :class:`TraceDriftError`, and so does a
-pair propagator that, while it is built, stops being finite, keeping its
-trace row (Pauli 0's packed row stays e_0 to ``TRACE_ABORT_TOL``) or
-bounded (no entry above ``1 / TRACE_ABORT_TOL``; a CPTP map has none
-above 1). The step maps are certified from the series before they are
-made: each chunk records the largest entry of each ``Q_p`` and of its
-trace row (exactly 0 while every letter preserves trace), and ``sum_p
-z^p`` times them bounds the step maps of each z. Every later level of a
-build's tree, a stream's scan and their chunk folds is certified by an
-a-priori bound on its entries, from the bound of the level below. A
-stack whose bound passes a tolerance is searched instead, so an unstable
-step grid aborts, at the level where a search of every level would,
-before numpy overflows and before a stream hands out a step map. The
-step generators are held to the same bound before the series takes
-powers of z, which the bound caps, and a rate whose z is not finite (a
-decay rate near the float limit) fails as not bounded before any build,
-so no rate reaches a numpy overflow either. A grid unstable within that
-bound is refused where a single-gate map is read, at an entry above 1
-(:func:`_check_map_entries`). A slot unitary more than 1e-9 away from
-unitary raises :class:`NumericalError` when its map, or its stream chunk,
-is built. Integrator bugs cannot hide.
+(a NaN trace included) raises :class:`TraceDriftError`. A pair build
+checks each invariant where it is decided. Trace preservation is a
+property of the generator letters: Pauli 0's row of each is exactly zero,
+or :func:`_pair_words` refuses it, and it stays exactly zero through
+every sum and product, so every pair map keeps its trace row at e_0. A
+case whose step generators may pass ``1 / TRACE_ABORT_TOL`` (a decay rate
+or an amplitude near the float limit included) fails as not bounded in
+:func:`_pair_z`, before any series is built, so neither reaches a numpy
+overflow. What is left is growth: a pair propagator that, while it is
+built, stops being finite or bounded (no entry above ``1 /
+TRACE_ABORT_TOL``; a CPTP map has none above 1) raises
+:class:`TraceDriftError`. The step maps are certified from the series
+before they are made: each chunk records the largest entry of each
+``Q_p``, and ``sum_p z^p`` times them bounds the step maps of each z.
+Every later level of a build's tree, a stream's scan and their chunk
+folds is certified by an a-priori bound on its entries, from the bound of
+the level below. A stack whose bound passes the tolerance is searched
+instead, so an unstable step grid aborts, at the level where a search of
+every level would, before numpy overflows and before a stream hands out a
+step map. A grid unstable within that bound is refused where a
+single-gate map is read, at an entry above 1 (:func:`_check_map_entries`).
+A slot unitary more than 1e-9 away from unitary raises
+:class:`NumericalError` when its map, or its stream chunk, is built.
+Integrator bugs cannot hide.
 """
 
 from __future__ import annotations
@@ -365,10 +368,16 @@ def _pair_words(kind: str, noise_kind: str) -> tuple:
     The letters are the dissipator sum, then each channel's drive
     superoperator. A generator that does not preserve Hermiticity has an
     imaginary part here, beyond 1e-12 of its letter's largest entry, and
-    raises :class:`NumericalError`. ``layout`` is :func:`_pack_blocks`
-    over the letters' exact nonzeros; every letter maps each block into
-    itself, and so does every sum and product of them, so the entries a
-    packed map leaves out are exactly zero. ``letters`` are the packed
+    raises :class:`NumericalError`, and one whose letters are not exactly
+    zero on Pauli 0's row does not preserve trace and raises
+    :class:`TraceDriftError`. Exactly, not to a tolerance: the letters are
+    constant and their entries dyadic (Pauli matrices in the 1/2-scaled
+    Pauli-transfer basis), so the row comes out exactly zero and stays so
+    through every sum and product of a build. Letters that vary in time,
+    or carry entries that round, would have to revisit this. ``layout`` is
+    :func:`_pack_blocks` over the letters' exact nonzeros; every letter
+    maps each block into itself, and so does every sum and product of
+    them, so the entries a packed map leaves out are exactly zero. ``letters`` are the packed
     letters, each one row of its ``(k, b, b)`` blocks, flattened, with the
     dissipator sum divided by ``scale``, its largest entry (1 if it has
     none). Every product of 1 to 4 letters is a word, listed per degree
@@ -391,6 +400,8 @@ def _pair_words(kind: str, noise_kind: str) -> tuple:
             f"the {kind} pair generator does not preserve Hermiticity "
             f"(imaginary part {np.max(imag):.3e} in the Pauli-transfer basis)"
         )
+    if np.any(letters.real[:, 0] != 0.0):
+        raise TraceDriftError(f"the {kind} pair generator is not trace-preserving")
     layout = _pack_blocks(np.any(letters.real != 0.0, axis=0))
     k, b = layout.shape
     letters = letters.real.reshape(len(letters), 256)[:, _packed_positions(layout)]
@@ -463,13 +474,18 @@ def _series_terms(x, rows, tables, q):
 def _pair_z(kind, params, noise: NoiseModel, duration, n_steps: int) -> float:
     """The coefficient z = h gamma scale of :func:`_pair_words`' constant
     letter in each step generator ``h g`` of one (noise, duration) case on
-    an ``n_steps`` grid, the part of the generator bound that grows with
-    the duration, or the error that case raises alone: ``ValueError`` for
-    a duration the pulses cannot be rescaled to, :func:`_pair_words`'
-    error for its noise kind, or :class:`TraceDriftError`, as not bounded,
-    for a rate whose z overflows the float range."""
+    an ``n_steps`` grid, or the error that case raises alone:
+    ``ValueError`` for a duration the pulses cannot be rescaled to,
+    :func:`_pair_words`' error for its noise kind, or
+    :class:`TraceDriftError`, as not bounded, for a rate whose z overflows
+    the float range or a case whose step generators may have an entry past
+    ``1 / TRACE_ABORT_TOL``, the bound :func:`_check_pair_maps` holds the
+    step maps to. Their entries are at most ``z + sum_c |A_c| max|L_c| /
+    n_steps``, as the drive letters' coefficients are ``h gaussian`` on the
+    unit slot, whose amplitudes are the A_c of ``params``; below that bound
+    the series' powers of z and drive products cannot overflow."""
     rescale_channel_params(params, 0.0, float(duration))
-    scale = _pair_words(kind, noise.kind)[3]
+    letters, _, _, scale, _ = _pair_words(kind, noise.kind)
     # Python floats: a product past the float range is inf, without a
     # numpy warning
     h = float(duration) / n_steps
@@ -478,6 +494,14 @@ def _pair_z(kind, params, noise: NoiseModel, duration, n_steps: int) -> float:
         raise TraceDriftError(
             f"the {kind} pair propagator is not bounded (z = h gamma scale = "
             f"{h:.3e} * {noise.gamma:.3e} * {scale:.3e} overflows the float range)"
+        )
+    sizes = np.max(np.abs(letters[1:]), axis=1)
+    drive = sum(abs(float(a)) * float(size) for (a, _), size in zip(params, sizes))
+    bound = z + drive / n_steps
+    if not bound <= 1.0 / TRACE_ABORT_TOL:
+        raise TraceDriftError(
+            f"the {kind} pair propagator is not bounded "
+            f"(a step generator entry may reach {bound:.3e})"
         )
     return z
 
@@ -501,9 +525,7 @@ class _SeriesChunk(NamedTuple):
     ``time_order`` holds the position of each step in time order."""
 
     q: np.ndarray  # (5, pad, k, b, b): the Q_p
-    x: np.ndarray  # (3, letters, pad): the letters' coefficients per stage
-    drive_bound: float  # the largest sum_c |x_c| max|L_c|
-    certificate: np.ndarray  # (2, 5): max|Q_p| on Pauli 0's row, and over all
+    certificate: np.ndarray  # (5,): max|Q_p|
     time_order: np.ndarray
     d: np.ndarray  # the workspace of _pair_step_maps
 
@@ -514,7 +536,7 @@ def _pair_series(kind, params, noise_kind, n_steps):
     (rate, duration) case of that grid and noise kind (see the module
     docstring), in :class:`_SeriesChunk` chunks of at most
     ``PAIR_CHUNK_STEPS`` steps, bit-reversed for :func:`_tree_product`. The
-    constant letter's coefficient in ``x`` is 1 (0 on padding steps).
+    constant letter's coefficient is 1 (0 on padding steps).
 
     The next chunk overwrites ``q`` and ``d``. The drive is sampled per
     chunk, on the unit slot, at each step's start, midpoint and end (the
@@ -524,7 +546,6 @@ def _pair_series(kind, params, noise_kind, n_steps):
     """
     amplitude, width, center = rescale_channel_params(params, 0.0, 1.0)
     letters, tables, rows, _, layout = _pair_words(kind, noise_kind)
-    drive_sizes = np.max(np.abs(letters[1:]), axis=1)
     k, b = layout.shape
     h = 1.0 / n_steps
     size = min(n_steps, PAIR_CHUNK_STEPS)
@@ -546,114 +567,67 @@ def _pair_series(kind, params, noise_kind, n_steps):
         x[2, 1:] = h * gaussian(t0 + h, amplitude, width, center) * (steps < n_steps - 1)
         x[..., perm >= count] = 0.0
         _series_terms(x, rows, tables, q)
-        drive_bound = float(np.max(drive_sizes @ np.abs(x[:, 1:])))
-        yield _SeriesChunk(q, x, drive_bound, _series_certificate(q), perm[:count], d)
+        flat = q.reshape(len(q), -1)
+        yield _SeriesChunk(q, np.maximum(flat.max(axis=1), -flat.min(axis=1)), perm[:count], d)
 
 
-def _series_certificate(q: np.ndarray) -> np.ndarray:
-    """The certificate of a chunk's ``Q_p``: the largest modulus on Pauli
-    0's packed row, which is exactly 0 while every letter preserves trace,
-    and over all entries, one column per p."""
-    flat = q.reshape(len(q), -1)
-    return np.array([
-        np.max(np.abs(q[:, :, 0, 0, :]).reshape(len(q), -1), axis=1),
-        np.maximum(flat.max(axis=1), -flat.min(axis=1)),
-    ])
-
-
-def _pair_step_maps(kind: str, noise_kind: str, chunk: _SeriesChunk, z: float):
+def _pair_step_maps(kind: str, chunk: _SeriesChunk, z: float):
     """The RK4 step maps minus the identity of one chunk of
     :func:`_pair_series`, for the case whose constant letter has the
     coefficient ``z``, and their bound: ``sum_p z^p Q_p``, one GEMV, as a
     ``(pad, k, b, b)`` array in the chunk's workspace, which the next call
-    overwrites. Its bits depend only on the chunk and on ``z``.
-
-    The step generators pass :func:`_check_step_generators` first: ``z``
-    plus the chunk's drive bound bounds their entries, and only a chunk
-    over the bound builds its generators and searches them, so no power of
-    ``z`` is taken past the bound. The step maps are then certified by
-    :func:`_step_bound`, or searched once it passes a tolerance
-    (:func:`_certify`).
+    overwrites. Its bits depend only on the chunk and on ``z``, which
+    :func:`_pair_z` has held to the step-generator bound. The step maps are
+    certified by :func:`_step_bound`, or searched once it passes a
+    tolerance (:func:`_certify`).
     """
-    if not z + chunk.drive_bound <= 1.0 / TRACE_ABORT_TOL:
-        coefs = chunk.x.swapaxes(1, 2)[:, chunk.time_order]
-        coefs[..., 0] = z
-        with np.errstate(over="ignore", invalid="ignore"):  # checked next
-            _check_step_generators(kind, coefs @ _pair_words(kind, noise_kind)[0])
     np.matmul(z**_POWERS, chunk.q.reshape(len(chunk.q), -1), out=chunk.d.reshape(-1))
     return chunk.d, _certify(kind, chunk.d, _step_bound(chunk, z))
 
 
-def _step_bound(chunk: _SeriesChunk, z: float) -> tuple[float, float]:
-    """A bound on the trace-row error and the largest entry of the step
-    maps ``sum_p z^p Q_p`` of a chunk, from its certificate: ``sum_p z^p
-    max|Q_p|``, the a-priori inner-product bound (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., §3.1) that
-    :func:`_then_bound` uses, whose rounding factor for five terms lies far
-    below 1 + 1e-12."""
-    error, size = chunk.certificate @ z**_POWERS
-    return float(error) * (1.0 + 1e-12), float(size) * (1.0 + 1e-12)
+def _step_bound(chunk: _SeriesChunk, z: float) -> float:
+    """A bound on the largest entry of the step maps ``sum_p z^p Q_p`` of a
+    chunk, from its certificate: ``sum_p z^p max|Q_p|``, the a-priori
+    inner-product bound (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., §3.1) that :func:`_then_bound` uses, whose
+    rounding factor for five terms lies far below 1 + 1e-12."""
+    return float(chunk.certificate @ z**_POWERS) * (1.0 + 1e-12)
 
 
-def _check_step_generators(kind: str, hg: np.ndarray):
-    """The step generators ``h g`` must be finite and have no entry above
-    ``1 / TRACE_ABORT_TOL``, the bound :func:`_check_pair_maps` holds the
-    step maps to. Checked before the series takes powers of ``z``, which
-    cannot overflow below it."""
-    size = max(hg.max(), -hg.min())
-    if not size <= 1.0 / TRACE_ABORT_TOL:  # a NaN generator fails too
-        raise TraceDriftError(
-            f"the {kind} pair propagator is not bounded "
-            f"(a step generator entry {size:.3e})"
-        )
-
-
-def _check_pair_maps(kind: str, d: np.ndarray) -> tuple[float, float]:
+def _check_pair_maps(kind: str, d: np.ndarray) -> float:
     """Every real Pauli-transfer map ``I + d`` of the packed stack ``d``
-    must keep Pauli 0's row (packed row ``(0, 0)``) at e_0 (trace
-    preservation) and stay finite and bounded. The entries left out of the
-    packing are exactly zero, so the packed blocks decide both. A CPTP map
-    has entries of modulus at most 1; an unstable step grid grows them
-    geometrically, so no entry of ``d`` may pass ``1 / TRACE_ABORT_TOL``.
-    Without the bound such a grid would only show once numpy overflows: in
-    this basis the trace row of every step map stays at e_0, so a drifting
-    trace no longer gives it away. Returns the stack's trace-row error and
-    largest entry, the bound that :func:`_certify` carries on."""
-    error = np.max(np.abs(d[..., 0, 0, :]))
+    must stay finite and bounded. The entries left out of the packing are
+    exactly zero, so the packed blocks decide it. A CPTP map has entries of
+    modulus at most 1; an unstable step grid grows them geometrically, so
+    no entry of ``d`` may pass ``1 / TRACE_ABORT_TOL``. Without the bound
+    such a grid would only show once numpy overflows, as the trace row
+    stays exactly at e_0. Returns the stack's largest entry, the bound that
+    :func:`_certify` carries on."""
     size = max(d.max(), -d.min())
-    if not error <= TRACE_ABORT_TOL:  # a NaN map fails too
-        raise TraceDriftError(
-            f"the {kind} pair propagator is not trace-preserving (error {error:.3e})"
-        )
-    if not size <= 1.0 / TRACE_ABORT_TOL:
+    if not size <= 1.0 / TRACE_ABORT_TOL:  # a NaN map fails too
         raise TraceDriftError(
             f"the {kind} pair propagator is not bounded "
             f"(an entry {size:.3e} away from the identity's)"
         )
-    return error, size
+    return size
 
 
-def _then_bound(b: int, first: tuple, next_: tuple) -> tuple[float, float]:
-    """A bound on the trace-row error and the largest entry of
-    :func:`_then`'s computed entries, over ``b x b`` blocks, from such
-    bounds on ``d_first`` and ``d_next``: the a-priori inner-product bound
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    §3.1), whose rounding factor for b + 2 terms lies far below 1 + 1e-12."""
-    (e_first, s_first), (e_next, s_next) = first, next_
-    return (
-        (b * e_next * s_first + e_first + e_next) * (1.0 + 1e-12),
-        (b * s_next * s_first + s_first + s_next) * (1.0 + 1e-12),
-    )
+def _then_bound(b: int, first: float, next_: float) -> float:
+    """A bound on the largest entry of :func:`_then`'s computed entries,
+    over ``b x b`` blocks, from such bounds on ``d_first`` and ``d_next``:
+    the a-priori inner-product bound (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., §3.1), whose rounding factor for b + 2
+    terms lies far below 1 + 1e-12."""
+    return (b * next_ * first + first + next_) * (1.0 + 1e-12)
 
 
-def _certify(kind: str, d: np.ndarray, bound: tuple) -> tuple[float, float]:
-    """``bound``, an a-priori bound on the trace-row error and the largest
-    entry of a stack ``d``, while it stays within ``TRACE_ABORT_TOL`` and
-    ``1 / TRACE_ABORT_TOL``; past either, ``d`` is searched by
-    :func:`_check_pair_maps` and its measured values replace the bound. So
-    a stack that fails is always searched, and a build aborts where, and
-    as, a search of every level would."""
-    if bound[0] <= TRACE_ABORT_TOL and bound[1] <= 1.0 / TRACE_ABORT_TOL:
+def _certify(kind: str, d: np.ndarray, bound: float) -> float:
+    """``bound``, an a-priori bound on the largest entry of a stack ``d``,
+    while it stays within ``1 / TRACE_ABORT_TOL``; past it, ``d`` is
+    searched by :func:`_check_pair_maps` and its measured size replaces
+    the bound. So a stack that fails is always searched, and a build aborts
+    where, and as, a search of every level would."""
+    if bound <= 1.0 / TRACE_ABORT_TOL:
         return bound
     return _check_pair_maps(kind, d)
 
@@ -668,7 +642,7 @@ def _then(d_first: np.ndarray, d_next: np.ndarray) -> np.ndarray:
     return out
 
 
-def _then_certified(kind: str, first: tuple, next_: tuple) -> tuple[np.ndarray, tuple[float, float]]:
+def _then_certified(kind: str, first: tuple, next_: tuple) -> tuple[np.ndarray, float]:
     """:func:`_then` of two ``(d, bound)`` pairs, and the bound of the
     product from theirs (:func:`_then_bound`), certified by bound or
     searched (:func:`_certify`): one level of a tree, or one chunk fold."""
@@ -676,7 +650,7 @@ def _then_certified(kind: str, first: tuple, next_: tuple) -> tuple[np.ndarray, 
     return d, _certify(kind, d, _then_bound(d.shape[-1], first[1], next_[1]))
 
 
-def _tree_product(kind: str, d: np.ndarray, bound: tuple) -> tuple[np.ndarray, tuple[float, float]]:
+def _tree_product(kind: str, d: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
     """The product of the maps ``I + d[i]`` of a bit-reversed chunk of
     :func:`_pair_series`, later steps on the left, as a pairwise tree,
     minus the identity, and its bound, from the step maps' ``bound``. The
@@ -707,7 +681,7 @@ def _pair_rk4(kind: str, params, noise_kind: str, zs: dict, n_steps: int, aborte
     (:func:`_tree_product`), later steps on the left, and the chunk
     products are folded in order. Every level and every partial product is
     certified by bound or searched (:func:`_certify`), so a map that is not
-    finite, trace-preserving and bounded aborts before numpy can overflow.
+    finite and bounded aborts before numpy can overflow.
     The series is the only thing the cases share, so each map's bits
     depend only on its own z: a build alone is a row of one.
     """
@@ -717,7 +691,7 @@ def _pair_rk4(kind: str, params, noise_kind: str, zs: dict, n_steps: int, aborte
             if key in aborted:
                 continue
             try:
-                product = _tree_product(kind, *_pair_step_maps(kind, noise_kind, chunk, z))
+                product = _tree_product(kind, *_pair_step_maps(kind, chunk, z))
                 totals[key] = product if totals[key] is None else _then_certified(kind, totals[key], product)
             except TraceDriftError as error:
                 aborted[key] = error
@@ -725,7 +699,7 @@ def _pair_rk4(kind: str, params, noise_kind: str, zs: dict, n_steps: int, aborte
     return [None if key in aborted else _unpacked(t[0], layout) for key, t in totals.items()]
 
 
-def _scan_product(kind: str, d: np.ndarray, bound: tuple) -> tuple[np.ndarray, tuple[float, float]]:
+def _scan_product(kind: str, d: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
     """The prefix products of the maps ``I + d[i]``, later steps on the
     left, minus the identity, by a Hillis-Steele scan (CACM 29, 1170
     (1986)) that overwrites ``d``, and their bound, from the step maps'
@@ -869,7 +843,7 @@ def gate_step_maps(
     layout = _pair_words(kind, noise.kind)[4]
     h, total, first = duration / n_steps, None, 0
     for chunk in _pair_series(kind, params, noise.kind, n_steps):
-        d, bound = _pair_step_maps(kind, noise.kind, chunk, z)
+        d, bound = _pair_step_maps(kind, chunk, z)
         d[: len(chunk.time_order)] = d[chunk.time_order]
         d, bound = _scan_product(kind, d[: len(chunk.time_order)], bound)
         if total is not None:

@@ -50,7 +50,8 @@ class GateSpec:
 
     ``qubits`` is (control, target) for the CNOT kinds and simply the
     coupled pair for SWAP. ``params`` holds one (A, W) pair for SWAP and
-    two — local drive then coupling — for the CNOT kinds.
+    two — local drive then coupling — for the CNOT kinds, and each must pass
+    ``check_pulse_params`` when the gate is made.
     """
 
     kind: str
@@ -69,8 +70,7 @@ class GateSpec:
         expected = 1 if self.kind == "swap" else 2
         if len(params) != expected:
             raise ValueError(f"{self.kind} takes {expected} (A, W) pair(s)")
-        if any(w <= 0.0 for _, w in params):
-            raise ValueError("pulse widths must be positive")
+        check_pulse_params(*zip(*params))
 
 
 def swap_gate(q1: int, q2: int, params=DEFAULT_SWAP_PARAMS) -> GateSpec:

@@ -2,11 +2,19 @@
 cache (keyed by gate kind and noise kind, so shared by every rate), so a
 test that breaks a kernel with ``monkeypatch`` sees that kernel run
 instead of a map, letters or word tables an earlier test left in a
-cache, and leaves nothing broken behind."""
+cache, and leaves nothing broken behind.
+
+Property tests draw the same examples on every run and keep no example
+database, so a verdict never depends on an earlier run.
+``--hypothesis-profile default`` explores new examples instead."""
 
 import pytest
+from hypothesis import settings
 
 from spinchain import dynamics
+
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture(autouse=True)

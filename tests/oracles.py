@@ -422,7 +422,7 @@ def pair_rk4_natural(kind, params, noise, duration, n_steps):
     z = dynamics._pair_z(kind, params, noise, duration, n_steps)
     total = None
     for chunk in dynamics._pair_series(kind, params, noise.kind, n_steps):
-        d, _ = dynamics._pair_step_maps(kind, noise.kind, chunk, z)
+        d, _ = dynamics._pair_step_maps(kind, chunk, z)
         product, bound = tree_product_natural(kind, d[chunk.time_order])
         if total is not None:
             product = dynamics._then(total[0], product)

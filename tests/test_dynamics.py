@@ -321,6 +321,22 @@ def test_rate_near_the_float_limit_aborts_as_unbounded(gamma):
         next(stream)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("amplitude", [1e80, 1e300])
+def test_amplitude_near_the_float_limit_aborts_as_unbounded(amplitude):
+    # a finite amplitude whose drive alone passes the step-generator bound
+    # is refused with its case's z, before the series multiplies the drive
+    # into its word features, so it never reaches a numpy overflow
+    gate, noise = swap_gate(1, 2, (amplitude, 0.02)), NoiseModel("dephasing", 0.01)
+    bounded = "the swap pair propagator is not bounded .a step generator entry"
+    with pytest.raises(TraceDriftError, match=bounded):
+        gate_superoperator(gate, noise)
+    stream = gate_step_maps(gate, noise)
+    assert list(next(stream)[0]) == [0.0]
+    with pytest.raises(TraceDriftError, match=bounded):
+        next(stream)
+
+
 def test_pair_words_are_cached_read_only_per_noise_kind():
     words = dynamics._pair_words("cnot", "dephasing")
     letters, tables, rows, _, layout = words
@@ -423,7 +439,7 @@ def test_series_step_maps_match_the_stage_products(kind, noise_kind):
         for chunk in dynamics._pair_series(kind, params, noise_kind, n_steps):
             padding = np.delete(np.arange(len(chunk.d)), chunk.time_order)
             for alpha, z, reference in zip(alphas, zs, stages):
-                d, _ = dynamics._pair_step_maps(kind, noise_kind, chunk, z)
+                d, _ = dynamics._pair_step_maps(kind, chunk, z)
                 assert np.max(np.abs(d[chunk.time_order] - next(reference))) <= 1e-13, (alpha, n_steps)
                 assert not np.any(d[padding])
             chunks += 1
@@ -604,15 +620,15 @@ def broken_steps(monkeypatch, index, value, offsets=(0,)):
     """Make ``_pair_series`` add ``value`` to ``Q_0`` at packed ``(block,
     row, column)`` ``index`` of the middle step of every chunk, in time
     order, and of the steps ``offsets`` after it, and certify the broken
-    series as the program does. Each of those step maps then carries the
-    fault."""
+    series as the program does, by the largest entry of each ``Q_p``. Each
+    of those step maps then carries the fault."""
     series = dynamics._pair_series
 
     def broken(*args, **kwargs):
         for chunk in series(*args, **kwargs):
             for offset in offsets:
                 chunk.q[(0, chunk.time_order[len(chunk.time_order) // 2 + offset], *index)] += value
-            yield chunk._replace(certificate=dynamics._series_certificate(chunk.q))
+            yield chunk._replace(certificate=np.max(np.abs(chunk.q.reshape(len(chunk.q), -1)), axis=1))
 
     monkeypatch.setattr(dynamics, "_pair_series", broken)
 
@@ -628,25 +644,35 @@ def pair_runs(kind, noise, n_steps=100):
 
 @pytest.mark.parametrize("kind, noise_kind", GUARDED_LAYOUTS)
 def test_packed_trace_row_error_is_caught(kind, noise_kind, monkeypatch):
+    # a drive letter with one nonzero entry on Pauli 0's packed row, away
+    # from its diagonal and inside Pauli 0's block, so the layout holds: the
+    # row must be exactly zero, so even 2^-60 is refused, by the letters
+    # and before any series is built
     noise = NoiseModel(noise_kind, 0.01)
-    b = dynamics._pair_words(kind, noise_kind)[4].shape[1]
-    # an error in Pauli 0's packed row, away from its diagonal
-    broken_steps(monkeypatch, (0, 0, b - 1), 1e-3)
-    products = []
-    then = dynamics._then
-    monkeypatch.setattr(dynamics, "_then", lambda *a: products.append(1) or then(*a))
+    last = dynamics._pair_words(kind, noise_kind)[4][0, -1]
+    dynamics._pair_words.cache_clear()
+    fault = np.zeros((16, 16))
+    fault[0, last] = 2.0**-60
+    hamiltonian = dynamics._hamiltonian_superop
+    monkeypatch.setattr(
+        dynamics, "_hamiltonian_superop",
+        lambda h4: hamiltonian(h4) + dynamics._PTM @ fault @ dynamics._PTM_INV,
+    )
+    series = []
+    monkeypatch.setattr(dynamics, "_pair_series", lambda *a: series.append(1) or iter(()))
+    with pytest.raises(TraceDriftError, match=f"the {kind} pair generator is not trace-preserving"):
+        dynamics._pair_words(kind, noise_kind)
     for run in pair_runs(kind, noise):
-        with pytest.raises(TraceDriftError, match=f"the {kind} pair propagator is not trace-preserving"):
+        with pytest.raises(TraceDriftError, match=f"the {kind} pair generator is not trace-preserving"):
             run()
-    # the series certificate carries the error, so the step maps are
-    # searched and refused before any product is taken
-    assert not products
+    assert not series
 
 
 @pytest.mark.parametrize("kind, noise_kind", GUARDED_LAYOUTS)
 def test_packed_error_off_the_trace_row_is_not_a_trace_error(kind, noise_kind, monkeypatch):
-    # the same error in the first row of another block (the second row of
-    # the only one) changes the map, not its trace row: the build runs through
+    # an error in the first row of another block (the second row of the
+    # only one) changes the map, not its trace row, and stays far inside
+    # the growth bound: the build runs through
     noise = NoiseModel(noise_kind, 0.01)
     k, b = dynamics._pair_words(kind, noise_kind)[4].shape
     broken_steps(monkeypatch, (1, 0, b - 1) if k > 1 else (0, 1, b - 1), 1e-3)
@@ -667,7 +693,7 @@ def test_packed_oversized_entry_away_from_pauli_0_is_caught(kind, noise_kind, mo
 
 def always_searched(monkeypatch):
     """Make every tree level, scan level and chunk fold search its stack."""
-    monkeypatch.setattr(dynamics, "_then_bound", lambda b, first, next_: (np.inf, np.inf))
+    monkeypatch.setattr(dynamics, "_then_bound", lambda b, first, next_: np.inf)
 
 
 def abort_message(run):
@@ -701,8 +727,8 @@ def test_growth_past_level_0_falls_back_to_a_search(kind, noise_kind, monkeypatc
 
 
 def measured(d):
-    """The trace-row error and the largest entry of a packed stack."""
-    return np.max(np.abs(d[..., 0, 0, :])), np.max(np.abs(d))
+    """The largest entry of a packed stack."""
+    return np.max(np.abs(d))
 
 
 @settings(max_examples=60, deadline=None)
@@ -718,9 +744,7 @@ def test_then_never_exceeds_its_bound(b, scales, entries, seed):
     u = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, 3, 16 // b, b, b))
     u = {"uniform": u, "signs": np.sign(u), "equal": np.ones_like(u)}[entries]
     first, next_ = (scale * v for scale, v in zip(scales, u))
-    error, size = dynamics._then_bound(b, measured(first), measured(next_))
-    out_error, out_size = measured(dynamics._then(first, next_))
-    assert out_error <= error and out_size <= size
+    assert measured(dynamics._then(first, next_)) <= dynamics._then_bound(b, measured(first), measured(next_))
 
 
 @settings(max_examples=40, deadline=None)
@@ -732,24 +756,25 @@ def test_then_never_exceeds_its_bound(b, scales, entries, seed):
     n_steps=st.sampled_from([1, 2, 3, 100, 255, 256, 257, 1000]),
 )
 def test_series_certificate_bounds_every_step_map(kind, noise_kind, gamma, alpha, n_steps):
-    # each chunk's certificate bounds the trace-row error (exactly 0 while
-    # every letter preserves trace) and the largest entry of its step maps
-    # before they are made, padding included
+    # each chunk's certificate bounds the largest entry of its step maps
+    # before they are made, padding included, and Pauli 0's packed row of
+    # every step map is exactly 0: the letters' rows are, and exact zeros
+    # stay exact through every sum and product
     params, noise = GATE_BUILDERS[kind](1, 2).params, NoiseModel(noise_kind, gamma)
-    z = dynamics._pair_z(kind, params, noise, alpha, n_steps)
+    try:
+        z = dynamics._pair_z(kind, params, noise, alpha, n_steps)
+    except TraceDriftError:
+        event("step generators past their bound")
+        return
     for chunk in dynamics._pair_series(kind, params, noise_kind, n_steps):
-        assert not np.any(chunk.certificate[0])
-        if not z + chunk.drive_bound <= 1.0 / TRACE_ABORT_TOL:
-            event("step generators past their bound")
-            continue
-        error, size = dynamics._step_bound(chunk, z)
+        size = dynamics._step_bound(chunk, z)
         try:
-            d, _ = dynamics._pair_step_maps(kind, noise_kind, chunk, z)
+            d, _ = dynamics._pair_step_maps(kind, chunk, z)
         except TraceDriftError:
             d = chunk.d  # made, then searched and refused
             event("step maps refused")
-        out_error, out_size = measured(d)
-        assert out_error <= error and out_size <= size
+        assert measured(d) <= size
+        assert not np.any(d[..., 0, 0, :])
 
 
 @pytest.mark.parametrize("noise_kind", PAIR_NOISE_KINDS)
@@ -1044,12 +1069,13 @@ def test_a_row_raises_its_first_unstable_duration_and_keeps_the_good_maps(monkey
         for alpha in (1.0, 100.0)
     }
     assert "a step generator entry" in alone[100.0] and "an entry" in alone[1.0]
-    # the row names each failure, so no case is built a second time alone
+    # the row names each failure, so no case is built a second time alone;
+    # alpha = 100 fails in its z, so the row holds only the other three
     builds = []
     build = dynamics._pair_rk4
     monkeypatch.setattr(dynamics, "_pair_rk4", lambda *args: builds.append(list(args[3].values())) or build(*args))
     assert abort_message(lambda: gate_superoperators(gate, [noise], alphas)) == alone[100.0]
-    assert builds == [[dynamics._pair_z("swap", gate.params, noise, a, 1000) for a in alphas]]
+    assert builds == [[dynamics._pair_z("swap", gate.params, noise, a, 1000) for a in (1e-6, 1.0, 2e-6)]]
     # the good maps of the row are cached, and equal their builds alone
     cached = {key[3]: phi for key, phi in dynamics._PAIR_PROP_CACHE.items()}
     assert sorted(cached) == [1e-6, 2e-6]
@@ -1306,6 +1332,46 @@ def test_ladder_live_width_is_four_at_any_length(monkeypatch):
     circuit = build_transport_circuit(ChainTopology("square_2d", 4), "cnot_first")
     with pytest.raises(ValueError, match="would hold 1024 entries"):
         evolve_lindblad_product(sites[:4], circuit.schedule, noise, (3, 4))
+
+
+@pytest.mark.parametrize("entry, refused", [(1.0 + 2e-6, True), (1.0 + 5e-7, False)])
+def test_map_entries_are_held_to_one_plus_the_tolerance(entry, refused):
+    # the threshold sits at 1 + TRACE_ABORT_TOL, pinned from both sides,
+    # for an entry of either sign
+    for sign in (1.0, -1.0):
+        phi = np.eye(16)
+        phi[3, 3] = sign * entry
+        if refused:
+            with pytest.raises(TraceDriftError, match="has an entry 1.000e[+]00 above 1"):
+                dynamics._check_map_entries(phi, "the map")
+        else:
+            dynamics._check_map_entries(phi, "the map")
+
+
+@pytest.mark.parametrize("delta, refused", [(1e-9, True), (2e-10, False)])
+def test_unitarity_is_held_to_1e_9(delta, refused):
+    # U diag(1 + delta, 1, 1, 1) is 2 delta + delta^2 away from unitary:
+    # 2e-9 is refused, 4e-10 accepted
+    u = slot_unitary("swap", swap_gate(1, 2).params) @ np.diag([1.0 + delta, 1.0, 1.0, 1.0])
+    if refused:
+        with pytest.raises(NumericalError, match="unitary evolution lost normalisation"):
+            dynamics._unitary_maps("swap", u)
+    else:
+        assert dynamics._unitary_maps("swap", u).shape == (16, 16)
+
+
+@pytest.mark.parametrize("epsilon, refused", [(1e-11, True), (1e-13, False)])
+def test_site_states_are_held_to_hermiticity_within_1e_12(epsilon, refused):
+    # an anti-Hermitian part epsilon [[0, 1], [-1, 0]] puts 2 epsilon
+    # between the state and its adjoint; the trace stays 1
+    state = proj(ket(0)) + epsilon * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    schedule = schedule_sequence([swap_gate(1, 2)])
+    run = lambda: evolve_lindblad_product([state, proj(ket(1))], schedule, NOISELESS, (1, 2))
+    if refused:
+        with pytest.raises(ValueError, match="site states must be Hermitian"):
+            run()
+    else:
+        assert run().shape == (4, 4)
 
 
 def test_a_site_state_that_is_not_hermitian_is_refused():

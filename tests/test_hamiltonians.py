@@ -205,6 +205,27 @@ def test_gate_spec_rejects_bad_input():
         swap_gate(1, 2, params=(1.0, -0.1))
 
 
+@pytest.mark.parametrize(
+    "pulse, message",
+    [
+        ((np.nan, np.inf), "pulse amplitude must be finite"),
+        ((1.0, -1.0), "pulse width must be positive and finite"),
+        ((np.inf, 0.02), "pulse amplitude must be finite"),
+        ((1.0, np.nan), "pulse width must be positive and finite"),
+    ],
+)
+def test_gate_spec_holds_every_pulse_to_the_one_pulse_rule(pulse, message):
+    # a bad pulse is refused where the gate is made, with check_pulse_params'
+    # message, in either channel of the CNOT kinds
+    with pytest.raises(ValueError, match=message):
+        swap_gate(1, 2, pulse)
+    for build in (cnot_gate, rotated_cnot_gate):
+        with pytest.raises(ValueError, match=message):
+            build(1, 2, local_params=pulse)
+        with pytest.raises(ValueError, match=message):
+            build(1, 2, coupling_params=pulse)
+
+
 # ---------------------------------------------------------------------------
 # pulse rescaling and window masking
 # ---------------------------------------------------------------------------
