@@ -43,6 +43,7 @@ from .dynamics import (
     _PAULI_BASIS,
     IntegratorConfig,
     NoiseModel,
+    _check_map_entries,
     _check_trace,
     _idle_superop,
     _pauli_vector,
@@ -228,8 +229,11 @@ def evolve_lindblad_product(
     the inputs and taking a partial trace, but contracted site by site
     (see the module docstring). A frontier over ``FRONTIER_MAX_ENTRIES``
     entries, or a site state that is not Hermitian, raises ``ValueError``.
-    The result's trace and trace norm are checked, never renormalised: an
-    unstable step grid leaves the states, keeping every trace exact.
+    A gate map with an entry above 1, which no CPTP map has, raises
+    ``TraceDriftError`` where it is read
+    (:func:`spinchain.dynamics._check_map_entries`): an unstable step grid
+    shows there, while it may keep every trace exact. The result's trace
+    and trace norm are checked too, never renormalised.
     """
     states = [np.asarray(s, dtype=complex) for s in site_states]
     n = len(states)
@@ -255,8 +259,10 @@ def evolve_lindblad_product(
         spec: GateSpec = entry.gate
         if max(spec.qubits) > n:
             raise ValueError("gate addresses a qubit outside the chain")
+        g = gate_superoperator(spec, noise, tau, cfg)
+        _check_map_entries(g, f"the {spec.kind} slot map")
         # legs (out_a, out_b, in_a, in_b), one Pauli index per site
-        g = gate_superoperator(spec, noise, tau, cfg).reshape(4, 4, 4, 4)
+        g = g.reshape(4, 4, 4, 4)
         a, b = spec.qubits
         if events[a] and events[b] and events[a][-1] == events[b][-1]:
             block = blocks[events[a][-1]]

@@ -29,9 +29,9 @@ builds the maps of each gate's (gamma, duration) cases together
 its noiseless steps are the closed form at cumulative pulse areas. A
 slot or step map with an entry above 1, which no CPTP map has, is an
 unstable step grid and aborts the run.
-Transport contracts the circuit site by site (the same cached maps plus
-idle-site channels), so a chain of any length runs in time linear in
-its length.
+Transport contracts the circuit site by site (the same cached maps, held
+to the same rule, plus idle-site channels), so a chain of any length
+runs in time linear in its length.
 
 Units: times in units of the base slot, pulse amplitudes in units of the
 base energy scale (with hbar = 1), pulse widths in slot-squared, and
@@ -44,8 +44,8 @@ library cannot represent, an output path whose directory does not exist
 or that is a directory, or an output file that cannot be written),
 3 calibration failure, 4 integrator abort (trace drift, a pair generator
 that breaks Hermiticity or trace preservation, a pair propagator that is
-not finite and bounded, a single-gate map with an entry above 1, or lost
-normalisation), 5 internal error
+not finite and bounded, a slot map with an entry above 1, read by a
+single gate or by transport, or lost normalisation), 5 internal error
 (any other library ``ValueError``).
 """
 

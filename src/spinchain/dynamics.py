@@ -89,20 +89,19 @@ or :func:`_pair_words` refuses it, and it stays exactly zero through
 every sum and product, so every pair map keeps its trace row at e_0. A
 case whose step generators may pass ``1 / TRACE_ABORT_TOL`` (a decay rate
 or an amplitude near the float limit included) fails as not bounded in
-:func:`_pair_z`, before any series is built, so neither reaches a numpy
-overflow. What is left is growth: a pair propagator that, while it is
-built, stops being finite or bounded (no entry above ``1 /
-TRACE_ABORT_TOL``; a CPTP map has none above 1) raises
-:class:`TraceDriftError`. The step maps are certified from the series
-before they are made: each chunk records the largest entry of each
-``Q_p``, and ``sum_p z^p`` times them bounds the step maps of each z.
-Every later level of a build's tree, a stream's scan and their chunk
-folds is certified by an a-priori bound on its entries, from the bound of
-the level below. A stack whose bound passes the tolerance is searched
-instead, so an unstable step grid aborts, at the level where a search of
-every level would, before numpy overflows and before a stream hands out a
-step map. A grid unstable within that bound is refused where a
-single-gate map is read, at an entry above 1 (:func:`_check_map_entries`).
+:func:`_pair_z`, before any series is built, so the series cannot
+overflow. What is left is growth: an unstable step grid grows a pair
+propagator's entries geometrically, while a CPTP map has none above 1.
+Each result is checked once, where it is made (:func:`_check_pair_maps`):
+a build's map, or a stream's chunk before it is handed out, with an entry
+that is not finite or passes ``1 / TRACE_ABORT_TOL`` raises
+:class:`TraceDriftError`. The products before that check run with numpy's
+overflow silenced, and an overflow cannot hide there: each product adds
+both factors in (:func:`_then`), and inf or NaN plus any number is never
+finite, so it carries through every later level into the result. A grid
+unstable within that bound is refused where a slot map is read, by a
+single gate or by transport, at an entry above 1
+(:func:`_check_map_entries`).
 A slot unitary more than 1e-9 away from unitary raises
 :class:`NumericalError` when its map, or its stream chunk, is built.
 Integrator bugs cannot hide.
@@ -479,8 +478,8 @@ def _pair_z(kind, params, noise: NoiseModel, duration, n_steps: int) -> float:
     :func:`_pair_words`' error for its noise kind, or
     :class:`TraceDriftError`, as not bounded, for a rate whose z overflows
     the float range or a case whose step generators may have an entry past
-    ``1 / TRACE_ABORT_TOL``, the bound :func:`_check_pair_maps` holds the
-    step maps to. Their entries are at most ``z + sum_c |A_c| max|L_c| /
+    ``1 / TRACE_ABORT_TOL``, the bound :func:`_check_pair_maps` holds each
+    result to. Their entries are at most ``z + sum_c |A_c| max|L_c| /
     n_steps``, as the drive letters' coefficients are ``h gaussian`` on the
     unit slot, whose amplitudes are the A_c of ``params``; below that bound
     the series' powers of z and drive products cannot overflow."""
@@ -525,7 +524,6 @@ class _SeriesChunk(NamedTuple):
     ``time_order`` holds the position of each step in time order."""
 
     q: np.ndarray  # (5, pad, k, b, b): the Q_p
-    certificate: np.ndarray  # (5,): max|Q_p|
     time_order: np.ndarray
     d: np.ndarray  # the workspace of _pair_step_maps
 
@@ -541,8 +539,7 @@ def _pair_series(kind, params, noise_kind, n_steps):
     The next chunk overwrites ``q`` and ``d``. The drive is sampled per
     chunk, on the unit slot, at each step's start, midpoint and end (the
     last step ends on the slot edge, where the truncated pulse is already
-    off). The certificate bounds the step maps of every z before they are
-    made (:func:`_step_bound`).
+    off).
     """
     amplitude, width, center = rescale_channel_params(params, 0.0, 1.0)
     letters, tables, rows, _, layout = _pair_words(kind, noise_kind)
@@ -567,106 +564,66 @@ def _pair_series(kind, params, noise_kind, n_steps):
         x[2, 1:] = h * gaussian(t0 + h, amplitude, width, center) * (steps < n_steps - 1)
         x[..., perm >= count] = 0.0
         _series_terms(x, rows, tables, q)
-        flat = q.reshape(len(q), -1)
-        yield _SeriesChunk(q, np.maximum(flat.max(axis=1), -flat.min(axis=1)), perm[:count], d)
+        yield _SeriesChunk(q, perm[:count], d)
 
 
-def _pair_step_maps(kind: str, chunk: _SeriesChunk, z: float):
+def _pair_step_maps(chunk: _SeriesChunk, z: float) -> np.ndarray:
     """The RK4 step maps minus the identity of one chunk of
     :func:`_pair_series`, for the case whose constant letter has the
-    coefficient ``z``, and their bound: ``sum_p z^p Q_p``, one GEMV, as a
-    ``(pad, k, b, b)`` array in the chunk's workspace, which the next call
-    overwrites. Its bits depend only on the chunk and on ``z``, which
-    :func:`_pair_z` has held to the step-generator bound. The step maps are
-    certified by :func:`_step_bound`, or searched once it passes a
-    tolerance (:func:`_certify`).
+    coefficient ``z``: ``sum_p z^p Q_p``, one GEMV, as a ``(pad, k, b, b)``
+    array in the chunk's workspace, which the next call overwrites. Its
+    bits depend only on the chunk and on ``z``, which :func:`_pair_z` has
+    held to the step-generator bound, so the GEMV cannot overflow.
     """
     np.matmul(z**_POWERS, chunk.q.reshape(len(chunk.q), -1), out=chunk.d.reshape(-1))
-    return chunk.d, _certify(kind, chunk.d, _step_bound(chunk, z))
+    return chunk.d
 
 
-def _step_bound(chunk: _SeriesChunk, z: float) -> float:
-    """A bound on the largest entry of the step maps ``sum_p z^p Q_p`` of a
-    chunk, from its certificate: ``sum_p z^p max|Q_p|``, the a-priori
-    inner-product bound (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., §3.1) that :func:`_then_bound` uses, whose
-    rounding factor for five terms lies far below 1 + 1e-12."""
-    return float(chunk.certificate @ z**_POWERS) * (1.0 + 1e-12)
-
-
-def _check_pair_maps(kind: str, d: np.ndarray) -> float:
+def _check_pair_maps(kind: str, d: np.ndarray):
     """Every real Pauli-transfer map ``I + d`` of the packed stack ``d``
-    must stay finite and bounded. The entries left out of the packing are
+    must be finite and bounded. The entries left out of the packing are
     exactly zero, so the packed blocks decide it. A CPTP map has entries of
     modulus at most 1; an unstable step grid grows them geometrically, so
     no entry of ``d`` may pass ``1 / TRACE_ABORT_TOL``. Without the bound
-    such a grid would only show once numpy overflows, as the trace row
-    stays exactly at e_0. Returns the stack's largest entry, the bound that
-    :func:`_certify` carries on."""
-    size = max(d.max(), -d.min())
-    if not size <= 1.0 / TRACE_ABORT_TOL:  # a NaN map fails too
-        raise TraceDriftError(
-            f"the {kind} pair propagator is not bounded "
-            f"(an entry {size:.3e} away from the identity's)"
+    such a grid would only show once the products overflow, as the trace
+    row stays exactly at e_0."""
+    size = max(d.max(), -d.min())  # NaN when any entry is
+    if not size <= 1.0 / TRACE_ABORT_TOL:
+        entry = (
+            f"an entry {size:.3e} away from the identity's" if size < np.inf else "an entry is not finite"
         )
-    return size
-
-
-def _then_bound(b: int, first: float, next_: float) -> float:
-    """A bound on the largest entry of :func:`_then`'s computed entries,
-    over ``b x b`` blocks, from such bounds on ``d_first`` and ``d_next``:
-    the a-priori inner-product bound (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., §3.1), whose rounding factor for b + 2
-    terms lies far below 1 + 1e-12."""
-    return (b * next_ * first + first + next_) * (1.0 + 1e-12)
-
-
-def _certify(kind: str, d: np.ndarray, bound: float) -> float:
-    """``bound``, an a-priori bound on the largest entry of a stack ``d``,
-    while it stays within ``1 / TRACE_ABORT_TOL``; past it, ``d`` is
-    searched by :func:`_check_pair_maps` and its measured size replaces
-    the bound. So a stack that fails is always searched, and a build aborts
-    where, and as, a search of every level would."""
-    if bound <= 1.0 / TRACE_ABORT_TOL:
-        return bound
-    return _check_pair_maps(kind, d)
+        raise TraceDriftError(f"the {kind} pair propagator is not bounded ({entry})")
 
 
 def _then(d_first: np.ndarray, d_next: np.ndarray) -> np.ndarray:
     """``d`` of ``(I + d_next)(I + d_first)``, kept away from the identity
     so that near-identity steps multiply without losing digits. A zero
-    factor gives the other one back."""
+    factor gives the other one back. Both factors are added into the
+    product, so an entry of either that is not finite leaves its product's
+    entry at that position not finite: an overflow cannot pass a later
+    level unseen."""
     out = d_next @ d_first
     out += d_first
     out += d_next
     return out
 
 
-def _then_certified(kind: str, first: tuple, next_: tuple) -> tuple[np.ndarray, float]:
-    """:func:`_then` of two ``(d, bound)`` pairs, and the bound of the
-    product from theirs (:func:`_then_bound`), certified by bound or
-    searched (:func:`_certify`): one level of a tree, or one chunk fold."""
-    d = _then(first[0], next_[0])
-    return d, _certify(kind, d, _then_bound(d.shape[-1], first[1], next_[1]))
-
-
-def _tree_product(kind: str, d: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
+def _tree_product(d: np.ndarray) -> np.ndarray:
     """The product of the maps ``I + d[i]`` of a bit-reversed chunk of
     :func:`_pair_series`, later steps on the left, as a pairwise tree,
-    minus the identity, and its bound, from the step maps' ``bound``. The
-    first half of each level holds the even entries of the level in time
-    order and the second half the odd ones, so each level multiplies
-    contiguous halves into the next, again bit-reversed: level L's entry
-    holds the steps of the same run of 2^L as a tree in time order, and a
-    padding step (exactly 0) leaves its partner as it is. Every level is
-    certified by bound or searched. The result is a new array, as ``d``
-    may be a workspace."""
+    minus the identity. The first half of each level holds the even
+    entries of the level in time order and the second half the odd ones,
+    so each level multiplies contiguous halves into the next, again
+    bit-reversed: level L's entry holds the steps of the same run of 2^L
+    as a tree in time order, and a padding step (exactly 0) leaves its
+    partner as it is. The result is a new array, as ``d`` may be a
+    workspace."""
     if len(d) == 1:
         d = d.copy()
     while len(d) > 1:
         half = len(d) // 2
-        d, bound = _then_certified(kind, (d[:half], bound), (d[half:], bound))
-    return d[0], bound
+        d = _then(d[:half], d[half:])
+    return d[0]
 
 
 def _pair_rk4(kind: str, params, noise_kind: str, zs: dict, n_steps: int, aborted: dict) -> list:
@@ -679,37 +636,36 @@ def _pair_rk4(kind: str, params, noise_kind: str, zs: dict, n_steps: int, aborte
     Every chunk of :func:`_pair_series` serves every case: its step maps
     (:func:`_pair_step_maps`) are multiplied by a pairwise tree
     (:func:`_tree_product`), later steps on the left, and the chunk
-    products are folded in order. Every level and every partial product is
-    certified by bound or searched (:func:`_certify`), so a map that is not
-    finite and bounded aborts before numpy can overflow.
-    The series is the only thing the cases share, so each map's bits
-    depend only on its own z: a build alone is a row of one.
+    products are folded in order, with numpy's overflow silenced. Each
+    case's final map is then checked once (:func:`_check_pair_maps`): a
+    level that overflowed or grew past the bound shows there (see
+    :func:`_then`). The series is the only thing the cases share, so each
+    map's bits depend only on its own z: a build alone is a row of one.
     """
     totals = dict.fromkeys(zs)
     for chunk in _pair_series(kind, params, noise_kind, n_steps):
-        for key, z in zs.items():
-            if key in aborted:
-                continue
-            try:
-                product = _tree_product(kind, *_pair_step_maps(kind, chunk, z))
-                totals[key] = product if totals[key] is None else _then_certified(kind, totals[key], product)
-            except TraceDriftError as error:
-                aborted[key] = error
+        with np.errstate(over="ignore", invalid="ignore"):  # the results are checked below
+            for key, z in zs.items():
+                product = _tree_product(_pair_step_maps(chunk, z))
+                totals[key] = product if totals[key] is None else _then(totals[key], product)
+    for key, d in totals.items():
+        try:
+            _check_pair_maps(kind, d)
+        except TraceDriftError as error:
+            aborted[key] = error
     layout = _pair_words(kind, noise_kind)[4]
-    return [None if key in aborted else _unpacked(t[0], layout) for key, t in totals.items()]
+    return [None if key in aborted else _unpacked(d, layout) for key, d in totals.items()]
 
 
-def _scan_product(kind: str, d: np.ndarray, bound: float) -> tuple[np.ndarray, float]:
+def _scan_product(d: np.ndarray) -> np.ndarray:
     """The prefix products of the maps ``I + d[i]``, later steps on the
     left, minus the identity, by a Hillis-Steele scan (CACM 29, 1170
-    (1986)) that overwrites ``d``, and their bound, from the step maps'
-    ``bound``. Every level is certified by bound or searched."""
+    (1986)) that overwrites ``d``."""
     span = 1
     while span < len(d):
         d[span:] = _then(d[:-span], d[span:])
-        bound = _certify(kind, d, _then_bound(d.shape[-1], bound, bound))
         span *= 2
-    return d, bound
+    return d
 
 
 def _unpacked(d: np.ndarray, layout: np.ndarray) -> np.ndarray:
@@ -825,9 +781,10 @@ def gate_step_maps(
     steps, after a first ``([0], [I])``. A noiseless chunk is
     :func:`_unitary_maps` of the unitaries at the cumulative pulse areas; a
     noisy one is the product so far times its RK4 step maps,
-    gathered into time order in the chunk's workspace and scanned,
-    certified by bound or searched at every level, so no unstable map is
-    handed out.
+    gathered into time order in the chunk's workspace and scanned, with
+    numpy's overflow silenced, and each chunk is checked whole
+    (:func:`_check_pair_maps`) before it is handed out, so no unstable map
+    is.
     """
     n_steps, dt = _resolve_steps(duration, cfg or IntegratorConfig())
     kind, params = gate.kind, gate.params
@@ -843,13 +800,15 @@ def gate_step_maps(
     layout = _pair_words(kind, noise.kind)[4]
     h, total, first = duration / n_steps, None, 0
     for chunk in _pair_series(kind, params, noise.kind, n_steps):
-        d, bound = _pair_step_maps(kind, chunk, z)
+        d = _pair_step_maps(chunk, z)
         d[: len(chunk.time_order)] = d[chunk.time_order]
-        d, bound = _scan_product(kind, d[: len(chunk.time_order)], bound)
-        if total is not None:
-            d, bound = _then_certified(kind, total, (d, bound))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next, before the yield
+            d = _scan_product(d[: len(chunk.time_order)])
+            if total is not None:
+                d = _then(total, d)
+        _check_pair_maps(kind, d)
         yield np.arange(first, first + len(d)) * h + h, _unpacked(d, layout)
-        total, first = (d[-1].copy(), bound), first + len(d)
+        total, first = d[-1].copy(), first + len(d)
 
 
 def _idle_superop(noise: NoiseModel, duration: float) -> np.ndarray:

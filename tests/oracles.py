@@ -395,43 +395,38 @@ def pair_step_maps_stages(kind, params, noise, duration, n_steps):
         yield (hk1 + 2.0 * hk2 + 2.0 * hk3 + hk4) / 6.0
 
 
-def tree_product_natural(kind, d):
+def tree_product_natural(d):
     """The product of the maps ``I + d[i]``, later steps on the left, minus
-    the identity, and its bound, by the pairwise tree in time order that
+    the identity, by the pairwise tree in time order that
     ``dynamics._tree_product`` replaced: pairs of adjacent entries from
-    strided views, an odd entry carried up as it is, the step maps
-    searched and every later level certified by bound or searched.
+    strided views, an odd entry carried up as it is.
 
     The reference for the bit-reversed tree: each level's entry covers
     the same run of steps, so the products must agree bit for bit.
     """
-    bound = dynamics._check_pair_maps(kind, d)
     while len(d) > 1:
         even = len(d) - len(d) % 2
         pairs = dynamics._then(d[0:even:2], d[1:even:2])
         d = np.concatenate([pairs, d[even:]]) if even < len(d) else pairs
-        bound = dynamics._certify(kind, d, dynamics._then_bound(d.shape[-1], bound, bound))
-    return d[0].copy(), bound
+    return d[0].copy()
 
 
 def pair_rk4_natural(kind, params, noise, duration, n_steps):
     """The real Pauli-transfer map of ``dynamics._pair_rk4`` for one case,
     with each chunk's step maps put back in time order and multiplied by
     :func:`tree_product_natural`, then folded in order as the package
-    folds them. Raises the ``TraceDriftError`` of an aborting build."""
+    folds them, with numpy's overflow silenced, and the result checked
+    once by ``dynamics._check_pair_maps``. Raises the ``TraceDriftError``
+    of an aborting build."""
     z = dynamics._pair_z(kind, params, noise, duration, n_steps)
     total = None
     for chunk in dynamics._pair_series(kind, params, noise.kind, n_steps):
-        d, _ = dynamics._pair_step_maps(kind, chunk, z)
-        product, bound = tree_product_natural(kind, d[chunk.time_order])
-        if total is not None:
-            product = dynamics._then(total[0], product)
-            bound = dynamics._certify(
-                kind, product, dynamics._then_bound(product.shape[-1], total[1], bound)
-            )
-        total = product, bound
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = tree_product_natural(dynamics._pair_step_maps(chunk, z)[chunk.time_order])
+            total = product if total is None else dynamics._then(total, product)
+    dynamics._check_pair_maps(kind, total)
     layout = dynamics._pair_words(kind, noise.kind)[4]
-    return dynamics._unpacked(total[0], layout)
+    return dynamics._unpacked(total, layout)
 
 
 def stepped_unitary(schedule, n, n_steps, observer=None):

@@ -583,8 +583,11 @@ def test_generator_that_breaks_hermiticity_exits_4(tmp_path, monkeypatch, capsys
 
 
 def test_broken_transport_gate_aborts_on_the_final_trace(tmp_path, monkeypatch, capsys):
-    # a noisy pair map that is not trace-preserving, past the build's own check
-    monkeypatch.setattr(dynamics, "_pair_rk4", lambda *args: [2.0 * np.eye(16)] * len(args[3]))
+    # a noisy pair map that is not trace-preserving, past the build's own
+    # check, with no entry above 1, so transport's entry check lets it in
+    lossy = np.eye(16)
+    lossy[0, 0] = 0.5
+    monkeypatch.setattr(dynamics, "_pair_rk4", lambda *args: [lossy] * len(args[3]))
     code, _ = run(tmp_path, ["chain-sweep", "--noise", "dephasing", "--n", "3"])
     assert code == 4
     err = capsys.readouterr().err
@@ -761,8 +764,23 @@ def test_unstable_step_aborts_with_exit_4(tmp_path, capsys):
             "0.25",
         ],
     )
+    # the grid keeps every trace exact but grows the cnot map's entries
     assert code == 4
-    assert "integrator abort: trace drifted" in capsys.readouterr().err
+    assert "above 1, which no CPTP map has" in capsys.readouterr().err
+
+
+def test_transport_refuses_an_unstable_gate_map(tmp_path, capsys):
+    # an unstable grid: every slot map keeps its trace row exact and the
+    # final states pass the trace and trace-norm checks, but the maps have
+    # entries far above 1 (3.1e3 in the swap map, which duration-sweep
+    # refuses for the same gate and grid); read, they would give
+    # fidelities of 0.496 and 0.5
+    argv = ["chain-sweep", "--noise", "amp", "--gamma", "10", "--dt", "0.2", "--n", "4,8",
+            "--order", "cnot-first"]
+    code, out = run(tmp_path, argv)
+    assert code == 4 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("integrator abort: ") and "above 1, which no CPTP map has" in err
 
 
 # ---------------------------------------------------------------------------

@@ -265,10 +265,22 @@ def test_initial_trace_drift_raises():
 def test_unstable_step_size_raises_trace_drift():
     schedule = schedule_sequence([swap_gate(1, 2)] * 6, slot_duration=1.0)
     noise, cfg = NoiseModel("amplitude_damping", 0.1), IntegratorConfig(dt=1.0)
-    # every map keeps its trace row exact, so the contraction's check of
-    # its result's trace norm catches it
-    with pytest.raises(TraceDriftError, match="in the final state"):
+    # every map keeps its trace row exact, so the contraction refuses the
+    # swap map where it reads it, at an entry above 1
+    with pytest.raises(TraceDriftError, match="the swap slot map has an entry .* above 1"):
         evolve_lindblad_product([proj(PLUS), proj(ket(0))], schedule, noise, (1, 2), cfg)
+
+
+def test_result_outside_the_states_aborts_on_its_trace_norm(monkeypatch):
+    # a gate map with entries of at most 1 and Pauli 0's row at e_0, but
+    # not positive: from |00> it gives (2 SWAP + IZ + ZI) / 4, of trace 1
+    # and eigenvalues 1, 1/2, 0 and -1/2, so only the trace norm shows it
+    phi = np.eye(16)
+    phi[5, 0] = phi[10, 0] = 1.0  # XX and YY from the identity
+    monkeypatch.setattr(circuits, "gate_superoperator", lambda *args: phi)
+    schedule = schedule_sequence([swap_gate(1, 2)])
+    with pytest.raises(TraceDriftError, match="trace drifted by 1.000e.00 in trace norm in the final state"):
+        evolve_lindblad_product([proj(ket(0))] * 2, schedule, NOISELESS, (1, 2))
 
 
 def test_nan_trace_aborts():
@@ -289,8 +301,9 @@ def test_overflowing_pair_propagator_aborts_and_is_not_cached():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_stream_hands_out_only_the_initial_chunk():
-    # the trace error passes the tolerance within ~10 steps, so a level of
-    # the first chunk's scan aborts the stream before it yields a step map
+    # the entries pass the bound within ~10 steps and then overflow, with
+    # numpy's warning silenced: the check of the first chunk aborts the
+    # stream before it yields a step map
     stream = gate_step_maps(swap_gate(1, 2), NoiseModel("amplitude_damping", 5000.0))
     times, maps = next(stream)
     assert np.array_equal(times, [0.0]) and np.array_equal(maps, [np.eye(16)])
@@ -299,8 +312,8 @@ def test_overflowing_stream_hands_out_only_the_initial_chunk():
 
 
 def test_observed_build_with_exploding_steps_stops_before_the_first_step():
-    # gamma * dt = 1000: one step map already leaves the bound, so the scan
-    # refuses the step maps before its first level
+    # gamma * dt = 1000: one step map already leaves the bound, so the
+    # check of the first chunk refuses it before any step map is handed out
     chunks = []
     with pytest.raises(TraceDriftError, match="swap pair propagator is not bounded"):
         chunks.extend(gate_step_maps(swap_gate(1, 2), NoiseModel("dephasing", 1e6)))
@@ -435,13 +448,16 @@ def test_series_step_maps_match_the_stage_products(kind, noise_kind):
         stages = [pair_step_maps_stages(kind, params, noise, a, n_steps) for a in alphas]
         chunks = 0
         # each chunk lives in a workspace that the next one overwrites; its
-        # steps are bit-reversed and padded with exact zeros
+        # steps are bit-reversed and padded with exact zeros, and Pauli 0's
+        # packed row of every step map is exactly 0: the letters' rows are,
+        # and exact zeros stay exact through every sum and product
         for chunk in dynamics._pair_series(kind, params, noise_kind, n_steps):
             padding = np.delete(np.arange(len(chunk.d)), chunk.time_order)
             for alpha, z, reference in zip(alphas, zs, stages):
-                d, _ = dynamics._pair_step_maps(kind, chunk, z)
+                d = dynamics._pair_step_maps(chunk, z)
                 assert np.max(np.abs(d[chunk.time_order] - next(reference))) <= 1e-13, (alpha, n_steps)
                 assert not np.any(d[padding])
+                assert not np.any(d[..., 0, 0, :])
             chunks += 1
         assert chunks == -(-n_steps // PAIR_CHUNK_STEPS)
         assert all(next(reference, None) is None for reference in stages)
@@ -595,7 +611,8 @@ def test_builds_equal_the_natural_order_tree_bit_for_bit(kind, noise_kind):
     # bit-reversed chunks padded with exact zeros against the tree in time
     # order, with its strided pairs and carried odd entries: each level's
     # entry covers the same steps, so the maps agree in every bit, and a
-    # build that aborts does so with the same message
+    # build that aborts does so with the same message; the cases that abort
+    # are pinned by count, so a change to the abort decision shows here
     params = GATE_BUILDERS[kind](1, 2).params
     aborted = 0
     for gamma in (0.001, 0.1, 3000.0):
@@ -610,7 +627,7 @@ def test_builds_equal_the_natural_order_tree_bit_for_bit(kind, noise_kind):
                     aborted += 1
                     continue
                 assert same_bits(pair_map(kind, params, noise, alpha, n_steps), reference), case
-    assert 0 < aborted < 60
+    assert aborted == {"dephasing": 13, "amplitude_damping": 12}[noise_kind]
 
 
 GUARDED_LAYOUTS = [("swap", "dephasing"), ("cnot_rotated", "amplitude_damping")]
@@ -619,16 +636,15 @@ GUARDED_LAYOUTS = [("swap", "dephasing"), ("cnot_rotated", "amplitude_damping")]
 def broken_steps(monkeypatch, index, value, offsets=(0,)):
     """Make ``_pair_series`` add ``value`` to ``Q_0`` at packed ``(block,
     row, column)`` ``index`` of the middle step of every chunk, in time
-    order, and of the steps ``offsets`` after it, and certify the broken
-    series as the program does, by the largest entry of each ``Q_p``. Each
-    of those step maps then carries the fault."""
+    order, and of the steps ``offsets`` after it. Each of those step maps
+    then carries the fault."""
     series = dynamics._pair_series
 
     def broken(*args, **kwargs):
         for chunk in series(*args, **kwargs):
             for offset in offsets:
                 chunk.q[(0, chunk.time_order[len(chunk.time_order) // 2 + offset], *index)] += value
-            yield chunk._replace(certificate=np.max(np.abs(chunk.q.reshape(len(chunk.q), -1)), axis=1))
+            yield chunk
 
     monkeypatch.setattr(dynamics, "_pair_series", broken)
 
@@ -683,17 +699,20 @@ def test_packed_error_off_the_trace_row_is_not_a_trace_error(kind, noise_kind, m
 @pytest.mark.parametrize("kind, noise_kind", GUARDED_LAYOUTS)
 def test_packed_oversized_entry_away_from_pauli_0_is_caught(kind, noise_kind, monkeypatch):
     # one entry past the bound in the last block, one without Pauli 0 when
-    # there are several
+    # there are several. On the slot's last step (the 100th, 49 after the
+    # middle one) it reaches the result, which the build and the stream
+    # refuse. On the middle step the rest of the slot spreads it below the
+    # bound (to ~7e5), and the map is refused where it is read, at an entry
+    # above 1
     noise = NoiseModel(noise_kind, 0.01)
+    with monkeypatch.context() as m:
+        broken_steps(m, (-1, -1, -1), 2.0 / TRACE_ABORT_TOL, offsets=(49,))
+        for run in pair_runs(kind, noise):
+            with pytest.raises(TraceDriftError, match=f"the {kind} pair propagator is not bounded"):
+                run()
     broken_steps(monkeypatch, (-1, -1, -1), 2.0 / TRACE_ABORT_TOL)
-    for run in pair_runs(kind, noise):
-        with pytest.raises(TraceDriftError, match=f"the {kind} pair propagator is not bounded"):
-            run()
-
-
-def always_searched(monkeypatch):
-    """Make every tree level, scan level and chunk fold search its stack."""
-    monkeypatch.setattr(dynamics, "_then_bound", lambda b, first, next_: np.inf)
+    with pytest.raises(TraceDriftError, match=f"the {kind} slot map has an entry .* above 1"):
+        gate_fidelity(ket(0, 0), GATE_BUILDERS[kind](1, 2), noise, cfg=IntegratorConfig(dt=0.01))
 
 
 def abort_message(run):
@@ -705,11 +724,11 @@ def abort_message(run):
 
 @pytest.mark.parametrize("kind, noise_kind", GUARDED_LAYOUTS)
 def test_growth_past_level_0_falls_back_to_a_search(kind, noise_kind, monkeypatch):
-    # entries of 2e3 pass level 0, but the product of two adjacent step maps
-    # (a tree pair, a scan step) passes 1e6, and a chunk product holding one
-    # passes it only in the fold with the next chunk: each level's bound
-    # passes the tolerance, so the level is searched and aborts as it does
-    # when every level is searched
+    # entries of 2e3 pass the step maps, but the product of two adjacent
+    # step maps (a tree pair, a scan step) passes 1e6, and a chunk product
+    # holding one passes it only in the fold with the next chunk: the one
+    # check of each result sees the growth, and the build and the stream
+    # abort as not bounded
     noise = NoiseModel(noise_kind, 0.01)
     faults = [((0, 1), 100), ((0,), 300)]
     with monkeypatch.context() as m:
@@ -719,83 +738,50 @@ def test_growth_past_level_0_falls_back_to_a_search(kind, noise_kind, monkeypatc
     for offsets, n_steps in faults:
         with monkeypatch.context() as m:
             broken_steps(m, (-1, -1, -1), 2e3, offsets)
-            messages = [abort_message(run) for run in pair_runs(kind, noise, n_steps)]
-            always_searched(m)
-            searched = [abort_message(run) for run in pair_runs(kind, noise, n_steps)]
-        assert messages == searched, offsets
-        assert all(f"the {kind} pair propagator is not bounded" in s for s in messages)
-
-
-def measured(d):
-    """The largest entry of a packed stack."""
-    return np.max(np.abs(d))
+            for run in pair_runs(kind, noise, n_steps):
+                assert f"the {kind} pair propagator is not bounded" in abort_message(run), offsets
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     b=st.sampled_from([4, 8, 16]),
-    scales=st.tuples(st.floats(1e-9, 1e4), st.floats(1e-9, 1e4)),
-    entries=st.sampled_from(["uniform", "signs", "equal"]),
+    second=st.booleans(),
+    bad=st.sampled_from([np.inf, -np.inf, np.nan]),
+    where=st.integers(0, 2**32 - 1),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_then_never_exceeds_its_bound(b, scales, entries, seed):
-    # "equal" stacks attain the bound's sum exactly, so only its rounding
-    # factor covers the rounding of the computed entries
-    u = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, 3, 16 // b, b, b))
-    u = {"uniform": u, "signs": np.sign(u), "equal": np.ones_like(u)}[entries]
-    first, next_ = (scale * v for scale, v in zip(scales, u))
-    assert measured(dynamics._then(first, next_)) <= dynamics._then_bound(b, measured(first), measured(next_))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    kind=st.sampled_from(["swap", "cnot", "cnot_rotated"]),
-    noise_kind=st.sampled_from(PAIR_NOISE_KINDS),
-    gamma=st.floats(1e-3, 3e3),
-    alpha=st.floats(0.01, 100.0),
-    n_steps=st.sampled_from([1, 2, 3, 100, 255, 256, 257, 1000]),
-)
-def test_series_certificate_bounds_every_step_map(kind, noise_kind, gamma, alpha, n_steps):
-    # each chunk's certificate bounds the largest entry of its step maps
-    # before they are made, padding included, and Pauli 0's packed row of
-    # every step map is exactly 0: the letters' rows are, and exact zeros
-    # stay exact through every sum and product
-    params, noise = GATE_BUILDERS[kind](1, 2).params, NoiseModel(noise_kind, gamma)
-    try:
-        z = dynamics._pair_z(kind, params, noise, alpha, n_steps)
-    except TraceDriftError:
-        event("step generators past their bound")
-        return
-    for chunk in dynamics._pair_series(kind, params, noise_kind, n_steps):
-        size = dynamics._step_bound(chunk, z)
-        try:
-            d, _ = dynamics._pair_step_maps(kind, chunk, z)
-        except TraceDriftError:
-            d = chunk.d  # made, then searched and refused
-            event("step maps refused")
-        assert measured(d) <= size
-        assert not np.any(d[..., 0, 0, :])
+def test_then_keeps_an_entry_that_is_not_finite(b, second, bad, where, seed):
+    # the property the single check of each result rests on: both factors
+    # are added into the product, so an inf, -inf or NaN anywhere in either
+    # leaves the product's entry at that position not finite, whatever
+    # else overflows (silenced as in the build, and nothing else warns)
+    factors = np.random.default_rng(seed).uniform(-1e3, 1e3, (2, 3, 16 // b, b, b))
+    position = np.unravel_index(where % factors[0].size, factors[0].shape)
+    factors[int(second)][position] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = dynamics._then(*factors)
+    assert not np.isfinite(product[position])
 
 
 @pytest.mark.parametrize("noise_kind", PAIR_NOISE_KINDS)
 @pytest.mark.parametrize("kind", ["swap", "cnot", "cnot_rotated"])
 def test_default_builds_search_few_levels(kind, noise_kind, monkeypatch):
-    # the step maps of each of the four chunks are certified from the
-    # series (a failed certificate adds its search), and a later level is
-    # searched only once its bound passes a tolerance: 4 certificates and
-    # 0-4 searches per build or stream, against ~40 searches when every
-    # level was searched
+    # no level of a tree, a scan or a chunk fold is searched: a build
+    # checks its one final map once, and a stream each of its four chunks
+    # once, before it hands the chunk out
     searches = []
-    check, step_maps = dynamics._check_pair_maps, dynamics._pair_step_maps
-    monkeypatch.setattr(dynamics, "_check_pair_maps", lambda *a: searches.append(1) or check(*a))
-    monkeypatch.setattr(dynamics, "_pair_step_maps", lambda *a: searches.append(0) or step_maps(*a))
+    check = dynamics._check_pair_maps
+    monkeypatch.setattr(dynamics, "_check_pair_maps", lambda *a: searches.append(a[1].shape) or check(*a))
     gate = GATE_BUILDERS[kind](1, 2)
+    k, b = dynamics._pair_words(kind, noise_kind)[4].shape
     for gamma in (0.001, 0.01, 0.1):
         noise = NoiseModel(noise_kind, gamma)
-        for run in (lambda: gate_superoperator(gate, noise), lambda: list(gate_step_maps(gate, noise))):
-            searches.clear()
-            run()
-            assert 4 <= len(searches) <= 12, gamma
+        searches.clear()
+        gate_superoperator(gate, noise)
+        assert searches == [(k, b, b)], gamma
+        searches.clear()
+        list(gate_step_maps(gate, noise))
+        assert searches == [(256, k, b, b)] * 3 + [(232, k, b, b)], gamma
 
 
 def test_hermiticity_is_held_letter_by_letter(monkeypatch):
