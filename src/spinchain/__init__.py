@@ -11,13 +11,11 @@ from .calibration import (
     CalibrationResult,
     calibrate,
     calibrated_gate_params,
-    nelder_mead,
     objective,
 )
 from .circuits import (
     ChainTopology,
     FidelityMap,
-    ParamState,
     TransportCircuit,
     build_transport_circuit,
     default_map_grid,
@@ -73,7 +71,6 @@ __all__ = [
     "NOISELESS",
     "NoiseModel",
     "NumericalError",
-    "ParamState",
     "PulseSchedule",
     "TraceDriftError",
     "TransportCircuit",
@@ -88,7 +85,6 @@ __all__ = [
     "fit_cos_two_phi",
     "gate_fidelity",
     "ideal_gate_matrix",
-    "nelder_mead",
     "objective",
     "pauli",
     "rotated_cnot_gate",

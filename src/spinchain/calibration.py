@@ -50,6 +50,8 @@ from .hamiltonians import (
 )
 
 SUCCESS_OBJECTIVE = 1e-5
+# A simplex whose vertices all lie this close to its best one has converged.
+MIN_SIMPLEX_DIAMETER = 1e-10
 
 # |00>, |01>, |10>, |11>, and their uniform superposition.
 CALIBRATION_STATES = np.array(
@@ -139,7 +141,7 @@ def objective(params, problem: CalibrationProblem):
     return 1.0 - np.mean(per_state_fidelities(params, problem), axis=-1)
 
 
-def _lockstep_nelder_mead(f, starts, step, max_iter, diameter_tol, f_tol):
+def _lockstep_nelder_mead(f, starts, step, max_iter, f_tol):
     """Nelder-Mead simplex descent (reflection 1, expansion 2, contraction
     0.5, shrink 0.5) from every row of ``starts`` ``(B, d)`` at once.
 
@@ -147,7 +149,7 @@ def _lockstep_nelder_mead(f, starts, step, max_iter, diameter_tol, f_tol):
     lockstep. ``f`` maps ``(k, d)`` points to ``(k,)`` values; each round
     calls it on all reflections, then on all expansions and contractions,
     then on all shrink points. A start leaves the batch when its simplex
-    diameter falls below ``diameter_tol`` or its best value below
+    diameter falls below ``MIN_SIMPLEX_DIAMETER`` or its best value below
     ``f_tol``, so every start follows exactly the path, and makes exactly
     the evaluations, it would make alone. Returns the best point, its
     value, and the iterations and evaluations of each start.
@@ -167,7 +169,7 @@ def _lockstep_nelder_mead(f, starts, step, max_iter, diameter_tol, f_tol):
         x = np.take_along_axis(x, order[..., None], axis=1)
         fx = np.take_along_axis(fx, order, axis=1)
         diameter = np.max(np.abs(x[:, 1:] - x[:, :1]), axis=(1, 2))
-        done = (fx[:, 0] < f_tol) | (diameter < diameter_tol)
+        done = (fx[:, 0] < f_tol) | (diameter < MIN_SIMPLEX_DIAMETER)
         iterations[active[done]] = iteration
         active, x, fx = active[~done], x[~done], fx[~done]
         if not active.size:
@@ -212,38 +214,6 @@ def _lockstep_nelder_mead(f, starts, step, max_iter, diameter_tol, f_tol):
     best = np.argsort(values, axis=1, kind="stable")[:, 0]
     rows = np.arange(n_starts)
     return simplex[rows, best], values[rows, best], iterations, n_evaluations
-
-
-def nelder_mead(
-    f,
-    x0,
-    step=None,
-    max_iter: int = 5000,
-    diameter_tol: float = 1e-10,
-    f_tol: float = 1e-9,
-):
-    """Nelder-Mead simplex descent (reflection 1, expansion 2,
-    contraction 0.5, shrink 0.5) of a scalar function ``f`` from one start:
-    the one-start case of the lockstep loop that :func:`calibrate` runs.
-    Deterministic for a given start.
-
-    Stops when the simplex diameter falls below ``diameter_tol``, the best
-    value falls below ``f_tol``, or after ``max_iter`` iterations. Returns
-    ``(x_best, f_best, n_iterations, n_evaluations)``.
-    """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if step is None:
-        step = 0.1 * np.maximum(np.abs(x0), 0.1)
-    step = np.broadcast_to(np.asarray(step, dtype=float), x0.shape)
-    x, fx, iterations, n_evaluations = _lockstep_nelder_mead(
-        lambda points: np.array([f(p) for p in points], dtype=float),
-        x0[None],
-        step,
-        max_iter,
-        diameter_tol,
-        f_tol,
-    )
-    return x[0], float(fx[0]), int(iterations[0]), int(n_evaluations[0])
 
 
 def _bound_arrays(problem: CalibrationProblem):
@@ -361,13 +331,11 @@ def _stock_params(kind: str) -> np.ndarray:
     return np.array(DEFAULT_CNOT_LOCAL_PARAMS + DEFAULT_CNOT_COUPLING_PARAMS, dtype=float)
 
 
-def default_seeds(
-    problem: CalibrationProblem, rng_seed: int = 0, count: int = 16
-) -> list[np.ndarray]:
+def default_seeds(problem: CalibrationProblem, rng_seed: int = 0) -> list[np.ndarray]:
     """Quasi-random starts within bounds, plus the stock parameters.
 
-    The starts are the first ``count`` points of :func:`_sobol_points`
-    (seeded by ``rng_seed``), scaled into the box in the operation order of
+    The starts are the first 16 points of :func:`_sobol_points` (seeded by
+    ``rng_seed``), scaled into the box in the operation order of
     ``scipy.stats.qmc.scale``, so they equal the scipy composition exactly.
     An empty box raises ``ValueError``.
     """
@@ -377,8 +345,7 @@ def default_seeds(
     sample_lo = np.maximum(lo, np.minimum(1e-3, lo + 0.1 * (hi - lo)))
     if not np.all(sample_lo < hi):
         raise ValueError(f"{problem.kind} calibration bounds are empty")
-    m = max(1, int(math.ceil(math.log2(max(count, 2)))))
-    points = _sobol_points(problem.n_params, rng_seed, m)[:count]
+    points = _sobol_points(problem.n_params, rng_seed, 4)  # 2**4 starts
     return list(points * (hi - sample_lo) + sample_lo) + [_stock_params(problem.kind)]
 
 
@@ -387,7 +354,6 @@ def calibrate(
     seeds=None,
     rng_seed: int = 0,
     max_iter: int = 5000,
-    diameter_tol: float = 1e-10,
     f_tol: float = 1e-9,
 ) -> CalibrationResult:
     """Multi-start Nelder-Mead over the pulse parameters.
@@ -425,7 +391,6 @@ def calibrate(
         np.clip(seeds, lo + 1e-12, hi),
         0.05 * (hi - lo),
         max_iter,
-        diameter_tol,
         f_tol,
     )
     seed_index = 0
@@ -464,7 +429,6 @@ _POLISHED_BANK = {
 }
 
 
-@lru_cache(maxsize=None)
 def calibrated_gate_params(kind: str) -> tuple[tuple[float, float], ...]:
     """Process-wide calibrated (A, W) pairs for a gate kind.
 

@@ -77,33 +77,9 @@ class ChainTopology:
 
 
 @dataclass(frozen=True)
-class ParamState:
-    """Payload qubit state sin(theta/2)|0> + exp(i*phi) cos(theta/2)|1>."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= np.pi:
-            raise ValueError("theta must lie in [0, pi]")
-        if not 0.0 <= self.phi <= 2.0 * np.pi:
-            raise ValueError("phi must lie in [0, 2*pi]")
-
-    def vector(self) -> np.ndarray:
-        return np.array(
-            [
-                np.sin(self.theta / 2.0),
-                np.exp(1j * self.phi) * np.cos(self.theta / 2.0),
-            ],
-            dtype=complex,
-        )
-
-
-@dataclass(frozen=True)
 class TransportCircuit:
     topology: ChainTopology
     order: str
-    gates: tuple[GateSpec, ...]
     schedule: PulseSchedule = field(repr=False)
 
     @property
@@ -111,31 +87,10 @@ class TransportCircuit:
         return self.schedule.num_slots
 
     @property
-    def swap_count(self) -> int:
-        return sum(1 for g in self.gates if g.kind == "swap")
-
-    @property
     def readout(self) -> tuple[int, int]:
         """The sites (N-1, N) that end up holding the pair."""
         n = self.topology.n_qubits
         return n - 1, n
-
-
-def _resolve_gate_params(gate_params) -> dict:
-    if gate_params is None:
-        return {
-            "swap": calibrated_gate_params("swap"),
-            "cnot": calibrated_gate_params("cnot"),
-        }
-    resolved = {}
-    for kind, n_pairs in (("swap", 1), ("cnot", 2)):
-        if kind not in gate_params:
-            raise ValueError(f"gate_params is missing {kind!r}")
-        pairs = tuple((float(a), float(w)) for a, w in gate_params[kind])
-        if len(pairs) != n_pairs:
-            raise ValueError(f"{kind} takes {n_pairs} (amplitude, width) pair(s)")
-        resolved[kind] = pairs
-    return resolved
 
 
 def _shuttle_groups(topology: ChainTopology) -> list[list[tuple[int, int]]]:
@@ -152,31 +107,24 @@ def _shuttle_groups(topology: ChainTopology) -> list[list[tuple[int, int]]]:
 
 
 def build_transport_circuit(
-    topology: ChainTopology,
-    order: str = "cnot_first",
-    slot_duration: float = 1.0,
-    gate_params=None,
+    topology: ChainTopology, order: str = "cnot_first"
 ) -> TransportCircuit:
-    """Assemble the gate sequence and pulse schedule for one transport run.
+    """Assemble the pulse schedule for one transport run, in unit slots.
 
-    ``gate_params`` maps ``"swap"``/``"cnot"`` to (amplitude, width) pairs;
-    by default the internally calibrated values are used, whose per-gate
-    error is small enough not to show at the 1e-6 level even on the
-    longest circuits here.
+    The gates take the calibrated bank (:func:`calibrated_gate_params`),
+    whose per-gate error is small enough not to show at the 1e-6 level
+    even on the longest circuits here.
     """
     if order not in GATE_ORDERS:
         raise ValueError(f"unknown gate order {order!r}")
-    params = _resolve_gate_params(gate_params)
 
     n = topology.n_qubits
     entangler_pair = (1, 2) if order == "cnot_first" else (n - 1, n)
-    entangler = cnot_gate(
-        *entangler_pair,
-        local_params=params["cnot"][0],
-        coupling_params=params["cnot"][1],
-    )
+    local, coupling = calibrated_gate_params("cnot")
+    entangler = cnot_gate(*entangler_pair, local_params=local, coupling_params=coupling)
+    (swap_params,) = calibrated_gate_params("swap")
     shuttle = [
-        [swap_gate(a, b, params=params["swap"][0]) for a, b in group]
+        [swap_gate(a, b, params=swap_params) for a, b in group]
         for group in _shuttle_groups(topology)
     ]
 
@@ -184,19 +132,8 @@ def build_transport_circuit(
         grouped = [entangler] + shuttle
     else:
         grouped = shuttle + [entangler]
-
-    schedule = schedule_sequence(grouped, slot_duration=slot_duration)
-    gates = []
-    for item in grouped:
-        if isinstance(item, list):
-            gates.extend(item)
-        else:
-            gates.append(item)
     return TransportCircuit(
-        topology=topology,
-        order=order,
-        gates=tuple(gates),
-        schedule=schedule,
+        topology=topology, order=order, schedule=schedule_sequence(grouped)
     )
 
 
@@ -353,8 +290,6 @@ def evolve_lindblad_product(
 
 
 def _as_qubit_vector(state) -> np.ndarray:
-    if isinstance(state, ParamState):
-        return state.vector()
     vec = np.asarray(state, dtype=complex).reshape(-1)
     if vec.shape != (2,):
         raise ValueError("single-qubit states must have length 2")
@@ -364,31 +299,27 @@ def _as_qubit_vector(state) -> np.ndarray:
     return vec
 
 
-def _input_sites(topology: ChainTopology, payload, control=None) -> list:
-    """Per-site input vectors [control, payload, |0>, ..., |0>]."""
-    control_vec = PLUS if control is None else _as_qubit_vector(control)
+def _input_sites(topology: ChainTopology, payload) -> list:
+    """Per-site input vectors [|+>, payload, |0>, ..., |0>]."""
     ground = np.array([1.0, 0.0], dtype=complex)
     n_ground = topology.n_qubits - 2
-    return [control_vec, _as_qubit_vector(payload)] + [ground] * n_ground
+    return [PLUS, _as_qubit_vector(payload)] + [ground] * n_ground
 
 
-def ideal_pair_output(payload, control=None) -> np.ndarray:
+def ideal_pair_output(payload) -> np.ndarray:
     """CNOT applied to the logical input pair (the readout target)."""
-    control_vec = PLUS if control is None else _as_qubit_vector(control)
-    payload_vec = _as_qubit_vector(payload)
-    return ideal_gate_matrix("cnot") @ np.kron(control_vec, payload_vec)
+    return ideal_gate_matrix("cnot") @ np.kron(PLUS, _as_qubit_vector(payload))
 
 
 def transport_reduced_state(
     circuit: TransportCircuit,
     payload,
-    control=None,
     noise: NoiseModel = NOISELESS,
     cfg: IntegratorConfig | None = None,
 ) -> np.ndarray:
     """Density matrix of the last two sites after running the circuit,
     contracted along the chain (see the module docstring)."""
-    vectors = _input_sites(circuit.topology, payload, control)
+    vectors = _input_sites(circuit.topology, payload)
     sites = [np.outer(v, v.conj()) for v in vectors]
     return evolve_lindblad_product(sites, circuit.schedule, noise, circuit.readout, cfg)
 
@@ -396,13 +327,12 @@ def transport_reduced_state(
 def transport_fidelity(
     circuit: TransportCircuit,
     payload,
-    control=None,
     noise: NoiseModel = NOISELESS,
     cfg: IntegratorConfig | None = None,
 ) -> float:
     """Fidelity of the transported pair against the ideal CNOT output."""
-    reduced = transport_reduced_state(circuit, payload, control, noise, cfg)
-    return fidelity_to_pure(reduced, ideal_pair_output(payload, control))
+    reduced = transport_reduced_state(circuit, payload, noise, cfg)
+    return fidelity_to_pure(reduced, ideal_pair_output(payload))
 
 
 # Payload basis whose pure-state projectors span all single-qubit density
@@ -440,7 +370,6 @@ def fidelity_difference_map(
     noise: NoiseModel = NOISELESS,
     thetas=None,
     phis=None,
-    gate_params=None,
     cfg: IntegratorConfig | None = None,
 ) -> FidelityMap:
     """F_cnot_first and F_cnot_last for every payload state on the grid.
@@ -462,10 +391,7 @@ def fidelity_difference_map(
     if thetas.size == 0 or phis.size == 0:
         raise ValueError("theta and phi grids must be nonempty")
 
-    circuits = {
-        order: build_transport_circuit(topology, order, gate_params=gate_params)
-        for order in GATE_ORDERS
-    }
+    circuits = {order: build_transport_circuit(topology, order) for order in GATE_ORDERS}
 
     theta_grid, phi_grid = np.meshgrid(thetas, phis, indexing="ij")
     payload = np.stack(

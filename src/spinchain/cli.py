@@ -64,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from .calibration import CalibrationProblem, analytic_channel_areas, calibrate
+from .calibration import CalibrationProblem, calibrate
 from .circuits import (
     ChainTopology,
     build_transport_circuit,
@@ -556,13 +556,12 @@ def run_calibrate(s: Settings):
     )
     result = calibrate(problem, rng_seed=s.seed)
     pairs = problem.parameter_pairs(result.params)
-    areas = analytic_channel_areas(pairs)
 
     columns = ["gate"]
     row: list = [gate]
-    for index, (amplitude, width) in enumerate(pairs, start=1):
+    for index, ((amplitude, width), area) in enumerate(zip(pairs, result.areas), start=1):
         columns += [f"amplitude_{index}", f"width_{index}", f"area_{index}"]
-        row += [amplitude, width, areas[index - 1]]
+        row += [amplitude, width, area]
     columns += ["objective", "f_00", "f_01", "f_10", "f_11", "f_superposition"]
     columns += ["success", "seed_index", "n_evaluations"]
     row += [result.objective_value, *result.per_state_fidelities]

@@ -114,9 +114,7 @@ def rescale_channel_params(params, start: float, end: float):
     ``(A/alpha, W*alpha^2)`` centred mid-window, so the analytic pulse area
     is independent of the slot duration. ``params`` of shape ``(..., C,
     2)`` give amplitudes and widths of shape ``(..., C, 1)``, which
-    broadcast against a row of sample times, and the centre. An array of
-    window ends, of shape ``(D, 1, 1)``, rescales to D windows at once and
-    checks them in order. Rescaled
+    broadcast against a row of sample times, and the centre. Rescaled
     parameters outside the float range fail ``check_pulse_params`` with
     ``ValueError``, without a numpy warning.
     """

@@ -480,7 +480,10 @@ def zero_contour_loop(fmap):
 
 def transport_input(topology, payload, control=None):
     """Full-register state |control>|payload>|0...0> (control defaults |+>)."""
-    return reduce(np.kron, _input_sites(topology, payload, control))
+    sites = _input_sites(topology, payload)
+    if control is not None:
+        sites[0] = np.asarray(control, dtype=complex)
+    return reduce(np.kron, sites)
 
 
 def partial_trace_keep_last_two(rho):

@@ -14,9 +14,11 @@ from scipy.stats import qmc
 from spinchain import calibration
 from spinchain.calibration import (
     CALIBRATION_STATES,
+    MIN_SIMPLEX_DIAMETER,
     SUCCESS_OBJECTIVE,
     CalibrationProblem,
     _bound_arrays,
+    _lockstep_nelder_mead,
     _pcg64_bits,
     _sobol_points,
     _stock_params,
@@ -24,7 +26,6 @@ from spinchain.calibration import (
     calibrate,
     calibrated_gate_params,
     default_seeds,
-    nelder_mead,
     objective,
     per_state_fidelities,
 )
@@ -116,12 +117,27 @@ def test_discrete_area_is_analytic_minus_truncation():
 # ---------------------------------------------------------------------------
 
 
+def one_start(f, x0, max_iter=5000, f_tol=1e-9):
+    """The lockstep loop run from the single start ``x0`` on a scalar ``f``,
+    with :func:`nelder_mead_loop`'s default step; returns that loop's
+    ``(x_best, f_best, n_iterations, n_evaluations)``."""
+    x0 = np.asarray(x0, dtype=float)
+    x, fx, iterations, nfev = _lockstep_nelder_mead(
+        lambda points: np.array([f(p) for p in points]),
+        x0[None],
+        0.1 * np.maximum(np.abs(x0), 0.1),
+        max_iter,
+        f_tol,
+    )
+    return x[0], float(fx[0]), int(iterations[0]), int(nfev[0])
+
+
 @pytest.mark.parametrize("dim", [2, 4])
 def test_nelder_mead_minimises_a_quadratic(dim):
     target = np.arange(1.0, dim + 1.0)
     f = lambda x: float(np.sum((x - target) ** 2))
     # f_tol=0 forces convergence by simplex diameter, the high-accuracy mode
-    x, fx, iterations, nfev = nelder_mead(f, np.zeros(dim), f_tol=0.0)
+    x, fx, iterations, nfev = one_start(f, np.zeros(dim), f_tol=0.0)
     assert np.max(np.abs(x - target)) < 1e-6
     assert fx < 1e-12
     assert 0 < iterations
@@ -130,7 +146,7 @@ def test_nelder_mead_minimises_a_quadratic(dim):
 
 def test_nelder_mead_respects_iteration_cap():
     f = lambda x: float(np.sum(x**2))
-    _, _, iterations, _ = nelder_mead(f, np.full(3, 10.0), max_iter=5)
+    _, _, iterations, _ = one_start(f, np.full(3, 10.0), max_iter=5)
     assert iterations <= 5
 
 
@@ -145,16 +161,19 @@ def _same_descent(a, b):
 def test_nelder_mead_equals_the_scalar_loop(dim, max_iter):
     target = np.arange(1.0, dim + 1.0)
     f = lambda x: float(np.sum((x - target) ** 2) + np.sin(5.0 * x[0]))
+    x0 = np.full(dim, 0.3)
     for f_tol in (1e-9, 0.0, -np.inf):
-        args = (f, np.full(dim, 0.3), None, max_iter, 1e-10, f_tol)
-        assert _same_descent(nelder_mead(*args), nelder_mead_loop(*args))
+        assert _same_descent(
+            one_start(f, x0, max_iter, f_tol),
+            nelder_mead_loop(f, x0, None, max_iter, MIN_SIMPLEX_DIAMETER, f_tol),
+        )
 
 
 def test_nelder_mead_on_the_calibration_objective_equals_the_scalar_loop():
     problem = CalibrationProblem(kind="cnot")
     f = lambda x: point_objective(x, problem)
     x0 = STOCK_FLAT["cnot"] * 1.01
-    assert _same_descent(nelder_mead(f, x0, max_iter=60), nelder_mead_loop(f, x0, max_iter=60))
+    assert _same_descent(one_start(f, x0, max_iter=60), nelder_mead_loop(f, x0, max_iter=60))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +417,7 @@ def test_calibrated_bank_is_essentially_exact(kind):
     flat = np.array([p for pair in pairs for p in pair])
     assert objective(flat, problem) <= 1e-9
     assert all(w > 0.0 for _, w in pairs)
-    assert calibrated_gate_params(kind) is pairs  # cached
+    assert calibrated_gate_params(kind) is pairs  # the shipped literals, not a copy
 
 
 @pytest.mark.parametrize("kind", GATE_KINDS)

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from oracles import (
     evolve_lindblad,
     partial_trace_keep_last_two,
@@ -16,7 +14,6 @@ from spinchain.circuits import (
     GATE_ORDERS,
     ChainTopology,
     FidelityMap,
-    ParamState,
     build_transport_circuit,
     default_map_grid,
     fidelity_difference_map,
@@ -27,16 +24,6 @@ from spinchain.circuits import (
     zero_contour,
 )
 from spinchain.dynamics import IntegratorConfig, NoiseModel
-from spinchain.hamiltonians import (
-    DEFAULT_CNOT_COUPLING_PARAMS,
-    DEFAULT_CNOT_LOCAL_PARAMS,
-    DEFAULT_SWAP_PARAMS,
-)
-
-STOCK_PARAMS = {
-    "swap": (DEFAULT_SWAP_PARAMS,),
-    "cnot": (DEFAULT_CNOT_LOCAL_PARAMS, DEFAULT_CNOT_COUPLING_PARAMS),
-}
 
 
 def slot_pairs(circuit):
@@ -45,6 +32,10 @@ def slot_pairs(circuit):
         {(e.gate.kind, e.gate.qubits) for e in circuit.schedule.slot_entries(k)}
         for k in range(circuit.num_slots)
     ]
+
+
+def swap_count(circuit):
+    return sum(1 for e in circuit.schedule.entries if e.gate.kind == "swap")
 
 
 # ---------------------------------------------------------------------------
@@ -106,37 +97,16 @@ def test_square_six_sites_hops_column_by_column():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_line_counts(n):
     circuit = build_transport_circuit(ChainTopology("line_1d", n), "cnot_first")
-    assert circuit.swap_count == 2 * (n - 2)
+    assert swap_count(circuit) == 2 * (n - 2)
     assert circuit.num_slots == 2 * (n - 2) + 1
-    assert len(circuit.gates) == circuit.swap_count + 1
+    assert len(circuit.schedule.entries) == swap_count(circuit) + 1
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
 def test_ladder_counts(n):
     circuit = build_transport_circuit(ChainTopology("square_2d", n), "cnot_first")
-    assert circuit.swap_count == n - 2
+    assert swap_count(circuit) == n - 2
     assert circuit.num_slots == n // 2
-
-
-def test_explicit_gate_params_are_used():
-    circuit = build_transport_circuit(
-        ChainTopology("line_1d", 3), gate_params=STOCK_PARAMS
-    )
-    swaps = [g for g in circuit.gates if g.kind == "swap"]
-    assert all(g.params == (DEFAULT_SWAP_PARAMS,) for g in swaps)
-
-
-def test_gate_params_pair_counts_validated():
-    with pytest.raises(ValueError):
-        build_transport_circuit(
-            ChainTopology("line_1d", 3),
-            gate_params={"swap": STOCK_PARAMS["cnot"], "cnot": STOCK_PARAMS["cnot"]},
-        )
-    with pytest.raises(ValueError):
-        build_transport_circuit(
-            ChainTopology("line_1d", 3),
-            gate_params={"swap": STOCK_PARAMS["swap"], "cnot": STOCK_PARAMS["swap"]},
-        )
 
 
 def test_bad_order_and_topology_rejected():
@@ -155,34 +125,6 @@ def test_bad_order_and_topology_rejected():
 # ---------------------------------------------------------------------------
 # payload states and register assembly
 # ---------------------------------------------------------------------------
-
-
-def test_param_state_poles():
-    north = ParamState(theta=np.pi, phi=1.3).vector()
-    assert np.allclose(north, [1.0, 0.0], atol=1e-15)
-    south = ParamState(theta=0.0, phi=0.0).vector()
-    assert np.allclose(south, [0.0, 1.0], atol=1e-15)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    theta=st.floats(0.0, np.pi, allow_nan=False),
-    phi=st.floats(0.0, 2.0 * np.pi, allow_nan=False),
-)
-def test_param_state_is_normalised(theta, phi):
-    vec = ParamState(theta=theta, phi=phi).vector()
-    assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-    assert vec[0] == pytest.approx(np.sin(theta / 2.0))
-    assert vec[1] == pytest.approx(np.exp(1j * phi) * np.cos(theta / 2.0))
-
-
-def test_param_state_range_checked():
-    with pytest.raises(ValueError):
-        ParamState(theta=-0.1, phi=0.0)
-    with pytest.raises(ValueError):
-        ParamState(theta=3.2, phi=0.0)
-    with pytest.raises(ValueError):
-        ParamState(theta=1.0, phi=7.0)
 
 
 def test_transport_input_layout():
@@ -229,7 +171,7 @@ def test_noiseless_transport_is_nearly_perfect(order, topo):
     for payload in (
         np.array([1.0, 0.0]),
         np.array([0.0, 1.0]),
-        ParamState(theta=1.0, phi=0.7),
+        np.array([np.sin(0.5), np.exp(0.7j) * np.cos(0.5)]),  # theta = 1, phi = 0.7
     ):
         assert transport_fidelity(circuit, payload) > 1.0 - 1e-6
 
@@ -302,7 +244,14 @@ def test_reconstructed_map_equals_direct_evaluation():
         circuit = build_transport_circuit(topo, order)
         direct = np.array(
             [
-                [transport_fidelity(circuit, ParamState(theta, phi), noise=noise) for phi in phis]
+                [
+                    transport_fidelity(
+                        circuit,
+                        np.array([np.sin(theta / 2.0), np.exp(1j * phi) * np.cos(theta / 2.0)]),
+                        noise=noise,
+                    )
+                    for phi in phis
+                ]
                 for theta in thetas
             ]
         )
