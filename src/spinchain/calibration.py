@@ -41,13 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import slot_unitary
-from .hamiltonians import (
-    DEFAULT_CNOT_COUPLING_PARAMS,
-    DEFAULT_CNOT_LOCAL_PARAMS,
-    DEFAULT_SWAP_PARAMS,
-    GATE_KINDS,
-    ideal_gate_matrix,
-)
+from .hamiltonians import GATE_KINDS, STOCK_PARAMS, ideal_gate_matrix
 
 SUCCESS_OBJECTIVE = 1e-5
 # A simplex whose vertices all lie this close to its best one has converged.
@@ -80,7 +74,7 @@ class CalibrationProblem:
 
     @property
     def n_channels(self) -> int:
-        return 1 if self.kind == "swap" else 2
+        return len(STOCK_PARAMS[self.kind])
 
     @property
     def n_params(self) -> int:
@@ -326,9 +320,7 @@ def _sobol_points(d: int, seed: int, m: int) -> np.ndarray:
 
 def _stock_params(kind: str) -> np.ndarray:
     """The stock (A, W) parameters of a gate kind as one flat vector."""
-    if kind == "swap":
-        return np.array(DEFAULT_SWAP_PARAMS, dtype=float)
-    return np.array(DEFAULT_CNOT_LOCAL_PARAMS + DEFAULT_CNOT_COUPLING_PARAMS, dtype=float)
+    return np.array(STOCK_PARAMS[kind], dtype=float).reshape(-1)
 
 
 def default_seeds(problem: CalibrationProblem, rng_seed: int = 0) -> list[np.ndarray]:

@@ -79,12 +79,7 @@ class ChainTopology:
 @dataclass(frozen=True)
 class TransportCircuit:
     topology: ChainTopology
-    order: str
     schedule: PulseSchedule = field(repr=False)
-
-    @property
-    def num_slots(self) -> int:
-        return self.schedule.num_slots
 
     @property
     def readout(self) -> tuple[int, int]:
@@ -132,9 +127,7 @@ def build_transport_circuit(
         grouped = [entangler] + shuttle
     else:
         grouped = shuttle + [entangler]
-    return TransportCircuit(
-        topology=topology, order=order, schedule=schedule_sequence(grouped)
-    )
+    return TransportCircuit(topology=topology, schedule=schedule_sequence(grouped))
 
 
 # ---------------------------------------------------------------------------

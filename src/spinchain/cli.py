@@ -87,12 +87,10 @@ from .dynamics import (
 )
 from .hamiltonians import (
     GATE_KINDS,
+    STOCK_PARAMS,
     GateSpec,
-    cnot_gate,
     ideal_gate_matrix,
     rescale_channel_params,
-    rotated_cnot_gate,
-    swap_gate,
 )
 from .pulses import gaussian
 
@@ -274,10 +272,11 @@ class Settings(SimpleNamespace):
 
 def load_config_file(path: str) -> dict[str, dict[str, str]]:
     import configparser  # only ``--config`` runs need it
-    parser = configparser.ConfigParser()
+    # values are literal, as flags are: a ``%`` is not an interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file {path!r} not found")
@@ -330,7 +329,7 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
         for slot in slots:
             _resolve_steps(slot, IntegratorConfig(dt=s.dt))
             for kind in swept:
-                rescale_channel_params(GATE_BUILDERS[kind](1, 2).params, 0.0, slot)
+                rescale_channel_params(STOCK_PARAMS[kind], 0.0, slot)
         for n in chains:
             ChainTopology(s.topology_kind, n)
     except ValueError as exc:
@@ -406,17 +405,10 @@ def output_path(out: str, suffix: str) -> str:
 # subcommand runners
 
 
-GATE_BUILDERS = {
-    "swap": swap_gate,
-    "cnot": cnot_gate,
-    "cnot_rotated": rotated_cnot_gate,
-}
-
-
 def _single_gate(s: Settings) -> GateSpec:
     if s.gate == "both":
         raise ConfigError(f"{s.command} takes a single gate kind, not 'both'")
-    return GATE_BUILDERS[s.gate](1, 2)
+    return GateSpec(s.gate, (1, 2), STOCK_PARAMS[s.gate])
 
 
 def _swept_kinds(s: Settings) -> tuple[str, ...]:
@@ -476,7 +468,8 @@ def run_duration_sweep(s: Settings):
     rows = []
     for kind in _swept_kinds(s):
         # every (gamma, alpha) case of one gate shares its pair builds
-        gate, noises = GATE_BUILDERS[kind](1, 2), [s.noise(gamma) for gamma in s.gammas]
+        gate = GateSpec(kind, (1, 2), STOCK_PARAMS[kind])
+        noises = [s.noise(gamma) for gamma in s.gammas]
         gate_superoperators(gate, noises, s.alphas, cfg)
         for gamma, noise in zip(s.gammas, noises):
             for alpha in s.alphas:

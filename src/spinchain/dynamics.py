@@ -360,7 +360,7 @@ def _packed_positions(blocks: np.ndarray) -> np.ndarray:
 def _pair_words(kind: str, noise_kind: str) -> tuple:
     """The generator letters of one driven pair under one noise kind at
     rate 1, in the real Pauli-transfer basis, and the word tables of their
-    RK4 series: ``(letters, tables, rows, scale, layout)``, all read-only,
+    RK4 series: ``(letters, tables, powers, scale, layout)``, all read-only,
     cached by ``(kind, noise_kind)`` and shared by every decay rate, which
     enters a build only through z (:func:`_pair_z`).
 
@@ -379,13 +379,13 @@ def _pair_words(kind: str, noise_kind: str) -> tuple:
     them, so the entries a packed map leaves out are exactly zero. ``letters`` are the packed
     letters, each one row of its ``(k, b, b)`` blocks, flattened, with the
     dissipator sum divided by ``scale``, its largest entry (1 if it has
-    none). Every product of 1 to 4 letters is a word, listed per degree
-    with the leftmost letter most significant, as :func:`_word_features`
-    forms them. Sorted by their number p of constant letters, ``tables[p]``
-    holds the words with p, one flattened ``(k, b, b)`` row each, and
-    ``rows[degree]`` is the sorted row of each word of that degree. Tables
-    that are not finite raise :class:`TraceDriftError` as not bounded. A
-    failed build is not cached, so every call raises again.
+    none). Every product of 1 to 4 letters is a word, listed in degree
+    order, each degree with the leftmost letter most significant, as
+    :func:`_word_features` forms them. ``powers`` holds each word's number
+    p of constant letters, in that order, and ``tables[p]`` the words with
+    p, in that order, one flattened ``(k, b, b)`` row each. Tables that are
+    not finite raise :class:`TraceDriftError` as not bounded. A failed
+    build is not cached, so every call raises again.
     """
     constant = np.zeros((16, 16), dtype=complex)
     jump = NoiseModel(noise_kind, 1.0).jump_block()
@@ -413,29 +413,24 @@ def _pair_words(kind: str, noise_kind: str) -> tuple:
         for _ in range(len(_POWERS) - 2):
             words.append((blocks[:, None] @ words[-1][None]).reshape(-1, k, b, b))
             powers.append(np.add.outer(constant, powers[-1]).reshape(-1))
-    sizes = np.cumsum([0] + [len(p) for p in powers])
     words = np.concatenate(words).reshape(-1, k * b * b)
     if not np.isfinite(words).all():
         raise TraceDriftError(
             f"the {kind} pair propagator is not bounded (an RK4 word is not finite)"
         )
     powers = np.concatenate(powers)
-    order = np.argsort(powers, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    rows = tuple(rank[start:end] for start, end in zip(sizes[:-1], sizes[1:]))
     tables = tuple(words[powers == p] for p in _POWERS)
-    for a in (letters, *rows, *tables, layout):
+    for a in (letters, *tables, powers, layout):
         a.flags.writeable = False
-    return letters, tables, rows, scale, layout
+    return letters, tables, powers, scale, layout
 
 
-def _word_features(x: np.ndarray, rows: tuple, out: np.ndarray):
-    """Write the coefficient of every word of the RK4 series at each step
-    into its row of ``out`` (``rows``, from :func:`_pair_words`), shape
-    ``(words, steps)``, from the letters' coefficients in the stage
-    generators G_1, G_m and G_4 at the step's start, midpoint and end,
-    ``x`` of shape ``(3, letters, steps)``.
+def _word_features(x: np.ndarray) -> np.ndarray:
+    """The coefficient of every word of the RK4 series at each step, shape
+    ``(words, steps)``, its words in :func:`_pair_words`' degree order,
+    from the letters' coefficients in the stage generators G_1, G_m and G_4
+    at the step's start, midpoint and end, ``x`` of shape ``(3, letters,
+    steps)``.
 
     RK4's step map minus the identity is (G_1 + 4 G_m + G_4)/6 + (G_m G_1
     + G_m^2 + G_4 G_m)/6 + (G_m^2 G_1 + G_4 G_m^2)/12 + G_4 G_m^2 G_1/24
@@ -451,23 +446,22 @@ def _word_features(x: np.ndarray, rows: tuple, out: np.ndarray):
 
     mm = outer(xm, xm)
     mm1 = outer(mm, x1)
-    out[rows[0]] = (x1 + 4.0 * xm + x4) / 6.0
-    out[rows[1]] = (outer(xm, x1) + mm + outer(x4, xm)) / 6.0
-    out[rows[2]] = (mm1 + outer(x4, mm)) / 12.0
-    out[rows[3]] = outer(x4, mm1) / 24.0
+    return np.concatenate([
+        (x1 + 4.0 * xm + x4) / 6.0,
+        (outer(xm, x1) + mm + outer(x4, xm)) / 6.0,
+        (mm1 + outer(x4, mm)) / 12.0,
+        outer(x4, mm1) / 24.0,
+    ])
 
 
-def _series_terms(x, rows, tables, q):
+def _series_terms(x, powers, tables, q):
     """Write each ``Q_p`` into ``q[p]``: the word features of the steps'
-    letter coefficients ``x``, written by :func:`_word_features` straight
-    into rows sorted by p, against the words with p constant letters,
+    letter coefficients ``x`` (:func:`_word_features`) of the words with p
+    constant letters, ``features[powers == p]``, against those words,
     ``tables[p]``, one GEMM per power."""
-    features = np.empty((sum(len(table) for table in tables), x.shape[-1]))
-    _word_features(x, rows, features)
-    first = 0
-    for table, out in zip(tables, q):
-        np.matmul(features[first : first + len(table)].T, table, out=out.reshape(len(out), -1))
-        first += len(table)
+    features = _word_features(x)
+    for p, (table, out) in enumerate(zip(tables, q)):
+        np.matmul(features[powers == p].T, table, out=out.reshape(len(out), -1))
 
 
 def _pair_z(kind, params, noise: NoiseModel, duration, n_steps: int) -> float:
@@ -542,7 +536,7 @@ def _pair_series(kind, params, noise_kind, n_steps):
     off).
     """
     amplitude, width, center = rescale_channel_params(params, 0.0, 1.0)
-    letters, tables, rows, _, layout = _pair_words(kind, noise_kind)
+    letters, tables, powers, _, layout = _pair_words(kind, noise_kind)
     k, b = layout.shape
     h = 1.0 / n_steps
     size = min(n_steps, PAIR_CHUNK_STEPS)
@@ -563,7 +557,7 @@ def _pair_series(kind, params, noise_kind, n_steps):
         x[1, 1:] = h * gaussian(t0 + 0.5 * h, amplitude, width, center)
         x[2, 1:] = h * gaussian(t0 + h, amplitude, width, center) * (steps < n_steps - 1)
         x[..., perm >= count] = 0.0
-        _series_terms(x, rows, tables, q)
+        _series_terms(x, powers, tables, q)
         yield _SeriesChunk(q, perm[:count], d)
 
 

@@ -37,7 +37,14 @@ DEFAULT_SWAP_PARAMS = (9.36309696, 0.020165)
 DEFAULT_CNOT_LOCAL_PARAMS = (9.33360747, 0.0202927)
 DEFAULT_CNOT_COUPLING_PARAMS = (3.11530553, 0.02023955)
 
-GATE_KINDS = ("swap", "cnot", "cnot_rotated")
+# Each gate kind's stock (A, W) pairs, one per pulse channel: the one table
+# of the kinds there are and of how many channels each drives.
+STOCK_PARAMS = {
+    "swap": (DEFAULT_SWAP_PARAMS,),
+    "cnot": (DEFAULT_CNOT_LOCAL_PARAMS, DEFAULT_CNOT_COUPLING_PARAMS),
+    "cnot_rotated": (DEFAULT_CNOT_LOCAL_PARAMS, DEFAULT_CNOT_COUPLING_PARAMS),
+}
+GATE_KINDS = tuple(STOCK_PARAMS)
 
 # Control-qubit y-rotation by pi/2 (half-angle convention):
 # R = exp(i (pi/4) sigma_y) maps sigma_z -> -sigma_x and sigma_x -> sigma_z.
@@ -49,8 +56,9 @@ class GateSpec:
     """A gate kind on a qubit pair, with its per-channel (A, W) parameters.
 
     ``qubits`` is (control, target) for the CNOT kinds and simply the
-    coupled pair for SWAP. ``params`` holds one (A, W) pair for SWAP and
-    two — local drive then coupling — for the CNOT kinds, and each must pass
+    coupled pair for SWAP. ``params`` holds one (A, W) pair per channel of
+    the kind, as many as its ``STOCK_PARAMS`` row (SWAP one; the CNOT kinds
+    two, local drive then coupling), and each must pass
     ``check_pulse_params`` when the gate is made.
     """
 
@@ -67,7 +75,7 @@ class GateSpec:
             raise ValueError("gate needs two distinct 1-based qubit indices")
         params = tuple((float(a), float(w)) for a, w in self.params)
         object.__setattr__(self, "params", params)
-        expected = 1 if self.kind == "swap" else 2
+        expected = len(STOCK_PARAMS[self.kind])
         if len(params) != expected:
             raise ValueError(f"{self.kind} takes {expected} (A, W) pair(s)")
         check_pulse_params(*zip(*params))

@@ -1,4 +1,4 @@
-"""Pauli/tensor algebra for N-qubit states and density matrices.
+"""Pauli matrices, state-vector checks and the fidelity to a pure target.
 
 Conventions used throughout the package:
 
@@ -44,10 +44,10 @@ def num_qubits(dim: int) -> int:
     return n
 
 
-def check_state(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def check_state(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     num_qubits(psi.shape[0])
-    if abs(np.linalg.norm(psi) - 1.0) > tol:
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
         raise ValueError("state vector is not normalised")
     return psi
 

@@ -59,10 +59,6 @@ class PulseSchedule:
     slot_duration: float
     num_slots: int
 
-    @property
-    def total_time(self) -> float:
-        return self.num_slots * self.slot_duration
-
     def slot_window(self, k: int) -> tuple[float, float]:
         return k * self.slot_duration, (k + 1) * self.slot_duration
 
@@ -70,19 +66,12 @@ class PulseSchedule:
         return tuple(e for e in self.entries if e.slot == k)
 
 
-def _qubits_of(gate) -> frozenset:
-    qubits = frozenset(gate.qubits)
-    if len(qubits) != 2:
-        raise ValueError("scheduled gates act on two distinct qubits")
-    return qubits
-
-
 def schedule_sequence(gates: Sequence, slot_duration: float = 1.0) -> PulseSchedule:
     """Assign gates to consecutive slots of length ``slot_duration``.
 
-    Each item of ``gates`` is a gate spec, which gets a slot of its own,
-    or a list/tuple of gates that share one slot. Gates on intersecting
-    pairs can never share a slot.
+    Each item of ``gates`` is a ``GateSpec``, whose two qubits are distinct,
+    which gets a slot of its own, or a list/tuple of them that share one
+    slot. Gates on intersecting pairs can never share a slot.
     """
     if not (slot_duration > 0.0):
         raise ValueError("slot duration must be positive")
@@ -94,7 +83,7 @@ def schedule_sequence(gates: Sequence, slot_duration: float = 1.0) -> PulseSched
             raise ValueError("empty parallel group")
         occupied: set = set()
         for g in group:
-            q = _qubits_of(g)
+            q = frozenset(g.qubits)
             if occupied & q:
                 raise ValueError("gates on intersecting qubit pairs cannot share a slot")
             occupied |= q

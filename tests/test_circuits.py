@@ -30,7 +30,7 @@ def slot_pairs(circuit):
     """Qubit pairs per slot, as sets to ignore in-slot ordering."""
     return [
         {(e.gate.kind, e.gate.qubits) for e in circuit.schedule.slot_entries(k)}
-        for k in range(circuit.num_slots)
+        for k in range(circuit.schedule.num_slots)
     ]
 
 
@@ -98,7 +98,7 @@ def test_square_six_sites_hops_column_by_column():
 def test_line_counts(n):
     circuit = build_transport_circuit(ChainTopology("line_1d", n), "cnot_first")
     assert swap_count(circuit) == 2 * (n - 2)
-    assert circuit.num_slots == 2 * (n - 2) + 1
+    assert circuit.schedule.num_slots == 2 * (n - 2) + 1
     assert len(circuit.schedule.entries) == swap_count(circuit) + 1
 
 
@@ -106,7 +106,7 @@ def test_line_counts(n):
 def test_ladder_counts(n):
     circuit = build_transport_circuit(ChainTopology("square_2d", n), "cnot_first")
     assert swap_count(circuit) == n - 2
-    assert circuit.num_slots == n // 2
+    assert circuit.schedule.num_slots == n // 2
 
 
 def test_bad_order_and_topology_rejected():

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
 import configparser
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from spinchain import circuits, cli, dynamics
-from spinchain.hamiltonians import rescale_channel_params
+from spinchain.hamiltonians import STOCK_PARAMS, rescale_channel_params
 from spinchain.pulses import gaussian
 
 
@@ -111,7 +113,7 @@ def test_trace_drive_columns_are_the_rescaled_gaussian(tmp_path, monkeypatch, ga
     code, out = run(tmp_path, ["trace", "--gate", gate])
     assert code == 0
     ts = np.concatenate(times)
-    params = cli.GATE_BUILDERS[gate](1, 2).params
+    params = STOCK_PARAMS[gate]
     want = gaussian(ts, *rescale_channel_params(params, 0, 1))
     assert want.shape == (len(params), 1001) and want[:, -1].min() > 0.0
     (rows,) = written
@@ -490,6 +492,28 @@ def test_malformed_config_file_exits_2(tmp_path, capsys):
     assert "config error: cannot read config file" in capsys.readouterr().err
 
 
+def test_ini_values_are_literal_as_flags_are(tmp_path, capsys):
+    # a % is a character, not an interpolation
+    out = tmp_path / "res%ult.csv"
+    config = tmp_path / "run.ini"
+    config.write_text(f"[run]\nout = {out}\n")
+    assert cli.main(["trace", "--config", str(config)]) == 0
+    assert header_value(out, "command") == "trace"
+
+    config.write_text("[noise]\nkind = dephasing\ngamma = 0.1%\n")
+    code, out = run(tmp_path, ["trace", "--config", str(config)])
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == "config error: cannot parse gamma '0.1%'\n"
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "latin.ini"
+    config.write_bytes(b"[run]\nout = r\xffsult.csv\n")
+    code, out = run(tmp_path, ["trace", "--config", str(config)])
+    assert code == 2 and not out.exists()
+    assert "config error: cannot read config file" in capsys.readouterr().err
+
+
 def test_unknown_config_entries_exit_2(tmp_path):
     bad_section = tmp_path / "a.ini"
     bad_section.write_text("[plotting]\nstyle = dark\n")
@@ -705,6 +729,54 @@ print(loaded("scipy"))
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def _dynamic_arch_openblas() -> bool:
+    shown = io.StringIO()
+    with contextlib.redirect_stdout(shown):
+        np.show_config()
+    return "DYNAMIC_ARCH" in shown.getvalue() and "openblas" in shown.getvalue().lower()
+
+
+@pytest.mark.skipif(
+    not _dynamic_arch_openblas(),
+    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE picks no kernel",
+)
+def test_bodies_do_not_depend_on_the_blas_kernel(tmp_path):
+    # Prescott's kernels sum in another order than the host's own: the
+    # bodies may move in their last printed digit, and by no more
+    code = """
+import sys
+from spinchain.cli import main
+
+argvs = [
+    ["trace", "--gate", "cnot", "--noise", "dephasing", "--gamma", "0.01"],
+    ["state-map"],
+]
+for argv in argvs:
+    assert main(argv + ["--out", f"{sys.argv[1]}/{argv[0]}.csv"]) == 0
+"""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    bodies = {}
+    for coretype in ("", "Prescott"):
+        folder = tmp_path / (coretype or "default")
+        folder.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(folder)],
+            env={**env, "PYTHONPATH": path, **({"OPENBLAS_CORETYPE": coretype} if coretype else {})},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        names = ("trace.csv", "state-map.csv", "state-map.contour.csv")
+        bodies[coretype] = [body_of(folder / name) for name in names]
+    for want, got in zip(bodies[""], bodies["Prescott"]):
+        assert got[0] == want[0] and len(got) == len(want) > 1
+        want, got = (np.array([[float(c) for c in row.split(",")] for row in b[1:]]) for b in (want, got))
+        assert np.all(np.abs(got - want) <= 2e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_noisy_ladder_body_ignores_workers_and_cache_state(tmp_path, monkeypatch):

@@ -352,9 +352,9 @@ def test_amplitude_near_the_float_limit_aborts_as_unbounded(amplitude):
 
 def test_pair_words_are_cached_read_only_per_noise_kind():
     words = dynamics._pair_words("cnot", "dephasing")
-    letters, tables, rows, _, layout = words
+    letters, tables, powers, _, layout = words
     assert dynamics._pair_words("cnot", "dephasing") is words
-    assert not any(a.flags.writeable for a in (letters, *tables, *rows, layout))
+    assert not any(a.flags.writeable for a in (letters, *tables, powers, layout))
     with pytest.raises(ValueError, match="read-only"):
         letters[0, 0] = 1.0
     # the noise kind is the key: every rate of it reads the same table
@@ -364,7 +364,7 @@ def test_pair_words_are_cached_read_only_per_noise_kind():
     dynamics._pair_words.cache_clear()
     fresh = dynamics._pair_words("cnot", "dephasing")
     assert fresh[3] == words[3]
-    for a, b in zip((letters, *tables, *rows, layout), (fresh[0], *fresh[1], *fresh[2], fresh[4])):
+    for a, b in zip((letters, *tables, powers, layout), (fresh[0], *fresh[1], fresh[2], fresh[4])):
         assert np.array_equal(a, b)
 
 

@@ -14,6 +14,7 @@ from spinchain.hamiltonians import (
     DEFAULT_SWAP_PARAMS,
     GATE_KINDS,
     ROTATION_FRAME,
+    STOCK_PARAMS,
     GateSpec,
     cnot_gate,
     gate_channel_blocks,
@@ -23,7 +24,7 @@ from spinchain.hamiltonians import (
     rotated_cnot_gate,
     swap_gate,
 )
-from spinchain.calibration import analytic_channel_areas
+from spinchain.calibration import _POLISHED_BANK, CalibrationProblem, analytic_channel_areas
 from spinchain.pulses import gaussian, schedule_sequence
 
 # Independent Pauli literals so the oracle does not share code with the
@@ -188,6 +189,18 @@ def test_gate_constructors_carry_kind_qubits_params():
     assert r.kind == "cnot_rotated"
     assert r.qubits == (4, 2)
     assert r.params == ((1.0, 0.5), (2.0, 0.25))
+
+
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_the_stock_table_names_every_channel_of_every_kind(kind):
+    # one row per kind, one (A, W) pair per channel, wherever a kind's
+    # channels are counted
+    channels = len(STOCK_PARAMS[kind])
+    assert channels == len(gate_channel_blocks(kind)) == len(gate_eigensystem(kind)[1])
+    assert channels == CalibrationProblem(kind).n_channels
+    assert set(STOCK_PARAMS) == set(_POLISHED_BANK) == set(GATE_KINDS)
+    builder = {"swap": swap_gate, "cnot": cnot_gate, "cnot_rotated": rotated_cnot_gate}[kind]
+    assert builder(1, 2).params == STOCK_PARAMS[kind]
 
 
 def test_gate_spec_rejects_bad_input():
